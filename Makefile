@@ -1,12 +1,16 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-baseline perfgate cover chaos service-smoke cluster-smoke importgate warmup-smoke ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
+.PHONY: build vet fmt test race stress bench bench-baseline perfgate cover chaos service-smoke cluster-smoke importgate warmup-smoke ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The format gate fails if any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -15,6 +19,12 @@ test:
 # the parallel-vs-serial equivalence tests) under the race detector.
 race:
 	$(GO) test -race ./...
+
+# The stress gate repeats the concurrency-heavy packages under the race
+# detector, so an ordering bug that a single run passes four times in
+# five still fails the gate.
+stress:
+	$(GO) test -race -count=20 ./internal/service/ ./internal/cluster/ ./internal/runner/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -96,4 +106,4 @@ fuzz-smoke:
 zoo-smoke:
 	$(GO) run ./tools/zoosmoke
 
-verify: build vet test race cover chaos service-smoke cluster-smoke importgate warmup-smoke ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate
+verify: build vet fmt test race stress cover chaos service-smoke cluster-smoke importgate warmup-smoke ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate

@@ -227,9 +227,10 @@ func BenchmarkBaselineAccess(b *testing.B) {
 // BenchmarkMachineStepBatched measures the epoch-batched measured phase
 // in isolation: one machine is built and warmed once, then every
 // iteration resumes a snapshot of the warm state and runs the measured
-// phase through the batched loop (pre-generated epochs, devirtualized
-// dispatch). Comparing against BenchmarkSimulatorThroughput separates
-// steady-state stepping speed from Build/Warmup overhead.
+// phase through the batched loop (pre-generated epochs, every L1 and
+// CPU call through its interface). Comparing against
+// BenchmarkSimulatorThroughput separates steady-state stepping speed
+// from Build/Warmup overhead.
 func BenchmarkMachineStepBatched(b *testing.B) {
 	p, err := workload.ByName("redis")
 	if err != nil {
@@ -239,49 +240,6 @@ func BenchmarkMachineStepBatched(b *testing.B) {
 	cfg := machine.Config{
 		Workload: p, Seed: 42, Refs: refs, WarmupRefs: 20_000,
 		CacheKind: machine.KindSeesaw, L1Size: 64 << 10,
-		FreqGHz: 1.33, CPUKind: "ooo", MemBytes: 256 << 20,
-	}
-	ctx := context.Background()
-	m, err := machine.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := m.Warmup(ctx); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mm := snap.Resume()
-		if err := mm.Measure(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(refs)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
-}
-
-// BenchmarkMachineStepRegistry is BenchmarkMachineStepBatched for the
-// registry's interface-fallback dispatch: VESPA has no devirtualized
-// fast path in machine.fastL1s, so every L1 call goes through the
-// core.L1Cache interface — the path any newly registered design takes
-// before (or without) earning a fast-path hook. The perf gate holds it
-// to the same 20% window as the devirtualized designs, pinning the
-// registry's promise that the fallback is not a structural slow lane;
-// the seesaw benchmarks above, gated against their pre-registry
-// baselines, pin the complementary promise that the registry cost the
-// fast-path designs nothing.
-func BenchmarkMachineStepRegistry(b *testing.B) {
-	p, err := workload.ByName("redis")
-	if err != nil {
-		b.Fatal(err)
-	}
-	refs := 50_000
-	cfg := machine.Config{
-		Workload: p, Seed: 42, Refs: refs, WarmupRefs: 20_000,
-		CacheKind: machine.KindVespa, L1Size: 64 << 10,
 		FreqGHz: 1.33, CPUKind: "ooo", MemBytes: 256 << 20,
 	}
 	ctx := context.Background()

@@ -544,8 +544,8 @@ func chaosTable(o sweepOptions) (*stats.Table, []failure, uint64, error) {
 					Workload: p, Seed: o.seed, Refs: o.refs,
 					CacheKind: d.Name, L1Size: 32 << 10,
 					SerialTLBCycles: d.ChaosSerialTLB, SmallTLB: d.ChaosSmallTLB,
-					L1Ways:          d.ChaosL1Ways,
-					FreqGHz:         1.33, CPUKind: "ooo", MemBytes: 512 << 20,
+					L1Ways:  d.ChaosL1Ways,
+					FreqGHz: 1.33, CPUKind: "ooo", MemBytes: 512 << 20,
 					MemhogFraction:  0.4,
 					WarmupRefs:      o.warmup,
 					CheckInvariants: true,

@@ -22,11 +22,6 @@ type Design struct {
 	Name string
 	// Display is the human-facing table label ("VIPT (baseline)").
 	Display string
-	// Legacy is the int this design was encoded as when
-	// machine.Config.CacheKind was an enum; -1 for designs that
-	// postdate the enum. Snapshot and checkpoint decoding map stored
-	// ints back through it.
-	Legacy int
 
 	// New builds one core's worth of the design.
 	New func(Config) (L1Cache, error)
@@ -43,10 +38,6 @@ type Design struct {
 	// Speculates marks designs with a fast/slow latency split the
 	// scheduler may speculate on (the paper's counter heuristic).
 	Speculates bool
-	// FastPath marks designs with a devirtualized concrete dispatch
-	// path in the machine's hot loop; others run through the clean
-	// L1Cache interface fallback.
-	FastPath bool
 
 	// AreaBytes is the design's extra SRAM beyond the storage array
 	// (e.g. SEESAW's TFT), for the evolve area objective; nil = none.
@@ -103,16 +94,6 @@ func Register(d Design) {
 func LookupDesign(name string) (*Design, bool) {
 	d, ok := designNames[name]
 	return d, ok
-}
-
-// DesignByLegacy resolves a design by its pre-registry enum value.
-func DesignByLegacy(v int) (*Design, bool) {
-	for _, d := range designOrder {
-		if d.Legacy == v && v >= 0 {
-			return d, true
-		}
-	}
-	return nil, false
 }
 
 // DesignNames returns every registered name in registration order —

@@ -24,20 +24,6 @@ func TestRegistryEnumeration(t *testing.T) {
 		t.Errorf("Designs() = %d descriptors, first %q", len(ds), ds[0].Name)
 	}
 
-	for legacy, name := range map[int]string{0: "baseline", 1: "seesaw", 2: "pipt"} {
-		d, ok := DesignByLegacy(legacy)
-		if !ok || d.Name != name {
-			t.Errorf("DesignByLegacy(%d) = %v, %t; want %s", legacy, d, ok, name)
-		}
-	}
-	// VESPA postdates the enum (Legacy -1), which must never resolve —
-	// -1 is the "no legacy value" sentinel, not an address.
-	if _, ok := DesignByLegacy(-1); ok {
-		t.Error("DesignByLegacy(-1) resolved; -1 is the no-legacy sentinel")
-	}
-	if _, ok := DesignByLegacy(99); ok {
-		t.Error("DesignByLegacy(99) resolved an unknown enum value")
-	}
 	if _, ok := LookupDesign("no-such-design"); ok {
 		t.Error("LookupDesign resolved an unregistered name")
 	}

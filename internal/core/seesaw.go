@@ -111,16 +111,10 @@ func (s *Seesaw) Geometry() addr.CacheGeometry { return s.geom }
 //     fast latency, partition energy — whether it hits or misses.
 //   - TFT miss (base page, or superpage the TFT forgot): the remaining
 //     partitions are probed too — slow latency, full energy.
-func (s *Seesaw) Access(va addr.VAddr, pa addr.PAddr, psize addr.PageSize, store bool) AccessResult {
-	var res AccessResult
-	s.AccessInto(&res, va, pa, psize, store)
-	return res
-}
-
-// AccessInto is Access writing its result through res — the simulator's
-// devirtualized per-reference path uses it to keep the (40-byte) result
-// from being copied once per call layer.
-func (s *Seesaw) AccessInto(res *AccessResult, va addr.VAddr, pa addr.PAddr, psize addr.PageSize, store bool) {
+//
+// The lookups fill the named result in place, so the 40-byte result is
+// not copied back through each helper on the per-reference path.
+func (s *Seesaw) Access(va addr.VAddr, pa addr.PAddr, psize addr.PageSize, store bool) (res AccessResult) {
 	s.Stats.Accesses++
 	set := s.geom.SetIndexV(va)
 	tag := s.geom.TagP(pa)
@@ -134,7 +128,7 @@ func (s *Seesaw) AccessInto(res *AccessResult, va addr.VAddr, pa addr.PAddr, psi
 		// The TFT can only hold regions that were superpage-backed when
 		// a 2MB translation was filled; a hit licenses the fast path.
 		part := s.geom.PartitionIndexV(va)
-		s.fastLookup(res, set, part, tag)
+		s.fastLookup(&res, set, part, tag)
 		if res.Hit {
 			s.Stats.FastHits++
 		} else {
@@ -147,7 +141,7 @@ func (s *Seesaw) AccessInto(res *AccessResult, va addr.VAddr, pa addr.PAddr, psi
 	// TFT miss: the speculative partition probe is followed by the
 	// remaining partitions — equivalent to a full-set search at the
 	// baseline's latency and energy (Table I rows 3-4).
-	s.slowLookup(res, set, tag)
+	s.slowLookup(&res, set, tag)
 	if super {
 		if res.Hit {
 			s.Stats.SuperTFTMissHits++
@@ -156,6 +150,7 @@ func (s *Seesaw) AccessInto(res *AccessResult, va addr.VAddr, pa addr.PAddr, psi
 		}
 	}
 	res.Superpage = super
+	return
 }
 
 // fastLookup probes a single partition (TFT hit path), optionally through

@@ -101,14 +101,6 @@ func (v *Vespa) Geometry() addr.CacheGeometry { return v.geom }
 // probe one partition at the fast latency; base-page accesses search
 // the whole set at the baseline latency.
 func (v *Vespa) Access(va addr.VAddr, pa addr.PAddr, psize addr.PageSize, store bool) AccessResult {
-	var res AccessResult
-	v.AccessInto(&res, va, pa, psize, store)
-	return res
-}
-
-// AccessInto is Access writing its result through res, mirroring the
-// other designs' devirtualized entry point.
-func (v *Vespa) AccessInto(res *AccessResult, va addr.VAddr, pa addr.PAddr, psize addr.PageSize, store bool) {
 	v.Stats.Accesses++
 	set := v.geom.SetIndexV(va)
 	tag := v.geom.TagP(pa)
@@ -116,7 +108,7 @@ func (v *Vespa) AccessInto(res *AccessResult, va addr.VAddr, pa addr.PAddr, psiz
 		v.Stats.SuperAccesses++
 		part := v.geom.PartitionIndexV(va)
 		way, hit := v.c.Access(set, part, tag)
-		*res = AccessResult{
+		res := AccessResult{
 			Hit: hit, Cycles: v.t.fastCycles, FastPath: true,
 			WaysProbed: v.geom.WaysPerPartition(), EnergyNJ: v.t.ePart,
 			Superpage: true,
@@ -127,17 +119,18 @@ func (v *Vespa) AccessInto(res *AccessResult, va addr.VAddr, pa addr.PAddr, psiz
 		} else {
 			v.Stats.SuperMisses++
 		}
-		return
+		return res
 	}
 	v.Stats.BaseAccesses++
 	way, hit := v.c.Access(set, cache.AnyPartition, tag)
-	*res = AccessResult{
+	res := AccessResult{
 		Hit: hit, Cycles: v.t.slowCycles,
 		WaysProbed: v.cfg.Ways, EnergyNJ: v.t.eFull,
 	}
 	if hit {
 		res.State = v.c.StateOf(set, way)
 	}
+	return res
 }
 
 // insertPartition picks the insertion scope per the configured policy,

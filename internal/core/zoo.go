@@ -23,7 +23,6 @@ func init() {
 	Register(Design{
 		Name:    "baseline",
 		Display: "VIPT (baseline)",
-		Legacy:  0,
 		New: func(c Config) (L1Cache, error) {
 			v, err := NewBaselineVIPT(c)
 			if err != nil {
@@ -31,7 +30,6 @@ func init() {
 			}
 			return v, nil
 		},
-		FastPath: true,
 		State: func(l L1Cache, st *L1State) {
 			if v := l.(*BaselineVIPT); v.wp != nil {
 				ws := v.wp.State()
@@ -48,7 +46,6 @@ func init() {
 	Register(Design{
 		Name:    "seesaw",
 		Display: "SEESAW",
-		Legacy:  1,
 		New: func(c Config) (L1Cache, error) {
 			s, err := NewSeesaw(c)
 			if err != nil {
@@ -59,7 +56,6 @@ func init() {
 		Validate:   partitionRules,
 		UsesTFT:    true,
 		Speculates: true,
-		FastPath:   true,
 		AreaBytes: func(c Config) uint64 {
 			return uint64(tft.New(c.TFT).SizeBytes())
 		},
@@ -88,7 +84,6 @@ func init() {
 	Register(Design{
 		Name:    "pipt",
 		Display: "PIPT (small TLB)",
-		Legacy:  2,
 		New: func(c Config) (L1Cache, error) {
 			p, err := NewPIPT(c)
 			if err != nil {
@@ -96,7 +91,6 @@ func init() {
 			}
 			return p, nil
 		},
-		FastPath:       true,
 		ChaosSerialTLB: 2,
 		ChaosSmallTLB:  true,
 		ChaosL1Ways:    4,
@@ -110,7 +104,6 @@ func init() {
 	Register(Design{
 		Name:    "vespa",
 		Display: "VESPA",
-		Legacy:  -1,
 		New: func(c Config) (L1Cache, error) {
 			v, err := NewVespa(c)
 			if err != nil {

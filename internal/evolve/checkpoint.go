@@ -20,8 +20,10 @@ type CheckpointStore interface {
 
 // checkpointSchema versions the checkpoint encoding; a mismatch means
 // the blob was written by different code and is ignored rather than
-// misread.
-const checkpointSchema = 1
+// misread. When the evaluator shares the checkpoint's store, an ignored
+// checkpoint costs a restart from generation 0 answered by store hits,
+// not fresh simulations. Version 1 predates the design gene.
+const checkpointSchema = 2
 
 // checkpointState is the JSON the search persists at every generation
 // boundary: enough to resume mid-search to the byte-identical front.
@@ -108,13 +110,8 @@ func (s *Search) loadCheckpoint() (ok bool, err error) {
 	if len(st.Population) == 0 {
 		return false, nil
 	}
-	// Checkpoints written before the design gene existed carry genomes
-	// with no design field; normalize resolves those to seesaw (and
-	// canonicalizes any other redundant spellings) before the menu check
-	// and the ledger rebuild key off them.
-	for i, g := range st.Population {
-		st.Population[i] = g.normalize()
-		if err := st.Population[i].onMenus(); err != nil {
+	for _, g := range st.Population {
+		if err := g.onMenus(); err != nil {
 			return false, err
 		}
 	}
@@ -127,7 +124,6 @@ func (s *Search) loadCheckpoint() (ok bool, err error) {
 	s.ledger = make(map[string]Candidate, len(st.Ledger))
 	s.order = s.order[:0]
 	for _, c := range st.Ledger {
-		c.Genome = c.Genome.normalize()
 		k := c.Genome.Key()
 		s.ledger[k] = c
 		s.order = append(s.order, k)

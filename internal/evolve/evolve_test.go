@@ -3,6 +3,7 @@ package evolve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -274,5 +275,48 @@ func TestCheckpointFingerprintGuards(t *testing.T) {
 	}
 	if s.resumed {
 		t.Fatal("resumed a checkpoint written by a different search")
+	}
+}
+
+// TestRetiredCheckpointSchemaIgnored: a checkpoint stamped with the
+// retired schema 1 is not resumed, and the restarted search against the
+// same store reaches the same front without a single fresh simulation —
+// the store, not the checkpoint, is what holds the evaluated cells.
+func TestRetiredCheckpointSchemaIgnored(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions(&bytes.Buffer{})
+	opts.Checkpoint = st
+	opts.CheckpointName = "retired"
+	first := runSearch(t, opts, newLocalEvaluator(st))
+
+	blob, ok := st.GetCheckpoint("retired")
+	if !ok {
+		t.Fatal("search left no checkpoint")
+	}
+	var ck checkpointState
+	if err := json.Unmarshal(blob, &ck); err != nil {
+		t.Fatal(err)
+	}
+	ck.Schema = 1
+	if blob, err = json.Marshal(ck); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutCheckpoint("retired", blob); err != nil {
+		t.Fatal(err)
+	}
+
+	ev := newLocalEvaluator(st)
+	second := runSearch(t, opts, ev)
+	if second.Resumed {
+		t.Fatal("resumed a checkpoint stamped with the retired schema 1")
+	}
+	if !frontsEqual(first.Front, second.Front) {
+		t.Fatal("restarted search produced a different front")
+	}
+	if stats := ev.Pool.Stats(); stats.Runs != 0 {
+		t.Fatalf("restarted search performed %d fresh simulations, want 0", stats.Runs)
 	}
 }

@@ -31,8 +31,7 @@ type Genome struct {
 	// Design names the registered L1 design the genome builds on. The
 	// menu is derived from the design registry (every speculating
 	// design, i.e. one with a fast/slow latency split the other genes
-	// tune); "" is the legacy spelling of "seesaw", kept decodable so
-	// pre-registry checkpoints resume. See normalize.
+	// tune).
 	Design string `json:"design,omitempty"`
 	// TFTEntries / TFTAssoc size the translation filter table.
 	TFTEntries int `json:"tft_entries"`
@@ -135,7 +134,7 @@ var genes = []geneSpec{
 	{
 		name: "design",
 		n:    len(designMenu),
-		get:  func(g Genome) int { return indexOfString(designMenu, g.designOrDefault()) },
+		get:  func(g Genome) int { return indexOfString(designMenu, g.Design) },
 		set: func(g Genome, i int) Genome {
 			g.Design = designMenu[i]
 			return g
@@ -188,23 +187,13 @@ func indexOfString(menu []string, v string) int {
 	return -1
 }
 
-// designOrDefault resolves the legacy empty spelling: genomes written
-// before the design gene existed are seesaw genomes.
-func (g Genome) designOrDefault() string {
-	if g.Design == "" {
-		return "seesaw"
-	}
-	return g.Design
-}
-
 // normalize canonicalizes redundant encodings so behaviourally
 // identical genomes share one key (and therefore one evaluation): the
-// legacy empty design is seesaw, the speculation threshold only exists
-// under the counter policy, and the TFT genes only exist on designs
-// that have a TFT (VESPA takes the page size from the TLB, so two
-// VESPA genomes differing only in TFT geometry run the same machine).
+// speculation threshold only exists under the counter policy, and the
+// TFT genes only exist on designs that have a TFT (VESPA takes the page
+// size from the TLB, so two VESPA genomes differing only in TFT
+// geometry run the same machine).
 func (g Genome) normalize() Genome {
-	g.Design = g.designOrDefault()
 	if g.Sched != "counter" {
 		g.SpecThreshold = 0
 	}
@@ -229,14 +218,14 @@ func (g Genome) onMenus() error {
 
 // Key is the genome's compact identity, used in logs, the ledger, and
 // tie-breaking. Distinct genomes have distinct keys. Seesaw genomes
-// keep the pre-design-gene format, so ledgers in old checkpoints rebuild
-// under the same keys; other designs prefix their name.
+// carry no design prefix, so their keys read as the paper's knobs
+// alone; other designs prefix their name.
 func (g Genome) Key() string {
 	base := fmt.Sprintf("tft%dx%d-part%d-%s-t%d-promo%d-splin%d",
 		g.TFTEntries, g.TFTAssoc, g.Partitions, g.Sched,
 		g.SpecThreshold, g.PromoteEvery, g.SplinterEvery)
-	if d := g.designOrDefault(); d != "seesaw" {
-		return d + "-" + base
+	if g.Design != "seesaw" {
+		return g.Design + "-" + base
 	}
 	return base
 }
@@ -244,7 +233,7 @@ func (g Genome) Key() string {
 // Apply overlays the genome's knobs on a scenario base config and
 // selects the genome's design.
 func (g Genome) Apply(base sim.Config) sim.Config {
-	base.CacheKind = sim.CacheKind(g.designOrDefault())
+	base.CacheKind = sim.CacheKind(g.Design)
 	base.TFT = tft.Config{Entries: g.TFTEntries, Assoc: g.TFTAssoc}
 	base.Partitions = g.Partitions
 	base.SchedulerAlwaysFast = g.Sched == "always-fast"
@@ -270,8 +259,8 @@ func (g Genome) AreaBytes() float64 {
 // what make this cheap and observable — the mutator counts them
 // instead of crashing a worker on an impossible geometry.
 func (g Genome) validate(sc Scenario) error {
-	if indexOfString(designMenu, g.designOrDefault()) < 0 {
-		return fmt.Errorf("evolve: design %q is not on the search menu %v", g.designOrDefault(), designMenu)
+	if indexOfString(designMenu, g.Design) < 0 {
+		return fmt.Errorf("evolve: design %q is not on the search menu %v", g.Design, designMenu)
 	}
 	if indexOfString(schedMenu, g.Sched) < 0 {
 		return fmt.Errorf("evolve: unknown sched policy %q", g.Sched)

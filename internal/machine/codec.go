@@ -35,7 +35,10 @@ import (
 // a semantic change to how state is applied. The store folds it into
 // every snapshot key and prunes entries whose header disagrees, so old
 // rungs are recomputed rather than mis-resumed.
-const SnapshotSchemaVersion = 1
+//
+// Version 2 carries Config as-is, CacheKind as its registry name;
+// version 1 stored CacheKind as an int enum and no longer decodes.
+const SnapshotSchemaVersion = 2
 
 // snapMagic opens every encoded snapshot. The leading byte is
 // deliberately non-ASCII so a snapshot is never mistaken for text.
@@ -94,9 +97,7 @@ func (s epochState) buf() (epochBuf, error) {
 // cross-component pointer — walker to page table, memhog to buddy,
 // recorder into every subsystem — stays valid without rewiring.
 type snapshotState struct {
-	// Cfg rides the wire as configWire so snapshots written when
-	// CacheKind was an int enum still decode (see configwire.go).
-	Cfg configWire
+	Cfg Config
 
 	GlobalRef int
 	CurRef    uint64
@@ -131,7 +132,7 @@ type snapshotState struct {
 // in-flight lookahead generation); Snapshot's clone guarantees that.
 func (m *Machine) captureState() (*snapshotState, error) {
 	st := &snapshotState{
-		Cfg:       wireOf(m.cfg),
+		Cfg:       m.cfg,
 		GlobalRef: m.globalRef,
 		CurRef:    m.curRef,
 		L2Lookups: m.l2Lookups,
@@ -392,11 +393,7 @@ func (s *Snapshot) UnmarshalBinary(data []byte) (err error) {
 	if derr := gob.NewDecoder(io.LimitReader(fr, maxSnapPayload)).Decode(&st); derr != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, derr)
 	}
-	cfg, cerr := st.Cfg.config()
-	if cerr != nil {
-		return fmt.Errorf("%w: embedded config: %v", ErrSnapshotCorrupt, cerr)
-	}
-	m, berr := Build(cfg)
+	m, berr := Build(st.Cfg)
 	if berr != nil {
 		return fmt.Errorf("%w: embedded config: %v", ErrSnapshotCorrupt, berr)
 	}

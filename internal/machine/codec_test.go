@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"seesaw/internal/faults"
@@ -45,10 +46,10 @@ func encodeDecode(t *testing.T, snap *Snapshot) *Snapshot {
 // machine is stopped mid-epoch (pre-generated records pending in the
 // batch buffer), snapshotted, encoded, decoded, and resumed — and the
 // decoded continuation must match the original machine's own
-// continuation byte for byte. A direct (unencoded) resume is compared
-// too, so a failure distinguishes "clone is wrong" from "codec is
-// wrong". This is the codec leg of the zoo conformance battery (see
-// zoo_test.go).
+// continuation byte for byte, from a config equal to the original field
+// for field. A direct (unencoded) resume is compared too, so a failure
+// distinguishes "clone is wrong" from "codec is wrong". This is the
+// codec leg of the zoo conformance battery (see zoo_test.go).
 func TestCodecRoundTripMidEpoch(t *testing.T) {
 	for _, name := range DesignNames() {
 		t.Run(name, func(t *testing.T) {
@@ -84,10 +85,36 @@ func TestCodecRoundTripMidEpoch(t *testing.T) {
 			if got := reportText(t, snap.Resume()); !bytes.Equal(want.Bytes(), got) {
 				t.Errorf("direct resume differs from original continuation:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
 			}
-			if got := reportText(t, encodeDecode(t, snap).Resume()); !bytes.Equal(want.Bytes(), got) {
+			dec := encodeDecode(t, snap)
+			if !reflect.DeepEqual(dec.m.cfg, snap.m.cfg) {
+				t.Errorf("decoded config differs:\nwant %+v\ngot  %+v", snap.m.cfg, dec.m.cfg)
+			}
+			if got := reportText(t, dec.Resume()); !bytes.Equal(want.Bytes(), got) {
 				t.Errorf("decoded resume differs from original continuation:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
 			}
 		})
+	}
+}
+
+// TestConfigWireRoundTrip: the config a snapshot carries on the wire
+// decodes to the built machine's config field for field, for every
+// registered design, with every hook's config (the pointer fields) set.
+// The snapshot is taken before warmup, so this isolates the config leg
+// of the codec from the component state TestCodecRoundTripMidEpoch
+// exercises.
+func TestConfigWireRoundTrip(t *testing.T) {
+	for _, name := range DesignNames() {
+		m, err := Build(hookedConfig(t, CacheKind(name)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := encodeDecode(t, snap).Resume().Config(); !reflect.DeepEqual(m.Config(), got) {
+			t.Errorf("%s: wire round trip changed the config:\nin:  %+v\nout: %+v", name, m.Config(), got)
+		}
 	}
 }
 
@@ -195,6 +222,20 @@ func TestCodecErrors(t *testing.T) {
 			d[8], d[9] = 0xff, 0xfe
 			return d
 		}(), ErrSnapshotSchema},
+		{"retired version 1", func() []byte {
+			d := append([]byte(nil), data...)
+			d[8], d[9] = 0, 1
+			return d
+		}(), ErrSnapshotSchema},
+		{"unregistered design", func() []byte {
+			bad := snap.Resume()
+			bad.cfg.CacheKind = "no-such-design"
+			d, err := (&Snapshot{m: bad}).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}(), ErrSnapshotCorrupt},
 		{"flipped payload byte", func() []byte {
 			d := append([]byte(nil), data...)
 			d[len(d)/2] ^= 0x40

@@ -30,10 +30,9 @@ import (
 
 // CacheKind names the L1 design under test. Valid values are the
 // design registry's names (core.DesignNames); the zero value selects
-// the baseline. It was an int enum through snapshot/report schema v1 —
-// ParseCacheKind and the snapshot codec still accept the legacy
-// encodings — and is now an open string so designs register instead of
-// extending a switch.
+// the baseline. The registry is the only place a design is named or
+// dispatched: the machine builds every core's L1 through the design's
+// descriptor and calls it through core.L1Cache.
 type CacheKind string
 
 const (
@@ -77,16 +76,6 @@ func ParseCacheKind(name string) (CacheKind, error) {
 	return CacheKind(k.String()), nil
 }
 
-// CacheKindFromLegacy maps an int CacheKind, as stored by pre-registry
-// snapshots and checkpoints, to its design name.
-func CacheKindFromLegacy(v int) (CacheKind, bool) {
-	d, ok := core.DesignByLegacy(v)
-	if !ok {
-		return "", false
-	}
-	return CacheKind(d.Name), true
-}
-
 // DesignNames returns the registered design names in the registry's
 // canonical order — what -cache flags and wire specs accept.
 func DesignNames() []string { return core.DesignNames() }
@@ -101,7 +90,6 @@ type DesignInfo struct {
 	Display    string
 	UsesTFT    bool
 	Speculates bool
-	FastPath   bool
 	// Chaos knob overrides the chaos sweep applies to this design's
 	// cells (0/false = none).
 	ChaosSerialTLB int
@@ -120,7 +108,6 @@ func DesignInfos() []DesignInfo {
 			Display:        d.Display,
 			UsesTFT:        d.UsesTFT,
 			Speculates:     d.Speculates,
-			FastPath:       d.FastPath,
 			ChaosSerialTLB: d.ChaosSerialTLB,
 			ChaosSmallTLB:  d.ChaosSmallTLB,
 			ChaosL1Ways:    d.ChaosL1Ways,

@@ -84,18 +84,6 @@ type Machine struct {
 	// own) instead of concatenating a fresh slice per call.
 	cohAll []core.L1Cache
 
-	// Devirtualized fast paths. fastD/fastI dispatch L1 accesses through
-	// the concrete cache type, slowL1Cycles precomputes the per-core
-	// constant SlowCycles(), and oooCPUs/inoCPUs devirtualize Retire and
-	// Stall. All are derived views over l1s/l1is/cpus — wireFast rebuilds
-	// them after Build and clone; the interfaces remain the coherence and
-	// snapshot surfaces.
-	fastD        fastL1s
-	fastI        fastL1s
-	slowL1Cycles []int
-	oooCPUs      []*cpu.OutOfOrder
-	inoCPUs      []*cpu.InOrder
-
 	// batch holds the scratch buffers of the epoch-batched reference
 	// loop (never cloned; rebuilt lazily on first use).
 	batch batchState
@@ -345,7 +333,6 @@ func (m *Machine) buildUarch() error {
 		m.cpus[i] = cm
 	}
 	m.wireSuperFills()
-	m.wireFast()
 
 	cohCfg := coherence.DefaultConfig(cfg.FreqGHz)
 	cohCfg.Mode = cfg.CoherenceMode
@@ -447,131 +434,6 @@ func (m *Machine) cohL1s() []core.L1Cache {
 	return m.cohAll
 }
 
-// fastL1s is a devirtualized view over one bank of L1 caches: for the
-// three known cache kinds the concrete slice is populated and every
-// per-access call dispatches statically; `any` is the interface
-// fallback so an unknown kind still works.
-type fastL1s struct {
-	sees []*core.Seesaw
-	base []*core.BaselineVIPT
-	pipt []*core.PIPT
-	any  []core.L1Cache
-}
-
-func newFastL1s(l1s []core.L1Cache) fastL1s {
-	f := fastL1s{any: l1s}
-	if len(l1s) == 0 {
-		return f
-	}
-	switch l1s[0].(type) {
-	case *core.Seesaw:
-		f.sees = make([]*core.Seesaw, len(l1s))
-		for i, l := range l1s {
-			f.sees[i] = l.(*core.Seesaw)
-		}
-	case *core.BaselineVIPT:
-		f.base = make([]*core.BaselineVIPT, len(l1s))
-		for i, l := range l1s {
-			f.base[i] = l.(*core.BaselineVIPT)
-		}
-	case *core.PIPT:
-		f.pipt = make([]*core.PIPT, len(l1s))
-		for i, l := range l1s {
-			f.pipt[i] = l.(*core.PIPT)
-		}
-	}
-	return f
-}
-
-func (f *fastL1s) access(res *core.AccessResult, i int, va addr.VAddr, pa addr.PAddr, size addr.PageSize, store bool) {
-	switch {
-	case f.sees != nil:
-		f.sees[i].AccessInto(res, va, pa, size, store)
-	case f.base != nil:
-		*res = f.base[i].Access(va, pa, size, store)
-	case f.pipt != nil:
-		*res = f.pipt[i].Access(va, pa, size, store)
-	default:
-		*res = f.any[i].Access(va, pa, size, store)
-	}
-}
-
-func (f *fastL1s) fill(i int, pa addr.PAddr, size addr.PageSize, store, shared bool) core.FillResult {
-	switch {
-	case f.sees != nil:
-		return f.sees[i].Fill(pa, size, store, shared)
-	case f.base != nil:
-		return f.base[i].Fill(pa, size, store, shared)
-	case f.pipt != nil:
-		return f.pipt[i].Fill(pa, size, store, shared)
-	}
-	return f.any[i].Fill(pa, size, store, shared)
-}
-
-func (f *fastL1s) upgrade(i int, pa addr.PAddr) {
-	switch {
-	case f.sees != nil:
-		f.sees[i].UpgradeToModified(pa)
-	case f.base != nil:
-		f.base[i].UpgradeToModified(pa)
-	case f.pipt != nil:
-		f.pipt[i].UpgradeToModified(pa)
-	default:
-		f.any[i].UpgradeToModified(pa)
-	}
-}
-
-// wireFast rebuilds the devirtualized dispatch tables from the
-// interface-typed slices; buildUarch and clone call it after the L1s
-// and CPU models exist.
-func (m *Machine) wireFast() {
-	m.fastD = newFastL1s(m.l1s)
-	m.fastI = newFastL1s(m.l1is)
-	m.slowL1Cycles = make([]int, len(m.l1s))
-	for i, l1 := range m.l1s {
-		m.slowL1Cycles[i] = l1.SlowCycles()
-	}
-	m.oooCPUs, m.inoCPUs = nil, nil
-	if len(m.cpus) > 0 {
-		switch m.cpus[0].(type) {
-		case *cpu.OutOfOrder:
-			m.oooCPUs = make([]*cpu.OutOfOrder, len(m.cpus))
-			for i, c := range m.cpus {
-				m.oooCPUs[i] = c.(*cpu.OutOfOrder)
-			}
-		case *cpu.InOrder:
-			m.inoCPUs = make([]*cpu.InOrder, len(m.cpus))
-			for i, c := range m.cpus {
-				m.inoCPUs[i] = c.(*cpu.InOrder)
-			}
-		}
-	}
-}
-
-// retire devirtualizes cpu.Model.Retire for the two known core models.
-func (m *Machine) retire(tid, gap int, mem cpu.MemCost) {
-	switch {
-	case m.oooCPUs != nil:
-		m.oooCPUs[tid].Retire(gap, mem)
-	case m.inoCPUs != nil:
-		m.inoCPUs[tid].Retire(gap, mem)
-	default:
-		m.cpus[tid].Retire(gap, mem)
-	}
-}
-
-// stall devirtualizes cpu.Model.Stall.
-func (m *Machine) stall(tid, cycles int) {
-	switch {
-	case m.oooCPUs != nil:
-		m.oooCPUs[tid].Stall(cycles)
-	case m.inoCPUs != nil:
-		m.inoCPUs[tid].Stall(cycles)
-	default:
-		m.cpus[tid].Stall(cycles)
-	}
-}
-
 // wireSuperFills connects each hierarchy's superpage-TLB-fill event to
 // the core's TFTs (Fig 5 steps 6-8). Called by buildUarch and again by
 // clone, which must re-close over the cloned seesaws.
@@ -623,7 +485,7 @@ func (m *Machine) onInvlpg(asid uint16, vaBase addr.VAddr) {
 				m.iseesaws[i].InvalidatePage(vaBase)
 			}
 		}
-		m.stall(i, 175) // invlpg cost, mid paper range
+		m.cpus[i].Stall(175) // invlpg cost, mid paper range
 	}
 	if m.Hooks.Checker != nil {
 		m.Hooks.Checker.AfterInvlpg(m.curRef, asid, vaBase)
@@ -693,8 +555,8 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 		m.superRefs++
 	}
 	store := rec.Kind != 0
-	var ar core.AccessResult
-	m.fastD.access(&ar, tid, rec.VA, tr.PA, tr.Size, store)
+	l1 := m.l1s[tid]
+	ar := l1.Access(rec.VA, tr.PA, tr.Size, store)
 	m.acct.AddL1CPUSide(ar.EnergyNJ)
 	m.sampleAccess(tid, rec.VA, ar)
 	// Audit before the miss is filled: the full-probe ground truth
@@ -717,7 +579,7 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 	extra := tr.ExtraCycles
 	if !ar.Hit {
 		mr := m.cohSys.Miss(tid, tr.PA, store)
-		fill := m.fastD.fill(tid, tr.PA, tr.Size, store, mr.Shared)
+		fill := l1.Fill(tr.PA, tr.Size, store, mr.Shared)
 		m.acct.AddL1CPUSide(fill.EnergyNJ)
 		if fill.Victim.Valid {
 			m.cohSys.Evicted(tid, fill.VictimPA, fill.Writeback)
@@ -727,9 +589,9 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 		if m.cfg.Prefetch {
 			nextPA := tr.PA.LineBase() + addr.LineSize
 			if nextPA.PageBase(addr.Page4K) == tr.PA.PageBase(addr.Page4K) {
-				if _, _, resident := m.l1s[tid].Storage().FindLine(nextPA); !resident {
+				if _, _, resident := l1.Storage().FindLine(nextPA); !resident {
 					pmr := m.cohSys.Miss(tid, nextPA, false)
-					pfill := m.fastD.fill(tid, nextPA, tr.Size, false, pmr.Shared)
+					pfill := l1.Fill(nextPA, tr.Size, false, pmr.Shared)
 					m.acct.AddL1CPUSide(pfill.EnergyNJ)
 					if pfill.Victim.Valid {
 						m.cohSys.Evicted(tid, pfill.VictimPA, pfill.Writeback)
@@ -742,7 +604,7 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 		case cache.Shared, cache.Owned: // need coherence permission
 			extra += m.cohSys.Upgrade(tid, tr.PA)
 		default:
-			m.fastD.upgrade(tid, tr.PA)
+			l1.UpgradeToModified(tr.PA)
 		}
 	}
 	assumedFast := false
@@ -766,12 +628,12 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 			}
 		}
 	}
-	m.retire(tid, int(rec.Gap), cpu.MemCost{
+	m.cpus[tid].Retire(int(rec.Gap), cpu.MemCost{
 		Hit:          ar.Hit,
 		IsStore:      store,
 		Dep:          rec.Dep,
 		L1Cycles:     ar.Cycles,
-		SlowL1Cycles: m.slowL1Cycles[tid],
+		SlowL1Cycles: l1.SlowCycles(),
 		AssumedFast:  assumedFast,
 		ExtraCycles:  extra,
 	})
@@ -970,8 +832,8 @@ func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped b
 		if itr.Source != tlb.SourceL1 {
 			m.l2Lookups++
 		}
-		var iar core.AccessResult
-		m.fastI.access(&iar, tid, iva, itr.PA, itr.Size, false)
+		il1 := m.l1is[tid]
+		iar := il1.Access(iva, itr.PA, itr.Size, false)
 		m.acct.AddL1CPUSide(iar.EnergyNJ)
 		m.sampleAccess(m.nCores+tid, iva, iar)
 		if m.Hooks.Checker != nil {
@@ -984,7 +846,7 @@ func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped b
 		}
 		if !iar.Hit {
 			imr := m.cohSys.Miss(m.nCores+tid, itr.PA, false)
-			ifill := m.fastI.fill(tid, itr.PA, itr.Size, false, imr.Shared)
+			ifill := il1.Fill(itr.PA, itr.Size, false, imr.Shared)
 			m.acct.AddL1CPUSide(ifill.EnergyNJ)
 			if ifill.Victim.Valid {
 				m.cohSys.Evicted(m.nCores+tid, ifill.VictimPA, ifill.Writeback)
@@ -995,12 +857,12 @@ func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped b
 			if m.cfg.CPUKind == "ooo" {
 				stall = (stall + 1) / 2
 			}
-			m.stall(tid, stall)
+			m.cpus[tid].Stall(stall)
 		} else if jumped {
 			// Fetch-redirect bubble: a taken branch waits one L1I
 			// hit latency for the new fetch group — where SEESAW-I's
 			// fast path pays off.
-			m.stall(tid, iar.Cycles+itr.ExtraCycles)
+			m.cpus[tid].Stall(iar.Cycles + itr.ExtraCycles)
 		}
 	}
 	// OS background activity.

@@ -166,7 +166,6 @@ func (m *Machine) clone() *Machine {
 	for _, cm := range m.cpus {
 		c.cpus = append(c.cpus, cm.Clone())
 	}
-	c.wireFast()
 	acct := *m.acct
 	c.acct = &acct
 

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -66,8 +67,10 @@ func (s *Server) handleCellRun(w http.ResponseWriter, r *http.Request) {
 	s.cellsRunning++
 	s.mu.Unlock()
 
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
 	pool := runner.NewWithRunContext(2, s.cellRun).
-		WithContext(r.Context()).
+		WithContext(ctx).
 		WithTimeout(s.cfg.CellTimeout).
 		WithRetries(s.cfg.Retries).
 		WithRetryBackoff(s.cfg.RetryBackoff, 0, s.cfg.RetryBackoffSeed)
@@ -90,6 +93,13 @@ func (s *Server) handleCellRun(w http.ResponseWriter, r *http.Request) {
 		fut.Wait()
 		close(done)
 	}()
+	// abandon unwinds the cell once the coordinator is gone, and holds
+	// the drain gate until the simulation has actually stopped.
+	abandon := func() {
+		cancel()
+		<-done
+		s.finishCellRun(pool)
+	}
 	tick := time.NewTicker(hb)
 	defer tick.Stop()
 	alive := true
@@ -98,12 +108,11 @@ func (s *Server) handleCellRun(w http.ResponseWriter, r *http.Request) {
 		case <-done:
 			alive = false
 		case <-r.Context().Done():
-			// The coordinator gave up; the pool context unwinds the cell.
-			s.finishCellRun(pool)
+			abandon()
 			return
 		case <-tick.C:
 			if _, err := fmt.Fprintf(w, "event: heartbeat\ndata: {\"lease_id\":%q}\n\n", req.LeaseID); err != nil {
-				s.finishCellRun(pool)
+				abandon()
 				return
 			}
 			fl.Flush()
@@ -118,9 +127,11 @@ func (s *Server) handleCellRun(w http.ResponseWriter, r *http.Request) {
 	if merr != nil {
 		data, _ = json.Marshal(CellRunResult{LeaseID: req.LeaseID, Error: "encode result: " + merr.Error()})
 	}
+	// Settle the counters before the result leaves: once the coordinator
+	// holds it, the drain gate and /metrics must already include it.
+	s.finishCellRun(pool)
 	fmt.Fprintf(w, "event: result\ndata: %s\n\n", data)
 	fl.Flush()
-	s.finishCellRun(pool)
 }
 
 // finishCellRun folds the request pool's outcome counters into the

@@ -306,17 +306,23 @@ func TestDrain(t *testing.T) {
 		defer cancel()
 		drained <- srv.Drain(ctx)
 	}()
-	// Give Drain a moment to flip intake off, then verify 503.
+	// Wait for Drain to flip intake off, then verify 503. Posting before
+	// the flip would admit a job whose blocking cell never gets released.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, _ := postJob(t, ts, oneCell(99))
-		if resp.StatusCode == http.StatusServiceUnavailable {
+		srv.mu.Lock()
+		draining := srv.draining
+		srv.mu.Unlock()
+		if draining {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("draining server kept accepting jobs (last=%d)", resp.StatusCode)
+			t.Fatal("Drain never turned intake off")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
+	}
+	if resp, _ := postJob(t, ts, oneCell(99)); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("draining server accepted a job (status %d)", resp.StatusCode)
 	}
 	release <- struct{}{} // let the in-flight job finish cleanly
 	if err := <-drained; err != nil {

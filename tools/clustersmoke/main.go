@@ -33,9 +33,9 @@ func main() {
 }
 
 // sweepArgs is the grid run both locally and on the cluster; -csv output
-// is what gets byte-compared. The reference count is sized so the
-// cluster sweep takes long enough for the mid-sweep worker kill to land
-// while cells are still leased.
+// is what gets byte-compared. The reference count is sized so cells
+// hold their leases long enough for the mid-sweep worker kill to find
+// one.
 var sweepArgs = []string{"-workloads", "redis,mcf", "-sizes", "32", "-refs", "60000", "-csv"}
 
 func run() error {
@@ -88,6 +88,7 @@ func run() error {
 
 	// Three workers, each announcing itself to the coordinator.
 	var workers []*exec.Cmd
+	var workerAddrs []string
 	defer func() {
 		for _, w := range workers {
 			w.Process.Kill()
@@ -104,18 +105,22 @@ func run() error {
 			return err
 		}
 		workers = append(workers, w)
-		if _, err := readAddr(wOut); err != nil {
+		addr, err := readAddr(wOut)
+		if err != nil {
 			return fmt.Errorf("worker %d: %w", i, err)
 		}
+		workerAddrs = append(workerAddrs, addr)
 	}
 	if err := waitHealthyWorkers(coordAddr, 3, 20*time.Second); err != nil {
 		return err
 	}
 	fmt.Println("clustersmoke: 3 workers registered and healthy")
 
-	// The cluster sweep, with one worker SIGKILLed shortly after it
-	// starts: its leases must break, the cells requeue, and the table
-	// still come out byte-identical.
+	// The cluster sweep, with the first worker seen holding a lease
+	// SIGKILLed: its leases must break, the cells requeue, and the table
+	// still come out byte-identical. Keying the kill on a held lease
+	// rather than a delay lands it mid-sweep however fast the host runs
+	// the cells.
 	sweep := exec.Command(sweepBin, append([]string{"-cluster", coordAddr}, sweepArgs...)...)
 	var clusterTable bytes.Buffer
 	sweep.Stdout = &clusterTable
@@ -123,27 +128,36 @@ func run() error {
 	if err := sweep.Start(); err != nil {
 		return err
 	}
-	killTimer := time.AfterFunc(300*time.Millisecond, func() {
-		fmt.Println("clustersmoke: SIGKILLing worker 0 mid-sweep")
-		workers[0].Process.Kill()
-		workers[0].Wait()
-	})
-	defer killTimer.Stop()
 	sweepDone := make(chan error, 1)
 	go func() { sweepDone <- sweep.Wait() }()
-	select {
-	case err := <-sweepDone:
-		if err != nil {
-			return fmt.Errorf("cluster sweep: %v", err)
+	timeout := time.After(3 * time.Minute)
+	poll := time.NewTicker(5 * time.Millisecond)
+	defer poll.Stop()
+	killed := false
+	for done := false; !done; {
+		select {
+		case err := <-sweepDone:
+			if err != nil {
+				return fmt.Errorf("cluster sweep: %v", err)
+			}
+			done = true
+		case <-timeout:
+			sweep.Process.Kill()
+			return fmt.Errorf("cluster sweep did not finish within 3m of a worker crash")
+		case <-poll.C:
+			if killed {
+				continue
+			}
+			if i := leaseHolder(coordAddr, workerAddrs); i >= 0 {
+				fmt.Printf("clustersmoke: SIGKILLing worker %d mid-sweep\n", i)
+				workers[i].Process.Kill()
+				workers[i].Wait()
+				killed = true
+			}
 		}
-	case <-time.After(3 * time.Minute):
-		sweep.Process.Kill()
-		return fmt.Errorf("cluster sweep did not finish within 3m of a worker crash")
 	}
-	if killTimer.Stop() {
-		// Stop returned true: the timer never fired, so the sweep finished
-		// before the crash and the requeue path went unexercised.
-		return fmt.Errorf("cluster sweep finished before the worker kill; raise -refs so the crash lands mid-sweep")
+	if !killed {
+		return fmt.Errorf("cluster sweep finished before any worker held a lease; the requeue path went unexercised")
 	}
 	if !bytes.Equal(local, clusterTable.Bytes()) {
 		return fmt.Errorf("cluster table differs from local:\n--- local ---\n%s--- cluster ---\n%s",
@@ -199,6 +213,34 @@ func waitHealthyWorkers(addr string, n int, timeout time.Duration) error {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+}
+
+// leaseHolder returns the index in addrs of a worker the coordinator
+// reports holding at least one lease, or -1 if none does (or the
+// coordinator did not answer).
+func leaseHolder(coordAddr string, addrs []string) int {
+	resp, err := http.Get("http://" + coordAddr + "/v1/cluster/workers")
+	if err != nil {
+		return -1
+	}
+	defer resp.Body.Close()
+	var ws []struct {
+		Addr   string `json:"addr"`
+		Active int    `json:"active"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&ws) != nil {
+		return -1
+	}
+	for _, w := range ws {
+		if w.Active > 0 {
+			for i, a := range addrs {
+				if a == w.Addr {
+					return i
+				}
+			}
+		}
+	}
+	return -1
 }
 
 // readAddr scans a process's stdout for its "listening on HOST:PORT"

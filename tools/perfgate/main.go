@@ -1,9 +1,7 @@
 // Command perfgate is the repo's throughput gate: it runs the simulator
 // throughput benchmarks (BenchmarkSimulatorThroughput, whole runs
 // including Build and Warmup; BenchmarkMachineStepBatched, the
-// steady-state epoch-batched measured phase; and
-// BenchmarkMachineStepRegistry, the same steady state through the
-// design registry's interface-fallback dispatch) and compares their refs/s
+// steady-state epoch-batched measured phase) and compares their refs/s
 // against the checked-in baseline in BENCH_throughput.json, failing if
 // any benchmark regressed by more than the threshold. `make perfgate`
 // (part of `make verify`) runs the check; `make bench-baseline`
@@ -14,8 +12,8 @@
 // noise (a busy neighbor makes a run slower, never faster), so the max
 // is the most repeatable estimate of the machine's actual speed. The
 // default 20% threshold leaves room for the residual noise; a real
-// hot-path regression (an allocation per reference, a devirtualization
-// coming undone) costs well more than that.
+// hot-path regression (an allocation per reference, a per-reference
+// copy of simulator state) costs well more than that.
 //
 // Usage:
 //
@@ -36,13 +34,10 @@ import (
 	"time"
 )
 
-// benchmarks lists the gated benchmarks. All report a refs/s metric:
-// the first two run SEESAW through its devirtualized fast path, the
-// registry benchmark runs VESPA through the interface fallback every
-// design without a fast-path hook uses.
+// benchmarks lists the gated benchmarks. Both run SEESAW on redis and
+// report a refs/s metric.
 var benchmarks = []string{
 	"BenchmarkMachineStepBatched",
-	"BenchmarkMachineStepRegistry",
 	"BenchmarkSimulatorThroughput",
 }
 
