@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt test race stress bench bench-baseline perfgate cover chaos service-smoke cluster-smoke importgate warmup-smoke ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
+.PHONY: build vet fmt test race stress bench bench-baseline perfgate cover chaos cluster-smoke importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
 
 build:
 	$(GO) build ./...
@@ -52,13 +52,6 @@ cover:
 chaos:
 	$(GO) run ./cmd/seesaw-sweep -chaos -workloads redis,mcf -refs 6000 -fault-every 500
 
-# The service gate boots seesaw-served on a random port, submits a job
-# through seesaw-client, requires an identical resubmission to be served
-# from the result store in under a second, and SIGTERMs the daemon
-# expecting a clean drain (tools/servicesmoke).
-service-smoke:
-	$(GO) run ./tools/servicesmoke
-
 # The cluster gate boots a coordinator with three self-registering
 # workers, runs the same sweep locally and through the cluster while
 # SIGKILLing one worker mid-sweep, and requires byte-identical merged
@@ -72,15 +65,11 @@ cluster-smoke:
 importgate:
 	$(GO) run ./tools/importgate
 
-# The warmup gate runs the same sweep cold and on the shared-warmup
-# pool and requires byte-identical tables (tools/warmupsmoke).
-warmup-smoke:
-	$(GO) run ./tools/warmupsmoke
-
-# The ladder gate drives the snapshot ladder's whole lifecycle: a
-# laddered sweep is SIGKILLed mid-climb, restarted, and must resume from
-# the surviving rungs and reproduce the cold table byte for byte; a
-# fresh sweep against the populated store must hit rungs for 100% of its
+# The ladder gate drives the snapshot ladder's whole lifecycle: the
+# in-memory shared-warmup sweep must reproduce the cold table byte for
+# byte; a laddered sweep is SIGKILLed mid-climb, restarted, and must
+# resume from the surviving rungs and reproduce the cold table; a fresh
+# sweep against the populated store must hit rungs for 100% of its
 # warmups (tools/laddersmoke).
 ladder-smoke:
 	$(GO) run ./tools/laddersmoke
@@ -99,11 +88,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotCodec -fuzztime=10s ./internal/machine/
 
 # The zoo gate sweeps every registered cache design through the real
-# service stack: one cell per design computed fresh, then an identical
-# resubmission answered entirely from the store with byte-identical
-# per-cell results (tools/zoosmoke). The design list comes from the
+# service stack: seesaw-served boots on a random port, one cell per
+# design is computed fresh through seesaw-client, an identical
+# resubmission must be answered entirely from the store in under a
+# second with byte-identical per-cell results, and a SIGTERM must drain
+# the daemon cleanly (tools/zoosmoke). The design list comes from the
 # registry, so a newly registered design is gated automatically.
 zoo-smoke:
 	$(GO) run ./tools/zoosmoke
 
-verify: build vet fmt test race stress cover chaos service-smoke cluster-smoke importgate warmup-smoke ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate
+verify: build vet fmt test race stress cover chaos cluster-smoke importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate

@@ -111,7 +111,8 @@ func (o sweepOptions) newPool() *runner.Pool {
 		case o.ladderRun != nil:
 			p = runner.NewWithRunContext(o.parallel, o.ladderRun)
 		case o.sharedWarmup:
-			p = runner.NewSharedWarmup(o.parallel)
+			run, _ := runner.LadderRun(nil, 0)
+			p = runner.NewWithRunContext(o.parallel, run)
 		default:
 			p = runner.New(o.parallel)
 		}

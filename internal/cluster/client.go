@@ -165,8 +165,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (servi
 		if err != nil {
 			return service.JobStatus{}, err
 		}
-		switch st.State {
-		case service.StateDone, service.StateFailed, service.StateCanceled:
+		if service.Terminal(st.State) {
 			return st, nil
 		}
 		if err := c.sleep(ctx, poll); err != nil {
@@ -301,7 +300,7 @@ func retryAfter(resp *http.Response, def time.Duration) time.Duration {
 func drainError(resp *http.Response) string {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
-	var eb errorBody
+	var eb service.ErrorBody
 	if err := json.Unmarshal(raw, &eb); err == nil && eb.Error != "" {
 		return eb.Error
 	}

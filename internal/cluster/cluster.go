@@ -26,9 +26,10 @@
 //     already holding the forked warm snapshot (the analogue of
 //     prefix-affinity KV-cache routing in inference clusters) and falls
 //     back to least-loaded when that worker dies.
-//   - Admission. Job submissions pass a token bucket; past the rate the
-//     API answers 429 with a Retry-After hint, exactly like the single
-//     daemon's bounded queue.
+//   - Admission. Job submissions pass a token bucket and a bound on
+//     pending cells; past either the API answers 429 with a Retry-After
+//     hint through the daemon's own /v1/jobs surface
+//     (service.MountJobs), exactly like its bounded queue.
 //   - The store. The content-addressed result store is the shared
 //     read-through cache: the coordinator answers previously computed
 //     cells without dispatching, duplicate cells piggyback on the one
@@ -38,15 +39,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
 	"sync"
 	"time"
 
-	"seesaw/internal/runner"
 	"seesaw/internal/service"
-	"seesaw/internal/sim"
 	"seesaw/internal/store"
 )
 
@@ -183,7 +183,7 @@ type Coordinator struct {
 	workers  map[string]*worker
 	order    []string // worker registration order, for deterministic routing scans
 	jobs     map[string]*cjob
-	jobOrder []string
+	jobOrder []*cjob
 	seq      int
 	queue    []*unit
 	leases   map[string]*lease
@@ -252,91 +252,83 @@ func (c *Coordinator) Counters() Counters {
 	return c.counters
 }
 
-// Submit validates and enqueues one job, returning its id.
+// Submit validates and enqueues one job, returning its id. Past the
+// token bucket's rate or the MaxQueuedCells bound it returns a
+// *service.BusyError (429 + Retry-After), and ErrDraining once Drain
+// has begun.
 func (c *Coordinator) Submit(req service.JobRequest) (string, error) {
-	if len(req.Cells) == 0 {
-		return "", &badRequestError{"job has no cells"}
-	}
-	if len(req.Cells) > c.cfg.MaxCellsPerJob {
-		return "", &badRequestError{fmt.Sprintf("job has %d cells, limit %d", len(req.Cells), c.cfg.MaxCellsPerJob)}
-	}
-	cfgs := make([]sim.Config, len(req.Cells))
-	for i, spec := range req.Cells {
-		cfg, err := spec.Config()
-		if err != nil {
-			return "", &badRequestError{fmt.Sprintf("cell %d: %v", i, err)}
-		}
-		cfgs[i] = cfg
+	cfgs, err := req.Configs(c.cfg.MaxCellsPerJob)
+	if err != nil {
+		return "", err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
-		return "", ErrDraining
+		return "", service.ErrDraining
 	}
 	if c.bucket != nil {
 		if ok, retry := c.bucket.take(); !ok {
 			c.counters.JobsRateLimited++
-			return "", &RateLimitedError{RetryAfter: retry}
+			return "", &service.BusyError{Reason: "cluster: job admission rate exceeded", RetryAfter: retry}
 		}
 	}
-	if len(c.queue)+len(req.Cells) > c.cfg.MaxQueuedCells {
+	if len(c.queue)+len(cfgs) > c.cfg.MaxQueuedCells {
 		c.counters.JobsQueueFull++
-		return "", &RateLimitedError{RetryAfter: time.Second, queueFull: true}
+		return "", &service.BusyError{Reason: "cluster: pending-cell queue full", RetryAfter: time.Second}
 	}
 	c.seq++
-	id := fmt.Sprintf("c%06d", c.seq)
-	j := newCJob(id, req.Label, len(cfgs), c.rootCtx, time.Now())
+	j := &cjob{units: make([]*unit, len(cfgs))}
+	j.Job = service.NewJob(c.rootCtx, fmt.Sprintf("c%06d", c.seq), req.Label, cfgs, j.poolStats)
 	for i, cfg := range cfgs {
-		u := &unit{
-			job:   j,
-			index: i,
-			spec:  req.Cells[i],
-			cfg:   cfg,
-			desc:  runner.Describe(cfg),
-		}
+		u := &unit{job: j, index: i, spec: req.Cells[i], cfg: cfg}
 		u.key, _ = cfg.CanonicalKey()
 		if cfg.WarmupRefs > 0 && cfg.Trace == nil {
 			u.sig, u.hasSig = cfg.WarmupSignature(), true
 		}
 		j.units[i] = u
-		j.results[i] = service.CellResult{Index: i, Desc: u.desc, Status: "pending"}
 		c.queue = append(c.queue, u)
 	}
-	c.jobs[id] = j
-	c.jobOrder = append(c.jobOrder, id)
+	c.jobs[j.ID] = j
+	c.jobOrder = append(c.jobOrder, j)
 	c.counters.JobsAccepted++
 	c.counters.CellsTotal += uint64(len(cfgs))
-	j.setState(service.StateRunning, time.Now())
+	j.Start()
 	c.wakeUp()
-	return id, nil
+	return j.ID, nil
+}
+
+// Job returns one job, or service.ErrNotFound.
+func (c *Coordinator) Job(id string) (*service.Job, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j, ok := c.jobs[id]
+	if !ok {
+		return nil, service.ErrNotFound
+	}
+	return j.Job, nil
+}
+
+// List returns every job in submission order.
+func (c *Coordinator) List() []*service.Job {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*service.Job, len(c.jobOrder))
+	for i, j := range c.jobOrder {
+		out[i] = j.Job
+	}
+	return out
 }
 
 // Cancel cancels a job: queued cells complete as canceled at the next
 // scheduler pass, leased cells have their dispatch canceled.
-func (c *Coordinator) Cancel(id string) (service.JobStatus, error) {
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	if !ok {
-		c.mu.Unlock()
-		return service.JobStatus{}, ErrNotFound
+func (c *Coordinator) Cancel(id string) (*service.Job, error) {
+	j, err := c.Job(id)
+	if err != nil {
+		return nil, err
 	}
-	j.cancel()
-	c.mu.Unlock()
+	j.Cancel()
 	c.wakeUp()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return j.status(false), nil
-}
-
-// Status returns one job's status.
-func (c *Coordinator) Status(id string, withResults bool) (service.JobStatus, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return service.JobStatus{}, ErrNotFound
-	}
-	return j.status(withResults), nil
+	return j, nil
 }
 
 // Register adds (or refreshes) a worker by address. A new worker is
@@ -346,7 +338,7 @@ func (c *Coordinator) Status(id string, withResults bool) (service.JobStatus, er
 // the coordinator's is registered but held unhealthy.
 func (c *Coordinator) Register(addr string) error {
 	if addr == "" {
-		return &badRequestError{"empty worker address"}
+		return errors.New("empty worker address")
 	}
 	c.mu.Lock()
 	w, known := c.workers[addr]
@@ -380,7 +372,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		c.mu.Lock()
 		idle := true
 		for _, j := range c.jobs {
-			if !terminalState(j.state) {
+			if !service.Terminal(j.State()) {
 				idle = false
 				break
 			}
@@ -415,33 +407,4 @@ func (c *Coordinator) backoffDelay(attempts int) time.Duration {
 		d = c.cfg.BackoffMax
 	}
 	return d/2 + time.Duration(c.rng.Int63n(int64(d)))
-}
-
-// Errors mirrored from the single-daemon service so the HTTP layer maps
-// them to the same status codes.
-var (
-	ErrDraining = service.ErrDraining
-	ErrNotFound = service.ErrNotFound
-)
-
-// RateLimitedError is Submit's 429: the token bucket is empty or the
-// pending-cell queue is at capacity. RetryAfter is the client hint.
-type RateLimitedError struct {
-	RetryAfter time.Duration
-	queueFull  bool
-}
-
-func (e *RateLimitedError) Error() string {
-	if e.queueFull {
-		return "cluster: pending-cell queue full"
-	}
-	return "cluster: job admission rate exceeded"
-}
-
-type badRequestError struct{ msg string }
-
-func (e *badRequestError) Error() string { return e.msg }
-
-func terminalState(state string) bool {
-	return state == service.StateDone || state == service.StateFailed || state == service.StateCanceled
 }

@@ -449,10 +449,13 @@ func TestCoordinatorRestartResumesFromStore(t *testing.T) {
 	}
 	// Wait until some cells have completed, then kill the coordinator
 	// mid-sweep (leases in flight).
+	j, err := c1.Job(id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		stj, _ := c1.Status(id, false)
-		if stj.Completed >= 4 {
+		if j.Status(false).Completed >= 4 {
 			break
 		}
 		if time.Now().After(deadline) {

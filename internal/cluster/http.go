@@ -2,36 +2,25 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 	"net/http"
-	"strconv"
 
 	"seesaw/internal/service"
 	"seesaw/internal/sim"
 )
 
 // Handler serves the coordinator's HTTP surface: the single-daemon
-// /v1/jobs API (clients need not know whether they talk to one worker or
-// a fleet) plus the cluster-only worker registry endpoints.
+// /v1/jobs API, mounted by the same service.MountJobs (clients need not
+// know whether they talk to one worker or a fleet), plus the
+// cluster-only worker registry endpoints.
 //
-//	POST   /v1/jobs              submit; 202, 429 + Retry-After, 503 draining
-//	GET    /v1/jobs              list job summaries
-//	GET    /v1/jobs/{id}         status (+results unless results=0)
-//	DELETE /v1/jobs/{id}         cancel
-//	GET    /v1/jobs/{id}/stream  SSE progress (Last-Event-ID resume)
 //	POST   /v1/cluster/workers   register a worker {"addr": "host:port"}
 //	GET    /v1/cluster/workers   worker registry snapshot
 //	GET    /healthz              coordinator + fleet health
 //	GET    /metrics              Prometheus text exposition
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", c.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", c.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", c.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", c.handleStream)
+	service.MountJobs(mux, c)
 	mux.HandleFunc("POST /v1/cluster/workers", c.handleRegister)
 	mux.HandleFunc("GET /v1/cluster/workers", c.handleWorkers)
 	mux.HandleFunc("GET /healthz", c.handleHealth)
@@ -39,157 +28,23 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req service.JobRequest
-	body := http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad job JSON: " + err.Error()})
-		return
-	}
-	id, err := c.Submit(req)
-	if err == nil {
-		st, _ := c.Status(id, false)
-		writeJSON(w, http.StatusAccepted, st)
-		return
-	}
-	var rl *RateLimitedError
-	var br *badRequestError
-	switch {
-	case errors.As(err, &rl):
-		secs := int(math.Ceil(rl.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{err.Error()})
-	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{err.Error()})
-	case errors.As(err, &br):
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
-	default:
-		writeJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
-	}
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	out := make([]service.JobStatus, 0, len(c.jobOrder))
-	for _, id := range c.jobOrder {
-		out = append(out, c.jobs[id].status(false))
-	}
-	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := c.Status(r.PathValue("id"), r.URL.Query().Get("results") != "0")
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := c.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleStream mirrors the single-daemon SSE stream: replay history past
-// Last-Event-ID, then tail live events until "done".
-func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	j, ok := c.jobs[r.PathValue("id")]
-	if !ok {
-		c.mu.Unlock()
-		writeJSON(w, http.StatusNotFound, errorBody{ErrNotFound.Error()})
-		return
-	}
-	fl, flok := w.(http.Flusher)
-	if !flok {
-		c.mu.Unlock()
-		writeJSON(w, http.StatusInternalServerError, errorBody{"streaming unsupported"})
-		return
-	}
-	// Capacity covers everything the job can still publish: state
-	// transitions plus, per cell, one completion and up to MaxAttempts-1
-	// requeue events.
-	ch := make(chan service.Event, len(j.units)*c.cfg.MaxAttempts+4)
-	history := j.subscribe(ch)
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		j.unsubscribe(ch)
-		c.mu.Unlock()
-	}()
-	lastID, _ := strconv.Atoi(r.Header.Get("Last-Event-ID"))
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	send := func(ev service.Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return ev.Type != "done"
-	}
-	for _, ev := range history {
-		if ev.Seq <= lastID {
-			continue
-		}
-		if !send(ev) {
-			return
-		}
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev := <-ch:
-			if !send(ev) {
-				return
-			}
-		}
-	}
-}
-
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Addr string `json:"addr"`
 	}
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad register JSON: " + err.Error()})
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorBody{Error: "bad register JSON: " + err.Error()})
 		return
 	}
 	if err := c.Register(req.Addr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+		service.WriteJSON(w, http.StatusBadRequest, service.ErrorBody{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, c.workerStatuses())
+	service.WriteJSON(w, http.StatusOK, c.workerStatuses())
 }
 
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.workerStatuses())
+	service.WriteJSON(w, http.StatusOK, c.workerStatuses())
 }
 
 func (c *Coordinator) workerStatuses() []WorkerStatus {
@@ -240,7 +95,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, h)
+	service.WriteJSON(w, http.StatusOK, h)
 }
 
 // handleMetrics exposes the scheduling counters in Prometheus text

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"context"
+	"sync/atomic"
 	"time"
 
 	"seesaw/internal/machine"
@@ -26,7 +26,6 @@ type unit struct {
 	index int
 	spec  service.CellSpec
 	cfg   sim.Config
-	desc  string
 	// key is the canonical cell identity ("" when the cell is not
 	// canonicalizable and must never be deduplicated or cached).
 	key string
@@ -36,176 +35,52 @@ type unit struct {
 
 	state    int
 	attempts int       // dispatch attempts consumed
-	requeues int       // leases that failed and were requeued
 	readyAt  time.Time // earliest next dispatch (backoff)
 }
 
-// cjob mirrors the single-daemon job (internal/service.job) over the
-// coordinator's unit queue: same states, same wire types, same SSE event
-// history, plus cluster-only "requeue" events and per-job scheduling
-// counters. Guarded by the coordinator's mutex.
+// cjob is the daemon's job record (service.Job: states, results, SSE
+// history) over the coordinator's unit queue, plus per-job scheduling
+// counters. The counters are atomic, so a status never takes the
+// coordinator mutex; units are guarded by it.
 type cjob struct {
-	id    string
-	label string
+	*service.Job
 	units []*unit
 
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	state    string
-	results  []service.CellResult
-	done     int
-	failed   int
-	errMsg   string
-	created  time.Time
-	started  time.Time
-	finished time.Time
-
-	// Per-job scheduling outcomes, reported as PoolStats in statuses.
-	runs      uint64
-	storeHits uint64
-	dupHits   uint64
-	retries   uint64
-
-	events []service.Event
-	subs   map[chan service.Event]struct{}
+	runs      atomic.Uint64
+	storeHits atomic.Uint64
+	dupHits   atomic.Uint64
+	retries   atomic.Uint64
+	failures  atomic.Uint64
 }
 
-func newCJob(id, label string, cells int, parent context.Context, now time.Time) *cjob {
-	ctx, cancel := context.WithCancel(parent)
-	return &cjob{
-		id: id, label: label,
-		units:   make([]*unit, cells),
-		ctx:     ctx,
-		cancel:  cancel,
-		state:   service.StateQueued,
-		results: make([]service.CellResult, cells),
-		created: now,
-		subs:    make(map[chan service.Event]struct{}),
+// poolStats reports the job's scheduling outcomes in the daemon's
+// PoolStats shape.
+func (j *cjob) poolStats() service.PoolStats {
+	return service.PoolStats{
+		Submitted: uint64(len(j.units)),
+		Runs:      j.runs.Load(),
+		CacheHits: j.dupHits.Load(),
+		Retries:   j.retries.Load(),
+		Failures:  j.failures.Load(),
+		StoreHits: j.storeHits.Load(),
 	}
 }
 
-// publish appends one event to the history and fans it out. Callers hold
-// the coordinator mutex.
-func (j *cjob) publish(ev service.Event) {
-	ev.Seq = len(j.events) + 1
-	j.events = append(j.events, ev)
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			// Slow subscriber: the live send is dropped, but the stream
-			// handler replays from the history via Last-Event-ID, so
-			// nothing is lost.
-		}
-	}
-}
-
-func (j *cjob) setState(state string, now time.Time) {
-	if terminalState(j.state) {
-		return
-	}
-	j.state = state
-	switch state {
-	case service.StateRunning:
-		j.started = now
-	case service.StateDone, service.StateFailed, service.StateCanceled:
-		j.finished = now
-	}
-	typ := "state"
-	if terminalState(state) {
-		typ = "done"
-	}
-	j.publish(service.Event{Type: typ, State: state})
-}
-
-// completeUnit records one finished cell (done, failed, or canceled) and
-// drives the job to its terminal state once every cell has settled.
+// completeUnit settles one cell — done, failed, or canceled with its
+// job — on the job record, which ends the job with its last cell.
 // Callers hold the coordinator mutex; the unit must not already be
 // settled.
-func (j *cjob) completeUnit(u *unit, rep *sim.Report, err error, now time.Time) {
-	r := &j.results[u.index]
-	ev := service.Event{Type: "cell", Index: u.index, Desc: u.desc, Cells: len(j.units)}
-	if err != nil {
-		u.state = unitFailed
-		if j.ctx.Err() != nil {
-			u.state = unitCanceled
-		}
-		r.Status = "failed"
-		r.Error = err.Error()
-		j.failed++
-		if j.errMsg == "" {
-			j.errMsg = err.Error()
-		}
-		ev.Error = r.Error
-	} else {
+func (j *cjob) completeUnit(u *unit, rep *sim.Report, err error) {
+	switch {
+	case err == nil:
 		u.state = unitDone
-		r.Status = "done"
-		r.Report = rep
-		ev.OK = true
-		if rep.Metrics != nil {
-			ev.Refs = rep.Metrics.Refs
-			ev.Epochs = len(rep.Metrics.Epochs)
-		}
-		ev.L1Hits, ev.L1Misses = rep.L1Hits, rep.L1Misses
+	case j.Context().Err() != nil:
+		u.state = unitCanceled
+	default:
+		u.state = unitFailed
 	}
-	j.done++
-	ev.Completed = j.done
-	j.publish(ev)
-	if j.done == len(j.units) {
-		switch {
-		case j.ctx.Err() != nil:
-			j.setState(service.StateCanceled, now)
-		case j.failed > 0:
-			j.setState(service.StateFailed, now)
-		default:
-			j.setState(service.StateDone, now)
-		}
-		j.cancel()
+	if err != nil {
+		j.failures.Add(1)
 	}
-}
-
-// subscribe registers a live-event channel and returns the history
-// snapshot taken atomically with the registration. Callers hold the
-// coordinator mutex.
-func (j *cjob) subscribe(ch chan service.Event) (history []service.Event) {
-	history = append([]service.Event(nil), j.events...)
-	if !terminalState(j.state) {
-		j.subs[ch] = struct{}{}
-	}
-	return history
-}
-
-func (j *cjob) unsubscribe(ch chan service.Event) {
-	delete(j.subs, ch)
-}
-
-// status snapshots the job in the single-daemon wire shape. Callers hold
-// the coordinator mutex.
-func (j *cjob) status(withResults bool) service.JobStatus {
-	st := service.JobStatus{
-		ID: j.id, Label: j.label, State: j.state,
-		Cells: len(j.units), Completed: j.done, Failed: j.failed,
-		Error: j.errMsg, Created: j.created,
-		Pool: service.PoolStats{
-			Submitted: uint64(len(j.units)),
-			Runs:      j.runs,
-			CacheHits: j.dupHits,
-			Retries:   j.retries,
-			Failures:  uint64(j.failed),
-			StoreHits: j.storeHits,
-		},
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	if withResults {
-		st.Results = append([]service.CellResult(nil), j.results...)
-	}
-	return st
+	j.CompleteCell(u.index, rep, err)
 }

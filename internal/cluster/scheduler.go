@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"seesaw/internal/service"
 	"seesaw/internal/sim"
 )
 
@@ -71,7 +70,7 @@ func (c *Coordinator) step() {
 		if l.reason == "" && now.After(l.deadline) {
 			l.reason = reasonExpired
 			c.counters.LeasesExpired++
-			c.cfg.Logger.Printf("cluster: lease %s expired on %s (cell %s[%d])", l.id, l.w.addr, l.u.job.id, l.u.index)
+			c.cfg.Logger.Printf("cluster: lease %s expired on %s (cell %s[%d])", l.id, l.w.addr, l.u.job.ID, l.u.index)
 			l.cancel()
 		}
 	}
@@ -80,9 +79,9 @@ func (c *Coordinator) step() {
 		if u.state != unitPending {
 			continue // settled while queued (job cancel)
 		}
-		if u.job.ctx.Err() != nil {
+		if err := u.job.Context().Err(); err != nil {
 			c.counters.CellsCanceled++
-			u.job.completeUnit(u, nil, u.job.ctx.Err(), now)
+			u.job.completeUnit(u, nil, err)
 			continue
 		}
 		if now.Before(u.readyAt) {
@@ -95,17 +94,17 @@ func (c *Coordinator) step() {
 			// restart — resolve without dispatching.
 			if c.cfg.Store != nil {
 				if rep, ok := c.cfg.Store.Get(u.cfg); ok {
-					u.job.storeHits++
+					u.job.storeHits.Add(1)
 					c.counters.StoreHits++
 					c.counters.CellsDone++
-					u.job.completeUnit(u, rep, nil, now)
+					u.job.completeUnit(u, rep, nil)
 					continue
 				}
 			}
 			if _, inflight := c.dupWait[u.key]; inflight {
 				c.dupWait[u.key] = append(c.dupWait[u.key], u)
 				u.state = unitWaiting
-				u.job.dupHits++
+				u.job.dupHits.Add(1)
 				c.counters.DupHits++
 				continue
 			}
@@ -127,7 +126,7 @@ func (c *Coordinator) step() {
 // grantLocked creates the lease for u on w. Callers hold the mutex.
 func (c *Coordinator) grantLocked(u *unit, w *worker, now time.Time) *lease {
 	c.leaseSeq++
-	ctx, cancel := context.WithCancel(u.job.ctx)
+	ctx, cancel := context.WithCancel(u.job.Context())
 	l := &lease{
 		id:       fmt.Sprintf("l%06d", c.leaseSeq),
 		u:        u,
@@ -186,19 +185,19 @@ func (c *Coordinator) settle(l *lease, rep *sim.Report, err error) {
 		delete(c.dupWait, u.key)
 	}
 	if err == nil {
-		u.job.runs++
+		u.job.runs.Add(1)
 		c.counters.RemoteRuns++
 		c.counters.CellsDone++
-		u.job.completeUnit(u, rep, nil, now)
+		u.job.completeUnit(u, rep, nil)
 		for _, du := range waiters {
 			du.state = unitPending
-			if du.job.ctx.Err() != nil {
+			if err := du.job.Context().Err(); err != nil {
 				c.counters.CellsCanceled++
-				du.job.completeUnit(du, nil, du.job.ctx.Err(), now)
+				du.job.completeUnit(du, nil, err)
 				continue
 			}
 			c.counters.CellsDone++
-			du.job.completeUnit(du, rep, nil, now)
+			du.job.completeUnit(du, rep, nil)
 		}
 		c.mu.Unlock()
 		// The worker's pool already put the report; this covers workers
@@ -218,9 +217,9 @@ func (c *Coordinator) settle(l *lease, rep *sim.Report, err error) {
 		du.readyAt = now
 		c.queue = append(c.queue, du)
 	}
-	if u.job.ctx.Err() != nil {
+	if err := u.job.Context().Err(); err != nil {
 		c.counters.CellsCanceled++
-		u.job.completeUnit(u, nil, u.job.ctx.Err(), now)
+		u.job.completeUnit(u, nil, err)
 		return
 	}
 	reason := l.reason
@@ -231,19 +230,14 @@ func (c *Coordinator) settle(l *lease, rep *sim.Report, err error) {
 	if u.attempts >= c.cfg.MaxAttempts {
 		c.counters.BudgetExhausted++
 		c.counters.CellsFailed++
-		u.job.completeUnit(u, nil, fmt.Errorf("cell failed after %d dispatch attempts (last on %s: %s: %v)", u.attempts, l.w.addr, reason, err), now)
+		u.job.completeUnit(u, nil, fmt.Errorf("cell failed after %d dispatch attempts (last on %s: %s: %v)", u.attempts, l.w.addr, reason, err))
 		return
 	}
 	u.state = unitPending
-	u.requeues++
-	u.job.retries++
+	u.job.retries.Add(1)
 	u.readyAt = now.Add(c.backoffDelay(u.attempts))
 	c.queue = append(c.queue, u)
 	c.counters.Requeues++
-	u.job.publish(service.Event{
-		Type: "requeue", Index: u.index, Desc: u.desc,
-		Error: fmt.Sprintf("attempt %d on %s: %s: %v", u.attempts, l.w.addr, reason, err),
-		Cells: len(u.job.units),
-	})
-	c.cfg.Logger.Printf("cluster: requeued %s[%d] after attempt %d on %s (%s: %v)", u.job.id, u.index, u.attempts, l.w.addr, reason, err)
+	u.job.Requeue(u.index, fmt.Sprintf("attempt %d on %s: %s: %v", u.attempts, l.w.addr, reason, err))
+	c.cfg.Logger.Printf("cluster: requeued %s[%d] after attempt %d on %s (%s: %v)", u.job.ID, u.index, u.attempts, l.w.addr, reason, err)
 }

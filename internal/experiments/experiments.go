@@ -68,7 +68,8 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Pool == nil {
 		if o.SharedWarmup {
-			o.Pool = runner.NewSharedWarmup(o.Parallel)
+			run, _ := runner.LadderRun(nil, 0)
+			o.Pool = runner.NewWithRunContext(o.Parallel, run)
 		} else {
 			o.Pool = runner.New(o.Parallel)
 		}

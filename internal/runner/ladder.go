@@ -60,6 +60,18 @@ func (l *LadderStats) count(f func(*LadderCounters)) {
 	l.mu.Unlock()
 }
 
+// warmEntry is one shared warmed machine: built and warmed exactly once
+// per warmup signature, then forked by every cell that matches.
+type warmEntry struct {
+	once sync.Once
+	m    *machine.Machine
+	err  error
+	// mu serializes Fork calls on the shared master. Forking only reads
+	// the master, but the serialization is cheap next to a measured run
+	// and removes any aliasing doubt.
+	mu sync.Mutex
+}
+
 // LadderRun returns a shared-warmup cell function that additionally
 // climbs the snapshot ladder: before warming a signature from cold, it
 // resolves the deepest stored rung for the config's warmup prefix and
@@ -71,9 +83,13 @@ func (l *LadderStats) count(f func(*LadderCounters)) {
 // bit-exact machine snapshot, and the measured phase always runs fresh
 // via Fork.
 //
-// With snaps == nil the ladder degenerates to plain shared warmup —
-// SharedWarmupRun is exactly LadderRun(nil, 0) — and configs with no
-// warmup phase or a replay trace take the ordinary sim.RunContext path.
+// With snaps == nil the ladder degenerates to plain in-memory shared
+// warmup: each distinct WarmupSignature is warmed once, by whichever
+// cell arrives first, and every matching cell forks its measured phase
+// from that master. A failed warmup (e.g. canceled) is dropped so a
+// later cell can rebuild it. The masters live in the returned closure,
+// so many short-lived pools can share them. Configs with no warmup
+// phase or a replay trace take the ordinary sim.RunContext path.
 func LadderRun(snaps SnapshotStore, rungEvery int) (RunFunc, *LadderStats) {
 	stats := &LadderStats{}
 	var mu sync.Mutex

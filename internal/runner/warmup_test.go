@@ -48,7 +48,7 @@ func TestSharedWarmupMatchesCold(t *testing.T) {
 		return out
 	}
 	cold := collect(New(1))
-	shared := collect(NewSharedWarmup(4))
+	shared := collect(NewWithRunContext(4, sharedWarmup()))
 	for i := range cold {
 		if !bytes.Equal(cold[i], shared[i]) {
 			t.Errorf("cell %d: shared-warmup report differs from cold run\n--- cold ---\n%s--- shared ---\n%s",
@@ -61,7 +61,7 @@ func TestSharedWarmupMatchesCold(t *testing.T) {
 // for one warmup, not one per cell — the pool's run count still shows
 // every cell executed (forks are real runs, not cache hits).
 func TestSharedWarmupReusesMaster(t *testing.T) {
-	p := NewSharedWarmup(1)
+	p := NewWithRunContext(1, sharedWarmup())
 	var futs []*Future
 	for _, kind := range []sim.CacheKind{sim.KindBaseline, sim.KindSeesaw, sim.KindPIPT} {
 		c := testConfig(t, "redis", 42)
@@ -78,4 +78,11 @@ func TestSharedWarmupReusesMaster(t *testing.T) {
 	if s := p.Stats(); s.Runs != 3 {
 		t.Errorf("Runs = %d, want 3 (every fork is a run)", s.Runs)
 	}
+}
+
+// sharedWarmup is the in-memory shared-warmup cell function: the ladder
+// with no store.
+func sharedWarmup() RunFunc {
+	run, _ := LadderRun(nil, 0)
+	return run
 }

@@ -45,23 +45,23 @@ func (s *Server) handleCellRun(w http.ResponseWriter, r *http.Request) {
 	var req CellRunRequest
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad cell JSON: " + err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{"bad cell JSON: " + err.Error()})
 		return
 	}
 	cfg, err := req.Cell.Config()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
+		WriteJSON(w, http.StatusBadRequest, ErrorBody{err.Error()})
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{"streaming unsupported"})
+		WriteJSON(w, http.StatusInternalServerError, ErrorBody{"streaming unsupported"})
 		return
 	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{ErrDraining.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, ErrorBody{ErrDraining.Error()})
 		return
 	}
 	s.cellsRunning++

@@ -18,21 +18,24 @@ const (
 	StateCanceled = "canceled"
 )
 
-// terminal reports whether a state is final.
-func terminal(state string) bool {
+// Terminal reports whether a state is final.
+func Terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
-// job is one queued or running batch of cells. All mutable fields are
-// guarded by mu; the HTTP handlers read snapshots, the dispatcher
-// writes.
-type job struct {
-	id    string
-	label string
-	cfgs  []sim.Config
+// Job is one batch of cells behind the /v1/jobs API: its state machine,
+// per-cell results and progress-event history. The daemon's dispatcher
+// and the cluster coordinator both drive it through the same methods,
+// and MountJobs serves it. Its mutex is a leaf: it is never held while
+// calling out, so backends may call in while holding their own locks.
+type Job struct {
+	ID    string
+	Label string
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	// stats supplies the backend's scheduling outcomes for statuses.
+	stats func() PoolStats
 
 	mu       sync.Mutex
 	state    string
@@ -43,71 +46,87 @@ type job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	pool     *runner.Pool // set when running starts; source of PoolStats
 
-	// events is the full progress history, so a subscriber attaching
+	// events is the full progress history, so a stream attaching
 	// mid-run (or after completion) replays everything before tailing
-	// live. Bounded by 2 + one event per cell.
+	// live. wake is closed by the next publish.
 	events []Event
-	subs   map[chan Event]struct{}
+	wake   chan struct{}
 }
 
-func newJob(id, label string, cfgs []sim.Config, parent context.Context, now time.Time) *job {
+// NewJob builds a queued job over cfgs whose context derives from
+// parent. stats reports its scheduling outcomes in every status.
+func NewJob(parent context.Context, id, label string, cfgs []sim.Config, stats func() PoolStats) *Job {
 	ctx, cancel := context.WithCancel(parent)
-	j := &job{
-		id: id, label: label, cfgs: cfgs,
-		ctx: ctx, cancel: cancel,
+	j := &Job{
+		ID: id, Label: label,
+		ctx: ctx, cancel: cancel, stats: stats,
 		state:   StateQueued,
 		results: make([]CellResult, len(cfgs)),
-		created: now,
-		subs:    make(map[chan Event]struct{}),
+		created: time.Now(),
+		wake:    make(chan struct{}),
 	}
-	for i := range j.results {
-		j.results[i] = CellResult{Index: i, Desc: runner.Describe(cfgs[i]), Status: "pending"}
+	for i, cfg := range cfgs {
+		j.results[i] = CellResult{Index: i, Desc: runner.Describe(cfg), Status: "pending"}
 	}
 	return j
 }
 
-// publish appends one event to the history and fans it out to live
-// subscribers. Callers hold mu.
-func (j *job) publish(ev Event) {
+// Context is the job's cancellation scope; cells run under it.
+func (j *Job) Context() context.Context { return j.ctx }
+
+// Cancel cancels the job's context. The job reaches its terminal state
+// once its cells settle (see CompleteCell).
+func (j *Job) Cancel() { j.cancel() }
+
+// Start moves a queued job to running.
+func (j *Job) Start() { j.setState(StateRunning) }
+
+// State returns the job's current state.
+func (j *Job) State() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state
+}
+
+// publish appends one event to the history and wakes every stream
+// waiting for it; each stream then reads what it has not sent from the
+// history, so a slow reader never loses an event. Callers hold mu.
+func (j *Job) publish(ev Event) {
 	ev.Seq = len(j.events) + 1
 	j.events = append(j.events, ev)
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-			// Slow subscriber: drop the live send; it still owns a
-			// replay cursor and the stream handler re-syncs from the
-			// history, so nothing is lost.
-		}
-	}
+	close(j.wake)
+	j.wake = make(chan struct{})
 }
 
 // setState transitions the job and publishes the change.
-func (j *job) setState(state string, now time.Time) {
+func (j *Job) setState(state string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if terminal(j.state) {
+	j.setStateLocked(state)
+}
+
+func (j *Job) setStateLocked(state string) {
+	if Terminal(j.state) {
 		return // cancel/finish races: first terminal state wins
 	}
 	j.state = state
-	switch state {
-	case StateRunning:
-		j.started = now
-	case StateDone, StateFailed, StateCanceled:
-		j.finished = now
-	}
 	typ := "state"
-	if terminal(state) {
+	if Terminal(state) {
 		typ = "done"
+		j.finished = time.Now()
+	} else if state == StateRunning {
+		j.started = time.Now()
 	}
 	j.publish(Event{Type: typ, State: state})
 }
 
-// completeCell records one awaited cell and publishes its progress
+// CompleteCell records cell i's outcome and publishes its progress
 // event, summarizing the metrics epoch series when the cell carried one.
-func (j *job) completeCell(i int, rep *sim.Report, err error) {
+// The call that settles the last cell ends the job — canceled if its
+// context was canceled, failed if any cell failed, done otherwise — and
+// then cancels the job's context. Each cell completes exactly once.
+func (j *Job) CompleteCell(i int, rep *sim.Report, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	r := &j.results[i]
@@ -133,34 +152,49 @@ func (j *job) completeCell(i int, rep *sim.Report, err error) {
 	j.done++
 	ev.Completed = j.done
 	j.publish(ev)
-}
-
-// subscribe registers a live-event channel and returns the history
-// snapshot taken atomically with the registration, so the caller replays
-// exactly the events that precede its live tail.
-func (j *job) subscribe(ch chan Event) (history []Event) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	history = append([]Event(nil), j.events...)
-	if !terminal(j.state) {
-		j.subs[ch] = struct{}{}
+	if j.done < len(j.results) {
+		return
 	}
-	return history
+	switch {
+	case j.ctx.Err() != nil:
+		j.setStateLocked(StateCanceled)
+	case j.failed > 0:
+		j.setStateLocked(StateFailed)
+	default:
+		j.setStateLocked(StateDone)
+	}
+	j.cancel()
 }
 
-func (j *job) unsubscribe(ch chan Event) {
+// Requeue publishes a "requeue" event: cell i's attempt failed with
+// errMsg and the cell went back to the queue.
+func (j *Job) Requeue(i int, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	delete(j.subs, ch)
+	j.publish(Event{Type: "requeue", Index: i, Desc: j.results[i].Desc, Error: errMsg, Cells: len(j.results)})
 }
 
-// status snapshots the job for the API. withResults=false omits the
+// since returns the events after the first seq, whether the job has
+// ended, and a channel closed by the next publish. The history is
+// append-only, so the returned slice stays valid without a copy.
+func (j *Job) since(seq int) (evs []Event, ended bool, wake <-chan struct{}) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if seq < 0 {
+		seq = 0
+	}
+	if seq < len(j.events) {
+		evs = j.events[seq:]
+	}
+	return evs, Terminal(j.state), j.wake
+}
+
+// Status snapshots the job for the API. withResults=false omits the
 // per-cell reports (job listings).
-func (j *job) status(withResults bool) JobStatus {
+func (j *Job) Status(withResults bool) JobStatus {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	st := JobStatus{
-		ID: j.id, Label: j.label, State: j.state,
+		ID: j.ID, Label: j.Label, State: j.state,
 		Cells: len(j.results), Completed: j.done, Failed: j.failed,
 		Error: j.errMsg, Created: j.created,
 	}
@@ -172,17 +206,12 @@ func (j *job) status(withResults bool) JobStatus {
 		t := j.finished
 		st.Finished = &t
 	}
-	if j.pool != nil {
-		ps := j.pool.Stats()
-		st.Pool = PoolStats{
-			Submitted: ps.Submitted, Runs: ps.Runs, CacheHits: ps.CacheHits,
-			Retries: ps.Retries, Failures: ps.Failures,
-			StoreHits: ps.StoreHits, StorePuts: ps.StorePuts,
-			RungResumes: ps.RungResumes, RungRefsSkipped: ps.RungRefsSkipped,
-		}
-	}
 	if withResults {
 		st.Results = append([]CellResult(nil), j.results...)
 	}
+	j.mu.Unlock()
+	// Read after the snapshot, so the counters already include every
+	// cell the snapshot shows as settled.
+	st.Pool = j.stats()
 	return st
 }

@@ -2,14 +2,12 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"seesaw/internal/metrics"
@@ -20,8 +18,8 @@ import (
 
 // Config sizes and wires one Server.
 type Config struct {
-	// QueueDepth bounds the job queue; a submission past it gets 429 +
-	// Retry-After (default 16).
+	// QueueDepth bounds the job queue; a submission past it gets a
+	// *BusyError, served as 429 + Retry-After (default 16).
 	QueueDepth int
 	// Workers is the per-job cell concurrency (0 = GOMAXPROCS).
 	Workers int
@@ -74,7 +72,7 @@ type Server struct {
 	// bound and, when no run function was injected, shares warmed
 	// masters across requests — via the store's snapshot ladder when a
 	// store is attached (runner.LadderRun), in memory otherwise
-	// (runner.SharedWarmupRun).
+	// (runner.LadderRun(nil, 0)).
 	cellRun runner.RunFunc
 	cellSem chan struct{}
 	// innerRun is the shared run function under cellRun's semaphore —
@@ -87,7 +85,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string // insertion order for listings
+	order    []*job // submission order for listings
 	seq      int
 	draining bool
 	running  int
@@ -144,7 +142,7 @@ func New(cfg Config) *Server {
 		if cfg.Store != nil {
 			inner, s.ladderStats = runner.LadderRun(cfg.Store, cfg.SnapRungEvery)
 		} else {
-			inner = runner.SharedWarmupRun()
+			inner, _ = runner.LadderRun(nil, 0)
 		}
 	}
 	s.innerRun = inner
@@ -184,39 +182,52 @@ func (s *Server) dispatcher() {
 	}
 }
 
+// job is the daemon's queue entry: the shared record plus the configs
+// its pool runs and, once running, that pool (the PoolStats source).
+type job struct {
+	*Job
+	cfgs []sim.Config
+	pool atomic.Pointer[runner.Pool]
+}
+
+func (j *job) poolStats() PoolStats {
+	p := j.pool.Load()
+	if p == nil {
+		return PoolStats{}
+	}
+	ps := p.Stats()
+	return PoolStats{
+		Submitted: ps.Submitted, Runs: ps.Runs, CacheHits: ps.CacheHits,
+		Retries: ps.Retries, Failures: ps.Failures,
+		StoreHits: ps.StoreHits, StorePuts: ps.StorePuts,
+		RungResumes: ps.RungResumes, RungRefsSkipped: ps.RungRefsSkipped,
+	}
+}
+
 // runJob executes one job's cells on a fresh pool (its own cancellation
 // scope) over the shared store, awaiting futures in submission order so
 // results and progress events are deterministic.
 func (s *Server) runJob(j *job) {
-	j.setState(StateRunning, time.Now())
+	j.Start()
 	pool := runner.NewWithRunContext(s.cfg.Workers, s.innerRun).
-		WithContext(j.ctx).
+		WithContext(j.Context()).
 		WithTimeout(s.cfg.CellTimeout).
 		WithRetries(s.cfg.Retries).
 		WithRetryBackoff(s.cfg.RetryBackoff, 0, s.cfg.RetryBackoffSeed)
 	if s.cfg.Store != nil {
 		pool.WithStore(s.cfg.Store)
 	}
-	j.mu.Lock()
-	j.pool = pool
-	j.mu.Unlock()
+	j.pool.Store(pool)
 	futs := make([]*runner.Future, len(j.cfgs))
 	for i, cfg := range j.cfgs {
 		futs[i] = pool.Submit(cfg)
 	}
 	for i, fut := range futs {
 		rep, err := fut.Wait()
-		j.completeCell(i, rep, err)
+		j.CompleteCell(i, rep, err)
 	}
+	final := j.State()
 	st := pool.Stats()
-	final := StateDone
-	switch {
-	case j.ctx.Err() != nil:
-		final = StateCanceled
-	case st.Failures > 0 || j.status(false).Failed > 0:
-		final = StateFailed
-	}
-	j.setState(final, time.Now())
 	s.mu.Lock()
 	s.merged.Merge(pool.MergedSeries())
 	s.poolTotals.Submitted += st.Submitted
@@ -236,63 +247,77 @@ func (s *Server) runJob(j *job) {
 	}
 	s.mu.Unlock()
 	s.cfg.Logger.Printf("service: job %s %s (cells=%d runs=%d store_hits=%d cache_hits=%d failures=%d)",
-		j.id, final, len(j.cfgs), st.Runs, st.StoreHits, st.CacheHits, st.Failures)
+		j.ID, final, len(j.cfgs), st.Runs, st.StoreHits, st.CacheHits, st.Failures)
 }
 
 // Submit validates and enqueues a job, returning its id. It never
-// blocks: a full queue returns ErrQueueFull (the HTTP layer's 429) and
+// blocks: a full queue returns a *BusyError (the HTTP layer's 429) and
 // a draining server ErrDraining (503).
 func (s *Server) Submit(req JobRequest) (string, error) {
-	if len(req.Cells) == 0 {
-		return "", &badRequestError{"job has no cells"}
-	}
-	if len(req.Cells) > s.cfg.MaxCellsPerJob {
-		return "", &badRequestError{fmt.Sprintf("job has %d cells, limit %d", len(req.Cells), s.cfg.MaxCellsPerJob)}
-	}
-	cfgs := make([]sim.Config, len(req.Cells))
-	for i, spec := range req.Cells {
-		cfg, err := spec.Config()
-		if err != nil {
-			return "", &badRequestError{fmt.Sprintf("cell %d: %v", i, err)}
-		}
-		cfgs[i] = cfg
+	cfgs, err := req.Configs(s.cfg.MaxCellsPerJob)
+	if err != nil {
+		return "", err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return "", ErrDraining
 	}
 	s.seq++
-	id := fmt.Sprintf("j%06d", s.seq)
-	j := newJob(id, req.Label, cfgs, s.rootCtx, time.Now())
+	j := &job{cfgs: cfgs}
+	j.Job = NewJob(s.rootCtx, fmt.Sprintf("j%06d", s.seq), req.Label, cfgs, j.poolStats)
 	select {
 	case s.queue <- j:
-		s.jobs[id] = j
-		s.order = append(s.order, id)
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j)
 		s.queued++
-		s.mu.Unlock()
-		return id, nil
+		return j.ID, nil
 	default:
-		s.seq-- // the id was never issued
-		s.mu.Unlock()
-		return "", ErrQueueFull
+		s.seq--    // the id was never issued
+		j.Cancel() // release the unqueued job's context
+		// Explicit backpressure: the queue is bounded by design. The
+		// hint scales with how much work is ahead of the caller.
+		backlog := s.queued + s.running
+		return "", &BusyError{Reason: "service: job queue full", RetryAfter: time.Duration(1+backlog/2) * time.Second}
 	}
+}
+
+// Job returns one job, or ErrNotFound.
+func (s *Server) Job(id string) (*Job, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	return j.Job, nil
+}
+
+// List returns every job in submission order.
+func (s *Server) List() []*Job {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*Job, len(s.order))
+	for i, j := range s.order {
+		out[i] = j.Job
+	}
+	return out
 }
 
 // Cancel cancels a job's context: queued cells fail immediately, running
 // cells unwind at the simulator's next poll point.
-func (s *Server) Cancel(id string) (JobStatus, error) {
-	j, err := s.job(id)
+func (s *Server) Cancel(id string) (*Job, error) {
+	j, err := s.Job(id)
 	if err != nil {
-		return JobStatus{}, err
+		return nil, err
 	}
-	j.cancel()
+	j.Cancel()
 	// A still-queued job never reaches runJob's terminal transition
 	// until a dispatcher pops it; mark it canceled now so its status is
-	// immediately truthful. (runJob's setState is a no-op on terminal
-	// jobs, so the race is benign.)
-	j.setState(StateCanceled, time.Now())
-	return j.status(false), nil
+	// immediately truthful. (A terminal job ignores later transitions,
+	// so the race with its last cell is benign.)
+	j.setState(StateCanceled)
+	return j, nil
 }
 
 // Drain stops intake (submissions get 503) and waits until every queued
@@ -326,179 +351,15 @@ func (s *Server) Close() {
 	s.dispatch.Wait()
 }
 
-// ErrQueueFull is returned by Submit when the bounded queue is at
-// capacity; the HTTP layer maps it to 429 + Retry-After.
-var ErrQueueFull = errors.New("service: job queue full")
-
-// ErrDraining is returned by Submit once Drain has begun; mapped to 503.
-var ErrDraining = errors.New("service: draining, not accepting jobs")
-
-// ErrNotFound is returned for unknown job ids; mapped to 404.
-var ErrNotFound = errors.New("service: no such job")
-
-// badRequestError marks validation failures; mapped to 400.
-type badRequestError struct{ msg string }
-
-func (e *badRequestError) Error() string { return e.msg }
-
-func (s *Server) job(id string) (*job, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return j, nil
-}
-
-// Handler returns the HTTP API.
+// Handler returns the HTTP API: the /v1/jobs surface (MountJobs) plus
+// the cluster worker, health, and metrics endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
+	MountJobs(mux, s)
 	mux.HandleFunc("POST /v1/cells/run", s.handleCellRun)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
-}
-
-// writeJSON writes v with status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// errorBody is every non-2xx JSON payload.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	body := http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{"bad job JSON: " + err.Error()})
-		return
-	}
-	id, err := s.Submit(req)
-	switch {
-	case err == nil:
-		j, _ := s.job(id)
-		writeJSON(w, http.StatusAccepted, j.status(false))
-	case errors.Is(err, ErrQueueFull):
-		// Explicit backpressure: the queue is bounded by design. The
-		// hint scales with how much work is ahead of the caller.
-		s.mu.Lock()
-		backlog := s.queued + s.running
-		s.mu.Unlock()
-		retry := 1 + backlog/2
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusTooManyRequests, errorBody{err.Error()})
-	case errors.Is(err, ErrDraining):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{err.Error()})
-	default:
-		var bad *badRequestError
-		if errors.As(err, &bad) {
-			writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusInternalServerError, errorBody{err.Error()})
-	}
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	s.mu.Unlock()
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		if j, err := s.job(id); err == nil {
-			out = append(out, j.status(false))
-		}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j, err := s.job(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, j.status(r.URL.Query().Get("results") != "0"))
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// handleStream serves the job's progress as Server-Sent Events: the full
-// history first (late subscribers replay everything), then live events
-// until the job reaches a terminal state or the client disconnects.
-// Every event carries its history position as the SSE id, and a client
-// reconnecting with Last-Event-ID: N is resumed at event N+1 — the
-// standard SSE resume contract, so a dropped stream loses nothing.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j, err := s.job(r.PathValue("id"))
-	if err != nil {
-		writeJSON(w, http.StatusNotFound, errorBody{err.Error()})
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorBody{"streaming unsupported"})
-		return
-	}
-	lastID, _ := strconv.Atoi(r.Header.Get("Last-Event-ID"))
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	// Capacity covers every event the job can still publish (one per
-	// cell plus the state transitions), so the publisher's non-blocking
-	// send never drops for a subscriber that keeps reading.
-	ch := make(chan Event, len(j.cfgs)+4)
-	history := j.subscribe(ch)
-	defer j.unsubscribe(ch)
-	send := func(ev Event) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return ev.Type != "done"
-	}
-	for _, ev := range history {
-		if ev.Seq <= lastID {
-			continue // already delivered before the reconnect
-		}
-		if !send(ev) {
-			return
-		}
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev := <-ch:
-			if !send(ev) {
-				return
-			}
-		}
-	}
 }
 
 // healthBody is the GET /healthz payload. Workers, CellsRunning, and
@@ -538,7 +399,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		lc := s.ladderStats.Counters()
 		h.Ladder = &lc
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 // handleMetrics exposes the lifetime merged simulation counters plus

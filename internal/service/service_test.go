@@ -79,7 +79,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) []byte {
 		if err := json.Unmarshal(data, &st); err != nil {
 			t.Fatalf("bad status JSON: %v\n%s", err, data)
 		}
-		if terminal(st.State) {
+		if Terminal(st.State) {
 			return data
 		}
 		if time.Now().After(deadline) {

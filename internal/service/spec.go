@@ -251,6 +251,26 @@ type JobRequest struct {
 	Cells []CellSpec `json:"cells"`
 }
 
+// Configs validates the request against a per-job cell bound and
+// resolves every cell. Its errors are the API's 400s.
+func (r JobRequest) Configs(maxCells int) ([]sim.Config, error) {
+	if len(r.Cells) == 0 {
+		return nil, &badRequestError{"job has no cells"}
+	}
+	if len(r.Cells) > maxCells {
+		return nil, &badRequestError{fmt.Sprintf("job has %d cells, limit %d", len(r.Cells), maxCells)}
+	}
+	cfgs := make([]sim.Config, len(r.Cells))
+	for i, spec := range r.Cells {
+		cfg, err := spec.Config()
+		if err != nil {
+			return nil, &badRequestError{fmt.Sprintf("cell %d: %v", i, err)}
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs, nil
+}
+
 // CellResult is one cell's outcome inside a job status. While the job
 // runs, completed cells appear here incrementally (partial results).
 type CellResult struct {

@@ -19,9 +19,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
-	"syscall"
 	"time"
+
+	"seesaw/tools/internal/proc"
 )
 
 func main() {
@@ -45,18 +45,11 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	coordBin := filepath.Join(tmp, "seesaw-coord")
-	servedBin := filepath.Join(tmp, "seesaw-served")
-	sweepBin := filepath.Join(tmp, "seesaw-sweep")
-	for bin, pkg := range map[string]string{
-		coordBin:  "./cmd/seesaw-coord",
-		servedBin: "./cmd/seesaw-served",
-		sweepBin:  "./cmd/seesaw-sweep",
-	} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			return fmt.Errorf("build %s: %v\n%s", pkg, err, out)
-		}
+	bins, err := proc.Build(tmp, "seesaw-coord", "seesaw-served", "seesaw-sweep")
+	if err != nil {
+		return err
 	}
+	coordBin, servedBin, sweepBin := bins[0], bins[1], bins[2]
 
 	// Reference: the sweep computed locally, no cluster involved.
 	local, err := exec.Command(sweepBin, sweepArgs...).Output()
@@ -65,25 +58,16 @@ func run() error {
 	}
 
 	// Coordinator on a random port, tuned to notice failures fast.
-	coord := exec.Command(coordBin,
+	coord, coordAddr, err := proc.Boot(coordBin,
 		"-addr", "127.0.0.1:0",
 		"-store", filepath.Join(tmp, "store"),
 		"-lease-ttl", "2s", "-probe-every", "300ms", "-evict-after", "2",
 		"-backoff", "50ms",
 	)
-	coordOut, err := coord.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	coord.Stderr = os.Stderr
-	if err := coord.Start(); err != nil {
-		return err
-	}
-	defer coord.Process.Kill()
-	coordAddr, err := readAddr(coordOut)
 	if err != nil {
 		return fmt.Errorf("coordinator: %w", err)
 	}
+	defer coord.Process.Kill()
 	fmt.Printf("clustersmoke: coordinator on %s\n", coordAddr)
 
 	// Three workers, each announcing itself to the coordinator.
@@ -95,20 +79,11 @@ func run() error {
 		}
 	}()
 	for i := 0; i < 3; i++ {
-		w := exec.Command(servedBin, "-addr", "127.0.0.1:0", "-register", coordAddr)
-		wOut, err := w.StdoutPipe()
-		if err != nil {
-			return err
-		}
-		w.Stderr = os.Stderr
-		if err := w.Start(); err != nil {
-			return err
-		}
-		workers = append(workers, w)
-		addr, err := readAddr(wOut)
+		w, addr, err := proc.Boot(servedBin, "-addr", "127.0.0.1:0", "-register", coordAddr)
 		if err != nil {
 			return fmt.Errorf("worker %d: %w", i, err)
 		}
+		workers = append(workers, w)
 		workerAddrs = append(workerAddrs, addr)
 	}
 	if err := waitHealthyWorkers(coordAddr, 3, 20*time.Second); err != nil {
@@ -166,20 +141,7 @@ func run() error {
 	fmt.Println("clustersmoke: merged table byte-identical to the local sweep")
 
 	// Graceful shutdown: SIGTERM drains the coordinator, exit 0.
-	if err := coord.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- coord.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("coordinator exit after SIGTERM: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("coordinator did not exit within 30s of SIGTERM")
-	}
-	return nil
+	return proc.Stop(coord)
 }
 
 // waitHealthyWorkers polls the coordinator's /healthz until n workers
@@ -241,42 +203,4 @@ func leaseHolder(coordAddr string, addrs []string) int {
 		}
 	}
 	return -1
-}
-
-// readAddr scans a process's stdout for its "listening on HOST:PORT"
-// line, with a timeout so a wedged process fails fast.
-func readAddr(stdout interface{ Read([]byte) (int, error) }) (string, error) {
-	type result struct {
-		addr string
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		buf := make([]byte, 256)
-		var line strings.Builder
-		for {
-			n, err := stdout.Read(buf)
-			line.Write(buf[:n])
-			if s := line.String(); strings.Contains(s, "\n") {
-				first := strings.SplitN(s, "\n", 2)[0]
-				addr, ok := strings.CutPrefix(first, "listening on ")
-				if !ok {
-					ch <- result{err: fmt.Errorf("unexpected output %q", first)}
-					return
-				}
-				ch <- result{addr: strings.TrimSpace(addr)}
-				return
-			}
-			if err != nil {
-				ch <- result{err: fmt.Errorf("process exited before announcing its address: %v", err)}
-				return
-			}
-		}
-	}()
-	select {
-	case r := <-ch:
-		return r.addr, r.err
-	case <-time.After(15 * time.Second):
-		return "", fmt.Errorf("process did not announce its address within 15s")
-	}
 }

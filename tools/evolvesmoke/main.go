@@ -29,6 +29,8 @@ import (
 	"regexp"
 	"strings"
 	"time"
+
+	"seesaw/tools/internal/proc"
 )
 
 // searchArgs is the shared tiny-budget search every phase runs.
@@ -60,10 +62,11 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	bin := filepath.Join(tmp, "seesaw-evolve")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/seesaw-evolve").CombinedOutput(); err != nil {
-		return fmt.Errorf("build seesaw-evolve: %v\n%s", err, out)
+	bins, err := proc.Build(tmp, "seesaw-evolve")
+	if err != nil {
+		return err
 	}
+	bin := bins[0]
 	storeDir := filepath.Join(tmp, "store")
 
 	search := func(args []string) (stdout, stderr []byte, err error) {

@@ -5,9 +5,10 @@
 //
 //  1. Correctness: a laddered sweep's table is byte-identical to the
 //     cold sweep's — rungs buy wall-clock time only, never different
-//     numbers. Checked twice: once for a sweep that climbed from a
-//     mid-warmup rung after a SIGKILL, once for a sweep that resumed
-//     from the boundary rung.
+//     numbers. Checked three times: for the in-memory shared-warmup
+//     sweep (-shared-warmup, the ladder without a store), for a sweep
+//     that climbed from a mid-warmup rung after a SIGKILL, and for a
+//     sweep that resumed from the boundary rung.
 //  2. Crash resume: the sweep process is SIGKILLed mid-climb; the rungs
 //     it persisted survive, and the restarted sweep resumes from the
 //     deepest one — asserted from the ladder summary, which must show
@@ -16,9 +17,8 @@
 //     resume every warmup from a rung (hit rate 100%) and execute zero
 //     warmup references.
 //
-// The measured ladder-vs-cold speedup is printed for the log; like
-// warmupsmoke, wall-clock ratios are not gated because CI machines are
-// noisy.
+// The measured ladder-vs-cold speedup is printed for the log;
+// wall-clock ratios are not gated because CI machines are noisy.
 package main
 
 import (
@@ -30,6 +30,8 @@ import (
 	"regexp"
 	"strconv"
 	"time"
+
+	"seesaw/tools/internal/proc"
 )
 
 const (
@@ -108,10 +110,11 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	bin := filepath.Join(tmp, "seesaw-sweep")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/seesaw-sweep").CombinedOutput(); err != nil {
-		return fmt.Errorf("build seesaw-sweep: %v\n%s", err, out)
+	bins, err := proc.Build(tmp, "seesaw-sweep")
+	if err != nil {
+		return err
 	}
+	bin := bins[0]
 	storeDir := filepath.Join(tmp, "store")
 
 	sweep := func(args []string) (stdout, stderr []byte, dur time.Duration, err error) {
@@ -128,6 +131,13 @@ func run() error {
 	cold, _, coldDur, err := sweep(baseArgs(3_000))
 	if err != nil {
 		return fmt.Errorf("cold sweep: %w", err)
+	}
+	shared, _, sharedDur, err := sweep(append(baseArgs(3_000), "-shared-warmup"))
+	if err != nil {
+		return fmt.Errorf("shared-warmup sweep: %w", err)
+	}
+	if !bytes.Equal(cold, shared) {
+		return fmt.Errorf("shared-warmup table differs from cold table\n--- cold ---\n%s--- shared ---\n%s", cold, shared)
 	}
 
 	// Phase 2 — start a laddered sweep and SIGKILL it once two rungs hit
@@ -203,8 +213,9 @@ func run() error {
 		return fmt.Errorf("full resume still executed %d warmup refs: %+v", s2.executed, s2)
 	}
 
-	fmt.Printf("laddersmoke: ok — tables byte-identical; crash resumed at rung %d/%d; cold %v vs laddered %v (%.2fx), first cold %v\n",
+	fmt.Printf("laddersmoke: ok — tables byte-identical; crash resumed at rung %d/%d; cold %v vs laddered %v (%.2fx); first cold %v vs shared warmup %v (%.2fx)\n",
 		s.skipped, warmupRefs, cold2Dur.Round(time.Millisecond), fullDur.Round(time.Millisecond),
-		float64(cold2Dur)/float64(fullDur), coldDur.Round(time.Millisecond))
+		float64(cold2Dur)/float64(fullDur), coldDur.Round(time.Millisecond), sharedDur.Round(time.Millisecond),
+		float64(coldDur)/float64(sharedDur))
 	return nil
 }

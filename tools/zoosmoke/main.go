@@ -1,12 +1,13 @@
-// Command zoosmoke is the end-to-end gate behind `make zoo-smoke`: it
-// sweeps every design registered in the zoo — not a hardcoded list, so
-// a newly registered design is covered the moment it exists — through
-// the real service stack. It builds seesaw-served and seesaw-client,
-// boots the daemon on a random port with a fresh store, submits one
-// cell per registered design, requires every cell to be computed fresh,
-// resubmits and requires every cell to come back from the store with
-// byte-identical per-cell results, then SIGTERMs the daemon and
-// requires a clean drain. Any deviation exits non-zero.
+// Command zoosmoke is the end-to-end service gate behind `make
+// zoo-smoke`: it sweeps every design registered in the zoo — not a
+// hardcoded list, so a newly registered design is covered the moment it
+// exists — through the real service stack. It builds seesaw-served and
+// seesaw-client, boots the daemon on a random port with a fresh store,
+// submits one cell per registered design, requires every cell to be
+// computed fresh, resubmits and requires every cell to come back from
+// the store in under a second with byte-identical per-cell results,
+// then SIGTERMs the daemon and requires a clean drain. Any deviation
+// exits non-zero.
 package main
 
 import (
@@ -15,10 +16,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"syscall"
 	"time"
 
 	"seesaw/internal/sim"
+	"seesaw/tools/internal/proc"
 )
 
 func main() {
@@ -42,30 +43,16 @@ func run() error {
 	}
 	defer os.RemoveAll(tmp)
 
-	served := filepath.Join(tmp, "seesaw-served")
-	client := filepath.Join(tmp, "seesaw-client")
-	for bin, pkg := range map[string]string{served: "./cmd/seesaw-served", client: "./cmd/seesaw-client"} {
-		out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput()
-		if err != nil {
-			return fmt.Errorf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
-
-	daemon := exec.Command(served, "-addr", "127.0.0.1:0", "-store", filepath.Join(tmp, "store"))
-	stdout, err := daemon.StdoutPipe()
+	bins, err := proc.Build(tmp, "seesaw-served", "seesaw-client")
 	if err != nil {
 		return err
 	}
-	daemon.Stderr = os.Stderr
-	if err := daemon.Start(); err != nil {
+	served, client := bins[0], bins[1]
+	daemon, addr, err := proc.Boot(served, "-addr", "127.0.0.1:0", "-store", filepath.Join(tmp, "store"))
+	if err != nil {
 		return err
 	}
 	defer daemon.Process.Kill()
-
-	addr, err := readAddr(stdout)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("zoosmoke: daemon on %s\n", addr)
 
 	n := len(designs)
@@ -104,23 +91,11 @@ func run() error {
 		return fmt.Errorf("store-served results differ from the fresh run:\n--- fresh ---\n%s\n--- cached ---\n%s",
 			strings.Join(first, "\n"), strings.Join(second, "\n"))
 	}
+	if elapsed > time.Second {
+		return fmt.Errorf("cached submission took %s, want < 1s", elapsed)
+	}
 	fmt.Printf("zoosmoke: %d designs byte-identical from store in %s\n", n, elapsed.Round(time.Millisecond))
-
-	// Graceful shutdown: SIGTERM drains and exits 0.
-	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	done := make(chan error, 1)
-	go func() { done <- daemon.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("daemon exit after SIGTERM: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("daemon did not exit within 30s of SIGTERM")
-	}
-	return nil
+	return proc.Stop(daemon)
 }
 
 // cellLines extracts the per-cell result lines ("  DESC IPC ... cycles
@@ -135,42 +110,4 @@ func cellLines(out string) []string {
 		}
 	}
 	return cells
-}
-
-// readAddr scans the daemon's stdout for the "listening on HOST:PORT"
-// line, with a timeout so a wedged daemon fails fast.
-func readAddr(stdout interface{ Read([]byte) (int, error) }) (string, error) {
-	type result struct {
-		addr string
-		err  error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		buf := make([]byte, 256)
-		var line strings.Builder
-		for {
-			n, err := stdout.Read(buf)
-			line.Write(buf[:n])
-			if s := line.String(); strings.Contains(s, "\n") {
-				first := strings.SplitN(s, "\n", 2)[0]
-				addr, ok := strings.CutPrefix(first, "listening on ")
-				if !ok {
-					ch <- result{err: fmt.Errorf("unexpected daemon output %q", first)}
-					return
-				}
-				ch <- result{addr: strings.TrimSpace(addr)}
-				return
-			}
-			if err != nil {
-				ch <- result{err: fmt.Errorf("daemon exited before announcing its address: %v", err)}
-				return
-			}
-		}
-	}()
-	select {
-	case r := <-ch:
-		return r.addr, r.err
-	case <-time.After(15 * time.Second):
-		return "", fmt.Errorf("daemon did not announce its address within 15s")
-	}
 }
