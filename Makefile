@@ -82,10 +82,13 @@ ladder-smoke:
 evolve-smoke:
 	$(GO) run ./tools/evolvesmoke
 
-# A short fuzz pass over the snapshot decoder: arbitrary bytes must
-# yield typed errors, never panics.
+# Short fuzz passes over the snapshot decoder (arbitrary bytes must
+# yield typed errors, never panics) and the restored buddy allocator
+# (arbitrary free blocks must be rejected or yield a consistent
+# allocator).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotCodec -fuzztime=10s ./internal/machine/
+	$(GO) test -run='^$$' -fuzz=FuzzBuddyState -fuzztime=10s ./internal/physmem/
 
 # The zoo gate sweeps every registered cache design through the real
 # service stack: seesaw-served boots on a random port, one cell per

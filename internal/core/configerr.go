@@ -46,6 +46,10 @@ const (
 	RuleSchedulerContradiction Rule = "scheduler-contradiction"
 	// RuleMemhogRange: the memhog fraction must lie in [0, 0.95].
 	RuleMemhogRange Rule = "memhog-out-of-range"
+	// RuleMemBytesRange: simulated memory must be a whole number of 2MB
+	// regions and at most 32GB, the paper's testbed; the dense physical
+	// memory model allocates host memory in proportion to it.
+	RuleMemBytesRange Rule = "mem-bytes-out-of-range"
 	// RuleTraceWarmup: warmup needs online generation, so a replay
 	// trace cannot carry a warmup phase.
 	RuleTraceWarmup Rule = "trace-with-warmup"

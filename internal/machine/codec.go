@@ -36,9 +36,12 @@ import (
 // every snapshot key and prunes entries whose header disagrees, so old
 // rungs are recomputed rather than mis-resumed.
 //
-// Version 2 carries Config as-is, CacheKind as its registry name;
-// version 1 stored CacheKind as an int enum and no longer decodes.
-const SnapshotSchemaVersion = 2
+// Version 3 encodes physical memory as the buddy's free blocks and the
+// memhog's pinned frames only; version 2 also carried the buddy's heap
+// arrays and the hog's frame index. Since version 2, Config travels
+// as-is, CacheKind as its registry name; version 1 stored CacheKind as
+// an int enum. Older versions no longer decode.
+const SnapshotSchemaVersion = 3
 
 // snapMagic opens every encoded snapshot. The leading byte is
 // deliberately non-ASCII so a snapshot is never mistaken for text.

@@ -181,7 +181,7 @@ type Config struct {
 	CoherenceMode coherence.Mode
 
 	// MemBytes is simulated physical memory (default 1GB; 4GB when
-	// Heap1G is set).
+	// Heap1G is set): a multiple of 2MB, at most 32GB.
 	MemBytes uint64
 	// Heap1G backs the workload's heap with explicit 1GB superpages
 	// (hugetlbfs-style) instead of transparent 2MB pages — the paper's

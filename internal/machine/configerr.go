@@ -27,6 +27,7 @@ const (
 	RuleSpecThresholdNegative  = core.RuleSpecThresholdNegative
 	RuleSchedulerContradiction = core.RuleSchedulerContradiction
 	RuleMemhogRange            = core.RuleMemhogRange
+	RuleMemBytesRange          = core.RuleMemBytesRange
 	RuleTraceWarmup            = core.RuleTraceWarmup
 	RuleUnknownDesign          = core.RuleUnknownDesign
 )
@@ -49,6 +50,12 @@ func configErr(field string, value any, rule Rule, format string, args ...any) *
 	}
 }
 
+// maxMemBytes caps simulated physical memory at the paper's 32GB
+// testbed. The physical memory model is dense, so host memory grows with
+// MemBytes; the cap bounds what a config arriving from outside can ask
+// for.
+const maxMemBytes = 32 << 30
+
 // validateKnobs applies the single-constraint knob checks — the ones a
 // design-space mutator needs typed answers for — to a defaults-applied
 // config: the machine-level knobs first, then the selected design's own
@@ -59,6 +66,10 @@ func (d Config) validateKnobs() *ConfigError {
 	if d.MemhogFraction < 0 || d.MemhogFraction > 0.95 {
 		return configErr("MemhogFraction", d.MemhogFraction, RuleMemhogRange,
 			"memhog fraction outside [0, 0.95]")
+	}
+	if d.MemBytes%(2<<20) != 0 || d.MemBytes > maxMemBytes {
+		return configErr("MemBytes", d.MemBytes, RuleMemBytesRange,
+			"simulated memory must be a multiple of 2MB and at most %d bytes", uint64(maxMemBytes))
 	}
 	if d.SchedulerAlwaysFast && d.SchedulerAlwaysSlow {
 		return configErr("SchedulerAlwaysFast", true, RuleSchedulerContradiction,

@@ -88,7 +88,7 @@ func (m *Machine) cloneOS(dst *Machine) {
 	dst.buddy = m.buddy.Clone()
 	var comp osmm.Compactor
 	if m.hog != nil {
-		dst.hog = m.hog.Clone(dst.buddy, dst.rng)
+		dst.hog = m.hog.Clone(dst.buddy)
 		comp = dst.hog
 	}
 	dst.mgr = m.mgr.Clone(dst.buddy, dst.rng, comp)

@@ -38,6 +38,9 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"spec-threshold-ok", func(c *Config) { c.SpecFastThreshold = 8 }, ""},
 		{"scheduler-contradiction", func(c *Config) { c.SchedulerAlwaysFast, c.SchedulerAlwaysSlow = true, true }, RuleSchedulerContradiction},
 		{"memhog-range", func(c *Config) { c.MemhogFraction = 0.99 }, RuleMemhogRange},
+		{"mem-bytes-not-2mb", func(c *Config) { c.MemBytes = 3 << 19 }, RuleMemBytesRange},
+		{"mem-bytes-past-32gb", func(c *Config) { c.MemBytes = 32<<30 + 2<<20 }, RuleMemBytesRange},
+		{"mem-bytes-32gb-ok", func(c *Config) { c.MemBytes = 32 << 30 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

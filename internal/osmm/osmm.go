@@ -54,11 +54,11 @@ type Stats struct {
 	CompactGiveups uint64 // pressure heuristic skipped compaction
 }
 
-// Compactor relocates movable pages to vacate a naturally aligned block
-// of 2^order frames. physmem.Memhog implements it (its pages are movable
-// anonymous memory, exactly like the real microbenchmark's).
+// Compactor relocates movable pages to vacate a naturally aligned 2MB
+// block. physmem.Memhog implements it (its pages are movable anonymous
+// memory, exactly like the real microbenchmark's).
 type Compactor interface {
-	Compact(order int) bool
+	Compact() bool
 }
 
 // Manager is the OS memory manager.
@@ -121,7 +121,7 @@ func (m *Manager) alloc2M() (addr.PAddr, bool) {
 		m.Stats.CompactGiveups++
 		return 0, false
 	}
-	if !m.Compactor.Compact(physmem.Order2M) {
+	if !m.Compactor.Compact() {
 		m.Stats.CompactFails++
 		return 0, false
 	}

@@ -11,8 +11,8 @@
 package physmem
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 
 	"seesaw/internal/addr"
 )
@@ -23,6 +23,10 @@ const (
 	Order2M = 9
 	Order1G = 18
 )
+
+// regionFrames is the frame count of a 2MB region, the unit in which the
+// compaction census (Buddy.small, Memhog.movable) counts.
+const regionFrames = 1 << Order2M
 
 // OrderFor returns the buddy order of a page size.
 func OrderFor(s addr.PageSize) int {
@@ -37,24 +41,13 @@ func OrderFor(s addr.PageSize) int {
 	panic(fmt.Sprintf("physmem: invalid page size %v", s))
 }
 
-// frameHeap is a min-heap of frame numbers giving the allocator
-// deterministic lowest-address-first behaviour at O(log n). Entries may
-// be stale (the block was removed by coalescing or targeted allocation);
-// popFree validates each candidate against freeOrder before using it.
-type frameHeap struct {
-	frames []uint64
-}
-
-func (h *frameHeap) Len() int           { return len(h.frames) }
-func (h *frameHeap) Less(i, j int) bool { return h.frames[i] < h.frames[j] }
-func (h *frameHeap) Swap(i, j int)      { h.frames[i], h.frames[j] = h.frames[j], h.frames[i] }
-func (h *frameHeap) Push(x any)         { h.frames = append(h.frames, x.(uint64)) }
-func (h *frameHeap) Pop() any {
-	old := h.frames
-	n := len(old)
-	x := old[n-1]
-	h.frames = old[:n-1]
-	return x
+// freeSet holds the free blocks of one order as a bitset over block
+// indices: bit i is set iff the order-k block starting at frame i<<k is
+// free at exactly that order.
+type freeSet struct {
+	words []uint64
+	count int // set bits
+	hint  int // every word below hint is zero
 }
 
 // Buddy is a binary buddy allocator over a simulated physical memory.
@@ -62,12 +55,14 @@ type Buddy struct {
 	totalFrames uint64
 	maxOrder    int
 
-	// freeLists[k] holds the start frames of free order-k blocks.
-	freeLists []*frameHeap
-	// freeOrder maps a free block's start frame to its order, for O(1)
-	// buddy-coalescing checks. A frame appears here iff it heads a free
-	// block.
-	freeOrder map[uint64]int
+	// bits backs every order's bitset, so Clone copies one slice.
+	bits []uint64
+	// free[k] marks the heads of free order-k blocks. A frame heads a
+	// free block of at most one order.
+	free []freeSet
+	// small[r] counts the free frames of 2MB region r that sit in blocks
+	// below Order2M: the free half of the compaction census.
+	small []uint32
 
 	freeFrames uint64
 }
@@ -87,13 +82,16 @@ func New(totalBytes uint64) (*Buddy, error) {
 	b := &Buddy{
 		totalFrames: frames,
 		maxOrder:    maxOrder,
-		freeLists:   make([]*frameHeap, maxOrder+1),
-		freeOrder:   make(map[uint64]int),
+		free:        make([]freeSet, maxOrder+1),
+		small:       make([]uint32, frames/regionFrames),
 		freeFrames:  frames,
 	}
-	for k := range b.freeLists {
-		b.freeLists[k] = &frameHeap{}
+	n := 0
+	for k := range b.free {
+		n += b.bitsetWords(k)
 	}
+	b.bits = make([]uint64, n)
+	b.sliceBits()
 	// Seed free memory greedily with the largest blocks that fit.
 	frame := uint64(0)
 	for frame < frames {
@@ -101,7 +99,7 @@ func New(totalBytes uint64) (*Buddy, error) {
 		for (uint64(1)<<k) > frames-frame || frame%(1<<k) != 0 {
 			k--
 		}
-		b.pushFree(frame, k)
+		b.setFree(frame, k)
 		frame += 1 << k
 	}
 	return b, nil
@@ -116,32 +114,94 @@ func MustNew(totalBytes uint64) *Buddy {
 	return b
 }
 
-func (b *Buddy) pushFree(frame uint64, order int) {
-	heap.Push(b.freeLists[order], frame)
-	b.freeOrder[frame] = order
+// bitsetWords returns the length of order k's bitset. It covers block
+// indices up to totalFrames>>k, one past the last whole block, because a
+// block's buddy and the blocks AllocFrameAt probes may start at the end
+// of memory.
+func (b *Buddy) bitsetWords(k int) int { return int(b.totalFrames>>k)/64 + 1 }
+
+// sliceBits points each order's bitset at its part of b.bits.
+func (b *Buddy) sliceBits() {
+	rest := b.bits
+	for k := range b.free {
+		w := b.bitsetWords(k)
+		b.free[k].words, rest = rest[:w:w], rest[w:]
+	}
+}
+
+// validBlock reports whether an order-`order` block at frame is naturally
+// aligned and lies wholly inside memory.
+func (b *Buddy) validBlock(frame uint64, order int) bool {
+	return order >= 0 && order <= b.maxOrder && frame%(1<<order) == 0 && frame <= b.totalFrames-(1<<order)
+}
+
+// isFree reports whether frame heads a free block of exactly order k.
+func (b *Buddy) isFree(frame uint64, k int) bool {
+	i := frame >> k
+	return b.free[k].words[i/64]&(1<<(i%64)) != 0
+}
+
+func (b *Buddy) setFree(frame uint64, k int) {
+	s := &b.free[k]
+	i := frame >> k
+	w := int(i / 64)
+	s.words[w] |= 1 << (i % 64)
+	s.count++
+	if w < s.hint {
+		s.hint = w
+	}
+	if k < Order2M {
+		b.small[frame/regionFrames] += 1 << k
+	}
+}
+
+func (b *Buddy) clearFree(frame uint64, k int) {
+	s := &b.free[k]
+	i := frame >> k
+	s.words[i/64] &^= 1 << (i % 64)
+	s.count--
+	if k < Order2M {
+		b.small[frame/regionFrames] -= 1 << k
+	}
 }
 
 // popFree removes and returns the lowest free block of exactly this order,
-// or false if none exists. Heap entries invalidated by coalescing or
-// targeted allocation are recognized (freeOrder no longer lists them at
-// this order) and skipped.
-func (b *Buddy) popFree(order int) (uint64, bool) {
-	h := b.freeLists[order]
-	for h.Len() > 0 {
-		frame := heap.Pop(h).(uint64)
-		if o, ok := b.freeOrder[frame]; !ok || o != order {
-			continue // stale entry
+// or false if none exists.
+func (b *Buddy) popFree(k int) (uint64, bool) {
+	s := &b.free[k]
+	if s.count == 0 {
+		return 0, false
+	}
+	w := s.hint
+	for s.words[w] == 0 {
+		w++
+	}
+	s.hint = w
+	frame := (uint64(w)*64 + uint64(bits.TrailingZeros64(s.words[w]))) << k
+	b.clearFree(frame, k)
+	return frame, true
+}
+
+// headOrder returns the order of the free block headed by frame, if any.
+func (b *Buddy) headOrder(frame uint64) (int, bool) {
+	for k := 0; k <= b.maxOrder && frame%(1<<k) == 0; k++ {
+		if b.isFree(frame, k) {
+			return k, true
 		}
-		delete(b.freeOrder, frame)
-		return frame, true
 	}
 	return 0, false
 }
 
-// removeFree removes a specific free block (used when coalescing and by
-// targeted allocation); its heap entry goes stale and is skipped later.
-func (b *Buddy) removeFree(frame uint64, order int) {
-	delete(b.freeOrder, frame)
+// cover returns the free block containing the naturally aligned
+// order-`order` block at frame, if one exists.
+func (b *Buddy) cover(frame uint64, order int) (head uint64, k int, ok bool) {
+	for k = order; k <= b.maxOrder; k++ {
+		head = frame &^ (uint64(1)<<k - 1)
+		if b.isFree(head, k) {
+			return head, k, true
+		}
+	}
+	return 0, 0, false
 }
 
 // AllocOrder allocates a naturally aligned block of 2^order frames,
@@ -167,7 +227,7 @@ func (b *Buddy) AllocOrder(order int) (uint64, bool) {
 	// Split back down, returning the high halves to the free lists.
 	for k > order {
 		k--
-		b.pushFree(frame+(1<<k), k)
+		b.setFree(frame+(1<<k), k)
 	}
 	b.freeFrames -= 1 << order
 	return frame, true
@@ -188,44 +248,39 @@ func (b *Buddy) Alloc(s addr.PageSize) (addr.PAddr, bool) {
 // it. It fails if the block is not currently (entirely) free. Memory
 // compaction uses this to claim the region it has just vacated.
 func (b *Buddy) AllocFrameAt(frame uint64, order int) error {
-	if order < 0 || order > b.maxOrder || frame%(1<<order) != 0 || frame+(1<<order) > b.totalFrames {
+	if !b.validBlock(frame, order) {
 		return fmt.Errorf("physmem: bad targeted alloc of frame %d order %d", frame, order)
 	}
-	// Find the free block covering [frame, frame+2^order).
-	cover := -1
-	var coverHead uint64
-	for k := order; k <= b.maxOrder; k++ {
-		head := frame &^ ((uint64(1) << k) - 1)
-		if o, ok := b.freeOrder[head]; ok && o == k && head+(1<<k) >= frame+(1<<order) {
-			cover, coverHead = k, head
-			break
-		}
-	}
-	if cover < 0 {
+	coverHead, k, ok := b.cover(frame, order)
+	if !ok {
 		return fmt.Errorf("physmem: frame %d order %d not free", frame, order)
 	}
-	b.removeFree(coverHead, cover)
+	b.clearFree(coverHead, k)
 	// Split the covering block down, keeping the halves that do not
 	// contain the target.
-	for cover > order {
-		cover--
-		half := coverHead + (1 << cover)
+	for k > order {
+		k--
+		half := coverHead + (1 << k)
 		if frame >= half {
-			b.pushFree(coverHead, cover)
+			b.setFree(coverHead, k)
 			coverHead = half
 		} else {
-			b.pushFree(half, cover)
+			b.setFree(half, k)
 		}
 	}
 	b.freeFrames -= 1 << order
 	return nil
 }
 
-// ForEachFreeBlock visits every free block (head frame and order).
-// Iteration order is unspecified.
+// ForEachFreeBlock visits every free block (head frame and order), by
+// order and then by address.
 func (b *Buddy) ForEachFreeBlock(fn func(frame uint64, order int)) {
-	for frame, order := range b.freeOrder {
-		fn(frame, order)
+	for k := range b.free {
+		for w, word := range b.free[k].words {
+			for ; word != 0; word &= word - 1 {
+				fn((uint64(w)*64+uint64(bits.TrailingZeros64(word)))<<k, k)
+			}
+		}
 	}
 }
 
@@ -233,25 +288,25 @@ func (b *Buddy) ForEachFreeBlock(fn func(frame uint64, order int)) {
 // buddies as far as possible. Freeing a block that was not allocated at
 // this order corrupts the allocator; callers own that bookkeeping.
 func (b *Buddy) FreeOrder(frame uint64, order int) error {
-	if order < 0 || order > b.maxOrder || frame%(1<<order) != 0 || frame+(1<<order) > b.totalFrames {
+	if !b.validBlock(frame, order) {
 		return fmt.Errorf("physmem: bad free of frame %d order %d", frame, order)
 	}
-	if _, isFree := b.freeOrder[frame]; isFree {
+	if _, isFree := b.headOrder(frame); isFree {
 		return fmt.Errorf("physmem: double free of frame %d", frame)
 	}
 	b.freeFrames += 1 << order
 	for order < b.maxOrder {
 		buddy := frame ^ (1 << order)
-		if bo, ok := b.freeOrder[buddy]; !ok || bo != order {
+		if !b.isFree(buddy, order) {
 			break
 		}
-		b.removeFree(buddy, order)
+		b.clearFree(buddy, order)
 		if buddy < frame {
 			frame = buddy
 		}
 		order++
 	}
-	b.pushFree(frame, order)
+	b.setFree(frame, order)
 	return nil
 }
 
@@ -269,27 +324,13 @@ func (b *Buddy) FreeBytes() uint64 { return b.freeFrames * 4096 }
 // MaxOrder returns the largest supported order.
 func (b *Buddy) MaxOrder() int { return b.maxOrder }
 
-// FreeBlocks returns how many free blocks exist of exactly the given
-// order.
-func (b *Buddy) FreeBlocks(order int) int {
-	n := 0
-	for _, o := range b.freeOrder {
-		if o == order {
-			n++
-		}
-	}
-	return n
-}
-
 // FreeBytesAtLeast returns the number of free bytes held in blocks of at
 // least the given order — the memory actually usable for superpages of
 // that order without compaction.
 func (b *Buddy) FreeBytesAtLeast(order int) uint64 {
 	var frames uint64
-	for _, o := range b.freeOrder {
-		if o >= order {
-			frames += 1 << o
-		}
+	for k := max(order, 0); k <= b.maxOrder; k++ {
+		frames += uint64(b.free[k].count) << k
 	}
 	return frames * 4096
 }
@@ -304,17 +345,39 @@ func (b *Buddy) Fragmentation() float64 {
 	return 1 - float64(b.FreeBytesAtLeast(Order2M))/float64(free)
 }
 
-// checkInvariants verifies internal consistency; used by tests.
+// checkInvariants verifies internal consistency by recounting everything
+// the allocator keeps incrementally; used by tests.
 func (b *Buddy) checkInvariants() error {
-	var frames uint64
-	for frame, order := range b.freeOrder {
-		if frame%(1<<order) != 0 {
-			return fmt.Errorf("free block %d misaligned for order %d", frame, order)
+	for k, s := range b.free {
+		n := 0
+		for w, word := range s.words {
+			if word != 0 && w < s.hint {
+				return fmt.Errorf("order %d: word %d set below hint %d", k, w, s.hint)
+			}
+			n += bits.OnesCount64(word)
 		}
-		frames += 1 << order
+		if n != s.count {
+			return fmt.Errorf("order %d: %d blocks set, count says %d", k, n, s.count)
+		}
+	}
+	st := b.State()
+	frames, err := b.blockFrames(st)
+	if err != nil {
+		return err
 	}
 	if frames != b.freeFrames {
 		return fmt.Errorf("free frame count %d != accounted %d", b.freeFrames, frames)
+	}
+	small := make([]uint32, len(b.small))
+	for i, f := range st.FreeFrames {
+		if k := st.FreeOrders[i]; k < Order2M {
+			small[f/regionFrames] += 1 << k
+		}
+	}
+	for r, n := range small {
+		if b.small[r] != n {
+			return fmt.Errorf("region %d: census has %d small free frames, blocks hold %d", r, b.small[r], n)
+		}
 	}
 	return nil
 }

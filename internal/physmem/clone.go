@@ -1,44 +1,31 @@
 package physmem
 
-import "math/rand"
-
 // Clone returns an independent deep copy of the allocator: same free
 // blocks, same fragmentation, same deterministic lowest-address-first
-// behaviour from here on. Copying a heap's backing slice preserves the
-// heap invariant, so the clone pops the same frames in the same order.
+// behaviour from here on.
 func (b *Buddy) Clone() *Buddy {
 	c := &Buddy{
 		totalFrames: b.totalFrames,
 		maxOrder:    b.maxOrder,
-		freeLists:   make([]*frameHeap, len(b.freeLists)),
-		freeOrder:   make(map[uint64]int, len(b.freeOrder)),
+		bits:        append([]uint64(nil), b.bits...),
+		free:        append([]freeSet(nil), b.free...),
+		small:       append([]uint32(nil), b.small...),
 		freeFrames:  b.freeFrames,
 	}
-	for k, h := range b.freeLists {
-		c.freeLists[k] = &frameHeap{frames: append([]uint64(nil), h.frames...)}
-	}
-	for f, o := range b.freeOrder {
-		c.freeOrder[f] = o
-	}
+	c.sliceBits()
 	return c
 }
 
 // Clone returns an independent deep copy of the hog pinned into buddy,
-// drawing from rng. The caller passes the cloned buddy and a rand whose
-// generator sits at the same position as the original's (see
-// internal/xrand) so compactions replay identically.
-func (h *Memhog) Clone(buddy *Buddy, rng *rand.Rand) *Memhog {
-	c := &Memhog{
+// which must be a clone of the hog's own buddy.
+func (h *Memhog) Clone(buddy *Buddy) *Memhog {
+	return &Memhog{
 		buddy:       buddy,
-		rng:         rng,
-		pinned:      make(map[uint64]int, len(h.pinned)),
 		frames:      append([]uint64(nil), h.frames...),
+		at:          append([]uint32(nil), h.at...),
+		movable:     append([]uint32(nil), h.movable...),
 		cursor:      h.cursor,
 		Migrations:  h.Migrations,
 		Compactions: h.Compactions,
 	}
-	for f, i := range h.pinned {
-		c.pinned[f] = i
-	}
-	return c
 }

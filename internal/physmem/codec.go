@@ -7,121 +7,123 @@ import (
 
 // BuddyState is the serializable mutable state of a Buddy allocator.
 // Geometry (total frames, max order) is config-derived and re-created by
-// physmem.New; only the free-block structure travels. FreeLists carries
-// each order's heap backing slice verbatim — copying a heap's backing
-// slice preserves the heap invariant, so the restored allocator pops the
-// same frames in the same order. FreeOrder is flattened as sorted
-// (frame, order) pairs for deterministic encoding.
+// physmem.New; only the free blocks travel, as (frame, order) pairs
+// sorted by frame. The allocator always hands out the lowest free block
+// of an order, so the free blocks alone define what it does next.
 type BuddyState struct {
-	FreeLists   [][]uint64
-	FreeFrames  []uint64 // frame keys of freeOrder, sorted
-	FreeOrders  []int    // order values, parallel to FreeFrames
-	FreeCount   uint64   // buddy.freeFrames
+	FreeFrames  []uint64 // head frames of the free blocks, ascending
+	FreeOrders  []int    // their orders, parallel to FreeFrames
+	FreeCount   uint64   // free frames, cross-checked against the blocks
 	TotalFrames uint64   // for cross-checking against the rebuilt allocator
 }
 
-// State captures the allocator's free-block structure.
+// State captures the allocator's free blocks.
 func (b *Buddy) State() BuddyState {
-	s := BuddyState{
-		FreeLists:   make([][]uint64, len(b.freeLists)),
-		FreeCount:   b.freeFrames,
-		TotalFrames: b.totalFrames,
-	}
-	for k, h := range b.freeLists {
-		s.FreeLists[k] = append([]uint64(nil), h.frames...)
-	}
-	s.FreeFrames = make([]uint64, 0, len(b.freeOrder))
-	for f := range b.freeOrder {
-		s.FreeFrames = append(s.FreeFrames, f)
-	}
+	s := BuddyState{FreeCount: b.freeFrames, TotalFrames: b.totalFrames}
+	b.ForEachFreeBlock(func(frame uint64, _ int) { s.FreeFrames = append(s.FreeFrames, frame) })
 	sort.Slice(s.FreeFrames, func(i, j int) bool { return s.FreeFrames[i] < s.FreeFrames[j] })
 	s.FreeOrders = make([]int, len(s.FreeFrames))
 	for i, f := range s.FreeFrames {
-		s.FreeOrders[i] = b.freeOrder[f]
+		s.FreeOrders[i], _ = b.headOrder(f)
 	}
 	return s
 }
 
-// SetState restores the free-block structure in place, so every holder
-// of this *Buddy (the OS manager, the memhog) observes the restored
-// state without rewiring. The receiver must have the same geometry the
-// state was captured from.
+// SetState restores the free blocks in place, so every holder of this
+// *Buddy (the OS manager, the memhog) observes the restored state
+// without rewiring. The receiver must have the same geometry the state
+// was captured from. Every block must be naturally aligned, lie inside
+// memory and start at or after the end of the block before it, and the
+// blocks must hold exactly FreeCount frames; a state that breaks any of
+// these is rejected and leaves the allocator untouched.
 func (b *Buddy) SetState(s BuddyState) error {
-	if len(s.FreeLists) != len(b.freeLists) {
-		return fmt.Errorf("physmem: state has %d order lists, allocator has %d", len(s.FreeLists), len(b.freeLists))
-	}
 	if s.TotalFrames != b.totalFrames {
 		return fmt.Errorf("physmem: state covers %d frames, allocator has %d", s.TotalFrames, b.totalFrames)
 	}
 	if len(s.FreeFrames) != len(s.FreeOrders) {
-		return fmt.Errorf("physmem: free-order arrays disagree (%d frames, %d orders)", len(s.FreeFrames), len(s.FreeOrders))
+		return fmt.Errorf("physmem: free-block arrays disagree (%d frames, %d orders)", len(s.FreeFrames), len(s.FreeOrders))
 	}
-	for k := range b.freeLists {
-		b.freeLists[k].frames = append(b.freeLists[k].frames[:0], s.FreeLists[k]...)
+	frames, err := b.blockFrames(s)
+	if err != nil {
+		return err
 	}
-	b.freeOrder = make(map[uint64]int, len(s.FreeFrames))
+	if frames != s.FreeCount {
+		return fmt.Errorf("physmem: free count %d, blocks hold %d frames", s.FreeCount, frames)
+	}
+	clear(b.bits)
+	for k := range b.free {
+		b.free[k].count, b.free[k].hint = 0, 0
+	}
+	clear(b.small)
 	for i, f := range s.FreeFrames {
-		if f >= b.totalFrames {
-			return fmt.Errorf("physmem: free frame %d beyond %d total frames", f, b.totalFrames)
-		}
-		if s.FreeOrders[i] < 0 || s.FreeOrders[i] > b.maxOrder {
-			return fmt.Errorf("physmem: free order %d outside [0,%d]", s.FreeOrders[i], b.maxOrder)
-		}
-		b.freeOrder[f] = s.FreeOrders[i]
+		b.setFree(f, s.FreeOrders[i])
 	}
-	b.freeFrames = s.FreeCount
+	b.freeFrames = frames
 	return nil
 }
 
-// MemhogState is the serializable mutable state of a Memhog: which
-// frames it pins (flattened deterministically), its compaction cursor,
-// and its counters. The buddy and RNG it draws from are restored
-// separately and stay wired.
-type MemhogState struct {
-	PinnedFrames []uint64 // pinned keys, sorted
-	PinnedIdx    []int    // pinned values, parallel to PinnedFrames
-	Frames       []uint64
-	Cursor       int
-	Migrations   uint64
-	Compactions  uint64
+// blockFrames checks that a state's free blocks fit this allocator (each
+// naturally aligned, inside memory, and starting at or after the end of
+// the block before it) and returns how many frames they hold.
+func (b *Buddy) blockFrames(s BuddyState) (uint64, error) {
+	var frames, end uint64
+	for i, f := range s.FreeFrames {
+		k := s.FreeOrders[i]
+		if !b.validBlock(f, k) {
+			return 0, fmt.Errorf("physmem: free block at frame %d order %d is misaligned or outside %d frames", f, k, b.totalFrames)
+		}
+		if f < end {
+			return 0, fmt.Errorf("physmem: free block at frame %d overlaps or precedes the block ending at %d", f, end)
+		}
+		end = f + 1<<k
+		frames += 1 << k
+	}
+	return frames, nil
 }
 
-// State captures the hog's pinned-frame set and counters.
+// MemhogState is the serializable mutable state of a Memhog: the frames
+// it pins in pin order, its Touch cursor, and its counters. The buddy it
+// draws from is restored separately and stays wired.
+type MemhogState struct {
+	Frames      []uint64
+	Cursor      int
+	Migrations  uint64
+	Compactions uint64
+}
+
+// State captures the hog's pinned frames and counters.
 func (h *Memhog) State() MemhogState {
-	s := MemhogState{
+	return MemhogState{
 		Frames:      append([]uint64(nil), h.frames...),
 		Cursor:      h.cursor,
 		Migrations:  h.Migrations,
 		Compactions: h.Compactions,
 	}
-	s.PinnedFrames = make([]uint64, 0, len(h.pinned))
-	for f := range h.pinned {
-		s.PinnedFrames = append(s.PinnedFrames, f)
-	}
-	sort.Slice(s.PinnedFrames, func(i, j int) bool { return s.PinnedFrames[i] < s.PinnedFrames[j] })
-	s.PinnedIdx = make([]int, len(s.PinnedFrames))
-	for i, f := range s.PinnedFrames {
-		s.PinnedIdx[i] = h.pinned[f]
-	}
-	return s
 }
 
-// SetState restores the hog in place; its buddy and rng pointers are
-// untouched (the caller restores those separately).
+// SetState restores the hog in place; its buddy pointer is untouched
+// (the caller restores the buddy separately). A state with a frame
+// outside memory or pinned twice is rejected and leaves the hog
+// untouched.
 func (h *Memhog) SetState(s MemhogState) error {
-	if len(s.PinnedFrames) != len(s.PinnedIdx) {
-		return fmt.Errorf("physmem: pinned arrays disagree (%d frames, %d indices)", len(s.PinnedFrames), len(s.PinnedIdx))
-	}
-	h.frames = append(h.frames[:0], s.Frames...)
-	h.pinned = make(map[uint64]int, len(s.PinnedFrames))
-	for i, f := range s.PinnedFrames {
-		if s.PinnedIdx[i] < 0 || s.PinnedIdx[i] >= len(h.frames) {
-			return fmt.Errorf("physmem: pinned index %d outside the hog's %d frames", s.PinnedIdx[i], len(h.frames))
-		}
-		h.pinned[f] = s.PinnedIdx[i]
-	}
 	if s.Cursor < 0 {
 		return fmt.Errorf("physmem: negative hog cursor %d", s.Cursor)
+	}
+	seen := make([]uint64, len(h.at)/64+1)
+	for _, f := range s.Frames {
+		if f >= uint64(len(h.at)) {
+			return fmt.Errorf("physmem: pinned frame %d beyond %d total frames", f, len(h.at))
+		}
+		if seen[f/64]&(1<<(f%64)) != 0 {
+			return fmt.Errorf("physmem: frame %d pinned twice", f)
+		}
+		seen[f/64] |= 1 << (f % 64)
+	}
+	clear(h.at)
+	clear(h.movable)
+	h.frames = h.frames[:0]
+	for _, f := range s.Frames {
+		h.pin(f)
 	}
 	h.cursor = s.Cursor
 	h.Migrations = s.Migrations

@@ -75,7 +75,7 @@ func TestCompactVacatesRegion(t *testing.T) {
 		t.Fatal("setup failed: 2MB still allocatable")
 	}
 	pinnedBefore := h.PinnedBytes()
-	if !h.Compact(Order2M) {
+	if !h.Compact() {
 		t.Fatal("compaction found no vacatable region despite movable pages")
 	}
 	if h.Migrations == 0 {
@@ -105,7 +105,7 @@ func TestCompactFailsWhenMemoryTrulyFull(t *testing.T) {
 			break
 		}
 	}
-	if h.Compact(Order2M) {
+	if h.Compact() {
 		t.Error("compaction succeeded with zero free frames")
 	}
 }
@@ -123,7 +123,7 @@ func TestCompactRepeatedlyUntilExhausted(t *testing.T) {
 			allocated++
 			continue
 		}
-		if !h.Compact(Order2M) {
+		if !h.Compact() {
 			break
 		}
 	}
@@ -134,5 +134,32 @@ func TestCompactRepeatedlyUntilExhausted(t *testing.T) {
 	}
 	if err := b.checkInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompactWithoutRegionAllocatesNothing: when no region qualifies,
+// Compact reads the census once and allocates nothing.
+func TestCompactWithoutRegionAllocatesNothing(t *testing.T) {
+	b := MustNew(16 << 20)
+	h, err := Run(b, rand.New(rand.NewSource(5)), 0.3, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill every free frame with unmovable allocations.
+	for {
+		if _, ok := b.AllocOrder(Order4K); !ok {
+			break
+		}
+	}
+	if _, _, ok := referenceCompact(b, h); ok {
+		t.Fatal("setup failed: a region qualifies for compaction")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if h.Compact() {
+			t.Fatal("compaction succeeded with no qualifying region")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Compact with no qualifying region made %v allocations, want 0", allocs)
 	}
 }

@@ -21,15 +21,15 @@ import (
 // non-trivial fragmentation (paper Section III-C).
 type Memhog struct {
 	buddy *Buddy
-	rng   *rand.Rand
-	// The pinned frames form an indexed set: pinned maps a frame to its
-	// position in frames. Iterating frames (instead of the map) keeps
-	// Touch and Release deterministic — Go's map iteration order is
-	// random, and leaking it into the simulation makes runs with
-	// fragmentation irreproducible.
-	pinned map[uint64]int
+	// The pinned frames form an indexed set: frames lists them in pin
+	// order, which keeps Touch and Release deterministic, and at[f] is
+	// 1 + f's position in frames, or 0 when f is not pinned.
 	frames []uint64
-	cursor int // next Touch position in frames
+	at     []uint32
+	// movable[r] counts the pinned frames in 2MB region r: the movable
+	// half of the compaction census.
+	movable []uint32
+	cursor  int // next Touch position in frames
 
 	// Migrations counts pages moved by compaction.
 	Migrations uint64
@@ -38,17 +38,19 @@ type Memhog struct {
 }
 
 func (h *Memhog) pin(f uint64) {
-	h.pinned[f] = len(h.frames)
 	h.frames = append(h.frames, f)
+	h.at[f] = uint32(len(h.frames))
+	h.movable[f/regionFrames]++
 }
 
 func (h *Memhog) unpin(f uint64) {
-	i := h.pinned[f]
-	last := len(h.frames) - 1
-	h.frames[i] = h.frames[last]
-	h.pinned[h.frames[i]] = i
-	h.frames = h.frames[:last]
-	delete(h.pinned, f)
+	i := h.at[f] - 1
+	last := h.frames[len(h.frames)-1]
+	h.frames[i] = last
+	h.at[last] = i + 1
+	h.frames = h.frames[:len(h.frames)-1]
+	h.at[f] = 0
+	h.movable[f/regionFrames]--
 }
 
 // Run fragments memory, pinning `fraction` of it. touch is the total
@@ -69,8 +71,8 @@ func Run(b *Buddy, rng *rand.Rand, fraction, touch float64) (*Memhog, error) {
 	if touch > 0.97 {
 		touch = 0.97
 	}
-	h := &Memhog{buddy: b, rng: rng, pinned: make(map[uint64]int)}
-	totalFrames := b.TotalBytes() / 4096
+	totalFrames := b.totalFrames
+	h := &Memhog{buddy: b, at: make([]uint32, totalFrames), movable: make([]uint32, len(b.small))}
 	pinTarget := uint64(float64(totalFrames) * fraction)
 	allocTarget := uint64(float64(totalFrames) * touch)
 	frames := make([]uint64, 0, allocTarget)
@@ -92,6 +94,7 @@ func Run(b *Buddy, rng *rand.Rand, fraction, touch float64) (*Memhog, error) {
 			return nil, err
 		}
 	}
+	h.frames = make([]uint64, 0, keep)
 	for _, f := range frames[:keep] {
 		h.pin(f)
 	}
@@ -109,7 +112,8 @@ func (h *Memhog) Release() error {
 			return err
 		}
 	}
-	h.pinned = make(map[uint64]int)
+	clear(h.at)
+	clear(h.movable)
 	h.frames = nil
 	h.cursor = 0
 	return nil
@@ -134,66 +138,36 @@ func (h *Memhog) Touch(n int) []addr.PAddr {
 	return out
 }
 
-// Compact implements osmm.Compactor: it vacates one naturally aligned
-// block of 2^order frames whose frames are all either free or pinned by
-// the hog (movable), migrating the hog's pages to free frames elsewhere.
-// On success the block is left free and coalesced, ready for a superpage
-// allocation. It picks the candidate region needing the fewest
-// migrations.
-func (h *Memhog) Compact(order int) bool {
-	blockFrames := uint64(1) << order
-
-	// Count free frames per candidate region.
-	freePerRegion := make(map[uint64]uint64)
-	h.buddy.ForEachFreeBlock(func(frame uint64, o int) {
-		if o >= order {
-			return // already a full free block; nothing to compact
-		}
-		freePerRegion[frame/blockFrames] += 1 << o
-	})
-	// Add the hog's movable frames.
-	type cand struct{ free, movable uint64 }
-	cands := make(map[uint64]*cand)
-	for region, n := range freePerRegion {
-		cands[region] = &cand{free: n}
-	}
-	for f := range h.pinned {
-		region := f / blockFrames
-		c, ok := cands[region]
-		if !ok {
-			c = &cand{}
-			cands[region] = c
-		}
-		c.movable++
-	}
-	best := uint64(0)
-	bestMovable := blockFrames + 1
-	found := false
-	for region, c := range cands {
-		if c.free+c.movable != blockFrames {
-			continue
-		}
-		// Fully ordered pick (fewest migrations, then lowest region) so
-		// the map's random iteration order cannot leak into the result.
-		if c.movable < bestMovable || (c.movable == bestMovable && region < best) {
-			best, bestMovable, found = region, c.movable, true
+// Compact implements osmm.Compactor: it vacates one 2MB region whose
+// frames are all either free or pinned by the hog (movable), migrating
+// the hog's pages to free frames elsewhere. On success the region is
+// left free and coalesced, ready for a superpage allocation. It picks
+// the region needing the fewest migrations, then the lowest one. The
+// census it chooses from (the buddy's small, the hog's movable) is kept
+// up to date as memory changes, so choosing costs one pass over the
+// regions and allocates nothing.
+func (h *Memhog) Compact() bool {
+	best, bestMovable := -1, uint32(regionFrames+1)
+	for r, n := range h.movable {
+		if n < bestMovable && h.buddy.small[r]+n == regionFrames {
+			best, bestMovable = r, n
 		}
 	}
-	if !found {
+	if best < 0 {
 		return false
 	}
 	// Migration targets must exist: bestMovable free frames *outside*
 	// the region. Free frames inside it are being vacated, so the total
-	// free count must be at least a whole block's worth.
-	if h.buddy.FreeBytes()/4096 < blockFrames {
+	// free count must be at least a whole region's worth.
+	if h.buddy.freeFrames < regionFrames {
 		return false
 	}
-	start := best * blockFrames
+	start := uint64(best) * regionFrames
 	// Step 1: claim every free frame inside the region so replacement
 	// allocations cannot land there.
 	var claimed []uint64
-	for f := start; f < start+blockFrames; f++ {
-		if _, mine := h.pinned[f]; mine {
+	for f := start; f < start+regionFrames; f++ {
+		if h.at[f] != 0 {
 			continue
 		}
 		if err := h.buddy.AllocFrameAt(f, Order4K); err != nil {
@@ -207,8 +181,8 @@ func (h *Memhog) Compact(order int) bool {
 	}
 	// Step 2: migrate the hog's pages out.
 	var moved []uint64
-	for f := start; f < start+blockFrames; f++ {
-		if _, mine := h.pinned[f]; !mine {
+	for f := start; f < start+regionFrames; f++ {
+		if h.at[f] == 0 {
 			continue
 		}
 		nf, ok := h.buddy.AllocOrder(Order4K)
@@ -228,13 +202,46 @@ func (h *Memhog) Compact(order int) bool {
 		h.Migrations++
 	}
 	// Step 3: release the whole region; the buddy coalesces it back into
-	// one order-`order` block. Old pinned frames are freed here; claimed
-	// frames too.
-	for f := start; f < start+blockFrames; f++ {
+	// one 2MB block. Old pinned frames are freed here; claimed frames
+	// too.
+	for f := start; f < start+regionFrames; f++ {
 		if err := h.buddy.FreeOrder(f, Order4K); err != nil {
 			return false
 		}
 	}
 	h.Compactions++
 	return true
+}
+
+// checkInvariants verifies the buddy's and the hog's incremental
+// bookkeeping against a recount; used by tests.
+func (h *Memhog) checkInvariants() error {
+	if err := h.buddy.checkInvariants(); err != nil {
+		return err
+	}
+	movable := make([]uint32, len(h.movable))
+	for i, f := range h.frames {
+		if h.at[f] != uint32(i+1) {
+			return fmt.Errorf("pinned frame %d sits at position %d, index says %d", f, i, h.at[f])
+		}
+		if _, _, free := h.buddy.cover(f, Order4K); free {
+			return fmt.Errorf("pinned frame %d is free in the buddy", f)
+		}
+		movable[f/regionFrames]++
+	}
+	indexed := 0
+	for _, i := range h.at {
+		if i != 0 {
+			indexed++
+		}
+	}
+	if indexed != len(h.frames) {
+		return fmt.Errorf("index holds %d frames, %d pinned", indexed, len(h.frames))
+	}
+	for r, n := range movable {
+		if h.movable[r] != n {
+			return fmt.Errorf("region %d: census has %d movable frames, hog pins %d", r, h.movable[r], n)
+		}
+	}
+	return nil
 }

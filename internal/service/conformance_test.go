@@ -193,6 +193,8 @@ func TestJobsAPIConformance(t *testing.T) {
 					"no cells":         `{"cells":[]}`,
 					"too many cells":   jobBody(maxCells + 1),
 					"unknown workload": `{"cells":[{"workload":"no-such-workload"}]}`,
+					"mem_mb past 32GB": `{"cells":[{"workload":"redis","mem_mb":32770}]}`,
+					"mem_mb wrapping":  `{"cells":[{"workload":"redis","mem_mb":17592186044416}]}`,
 				} {
 					if resp := post(t, fe.url+"/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
 						t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)

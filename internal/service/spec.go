@@ -108,6 +108,11 @@ func (c CellSpec) Config() (sim.Config, error) {
 	if c.Workload == "" {
 		return sim.Config{}, fmt.Errorf("workload is required")
 	}
+	// Validate bounds MemBytes; a mem_mb too large to shift into bytes
+	// would wrap around to an in-range value first.
+	if c.MemMB<<20>>20 != c.MemMB {
+		return sim.Config{}, fmt.Errorf("mem_mb %d overflows a byte count", c.MemMB)
+	}
 	p, err := workload.ByName(c.Workload)
 	if err != nil {
 		return sim.Config{}, err

@@ -73,6 +73,7 @@ const (
 	RuleSpecThresholdNegative  = machine.RuleSpecThresholdNegative
 	RuleSchedulerContradiction = machine.RuleSchedulerContradiction
 	RuleMemhogRange            = machine.RuleMemhogRange
+	RuleMemBytesRange          = machine.RuleMemBytesRange
 	RuleTraceWarmup            = machine.RuleTraceWarmup
 	RuleUnknownDesign          = machine.RuleUnknownDesign
 )
