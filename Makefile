@@ -65,12 +65,13 @@ cluster-smoke:
 importgate:
 	$(GO) run ./tools/importgate
 
-# The ladder gate drives the snapshot ladder's whole lifecycle: the
-# in-memory shared-warmup sweep must reproduce the cold table byte for
-# byte; a laddered sweep is SIGKILLed mid-climb, restarted, and must
-# resume from the surviving rungs and reproduce the cold table; a fresh
+# The ladder gate drives the snapshot ladder's whole lifecycle (a sweep
+# with -store always climbs its store's ladder): a laddered sweep is
+# SIGKILLed mid-climb, restarted, and must resume from the surviving
+# rungs and reproduce the storeless sweep's table byte for byte; a fresh
 # sweep against the populated store must hit rungs for 100% of its
-# warmups (tools/laddersmoke).
+# warmups (tools/laddersmoke). That the storeless shared-warmup path
+# matches cold runs is pinned by runner's TestSharedWarmupMatchesCold.
 ladder-smoke:
 	$(GO) run ./tools/laddersmoke
 

@@ -6,14 +6,15 @@
 // dynamic energy, and SRAM area.
 //
 //	seesaw-evolve -seed 7 -generations 8 -pop 12 -frag 0.6
-//	seesaw-evolve -store /tmp/rs -warmup 200000 -ladder        # warmed + resumable
+//	seesaw-evolve -store /tmp/rs -warmup 200000                # warmed + resumable
 //	seesaw-evolve -cluster http://coord:8080                   # remote evaluation
 //
 // Same seed, same scenario → byte-identical generation log (stderr) and
-// front (stdout). With -store, search state checkpoints at every
-// generation boundary; a killed search re-run with the same flags
-// resumes mid-search, and its re-done generation costs store hits, not
-// simulations.
+// front (stdout). Genomes that agree on OS knobs fork one warmed
+// machine. With -store, warmups climb the store's snapshot ladder and
+// search state checkpoints at every generation boundary; a killed
+// search re-run with the same flags resumes mid-search, and its re-done
+// generation costs store hits, not simulations.
 package main
 
 import (
@@ -56,8 +57,7 @@ func main() {
 
 		parallel    = flag.Int("parallel", 0, "simulation cells to run concurrently (0 = GOMAXPROCS, 1 = serial)")
 		storeDir    = flag.String("store", "", "content-addressed result store `dir`: dedups evaluations across generations and runs, and holds the search checkpoint")
-		ladder      = flag.Bool("ladder", false, "climb the store's snapshot ladder while warming (requires -store and -warmup > 0)")
-		rungEvery   = flag.Int("rung-every", 0, "persist an intermediate snapshot rung every N warmup references (0 = only the warmup-boundary rung; requires -ladder)")
+		rungEvery   = flag.Int("rung-every", 0, "persist an intermediate snapshot rung every N warmup references while climbing the store's ladder (0 = only the warmup-boundary rung; requires -store)")
 		clusterURL  = flag.String("cluster", "", "evaluate on the coordinator (or daemon) at `URL` instead of locally")
 		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per cell (0 = unbounded)")
 		retries     = flag.Int("retries", 0, "re-execution attempts for panicking or timed-out cells")
@@ -79,11 +79,8 @@ func main() {
 	if err != nil {
 		fatalUsage(err)
 	}
-	if *ladder && (*storeDir == "" || *warmup <= 0) {
-		fatalUsage(fmt.Errorf("-ladder needs -store and -warmup > 0"))
-	}
-	if *rungEvery != 0 && !*ladder {
-		fatalUsage(fmt.Errorf("-rung-every needs -ladder"))
+	if *rungEvery != 0 && *storeDir == "" {
+		fatalUsage(fmt.Errorf("-rung-every needs -store"))
 	}
 	if *rungEvery < 0 {
 		fatalUsage(fmt.Errorf("-rung-every must be >= 0"))
@@ -111,12 +108,16 @@ func main() {
 	}
 
 	var st *store.Store
+	// snaps stays an untyped nil without -store: a nil *store.Store in
+	// the interface would not be nil.
+	var snaps runner.SnapshotStore
 	if *storeDir != "" {
 		st, err = store.Open(*storeDir)
 		if err != nil {
 			fatal(err)
 		}
 		opts.Checkpoint = st
+		snaps = st
 	}
 
 	var ev evolve.Evaluator
@@ -124,13 +125,7 @@ func main() {
 	if *clusterURL != "" {
 		ev = evolve.NewClusterEvaluator(*clusterURL)
 	} else {
-		var run runner.RunFunc
-		var ls *runner.LadderStats
-		if *ladder {
-			run, ls = runner.LadderRun(st, *rungEvery)
-		} else {
-			run, ls = runner.LadderRun(nil, 0) // shared warmup, no rungs
-		}
+		run, ls := runner.LadderRun(snaps, *rungEvery)
 		pool = runner.NewWithRunContext(*parallel, run).
 			WithLadderStats(ls).
 			WithTimeout(*cellTimeout).

@@ -1,181 +1,33 @@
 // Cluster mode: with -cluster URL the sweep does not simulate locally —
-// every cell becomes a service.CellSpec and the whole grid is submitted
-// to a seesaw-coord coordinator (or a single seesaw-served daemon; the
-// API is identical). The submit/reduce structure of the sweep is
-// untouched: cells are still registered in table order and reduced in
-// table order, so the merged table is byte-identical to a local run of
-// the same grid — the cluster tests pin exactly that property.
+// every cell joins one cluster.Batch that ships the whole grid to a
+// seesaw-coord coordinator (or a single seesaw-served daemon; the API is
+// identical) on the first Wait. The submit/reduce structure of the
+// sweep is untouched: cells are still registered in table order and
+// reduced in table order, so the merged table is byte-identical to a
+// local run of the same grid — the cluster tests pin exactly that
+// property.
 
 package main
 
 import (
-	"context"
-	"fmt"
-	"sync"
-	"time"
-
 	"seesaw/internal/cluster"
-	"seesaw/internal/runner"
-	"seesaw/internal/service"
 	"seesaw/internal/sim"
 )
 
 // future is the one thing the reduce phase needs from a submitted cell.
-// runner.Future satisfies it for local sweeps; promise does for cluster
-// sweeps.
+// *runner.Future satisfies it for local sweeps; *cluster.Cell does for
+// cluster sweeps.
 type future interface {
 	Wait() (*sim.Report, error)
 }
 
-// submitter is where sweep cells go: a local runner pool or a cluster
-// batch. Submit never blocks; Wait on the returned future does.
-type submitter interface {
-	Submit(cfg sim.Config) future
-}
-
-// newSubmitter picks the execution backend for a sweep.
-func (o sweepOptions) newSubmitter() submitter {
+// newSubmitter picks the execution backend for a sweep: where cells go.
+// Submitting never blocks; Wait on the returned future does.
+func (o sweepOptions) newSubmitter() func(sim.Config) future {
 	if o.clusterURL != "" {
-		return newClusterBatch(o.clusterURL)
+		b := cluster.NewBatch(cluster.NewClient(o.clusterURL), "seesaw-sweep")
+		return func(cfg sim.Config) future { return b.Submit(cfg) }
 	}
-	return poolSubmitter{o.newPool()}
-}
-
-// poolSubmitter adapts runner.Pool to the submitter interface.
-type poolSubmitter struct{ pool *runner.Pool }
-
-func (p poolSubmitter) Submit(cfg sim.Config) future { return p.pool.Submit(cfg) }
-
-// clusterBatch accumulates cells as the submit phase registers them and
-// ships them as jobs on the first Wait: the sweep's submit-everything-
-// then-reduce shape means every cell is known by then, so the batch
-// arrives at the coordinator as a handful of large jobs instead of
-// hundreds of one-cell jobs fighting the admission limiter.
-type clusterBatch struct {
-	cl *cluster.Client
-
-	mu      sync.Mutex
-	specs   []service.CellSpec
-	proms   []*promise
-	flushed bool
-}
-
-// jobChunk bounds cells per submitted job, within the smallest default
-// batch cap in the fleet (seesaw-served's -max-cells defaults to 256;
-// the coordinator's to 4096), so a sweep works against either.
-const jobChunk = 256
-
-func newClusterBatch(url string) *clusterBatch {
-	return &clusterBatch{cl: cluster.NewClient(url)}
-}
-
-// Submit registers one cell. Configs the wire format cannot express
-// (trace replay, counters-only metrics) become already-failed futures,
-// so the sweep degrades to partial results exactly like a failed local
-// cell instead of dying.
-func (b *clusterBatch) Submit(cfg sim.Config) future {
-	pr := &promise{batch: b, idx: -1}
-	spec, err := specFromConfig(cfg)
-	if err != nil {
-		pr.err = err
-		return pr
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	pr.idx = len(b.specs)
-	b.specs = append(b.specs, spec)
-	b.proms = append(b.proms, pr)
-	return pr
-}
-
-// promise is a cluster-side future: Wait triggers the batch flush (a
-// no-op after the first call) and returns this cell's slice of it.
-type promise struct {
-	batch *clusterBatch
-	idx   int
-	rep   *sim.Report
-	err   error
-}
-
-func (p *promise) Wait() (*sim.Report, error) {
-	if p.idx >= 0 {
-		p.batch.flush()
-	}
-	return p.rep, p.err
-}
-
-// flush submits the accumulated cells as jobs — all chunks up front, so
-// the whole grid is in flight at once — then waits each job out and
-// fills every promise. Job-level failures (submission refused, wait
-// interrupted) fail that chunk's cells individually; the reduce phase
-// records them and keeps going.
-func (b *clusterBatch) flush() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.flushed {
-		return
-	}
-	b.flushed = true
-	ctx := context.Background()
-	type chunk struct {
-		start, end int
-		id         string
-		err        error
-	}
-	var chunks []chunk
-	for start := 0; start < len(b.specs); start += jobChunk {
-		end := min(start+jobChunk, len(b.specs))
-		st, err := b.cl.Submit(ctx, service.JobRequest{
-			Label: "seesaw-sweep",
-			Cells: b.specs[start:end],
-		})
-		chunks = append(chunks, chunk{start: start, end: end, id: st.ID, err: err})
-	}
-	for _, ch := range chunks {
-		start, end := ch.start, ch.end
-		st, err := service.JobStatus{}, ch.err
-		if err == nil {
-			st, err = b.cl.Wait(ctx, ch.id, 250*time.Millisecond)
-		}
-		if err != nil {
-			for _, pr := range b.proms[start:end] {
-				pr.err = err
-			}
-			continue
-		}
-		for _, r := range st.Results {
-			i := start + r.Index
-			if i < start || i >= end {
-				continue
-			}
-			pr := b.proms[i]
-			switch {
-			case r.Report != nil:
-				pr.rep = r.Report
-			case r.Error != "":
-				pr.err = fmt.Errorf("cluster: %s", r.Error)
-			default:
-				pr.err = fmt.Errorf("cluster: cell %s: %s", r.Desc, r.Status)
-			}
-		}
-		for _, pr := range b.proms[start:end] {
-			if pr.rep == nil && pr.err == nil {
-				// The job ended without this cell's result (canceled, or a
-				// coordinator that dropped it); surface the job-level error.
-				if st.Error != "" {
-					pr.err = fmt.Errorf("cluster: job %s: %s", st.ID, st.Error)
-				} else {
-					pr.err = fmt.Errorf("cluster: job %s %s without a result for this cell", st.ID, st.State)
-				}
-			}
-		}
-	}
-}
-
-// specFromConfig maps a sweep cell onto the wire format via
-// service.SpecFromConfig, which proves the mapping exact (CanonicalKey
-// round-trip) so a cell the wire cannot carry faithfully fails here,
-// never as a silently-different simulation.
-func specFromConfig(cfg sim.Config) (service.CellSpec, error) {
-	return service.SpecFromConfig(cfg)
+	p := o.newPool()
+	return func(cfg sim.Config) future { return p.Submit(cfg) }
 }

@@ -14,7 +14,7 @@ import (
 // same grid submitted through -cluster (here: a real in-process job
 // server behind httptest) produces a byte-identical table to the local
 // pool, because cells are registered and reduced in the same order and
-// specFromConfig proves every cell's wire round-trip exact.
+// service.SpecFromConfig proves every cell's wire round-trip exact.
 func TestSweepClusterMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real sweep twice")
@@ -71,9 +71,10 @@ func TestSweepClusterReportsJobFailure(t *testing.T) {
 	}
 }
 
-// TestSpecFromConfig covers the wire mapping: sweep cells (including
-// chaos cells with fault schedules) round-trip to the same canonical
-// key, and configs the wire format cannot express are rejected.
+// TestSpecFromConfig covers the wire mapping cluster mode relies on:
+// sweep cells (including chaos cells with fault schedules) round-trip to
+// the same canonical key, and configs the wire format cannot express are
+// rejected.
 func TestSpecFromConfig(t *testing.T) {
 	p, err := workload.ByName("redis")
 	if err != nil {
@@ -101,7 +102,7 @@ func TestSpecFromConfig(t *testing.T) {
 		"chaos cell": chaosCell,
 		"zero refs":  negRefs,
 	} {
-		spec, err := specFromConfig(cfg)
+		spec, err := service.SpecFromConfig(cfg)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -120,12 +121,12 @@ func TestSpecFromConfig(t *testing.T) {
 
 	counters := base
 	counters.Metrics = &sim.MetricsConfig{EventCap: -1}
-	if _, err := specFromConfig(counters); err == nil {
+	if _, err := service.SpecFromConfig(counters); err == nil {
 		t.Error("counters-only metrics must be rejected (no wire form)")
 	}
 	epochs := base
 	epochs.Metrics = &sim.MetricsConfig{EpochRefs: 500, EventCap: -1}
-	if _, err := specFromConfig(epochs); err != nil {
+	if _, err := service.SpecFromConfig(epochs); err != nil {
 		t.Errorf("epoch metrics must map to epoch_refs: %v", err)
 	}
 }

@@ -20,12 +20,18 @@
 //	seesaw-sweep -faults mix -check -refs 20000
 //	seesaw-sweep -cluster localhost:9090 -workloads redis,nutch
 //
+// With -warmup N every cell gets an OS-only warmup phase; cells that
+// agree on their warmup signature fork one warmed machine instead of
+// each re-simulating it, and with -store that machine climbs the
+// store's snapshot ladder, so a rerun resumes each warmup from the
+// deepest persisted rung. Tables are byte-identical to cold runs.
+//
 // With -cluster URL the cells run on a seesaw-coord fleet (or a single
 // seesaw-served daemon) instead of in-process; the emitted table is
 // byte-identical either way. Execution knobs that configure the local
-// pool (-parallel, -cell-timeout, -retries, -shared-warmup, -store,
-// -prom, -progress) belong to the workers and coordinator in that mode
-// and are rejected.
+// pool (-parallel, -cell-timeout, -retries, -store, -rung-every, -prom,
+// -progress) belong to the workers and coordinator in that mode and are
+// rejected.
 package main
 
 import (
@@ -66,11 +72,9 @@ type sweepOptions struct {
 	parallel int
 
 	// warmup prepends an OS-only warmup phase of this many references to
-	// every cell; sharedWarmup additionally runs the sweep on a
-	// shared-warmup pool, so cells that agree on their warmup signature
-	// fork from one warmed machine instead of each re-simulating it.
-	warmup       int
-	sharedWarmup bool
+	// every cell; cells that agree on their warmup signature fork from
+	// one warmed machine instead of each re-simulating it.
+	warmup int
 
 	// metrics enables the observability layer in every cell (counters
 	// only for sweeps — EventCap < 0); the pool's MergedSeries reduces
@@ -91,11 +95,11 @@ type sweepOptions struct {
 	// cells are persisted and reread on the next run, so an interrupted
 	// sweep resumes instead of recomputing.
 	store *store.Store
-	// ladderRun and ladderStats are set when -ladder is on: the cell
-	// function climbs the store's snapshot ladder (resume warmup from the
-	// deepest persisted rung, persist new rungs while climbing) instead
-	// of warming every signature from zero.
-	ladderRun   runner.RunFunc
+	// ladder and ladderStats are set with store: the cell function climbs
+	// the store's snapshot ladder (resume warmup from the deepest
+	// persisted rung, persist new rungs while climbing) instead of
+	// warming every signature from zero.
+	ladder      runner.RunFunc
 	ladderStats *runner.LadderStats
 	// clusterURL routes every cell to a seesaw-coord coordinator (or a
 	// single seesaw-served daemon) instead of simulating locally; see
@@ -103,17 +107,14 @@ type sweepOptions struct {
 	clusterURL string
 }
 
-// newPool builds the hardened pool the sweep runs on.
+// newPool builds the hardened pool the sweep runs on: its warmed cells
+// fork in-memory masters, or climb the store's ladder when one is open.
 func (o sweepOptions) newPool() *runner.Pool {
 	p := o.pool
 	if p == nil {
-		switch {
-		case o.ladderRun != nil:
-			p = runner.NewWithRunContext(o.parallel, o.ladderRun)
-		case o.sharedWarmup:
-			run, _ := runner.LadderRun(nil, 0)
-			p = runner.NewWithRunContext(o.parallel, run)
-		default:
+		if o.ladder != nil {
+			p = runner.NewWithRunContext(o.parallel, o.ladder)
+		} else {
 			p = runner.New(o.parallel)
 		}
 		p.WithTimeout(o.timeout).WithRetries(o.retries)
@@ -163,13 +164,10 @@ func main() {
 		csv      = flag.Bool("csv", false, "emit CSV")
 		parallel = flag.Int("parallel", 0, "simulation cells to run concurrently (0 = GOMAXPROCS, 1 = serial)")
 
-		warmup       = flag.Int("warmup", 0, "OS-only warmup references prepended to every cell (0 = none)")
-		sharedWarmup = flag.Bool("shared-warmup", false,
-			"fork cells from one warmed machine per workload instead of re-simulating each cell's warmup (requires -warmup)")
-		ladder = flag.Bool("ladder", false,
-			"climb the store's snapshot ladder: resume each warmup from the deepest rung persisted in -store and persist new rungs while warming (requires -store and -warmup)")
+		warmup = flag.Int("warmup", 0,
+			"OS-only warmup references prepended to every cell (0 = none); cells sharing a workload fork one warmed machine")
 		rungEvery = flag.Int("rung-every", 0,
-			"persist an intermediate snapshot rung every N warmup references while climbing (0 = only the warmup-boundary rung; requires -ladder)")
+			"persist an intermediate snapshot rung every N warmup references while climbing the store's ladder (0 = only the warmup-boundary rung; requires -store)")
 
 		chaos = flag.Bool("chaos", false,
 			"chaos mode: every cache design under every fault schedule with the invariant checker on")
@@ -185,7 +183,7 @@ func main() {
 		promOut  = flag.String("prom", "", "write a Prometheus text-format snapshot of the sweep's merged counters to `file` (- for stdout)")
 		progress = flag.Bool("progress", false, "show a live per-cell progress line on stderr")
 		storeDir = flag.String("store", "",
-			"content-addressed result store `dir`: completed cells are persisted and reused, so a killed sweep resumes where it stopped")
+			"content-addressed result store `dir`: completed cells and warmup rungs are persisted and reused, so a killed sweep resumes where it stopped")
 		clusterURL = flag.String("cluster", "",
 			"run every cell on the seesaw-coord cluster (or seesaw-served daemon) at `URL` instead of simulating locally")
 	)
@@ -196,19 +194,12 @@ func main() {
 	}
 
 	o := sweepOptions{
-		refs: *refs, seed: *seed, parallel: *parallel,
-		warmup: *warmup, sharedWarmup: *sharedWarmup,
+		refs: *refs, seed: *seed, parallel: *parallel, warmup: *warmup,
 		check: *check, timeout: *cellTimeout, retries: *retries,
 		clusterURL: *clusterURL,
 	}
-	if *sharedWarmup && *warmup <= 0 {
-		fatalUsage(fmt.Errorf("-shared-warmup needs -warmup > 0"))
-	}
-	if *ladder && (*storeDir == "" || *warmup <= 0) {
-		fatalUsage(fmt.Errorf("-ladder needs -store and -warmup > 0"))
-	}
-	if *rungEvery != 0 && !*ladder {
-		fatalUsage(fmt.Errorf("-rung-every needs -ladder"))
+	if *rungEvery != 0 && *storeDir == "" {
+		fatalUsage(fmt.Errorf("-rung-every needs -store"))
 	}
 	if *rungEvery < 0 {
 		fatalUsage(fmt.Errorf("-rung-every must be positive"))
@@ -216,8 +207,9 @@ func main() {
 	if *clusterURL != "" {
 		// Local-pool knobs have no cluster meaning: execution lives on the
 		// workers (seesaw-served -workers/-cell-timeout/-retries), the
-		// store on the coordinator (-store), and shared warmup is the
-		// affinity router's job. Reject rather than silently ignore.
+		// store and its ladder on the coordinator and workers (-store,
+		// -rung-every), and shared warmup is the affinity router's job.
+		// Reject rather than silently ignore.
 		for _, bad := range []struct {
 			set  bool
 			flag string
@@ -225,8 +217,6 @@ func main() {
 			{*promOut != "", "-prom"},
 			{*progress, "-progress"},
 			{*storeDir != "", "-store"},
-			{*sharedWarmup, "-shared-warmup"},
-			{*ladder, "-ladder"},
 			{*parallel != 0, "-parallel"},
 			{*cellTimeout != 0, "-cell-timeout"},
 			{*retries != 0, "-retries"},
@@ -247,11 +237,10 @@ func main() {
 			fatal(fmt.Errorf("-store: %w", err))
 		}
 		o.store = st
-	}
-	if *ladder {
-		// The ladder's cell function needs the open store, so it is
-		// created here and carried into every pool built from o.
-		o.ladderRun, o.ladderStats = runner.LadderRun(o.store, *rungEvery)
+		// The store's snapshot ladder carries every warmup; its cell
+		// function is created here and carried into every pool built
+		// from o.
+		o.ladder, o.ladderStats = runner.LadderRun(st, *rungEvery)
 	}
 	if *promOut != "" || *progress || *storeDir != "" {
 		// These features need the pool held after the sweep (snapshot,
@@ -410,7 +399,7 @@ func reportFailures(fails []failure) {
 // table is byte-identical for any worker count. Failed cells are
 // recorded and their rows marked, never fatal.
 func sweepTable(o sweepOptions) (*stats.Table, []failure, error) {
-	pool := o.newSubmitter()
+	run := o.newSubmitter()
 	// The design axis enumerates the registry in registration order. The
 	// three seed designs keep their historical row shapes (SEESAW expands
 	// into its partition variants, PIPT runs its reduced-TLB 4-way
@@ -453,7 +442,7 @@ func sweepTable(o sweepOptions) (*stats.Table, []failure, error) {
 		for fi, f := range o.freqs {
 			c := cell{designs: make([][]sub, len(designs))}
 			for _, p := range o.profiles {
-				c.bases = append(c.bases, submit(pool, o, p, sim.KindBaseline, size, ways, 0, f, 0, false))
+				c.bases = append(c.bases, submit(run, o, p, sim.KindBaseline, size, ways, 0, f, 0, false))
 			}
 			for di, d := range designs {
 				dw := ways
@@ -462,7 +451,7 @@ func sweepTable(o sweepOptions) (*stats.Table, []failure, error) {
 				}
 				for _, p := range o.profiles {
 					c.designs[di] = append(c.designs[di],
-						submit(pool, o, p, d.kind, size, dw, d.partitions, f, d.serialTLB, d.smallTLB))
+						submit(run, o, p, d.kind, size, dw, d.partitions, f, d.serialTLB, d.smallTLB))
 				}
 			}
 			cells[si][fi] = c
@@ -524,7 +513,7 @@ func sweepTable(o sweepOptions) (*stats.Table, []failure, error) {
 // cells are the results. Physical memory is pre-fragmented so promotion
 // storms have base chunks to work on and compaction is exercised.
 func chaosTable(o sweepOptions) (*stats.Table, []failure, uint64, error) {
-	pool := o.newSubmitter()
+	run := o.newSubmitter()
 	// The design axis is the registry: every registered design runs under
 	// every schedule, with the registry's chaos knob overrides (the
 	// serial-PIPT point only means anything with its reduced TLB and 4
@@ -553,7 +542,7 @@ func chaosTable(o sweepOptions) (*stats.Table, []failure, uint64, error) {
 					Metrics:         o.metrics,
 					Faults:          &sim.FaultsConfig{Schedule: sched, Every: every, Seed: fseed},
 				}
-				subs[si][di] = append(subs[si][di], sub{pool.Submit(cfg), runner.Describe(cfg) + " faults=" + sched})
+				subs[si][di] = append(subs[si][di], sub{run(cfg), runner.Describe(cfg) + " faults=" + sched})
 			}
 		}
 	}
@@ -594,7 +583,7 @@ func chaosTable(o sweepOptions) (*stats.Table, []failure, uint64, error) {
 	return t, col.fails, totalViolations, nil
 }
 
-func submit(pool submitter, o sweepOptions, p workload.Profile, kind sim.CacheKind, size uint64, ways, parts int, freq float64, serialTLB int, smallTLB bool) sub {
+func submit(submit func(sim.Config) future, o sweepOptions, p workload.Profile, kind sim.CacheKind, size uint64, ways, parts int, freq float64, serialTLB int, smallTLB bool) sub {
 	cfg := sim.Config{
 		Workload: p, Seed: o.seed, Refs: o.refs,
 		CacheKind: kind, L1Size: size, L1Ways: ways, Partitions: parts,
@@ -608,7 +597,7 @@ func submit(pool submitter, o sweepOptions, p workload.Profile, kind sim.CacheKi
 		fc := *o.faults
 		cfg.Faults = &fc
 	}
-	return sub{pool.Submit(cfg), runner.Describe(cfg)}
+	return sub{submit(cfg), runner.Describe(cfg)}
 }
 
 func fatal(err error) {

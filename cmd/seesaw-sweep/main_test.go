@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -77,7 +78,7 @@ func TestSweepDegradesGracefullyOnPanickingCell(t *testing.T) {
 	o := testSweepOptions(t, 4)
 	o.refs = 2_000
 	poisoned := 0
-	o.pool = runner.NewWithRun(4, func(cfg sim.Config) (*sim.Report, error) {
+	o.pool = runner.NewWithRunContext(4, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
 		if cfg.Workload.Name == "mcf" && cfg.CacheKind == sim.KindPIPT {
 			poisoned++
 			panic("injected: simulator bug in this one cell")
@@ -124,7 +125,7 @@ func TestSweepDegradesGracefullyOnPanickingCell(t *testing.T) {
 // row stays in the table marked "failed" rather than vanishing.
 func TestSweepRowAllFailedMarked(t *testing.T) {
 	o := testSweepOptions(t, 2)
-	o.pool = runner.NewWithRun(2, func(cfg sim.Config) (*sim.Report, error) {
+	o.pool = runner.NewWithRunContext(2, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
 		if cfg.CacheKind == sim.KindPIPT {
 			panic("PIPT model is broken today")
 		}

@@ -1,136 +1,46 @@
 package evolve
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"seesaw/internal/cluster"
-	"seesaw/internal/service"
 	"seesaw/internal/sim"
 )
 
 // ClusterEvaluator ships each generation's cells to a seesaw-coord
 // coordinator (or a single seesaw-served daemon; the API is identical)
-// instead of simulating locally. Cells accumulate as the search submits
-// them and go out as a handful of batched jobs at Flush — one barrier
-// per generation — mirroring seesaw-sweep's -cluster mode. Dedup then
+// instead of simulating locally. Each generation's cells collect in one
+// cluster.Batch that ships at Flush — one barrier per generation —
+// exactly as seesaw-sweep's -cluster mode ships its grid. Dedup then
 // happens server-side through the coordinator's duplicate-cell
 // piggybacking and the shared result store.
 type ClusterEvaluator struct {
-	cl   *cluster.Client
-	poll time.Duration
-
-	pending []*clusterFuture
+	cl      *cluster.Client
+	batch   *cluster.Batch
 	batches int
 }
 
 // NewClusterEvaluator targets the coordinator at url.
 func NewClusterEvaluator(url string) *ClusterEvaluator {
-	return &ClusterEvaluator{cl: cluster.NewClient(url), poll: 250 * time.Millisecond}
+	return &ClusterEvaluator{cl: cluster.NewClient(url)}
 }
 
-// clusterFuture is a promise filled by the generation's Flush.
-type clusterFuture struct {
-	spec service.CellSpec
-	rep  *sim.Report
-	err  error
-	done bool
-}
-
-func (f *clusterFuture) Wait() (*sim.Report, error) {
-	if !f.done {
-		// Flush fills every future it has seen; an unfilled one means
-		// the caller skipped the generation barrier.
-		return nil, fmt.Errorf("evolve: cell awaited before Flush")
-	}
-	return f.rep, f.err
-}
-
-// Submit implements Evaluator. A cell the wire format cannot carry
-// faithfully becomes an already-failed future (SpecFromConfig proves
-// the round trip), never a silently-different simulation.
+// Submit implements Evaluator: the cell joins the current generation's
+// batch (see cluster.Batch.Submit for configs the wire cannot carry).
 func (e *ClusterEvaluator) Submit(cfg sim.Config) Future {
-	f := &clusterFuture{}
-	spec, err := service.SpecFromConfig(cfg)
-	if err != nil {
-		f.err, f.done = err, true
-		return f
+	if e.batch == nil {
+		e.batches++
+		e.batch = cluster.NewBatch(e.cl, fmt.Sprintf("seesaw-evolve batch %d", e.batches))
 	}
-	f.spec = spec
-	e.pending = append(e.pending, f)
-	return f
+	return e.batch.Submit(cfg)
 }
-
-// jobChunk bounds cells per job, within the smallest default batch cap
-// in the fleet (seesaw-served's -max-cells defaults to 256).
-const jobChunk = 256
 
 // Flush implements Evaluator: ship everything submitted since the last
 // Flush and fill those futures.
 func (e *ClusterEvaluator) Flush() {
-	pending := e.pending
-	e.pending = nil
-	if len(pending) == 0 {
-		return
-	}
-	e.batches++
-	ctx := context.Background()
-	type chunk struct {
-		start, end int
-		id         string
-		err        error
-	}
-	var chunks []chunk
-	for start := 0; start < len(pending); start += jobChunk {
-		end := min(start+jobChunk, len(pending))
-		specs := make([]service.CellSpec, 0, end-start)
-		for _, f := range pending[start:end] {
-			specs = append(specs, f.spec)
-		}
-		st, err := e.cl.Submit(ctx, service.JobRequest{
-			Label: fmt.Sprintf("seesaw-evolve batch %d", e.batches),
-			Cells: specs,
-		})
-		chunks = append(chunks, chunk{start: start, end: end, id: st.ID, err: err})
-	}
-	for _, ch := range chunks {
-		st, err := service.JobStatus{}, ch.err
-		if err == nil {
-			st, err = e.cl.Wait(ctx, ch.id, e.poll)
-		}
-		if err != nil {
-			for _, f := range pending[ch.start:ch.end] {
-				f.err, f.done = err, true
-			}
-			continue
-		}
-		for _, r := range st.Results {
-			i := ch.start + r.Index
-			if i < ch.start || i >= ch.end {
-				continue
-			}
-			f := pending[i]
-			f.done = true
-			switch {
-			case r.Report != nil:
-				f.rep = r.Report
-			case r.Error != "":
-				f.err = fmt.Errorf("cluster: %s", r.Error)
-			default:
-				f.err = fmt.Errorf("cluster: cell %s: %s", r.Desc, r.Status)
-			}
-		}
-		for _, f := range pending[ch.start:ch.end] {
-			if !f.done {
-				f.done = true
-				if st.Error != "" {
-					f.err = fmt.Errorf("cluster: job %s: %s", ch.id, st.Error)
-				} else {
-					f.err = fmt.Errorf("cluster: job %s %s without a result for this cell", ch.id, st.State)
-				}
-			}
-		}
+	if e.batch != nil {
+		e.batch.Flush()
+		e.batch = nil
 	}
 }
 

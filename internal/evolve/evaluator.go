@@ -6,8 +6,8 @@ import (
 )
 
 // Future is the one thing the search needs from a submitted cell.
-// *runner.Future satisfies it for local evaluation; the cluster
-// evaluator's promises do for remote.
+// *runner.Future satisfies it for local evaluation; *cluster.Cell does
+// for remote.
 type Future interface {
 	Wait() (*sim.Report, error)
 }
@@ -23,9 +23,9 @@ type Evaluator interface {
 	Sources() string
 }
 
-// PoolEvaluator adapts a runner.Pool — typically one built over
-// LadderRun with a store attached, so identical genomes across
-// generations and processes cost one simulation ever.
+// PoolEvaluator adapts a runner.Pool — with a store open, one built
+// over that store's LadderRun with the store attached, so identical
+// genomes across generations and processes cost one simulation ever.
 type PoolEvaluator struct {
 	Pool *runner.Pool
 }

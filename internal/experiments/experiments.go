@@ -36,15 +36,11 @@ type Options struct {
 	// Workloads restricts the workload set (default: all sixteen).
 	Workloads []string
 	// WarmupRefs prepends an OS-only warmup phase of this many references
-	// to every cell (0 = none); see machine.Config.WarmupRefs.
+	// to every cell (0 = none); see machine.Config.WarmupRefs. On a
+	// runner.New pool (the default), cells that agree on their warmup
+	// signature fork from one warmed machine, so the warmup is paid once
+	// per workload, not per cell.
 	WarmupRefs int
-	// SharedWarmup runs the experiment on a shared-warmup pool (when Pool
-	// is nil): cells that agree on their warmup signature — same
-	// workload, seed, and OS parameters, differing only in measured-phase
-	// design points — fork from one warmed machine instead of each
-	// re-simulating WarmupRefs references. Reports are byte-identical to
-	// cold runs, so tables do not change; only wall-clock time does.
-	SharedWarmup bool
 	// Parallel bounds concurrent simulation cells when Pool is nil:
 	// 0 selects runtime.GOMAXPROCS(0), 1 restores serial execution.
 	Parallel int
@@ -67,12 +63,7 @@ func (o Options) withDefaults() Options {
 		o.Workloads = workload.Names()
 	}
 	if o.Pool == nil {
-		if o.SharedWarmup {
-			run, _ := runner.LadderRun(nil, 0)
-			o.Pool = runner.NewWithRunContext(o.Parallel, run)
-		} else {
-			o.Pool = runner.New(o.Parallel)
-		}
+		o.Pool = runner.New(o.Parallel)
 	}
 	return o
 }

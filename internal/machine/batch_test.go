@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"runtime"
+	"strings"
 	"testing"
 
 	"seesaw/internal/workload"
@@ -110,51 +111,67 @@ func TestParallelGenDeterminism(t *testing.T) {
 	}
 }
 
-// TestSnapshotMidEpochPending snapshots a machine in the middle of an
-// epoch — pre-generated records pending in the batch buffer, the
-// generator already advanced past them — and requires the resumed copy
-// to continue byte-identically. This is the hazard epochBuf.clone
-// guards: dropping pending records would desync the clone's stream.
+// TestSnapshotMidEpochPending: a machine stopped inside a batched epoch
+// holds pre-generated records the generator has already advanced past.
+// Snapshot and Fork must refuse it rather than copy a desynced stream,
+// and the refusal must leave the machine runnable: its continuation
+// still matches a cold run byte for byte.
 func TestSnapshotMidEpochPending(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(t, KindSeesaw)
-	m := warmMaster(t, cfg)
+	want := reportText(t, mustBuild(t, cfg))
 	total := cfg.WarmupRefs + cfg.Refs
+
+	// Batch the warmup with the measured phase as the lookahead bound:
+	// the machine stops at the warmup boundary with the first measured
+	// epoch already generated.
+	atBoundary := mustBuild(t, cfg)
+	if err := atBoundary.stepBatch(cfg.WarmupRefs, 0, total); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := atBoundary.Fork(cfg); err == nil || !strings.Contains(err.Error(), "pending") {
+		t.Errorf("Fork with pre-generated records pending returned %v, want a pending-records error", err)
+	}
 
 	// Execute 100 references of a ~4096-reference epoch, leaving the
 	// rest pending.
+	m := warmMaster(t, cfg)
 	if err := m.stepBatch(100, cfg.WarmupRefs, total); err != nil {
 		t.Fatal(err)
 	}
 	if m.batch.cur.empty() {
 		t.Fatal("expected pending pre-generated records mid-epoch")
 	}
-	snap, err := m.Snapshot()
+	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "pending") {
+		t.Errorf("Snapshot with pre-generated records pending returned %v, want a pending-records error", err)
+	}
+
+	for name, mc := range map[string]*Machine{"boundary": atBoundary, "mid-epoch": m} {
+		if err := mc.Measure(ctx); err != nil {
+			t.Fatal(err)
+		}
+		r, err := mc.Report()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := r.WriteText(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, got.Bytes()) {
+			t.Errorf("%s: continuation after a refused copy differs from the cold run:\nwant:\n%s\ngot:\n%s", name, want, got.Bytes())
+		}
+	}
+}
+
+// mustBuild builds a machine for cfg.
+func mustBuild(t *testing.T, cfg Config) *Machine {
+	t.Helper()
+	m, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The original continues to completion through the batched loop.
-	if err := m.Measure(ctx); err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.Report()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := r.WriteText(&want); err != nil {
-		t.Fatal(err)
-	}
-
-	// One resume continues batched, another drains serially via Step —
-	// both must match the original continuation exactly.
-	if got := reportText(t, snap.Resume()); !bytes.Equal(want.Bytes(), got) {
-		t.Errorf("batched resume differs from original continuation:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
-	}
-	if got := stepToEnd(t, snap.Resume()); !bytes.Equal(want.Bytes(), got) {
-		t.Errorf("stepped resume differs from original continuation:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
-	}
+	return m
 }
 
 // TestMeasuredStepAllocFree is the allocation regression gate: with

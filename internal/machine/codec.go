@@ -24,7 +24,6 @@ import (
 	"seesaw/internal/osmm"
 	"seesaw/internal/physmem"
 	"seesaw/internal/tlb"
-	"seesaw/internal/trace"
 	"seesaw/internal/workload"
 	"seesaw/internal/xrand"
 )
@@ -36,12 +35,14 @@ import (
 // every snapshot key and prunes entries whose header disagrees, so old
 // rungs are recomputed rather than mis-resumed.
 //
-// Version 3 encodes physical memory as the buddy's free blocks and the
-// memhog's pinned frames only; version 2 also carried the buddy's heap
-// arrays and the hog's frame index. Since version 2, Config travels
-// as-is, CacheKind as its registry name; version 1 stored CacheKind as
-// an int enum. Older versions no longer decode.
-const SnapshotSchemaVersion = 3
+// Version 4 carries no pre-generated records: snapshots are only taken
+// with both epoch buffers empty, so version 3's BatchCur/BatchNext are
+// gone. Since version 3, physical memory is encoded as the buddy's free
+// blocks and the memhog's pinned frames only; version 2 also carried
+// the buddy's heap arrays and the hog's frame index. Since version 2,
+// Config travels as-is, CacheKind as its registry name; version 1
+// stored CacheKind as an int enum. Older versions no longer decode.
+const SnapshotSchemaVersion = 4
 
 // snapMagic opens every encoded snapshot. The leading byte is
 // deliberately non-ASCII so a snapshot is never mistaken for text.
@@ -70,28 +71,6 @@ var (
 	// SnapshotSchemaVersion.
 	ErrSnapshotSchema = errors.New("machine: snapshot schema mismatch")
 )
-
-// epochState is one epoch buffer's unconsumed pre-generated records.
-type epochState struct {
-	Start  int
-	Recs   []trace.Record
-	IVAs   []addr.VAddr
-	Jumps  []bool
-	ICache bool
-}
-
-func epochStateOf(e epochBuf) epochState {
-	c := e.clone() // unconsumed suffix only
-	return epochState{Start: c.start, Recs: c.recs, IVAs: c.ivas, Jumps: c.jumps, ICache: c.icache}
-}
-
-func (s epochState) buf() (epochBuf, error) {
-	if len(s.IVAs) != len(s.Recs) || len(s.Jumps) != len(s.Recs) {
-		return epochBuf{}, fmt.Errorf("pre-generated record arrays disagree (%d recs, %d ivas, %d jumps)",
-			len(s.Recs), len(s.IVAs), len(s.Jumps))
-	}
-	return epochBuf{start: s.Start, recs: s.Recs, ivas: s.IVAs, jumps: s.Jumps, icache: s.ICache}, nil
-}
 
 // snapshotState is the complete serialized machine: the config it was
 // built from plus every component's mutable state. Decoding rebuilds
@@ -126,13 +105,10 @@ type snapshotState struct {
 	Metrics   *metrics.RecorderState
 	Checker   *check.State
 	LastWidth []int
-
-	BatchCur  epochState
-	BatchNext epochState
 }
 
-// captureState serializes the machine. The receiver must be settled (no
-// in-flight lookahead generation); Snapshot's clone guarantees that.
+// captureState serializes the machine. The receiver must hold no
+// pre-generated records; Snapshot's check guarantees that.
 func (m *Machine) captureState() (*snapshotState, error) {
 	st := &snapshotState{
 		Cfg:       m.cfg,
@@ -147,8 +123,6 @@ func (m *Machine) captureState() (*snapshotState, error) {
 		Gen:       m.gen.State(),
 		Acct:      *m.acct,
 		LastWidth: append([]int(nil), m.lastWidth...),
-		BatchCur:  epochStateOf(m.batch.cur),
-		BatchNext: epochStateOf(m.batch.next),
 	}
 	if m.hog != nil {
 		hs := m.hog.State()
@@ -283,29 +257,6 @@ func (m *Machine) applyState(st *snapshotState) error {
 			return err
 		}
 	}
-
-	for _, b := range [2]epochState{st.BatchCur, st.BatchNext} {
-		for _, rec := range b.Recs {
-			if int(rec.TID) >= m.nCores {
-				return fmt.Errorf("pre-generated record names thread %d of %d cores", rec.TID, m.nCores)
-			}
-		}
-	}
-	cur, err := st.BatchCur.buf()
-	if err != nil {
-		return err
-	}
-	next, err := st.BatchNext.buf()
-	if err != nil {
-		return err
-	}
-	if len(cur.recs) > 0 && cur.start != st.GlobalRef {
-		return fmt.Errorf("pre-generated records start at %d, cursor is at %d", cur.start, st.GlobalRef)
-	}
-	if len(next.recs) > 0 && next.start != cur.start+len(cur.recs) {
-		return fmt.Errorf("lookahead epoch out of order")
-	}
-	m.batch.cur, m.batch.next = cur, next
 
 	m.globalRef = st.GlobalRef
 	m.curRef = st.CurRef

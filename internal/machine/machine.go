@@ -913,29 +913,12 @@ type epochBuf struct {
 
 func (e *epochBuf) empty() bool { return e.off >= len(e.recs) }
 
-// clone deep-copies the buffer's unconsumed suffix. Pending records
-// must travel with a machine clone: the generator has already advanced
-// past them, so dropping them would desync the clone's reference
-// stream.
-func (e *epochBuf) clone() epochBuf {
-	if e.empty() {
-		return epochBuf{}
-	}
-	return epochBuf{
-		start:  e.start + e.off,
-		recs:   append([]trace.Record(nil), e.recs[e.off:]...),
-		ivas:   append([]addr.VAddr(nil), e.ivas[e.off:]...),
-		jumps:  append([]bool(nil), e.jumps[e.off:]...),
-		icache: e.icache,
-	}
-}
-
 // batchState is the double-buffered epoch pipeline: cur holds the
 // records currently being executed, next is (optionally) being filled
 // by generator goroutines while execution proceeds — generation never
 // reads execution state, so the lookahead is free parallelism. The
-// buffers are reused across epochs; clone copies any unconsumed
-// records (the generator has already advanced past them).
+// buffers are reused across epochs and never copied: snapshots and
+// forks refuse a machine with records pending (checkNoPending).
 type batchState struct {
 	cur      epochBuf
 	next     epochBuf
@@ -945,7 +928,7 @@ type batchState struct {
 
 // settle waits for any in-flight lookahead generation and, when the
 // current buffer is drained, adopts the lookahead epoch as current.
-// Callers that clone the generator or read batch state must settle
+// Callers that copy the generator or read batch state must settle
 // first. Both buffers may legitimately hold records — a batch that
 // stopped mid-epoch leaves cur partially consumed with next already
 // generated — but then next must be the epoch immediately after cur.

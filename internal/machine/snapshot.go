@@ -76,13 +76,9 @@ func (c Config) WarmupSignature() WarmupSignature {
 // cloneOS deep-copies the OS half of the machine into dst: RNG position,
 // physical memory, fragmentation, manager and every address space, and
 // the workload generators. After it returns, dst.proc is the clone's
-// main process and dst's manager hooks are still unwired.
+// main process and dst's manager hooks are still unwired. The receiver
+// must hold no pre-generated records (see checkNoPending).
 func (m *Machine) cloneOS(dst *Machine) {
-	// Join any in-flight lookahead generation (the workers mutate m.gen)
-	// and carry unconsumed pre-generated records over to the clone.
-	m.settle()
-	dst.batch.cur = m.batch.cur.clone()
-	dst.batch.next = m.batch.next.clone()
 	dst.rngSrc = m.rngSrc.Clone()
 	dst.rng = rand.New(dst.rngSrc)
 	dst.buddy = m.buddy.Clone()
@@ -200,8 +196,28 @@ type Snapshot struct {
 // each resumed copy gets its own metrics recorder, invariant checker,
 // and fault injector, all positioned exactly where the original's were,
 // so a resumed run continues bit-identically to the uninterrupted one.
+// It fails while pre-generated records are pending (see checkNoPending).
 func (m *Machine) Snapshot() (*Snapshot, error) {
+	if err := m.checkNoPending(); err != nil {
+		return nil, err
+	}
 	return &Snapshot{m: m.clone()}, nil
+}
+
+// checkNoPending joins any in-flight lookahead generation and refuses a
+// machine whose epoch buffers still hold pre-generated records: the
+// generator has already advanced past them, so a copy without them
+// would desync its reference stream. Every completed Warmup, WarmupTo
+// or Measure leaves both buffers empty (a phase's last epoch starts no
+// lookahead), so records are pending only after a canceled run or a
+// partial epoch; Step drains them.
+func (m *Machine) checkNoPending() error {
+	m.settle()
+	if !m.batch.cur.empty() || !m.batch.next.empty() {
+		return fmt.Errorf("sim: pre-generated records are pending at ref %d; snapshot or fork after a completed Warmup, WarmupTo or Measure",
+			m.globalRef)
+	}
+	return nil
 }
 
 // Resume returns an independent machine continuing from the snapshot's
@@ -222,7 +238,8 @@ func (s *Snapshot) Resume() *Machine {
 // completed, Measure not started) and cfg's WarmupSignature must equal
 // the receiver's; otherwise Fork fails. Unlike Snapshot, Fork accepts
 // any hooks in cfg — metrics, checker, and faults all start fresh in
-// the measured phase, exactly as they would in a cold run.
+// the measured phase, exactly as they would in a cold run. Like
+// Snapshot, it fails while pre-generated records are pending.
 func (m *Machine) Fork(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -233,6 +250,9 @@ func (m *Machine) Fork(cfg Config) (*Machine, error) {
 	}
 	if got, want := cfg.WarmupSignature(), m.cfg.WarmupSignature(); got != want {
 		return nil, fmt.Errorf("sim: fork config's warmup signature disagrees with the warmed machine's")
+	}
+	if err := m.checkNoPending(); err != nil {
+		return nil, err
 	}
 	f := &Machine{
 		cfg:       cfg.withDefaults(),

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -15,7 +16,7 @@ import (
 // function resolves its future with a typed CellError (stack attached)
 // instead of killing the process.
 func TestPanicBecomesCellError(t *testing.T) {
-	p := NewWithRun(2, func(cfg sim.Config) (*sim.Report, error) {
+	p := NewWithRunContext(2, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
 		panic("array index out of range [deep in the simulator]")
 	})
 	_, err := p.Submit(testConfig(t, "redis", 42)).Wait()
@@ -42,7 +43,7 @@ func TestPanicBecomesCellError(t *testing.T) {
 func TestTimeoutBecomesCellError(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	p := NewWithRun(2, func(cfg sim.Config) (*sim.Report, error) {
+	p := NewWithRunContext(2, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
 		<-release // hangs until the test ends
 		return &sim.Report{}, nil
 	}).WithTimeout(20 * time.Millisecond)
@@ -60,7 +61,7 @@ func TestTimeoutBecomesCellError(t *testing.T) {
 // succeeds completes under WithRetries, with the retry counted.
 func TestRetryRecoversTransientFailure(t *testing.T) {
 	calls := 0
-	p := NewWithRun(1, func(cfg sim.Config) (*sim.Report, error) {
+	p := NewWithRunContext(1, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
 		calls++
 		if calls == 1 {
 			panic("transient")
@@ -86,7 +87,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 func TestDeterministicErrorNotRetried(t *testing.T) {
 	calls := 0
 	simErr := fmt.Errorf("sim: invalid geometry")
-	p := NewWithRun(1, func(cfg sim.Config) (*sim.Report, error) {
+	p := NewWithRunContext(1, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
 		calls++
 		return nil, simErr
 	}).WithRetries(3)
@@ -106,7 +107,7 @@ func TestDeterministicErrorNotRetried(t *testing.T) {
 // as a CellError while every other cell completes normally — graceful
 // degradation instead of a dead process.
 func TestSweepSurvivesPanickingCell(t *testing.T) {
-	p := NewWithRun(4, func(cfg sim.Config) (*sim.Report, error) {
+	p := NewWithRunContext(4, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
 		if cfg.Seed == 13 {
 			panic("poisoned cell")
 		}
@@ -149,7 +150,7 @@ func TestRealPanicInsideSimIsContained(t *testing.T) {
 // different addresses share one execution; different schedules do not.
 func TestFaultConfigKeyedByValue(t *testing.T) {
 	runs := 0
-	p := NewWithRun(1, func(cfg sim.Config) (*sim.Report, error) {
+	p := NewWithRunContext(1, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
 		runs++
 		return &sim.Report{}, nil
 	})

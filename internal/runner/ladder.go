@@ -83,13 +83,15 @@ type warmEntry struct {
 // bit-exact machine snapshot, and the measured phase always runs fresh
 // via Fork.
 //
-// With snaps == nil the ladder degenerates to plain in-memory shared
-// warmup: each distinct WarmupSignature is warmed once, by whichever
-// cell arrives first, and every matching cell forks its measured phase
-// from that master. A failed warmup (e.g. canceled) is dropped so a
-// later cell can rebuild it. The masters live in the returned closure,
-// so many short-lived pools can share them. Configs with no warmup
-// phase or a replay trace take the ordinary sim.RunContext path.
+// With snaps == nil (an untyped nil: a nil *store.Store inside the
+// interface is not nil) the ladder degenerates to the in-memory shared
+// warmup New uses: each distinct WarmupSignature is warmed once, by
+// whichever cell arrives first, and every matching cell forks its
+// measured phase from that master. A failed warmup (e.g. canceled) is
+// dropped so a later cell can rebuild it. The masters live in the
+// returned closure, so many short-lived pools can share them. Configs
+// with no warmup phase or a replay trace take the ordinary
+// sim.RunContext path.
 func LadderRun(snaps SnapshotStore, rungEvery int) (RunFunc, *LadderStats) {
 	stats := &LadderStats{}
 	var mu sync.Mutex

@@ -55,9 +55,8 @@ func TestLadderMatchesCold(t *testing.T) {
 		ladderConfig(t, sim.KindPIPT, 42),
 	}
 	cold := make([][]byte, len(cfgs))
-	coldRun := sharedWarmup()
 	for i, c := range cfgs {
-		cold[i] = runCell(t, coldRun, c)
+		cold[i] = runCell(t, sim.RunContext, c)
 	}
 
 	// First ladder: cold store, so it warms from zero and persists rungs.
@@ -115,7 +114,7 @@ func TestLadderResumesPartialRung(t *testing.T) {
 
 	// The retry resumes at 10_000 and runs only the remaining half.
 	retry, rs := LadderRun(s, 5_000)
-	want := runCell(t, sharedWarmup(), cfg)
+	want := runCell(t, sim.RunContext, cfg)
 	if got := runCell(t, retry, cfg); !bytes.Equal(want, got) {
 		t.Error("retried ladder report differs from cold")
 	}
@@ -157,7 +156,7 @@ func TestLadderDropsBadRung(t *testing.T) {
 		t.Fatal(err)
 	}
 	run, rs := LadderRun(s, 0)
-	want := runCell(t, sharedWarmup(), cfg)
+	want := runCell(t, sim.RunContext, cfg)
 	if got := runCell(t, run, cfg); !bytes.Equal(want, got) {
 		t.Error("ladder report after dropping a bad rung differs from cold")
 	}
@@ -177,7 +176,7 @@ func TestLadderPassthrough(t *testing.T) {
 	s := openLadderStore(t)
 	cfg := testConfig(t, "mcf", 42) // WarmupRefs == 0
 	run, rs := LadderRun(s, 1_000)
-	want := runCell(t, sharedWarmup(), cfg)
+	want := runCell(t, sim.RunContext, cfg)
 	if got := runCell(t, run, cfg); !bytes.Equal(want, got) {
 		t.Error("passthrough report differs")
 	}

@@ -7,6 +7,13 @@
 // is byte-identical to a serial run of the same cells with the same seed
 // (sim.Run is deterministic and shares no state between runs).
 //
+// Warmed cells fork a shared master: New runs every cell through
+// LadderRun(nil, 0), so cells that agree on their warmup signature pay
+// for one warmup between them, and a command that opens a store climbs
+// that store's snapshot ladder the same way (LadderRun(store, n)).
+// Forked and resumed reports are byte-identical to cold sim.RunContext
+// runs, which stays the reference the tests compare against.
+//
 // The pool also carries a keyed result cache: two submissions of an
 // identical cell share one execution. The evaluation re-runs the same
 // baseline-VIPT cell once per figure that compares against it; with one
@@ -183,20 +190,12 @@ type Pool struct {
 }
 
 // New returns a pool with the given worker count; workers <= 0 selects
-// runtime.GOMAXPROCS(0).
+// runtime.GOMAXPROCS(0). Its cells run through LadderRun(nil, 0): each
+// distinct warmup signature is warmed once and every matching cell forks
+// its measured phase from that master, which lives as long as the pool.
 func New(workers int) *Pool {
-	return NewWithRunContext(workers, sim.RunContext)
-}
-
-// NewWithRun is New with a context-blind cell function injected — the
-// legacy seam for tests whose stand-in cells need no cancellation. Cells
-// that ignore the context cannot be stopped mid-run: a timeout still
-// returns promptly but the abandoned attempt runs to completion. Prefer
-// NewWithRunContext for anything that can block.
-func NewWithRun(workers int, run func(sim.Config) (*sim.Report, error)) *Pool {
-	return NewWithRunContext(workers, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
-		return run(cfg)
-	})
+	run, _ := LadderRun(nil, 0)
+	return NewWithRunContext(workers, run)
 }
 
 // NewWithRunContext is New with the cell-execution function injected —
@@ -369,11 +368,13 @@ func (p *Pool) Stats() Stats {
 }
 
 // Submit schedules one simulation and returns its future immediately.
-// Identical configs share a single execution and report; a config
-// carrying a replay trace is never cached (the trace slice is not part
-// of the key).
+// Identical configs share a single execution and report; identity is
+// sim.Config.CanonicalKey, the same key the disk store addresses by, so
+// the two caches never disagree about which cells are "the same". A
+// config carrying a replay trace is never cached (the trace slice is not
+// part of the key).
 func (p *Pool) Submit(cfg sim.Config) *Future {
-	key, cacheable := cellKey(cfg)
+	key, cacheable := cfg.CanonicalKey()
 	p.mu.Lock()
 	p.stats.Submitted++
 	if cacheable {
@@ -567,12 +568,4 @@ func (p *Pool) MergedSeries() *metrics.Series {
 		merged.Merge(rep.Metrics)
 	}
 	return merged
-}
-
-// cellKey derives the in-memory cache key for a config. Cell identity is
-// owned by sim.Config.CanonicalKey so the pool's duplicate-cell cache
-// and the disk store's content addressing can never disagree about which
-// cells are "the same".
-func cellKey(cfg sim.Config) (string, bool) {
-	return cfg.CanonicalKey()
 }

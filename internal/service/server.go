@@ -200,7 +200,6 @@ func (j *job) poolStats() PoolStats {
 		Submitted: ps.Submitted, Runs: ps.Runs, CacheHits: ps.CacheHits,
 		Retries: ps.Retries, Failures: ps.Failures,
 		StoreHits: ps.StoreHits, StorePuts: ps.StorePuts,
-		RungResumes: ps.RungResumes, RungRefsSkipped: ps.RungRefsSkipped,
 	}
 }
 

@@ -291,7 +291,9 @@ type CellResult struct {
 	Report *sim.Report `json:"report,omitempty"`
 }
 
-// PoolStats mirrors runner.Stats on the wire.
+// PoolStats mirrors runner.Stats' per-job counters on the wire. The
+// snapshot ladder is shared by every job on a daemon, so its counters
+// are daemon lifetime totals and live on /healthz instead.
 type PoolStats struct {
 	Submitted uint64 `json:"submitted"`
 	Runs      uint64 `json:"runs"`
@@ -300,10 +302,6 @@ type PoolStats struct {
 	Failures  uint64 `json:"failures"`
 	StoreHits uint64 `json:"store_hits"`
 	StorePuts uint64 `json:"store_puts"`
-	// Ladder resume counters (zero when the server runs without a
-	// snapshot ladder).
-	RungResumes     uint64 `json:"rung_resumes,omitempty"`
-	RungRefsSkipped uint64 `json:"rung_refs_skipped,omitempty"`
 }
 
 // JobStatus is the GET /v1/jobs/{id} body.

@@ -9,9 +9,13 @@
 // per-reference execution and warm-state snapshots — lives in
 // internal/machine. This package re-exports the machine's Config and
 // Report types (and, in facade.go, the few leaf-config vocabularies
-// commands need) so callers depend on one stable surface; sweeps that
-// want to share a warmed machine across cells use internal/machine and
-// internal/runner's shared-warmup pool directly.
+// commands need) so callers depend on one stable surface.
+//
+// RunContext runs one cell cold, warmup included. runner.New pools do
+// not call it for warmed cells: they fork every cell from one warmed
+// master per warmup signature (climbing a store's snapshot ladder when
+// one is open), and RunContext stays the reference those forked reports
+// are tested against, byte for byte.
 package sim
 
 import (

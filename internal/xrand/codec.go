@@ -1,9 +1,6 @@
 package xrand
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // maxReplayDraws bounds how many generator steps SetState will replay.
 // Real runs draw a few source steps per reference, so realistic warmups
@@ -24,37 +21,19 @@ func (s *Source) State() SourceState {
 	return SourceState{Seed: s.seed, Draws: s.n}
 }
 
-// SetState repositions the source in place: the underlying generator is
-// reseeded with st.Seed and fast-forwarded st.Draws steps (O(1) when
-// the state mirror is available — the registers of a replayed twin are
-// copied directly). Mutating in place keeps every rand.Rand wrapped
-// around this source valid, so consumers need no rewiring.
+// SetState repositions the source in place: the generator is reseeded
+// with st.Seed and fast-forwarded st.Draws steps. Mutating in place
+// keeps every rand.Rand wrapped around this source valid, so consumers
+// need no rewiring. A draw count past the replay bound is rejected and
+// leaves the source untouched.
 func (s *Source) SetState(st SourceState) error {
 	if st.Draws > maxReplayDraws {
 		return fmt.Errorf("xrand: %d draws exceeds the replay bound (corrupt state?)", st.Draws)
 	}
-	src := rand.NewSource(st.Seed).(rand.Source64)
-	if mirrorOK {
-		twin := stateOf(src)
-		for i := uint64(0); i < st.Draws; i++ {
-			twin.step()
-		}
-		if s.st == nil {
-			// The source was built before the mirror check passed (it
-			// cannot have been: mirrorOK is decided at init), but stay
-			// defensive and keep a consistent view.
-			s.src = src
-			s.st = twin
-		} else {
-			*s.st = *twin
-		}
-	} else {
-		for i := uint64(0); i < st.Draws; i++ {
-			src.Uint64()
-		}
-		s.src = src
+	s.Seed(st.Seed)
+	for i := uint64(0); i < st.Draws; i++ {
+		s.rng.step()
 	}
-	s.seed = st.Seed
 	s.n = st.Draws
 	return nil
 }

@@ -56,51 +56,6 @@ func TestSourceStateRandWiring(t *testing.T) {
 	}
 }
 
-// TestSourceStateWithoutMirror: a source whose state mirror is absent
-// (the defensive path — real constructors always attach one when the
-// mirror check passes) is still repositioned correctly.
-func TestSourceStateWithoutMirror(t *testing.T) {
-	orig := NewSource(5)
-	rand.New(orig).Intn(1000)
-
-	bare := &Source{seed: 1, src: rand.NewSource(1).(rand.Source64)}
-	if err := bare.SetState(orig.State()); err != nil {
-		t.Fatal(err)
-	}
-	want := orig.Clone()
-	for i := 0; i < 32; i++ {
-		if a, b := want.Uint64(), bare.Uint64(); a != b {
-			t.Fatalf("mirror-less restore diverged at draw %d", i)
-		}
-	}
-}
-
-// TestSourceStateMirrorDisabled: on a toolchain where the state mirror
-// fails its self-check, SetState falls back to reseed-and-replay and
-// must still land on the exact generator position.
-func TestSourceStateMirrorDisabled(t *testing.T) {
-	defer func(ok bool) { mirrorOK = ok }(mirrorOK)
-	mirrorOK = false
-
-	orig := NewSource(5)
-	rand.New(orig).Intn(1000)
-	st := orig.State()
-
-	resumed := NewSource(1)
-	if err := resumed.SetState(st); err != nil {
-		t.Fatal(err)
-	}
-	want := NewSource(5)
-	for i := uint64(0); i < st.Draws; i++ {
-		want.Uint64()
-	}
-	for i := 0; i < 32; i++ {
-		if a, b := want.Uint64(), resumed.Uint64(); a != b {
-			t.Fatalf("replay-restored stream diverged at draw %d", i)
-		}
-	}
-}
-
 // TestSourceStateReplayBound: a draw count past the replay bound is a
 // corrupt state and must be rejected, leaving the source untouched.
 func TestSourceStateReplayBound(t *testing.T) {

@@ -1,44 +1,29 @@
 package xrand
 
-import (
-	"math/rand"
-	"unsafe"
-)
+import "math/rand"
 
 // The hot loops of the simulator burn a meaningful fraction of their
-// cycles inside math/rand: every Float64 the workload generator draws
-// crosses two interface dispatches (rand.Rand -> Source, counting
-// Source -> wrapped Source) before reaching the stock generator, and
-// cloning a warm source replays its entire draw history. Both costs
-// disappear if we can touch the stock generator's state directly.
+// cycles inside the generator: every Float64 the workload generator
+// draws through a stock rand.Rand crosses two interface dispatches
+// (rand.Rand -> Source -> generator). Source steps its own copy of the
+// generator, and the concrete Rand below calls it without any dispatch.
 //
 // math/rand's default source is a 607-word additive lagged-Fibonacci
-// generator (Mitchell & Reeds) whose state struct — {tap, feed int;
-// vec [607]int64} — has had the same layout since Go 1. We mirror that
-// layout and, when a runtime self-check proves the mirror faithful,
-// step the generator in-place without any dispatch and clone it by
-// copying the 607 words instead of replaying history. If the stdlib
-// ever changes the layout, the self-check fails and everything falls
-// back to the portable interface path; the value stream is identical
-// either way.
+// generator (Mitchell & Reeds): each step moves two cursors, tap and
+// feed, one slot down the ring and adds the word at tap into the word at
+// feed, which is also the output. Its stream has been fixed since Go 1.
 
 const (
 	rngLen  = 607
+	rngTap  = 273
 	rngMask = 1<<63 - 1
 )
 
-// rngState mirrors math/rand.rngSource's layout.
+// rngState is the lagged-Fibonacci generator: the ring and its cursors.
 type rngState struct {
 	tap  int
 	feed int
 	vec  [rngLen]int64
-}
-
-// stateOf returns the state of a stock *rand.rngSource held in src.
-// Only valid when mirrorOK: callers must check it first.
-func stateOf(src rand.Source64) *rngState {
-	type iface struct{ typ, data unsafe.Pointer }
-	return (*rngState)((*iface)(unsafe.Pointer(&src)).data)
 }
 
 // step advances the generator one draw: the stock source's Uint64.
@@ -54,22 +39,31 @@ func (s *rngState) step() uint64 {
 	return uint64(x)
 }
 
-// mirrorOK reports whether the in-place mirror reproduces the stock
-// generator exactly on this toolchain.
-var mirrorOK = func() bool {
-	ref := rand.NewSource(0x5ee5a).(rand.Source64)
-	mir := rand.NewSource(0x5ee5a).(rand.Source64)
-	st := stateOf(mir)
-	if st == nil || st.tap < 0 || st.tap >= rngLen || st.feed < 0 || st.feed >= rngLen {
-		return false
+// seed sets the state rand.NewSource(seed) starts from. The stock
+// seeding mixes the seed with a table math/rand does not export, so the
+// state is recovered from the stock stream instead: from the stock
+// cursors (tap 0, feed rngLen-rngTap) the first rngLen steps write every
+// slot exactly once, each with that step's output, so placing the first
+// rngLen stock outputs where those steps write yields the state after
+// them. Undoing the steps in reverse order then lands exactly on the
+// stock initial state.
+func (s *rngState) seed(seed int64) {
+	stock := rand.NewSource(seed).(rand.Source64)
+	s.tap, s.feed = 0, rngLen-rngTap
+	for i := 0; i < rngLen; i++ {
+		s.step() // moves the cursors; the slot it writes is overwritten
+		s.vec[s.feed] = int64(stock.Uint64())
 	}
-	for i := 0; i < 64; i++ {
-		if st.step() != ref.Uint64() {
-			return false
+	for i := 0; i < rngLen; i++ {
+		s.vec[s.feed] -= s.vec[s.tap]
+		if s.tap++; s.tap == rngLen {
+			s.tap = 0
+		}
+		if s.feed++; s.feed == rngLen {
+			s.feed = 0
 		}
 	}
-	return true
-}()
+}
 
 // A Rand is a concrete replacement for *math/rand.Rand over a counting
 // Source: the same value stream for the methods it offers, without the
@@ -94,20 +88,14 @@ func RandOver(s *Source) *Rand { return &Rand{s: s} }
 func (r *Rand) Int63() int64 {
 	s := r.s
 	s.n++
-	if s.st != nil {
-		return int64(s.st.step() & rngMask)
-	}
-	return s.src.Int63()
+	return int64(s.rng.step() & rngMask)
 }
 
 // Uint64 matches rand.Rand.Uint64 over a Source64.
 func (r *Rand) Uint64() uint64 {
 	s := r.s
 	s.n++
-	if s.st != nil {
-		return s.st.step()
-	}
-	return s.src.Uint64()
+	return s.rng.step()
 }
 
 // Float64 matches rand.Rand.Float64: Go 1's value stream, resampling

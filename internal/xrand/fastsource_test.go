@@ -1,19 +1,35 @@
 package xrand
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// TestMirrorFaithful pins the layout assumption behind the fast path:
-// on the toolchains this repo targets, the rngSource mirror must pass
-// its self-check. If this starts failing after a Go upgrade the
-// simulator still runs correctly (everything falls back to the
-// interface path) — the failure is the signal to update or retire the
-// mirror.
+// TestMirrorFaithful pins the seeding behind Source: its own copy of
+// the stock generator must start exactly where rand.NewSource does, for
+// every class of seed the stock seeding treats specially (zero, which it
+// remaps; negatives and values past int32max, which it reduces), and
+// Int63 and Uint64 drawn straight off the Source must both match the
+// stock source's.
 func TestMirrorFaithful(t *testing.T) {
-	if !mirrorOK {
-		t.Error("rngSource mirror failed its self-check; fast path permanently disabled on this toolchain")
+	seeds := []int64{0, 1, -1, 7, 42, 0x5ee5a, 89482311, 1<<31 - 1, 1 << 31, -(1<<31 - 1),
+		1<<62 + 12345, math.MaxInt64, math.MinInt64}
+	for _, seed := range seeds {
+		want := rand.NewSource(seed).(rand.Source64)
+		got := NewSource(seed)
+		for i := 0; i < 2_000; i++ {
+			if i%2 == 0 {
+				if w, g := want.Int63(), got.Int63(); w != g {
+					t.Fatalf("seed %d: Int63 draw %d: got %v want %v", seed, i, g, w)
+				}
+			} else if w, g := want.Uint64(), got.Uint64(); w != g {
+				t.Fatalf("seed %d: Uint64 draw %d: got %v want %v", seed, i, g, w)
+			}
+		}
+		if got.Draws() != 2_000 {
+			t.Fatalf("seed %d: draws = %d, want 2000", seed, got.Draws())
+		}
 	}
 }
 
@@ -44,8 +60,7 @@ func TestRandMatchesStdlib(t *testing.T) {
 // TestRandCloneAfterManyDraws: cloning a deeply advanced source (well
 // past the 607-word state ring) and continuing through RandOver must
 // match the original's future stream, and the copies must be
-// independent. With the mirror active this clone is a state copy, not
-// a draw-history replay; the stream contract is identical either way.
+// independent. The clone is a state copy, not a draw-history replay.
 func TestRandCloneAfterManyDraws(t *testing.T) {
 	r, src := NewRand(5)
 	for i := 0; i < 250_000; i++ {
@@ -85,86 +100,14 @@ func TestRandCloneMixedConsumers(t *testing.T) {
 	}
 }
 
-// fallbackSource builds a counting Source with the state mirror
-// disabled, as NewSource would produce on a toolchain where the layout
-// self-check fails.
-func fallbackSource(seed int64) *Source {
-	return &Source{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
-}
-
-// TestFallbackPathStream: with the mirror disabled the portable
-// interface path must still produce the exact stdlib stream, through
-// both the Source methods and the concrete Rand, and Clone must fall
-// back to draw-history replay.
-func TestFallbackPathStream(t *testing.T) {
-	want := rand.New(rand.NewSource(21))
-	src := fallbackSource(21)
-	r := RandOver(src)
-	for i := 0; i < 1_000; i++ {
-		switch i % 3 {
-		case 0:
-			if w, g := want.Float64(), r.Float64(); w != g {
-				t.Fatalf("Float64 draw %d: got %v want %v", i, g, w)
-			}
-		case 1:
-			if w, g := want.Int63(), r.Int63(); w != g {
-				t.Fatalf("Int63 draw %d: got %v want %v", i, g, w)
-			}
-		case 2:
-			if w, g := want.Uint64(), r.Uint64(); w != g {
-				t.Fatalf("Uint64 draw %d: got %v want %v", i, g, w)
-			}
-		}
-	}
-
-	// Clone replays the counted draws (c.st is nil too only when the
-	// mirror is globally unavailable; a mirror-less original with a
-	// mirrored clone still lands on the same stream, so just pin the
-	// stream either way).
-	c := src.Clone()
-	if c.Draws() != src.Draws() {
-		t.Fatalf("clone draws = %d, want %d", c.Draws(), src.Draws())
-	}
-	rc := rand.New(c)
-	std := rand.New(src)
-	for i := 0; i < 500; i++ {
-		if w, g := std.Uint64(), rc.Uint64(); w != g {
-			t.Fatalf("draw %d after fallback clone: got %v want %v", i, g, w)
-		}
-	}
-}
-
-// TestFallbackReplayClone forces the replay path on both sides of the
-// clone: neither the original nor the copy may rely on the mirror.
-func TestFallbackReplayClone(t *testing.T) {
-	src := fallbackSource(33)
-	for i := 0; i < 777; i++ {
-		src.Uint64()
-	}
-	// Clone() reseeds via NewSource (which may re-enable the mirror);
-	// replicate its replay arm directly against a mirror-less copy.
-	c := fallbackSource(33)
-	for i := uint64(0); i < src.Draws(); i++ {
-		c.Uint64()
-	}
-	for i := 0; i < 500; i++ {
-		if w, g := src.Uint64(), c.Uint64(); w != g {
-			t.Fatalf("draw %d: got %v want %v", i, g, w)
-		}
-	}
-}
-
 // TestFloat64Resample forces the probability-2⁻⁵³ branch of Float64:
 // an Int63 draw within half an ULP of 2⁶³ makes the division round up
 // to exactly 1.0, which the stdlib (and so this package) resamples.
-// The mirrored state is crafted so the next draw lands in that window
+// The generator state is crafted so the next draw lands in that window
 // and the one after is 0.
 func TestFloat64Resample(t *testing.T) {
 	r, src := NewRand(1)
-	if src.st == nil {
-		t.Skip("state mirror unavailable on this toolchain")
-	}
-	st := src.st
+	st := &src.rng
 	for i := range st.vec {
 		st.vec[i] = 0
 	}
@@ -176,21 +119,6 @@ func TestFloat64Resample(t *testing.T) {
 	}
 	if got := src.Draws() - before; got != 2 {
 		t.Fatalf("resample consumed %d draws, want 2", got)
-	}
-}
-
-// TestFallbackInt63Direct covers the Source-level fallback arms that
-// rand.Rand never reaches (it draws through Uint64 on Source64s).
-func TestFallbackInt63Direct(t *testing.T) {
-	want := rand.NewSource(55)
-	src := fallbackSource(55)
-	for i := 0; i < 200; i++ {
-		if w, g := want.Int63(), src.Int63(); w != g {
-			t.Fatalf("draw %d: got %v want %v", i, g, w)
-		}
-	}
-	if src.Draws() != 200 {
-		t.Fatalf("draws = %d, want 200", src.Draws())
 	}
 }
 

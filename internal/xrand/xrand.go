@@ -1,13 +1,17 @@
-// Package xrand wraps math/rand sources with a draw counter so warm
-// simulator state can be deep-copied. Go's rand.Rand carries hidden
-// generator state that cannot be copied directly, but every draw a
-// rand.Rand makes — Float64, Intn, Uint64, Shuffle — bottoms out in
-// exactly one Int63 or Uint64 call on its Source, and for the stock
-// rngSource both advance the generator by one identical step. Counting
-// those source-level steps therefore identifies the generator's exact
-// position, and a clone is "reseed, replay n steps": a fresh source with
-// the same seed fast-forwarded by n draws produces the same stream the
-// original will produce from here on.
+// Package xrand provides a math/rand-compatible source whose generator
+// state can be copied. Go's rand.Rand carries hidden generator state
+// that cannot be copied directly, so Source carries its own copy of the
+// stock generator — math/rand's 607-word additive lagged-Fibonacci
+// source — started from exactly the state rand.NewSource(seed) starts
+// from. Every stream is therefore the stock stream, and cloning warm
+// simulator state is a struct copy.
+//
+// Every draw a rand.Rand makes — Float64, Intn, Uint64, Shuffle —
+// bottoms out in exactly one Int63 or Uint64 call on its Source, and
+// both advance the generator by one identical step. Source counts those
+// steps, so (seed, draws) identifies the generator's exact position:
+// reseeding and replaying n steps reproduces the stream the source will
+// emit from here on. That pair is the serializable SourceState.
 //
 // Counting at the source level (not the call level) is what makes
 // rejection-sampling consumers like Intn cloneable: however many draws a
@@ -16,70 +20,51 @@ package xrand
 
 import "math/rand"
 
-// Source is a counting math/rand source: a stock rand.NewSource wrapped
-// so every generator step is counted. It implements rand.Source64, so
-// rand.New(src) behaves byte-for-byte like rand.New(rand.NewSource(seed)).
+// Source is a counting math/rand source holding the stock generator's
+// state itself. It implements rand.Source64, so rand.New(src) behaves
+// byte-for-byte like rand.New(rand.NewSource(seed)).
 type Source struct {
 	seed int64
 	n    uint64
-	src  rand.Source64
-	st   *rngState // direct view of src's state when mirrorOK, else nil
+	rng  rngState
 }
 
 // NewSource returns a counting source seeded like rand.NewSource(seed).
 func NewSource(seed int64) *Source {
-	src := rand.NewSource(seed).(rand.Source64)
-	s := &Source{seed: seed, src: src}
-	if mirrorOK {
-		s.st = stateOf(src)
-	}
+	s := &Source{}
+	s.Seed(seed)
 	return s
 }
 
 // Int63 implements rand.Source.
 func (s *Source) Int63() int64 {
 	s.n++
-	if s.st != nil {
-		return int64(s.st.step() & rngMask)
-	}
-	return s.src.Int63()
+	return int64(s.rng.step() & rngMask)
 }
 
 // Uint64 implements rand.Source64.
 func (s *Source) Uint64() uint64 {
 	s.n++
-	if s.st != nil {
-		return s.st.step()
-	}
-	return s.src.Uint64()
+	return s.rng.step()
 }
 
-// Seed implements rand.Source, resetting the draw counter.
+// Seed implements rand.Source: the generator restarts where
+// rand.NewSource(seed) starts and the draw counter resets.
 func (s *Source) Seed(seed int64) {
+	s.rng.seed(seed)
 	s.seed = seed
 	s.n = 0
-	s.src.Seed(seed)
 }
 
 // Draws returns how many generator steps have been taken.
 func (s *Source) Draws() uint64 { return s.n }
 
 // Clone returns an independent source at the same generator position.
-// With the state mirror available this copies the generator registers
-// directly (O(1)); otherwise it reseeds and replays the counted number
-// of steps. The clone and the original produce identical streams from
-// here on and never influence each other.
+// The clone and the original produce identical streams from here on and
+// never influence each other.
 func (s *Source) Clone() *Source {
-	c := NewSource(s.seed)
-	if s.st != nil && c.st != nil {
-		*c.st = *s.st
-	} else {
-		for i := uint64(0); i < s.n; i++ {
-			c.src.Uint64()
-		}
-	}
-	c.n = s.n
-	return c
+	c := *s
+	return &c
 }
 
 // New returns a rand.Rand over a new counting source, plus the source

@@ -1,14 +1,15 @@
 // Command laddersmoke is the snapshot-ladder gate behind `make
 // ladder-smoke`. It drives seesaw-sweep end to end through the ladder's
-// whole lifecycle and gates on the properties that make the ladder safe
-// to enable anywhere:
+// whole lifecycle — a sweep with -store always climbs the store's
+// ladder — and gates on the properties that make the ladder safe:
 //
 //  1. Correctness: a laddered sweep's table is byte-identical to the
-//     cold sweep's — rungs buy wall-clock time only, never different
-//     numbers. Checked three times: for the in-memory shared-warmup
-//     sweep (-shared-warmup, the ladder without a store), for a sweep
-//     that climbed from a mid-warmup rung after a SIGKILL, and for a
-//     sweep that resumed from the boundary rung.
+//     same sweep without a store, whose cells fork an in-memory warmed
+//     master (runner's TestSharedWarmupMatchesCold pins that path
+//     against cold runs) — rungs buy wall-clock time only, never
+//     different numbers. Checked twice: for a sweep that climbed from a
+//     mid-warmup rung after a SIGKILL, and for a sweep that resumed
+//     from the boundary rung.
 //  2. Crash resume: the sweep process is SIGKILLed mid-climb; the rungs
 //     it persisted survive, and the restarted sweep resumes from the
 //     deepest one — asserted from the ladder summary, which must show
@@ -17,7 +18,7 @@
 //     resume every warmup from a rung (hit rate 100%) and execute zero
 //     warmup references.
 //
-// The measured ladder-vs-cold speedup is printed for the log;
+// The measured storeless-vs-laddered speedup is printed for the log;
 // wall-clock ratios are not gated because CI machines are noisy.
 package main
 
@@ -55,7 +56,6 @@ func baseArgs(refs int) []string {
 func ladderArgs(refs int, storeDir string) []string {
 	return append(baseArgs(refs),
 		"-store", storeDir,
-		"-ladder",
 		"-rung-every", strconv.Itoa(rungEvery),
 	)
 }
@@ -126,21 +126,13 @@ func run() error {
 		return outB.Bytes(), errB.Bytes(), time.Since(start), err
 	}
 
-	// Phase 1 — cold reference table (and the cold-cost baseline: every
-	// cell pays its own warmup).
-	cold, _, coldDur, err := sweep(baseArgs(3_000))
+	// The reference table: the same sweep without a store.
+	ref, _, _, err := sweep(baseArgs(3_000))
 	if err != nil {
-		return fmt.Errorf("cold sweep: %w", err)
-	}
-	shared, _, sharedDur, err := sweep(append(baseArgs(3_000), "-shared-warmup"))
-	if err != nil {
-		return fmt.Errorf("shared-warmup sweep: %w", err)
-	}
-	if !bytes.Equal(cold, shared) {
-		return fmt.Errorf("shared-warmup table differs from cold table\n--- cold ---\n%s--- shared ---\n%s", cold, shared)
+		return fmt.Errorf("storeless sweep: %w", err)
 	}
 
-	// Phase 2 — start a laddered sweep and SIGKILL it once two rungs hit
+	// Phase 1 — start a laddered sweep and SIGKILL it once two rungs hit
 	// the disk, mid-climb.
 	kill := exec.Command(bin, ladderArgs(3_000, storeDir)...)
 	kill.Stdout, kill.Stderr = nil, nil
@@ -167,14 +159,14 @@ func run() error {
 		return fmt.Errorf("only %d rung(s) survived the kill, want >= 2", survivors)
 	}
 
-	// Phase 3 — restart the identical sweep: it must resume from the
-	// deepest surviving rung, finish, and reproduce the cold table.
+	// Phase 2 — restart the identical sweep: it must resume from the
+	// deepest surviving rung, finish, and reproduce the reference table.
 	resumed, resumedErr, _, err := sweep(ladderArgs(3_000, storeDir))
 	if err != nil {
 		return fmt.Errorf("restarted sweep: %w\n%s", err, resumedErr)
 	}
-	if !bytes.Equal(cold, resumed) {
-		return fmt.Errorf("restarted ladder table differs from cold table\n--- cold ---\n%s--- resumed ---\n%s", cold, resumed)
+	if !bytes.Equal(ref, resumed) {
+		return fmt.Errorf("restarted ladder table differs from storeless table\n--- storeless ---\n%s--- resumed ---\n%s", ref, resumed)
 	}
 	s, err := parseSummary(resumedErr)
 	if err != nil {
@@ -188,19 +180,19 @@ func run() error {
 			s.executed, rungEvery, s)
 	}
 
-	// Phase 4 — a fresh sweep with a different measured phase (so the
+	// Phase 3 — a fresh sweep with a different measured phase (so the
 	// report store cannot answer it) must warm entirely from the
 	// boundary rung: 100%% rung hit rate, zero warmup references run.
-	cold2, _, cold2Dur, err := sweep(baseArgs(5_000))
+	ref2, _, ref2Dur, err := sweep(baseArgs(5_000))
 	if err != nil {
-		return fmt.Errorf("second cold sweep: %w", err)
+		return fmt.Errorf("second storeless sweep: %w", err)
 	}
 	full, fullErr, fullDur, err := sweep(ladderArgs(5_000, storeDir))
 	if err != nil {
 		return fmt.Errorf("full-resume sweep: %w\n%s", err, fullErr)
 	}
-	if !bytes.Equal(cold2, full) {
-		return fmt.Errorf("full-resume ladder table differs from cold table\n--- cold ---\n%s--- laddered ---\n%s", cold2, full)
+	if !bytes.Equal(ref2, full) {
+		return fmt.Errorf("full-resume ladder table differs from storeless table\n--- storeless ---\n%s--- laddered ---\n%s", ref2, full)
 	}
 	s2, err := parseSummary(fullErr)
 	if err != nil {
@@ -213,9 +205,8 @@ func run() error {
 		return fmt.Errorf("full resume still executed %d warmup refs: %+v", s2.executed, s2)
 	}
 
-	fmt.Printf("laddersmoke: ok — tables byte-identical; crash resumed at rung %d/%d; cold %v vs laddered %v (%.2fx); first cold %v vs shared warmup %v (%.2fx)\n",
-		s.skipped, warmupRefs, cold2Dur.Round(time.Millisecond), fullDur.Round(time.Millisecond),
-		float64(cold2Dur)/float64(fullDur), coldDur.Round(time.Millisecond), sharedDur.Round(time.Millisecond),
-		float64(coldDur)/float64(sharedDur))
+	fmt.Printf("laddersmoke: ok — tables byte-identical; crash resumed at rung %d/%d; storeless %v vs laddered %v (%.2fx)\n",
+		s.skipped, warmupRefs, ref2Dur.Round(time.Millisecond), fullDur.Round(time.Millisecond),
+		float64(ref2Dur)/float64(fullDur))
 	return nil
 }
