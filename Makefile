@@ -84,9 +84,10 @@ evolve-smoke:
 	$(GO) run ./tools/evolvesmoke
 
 # Short fuzz passes over the snapshot decoder (arbitrary bytes must
-# yield typed errors, never panics) and the restored buddy allocator
-# (arbitrary free blocks must be rejected or yield a consistent
-# allocator).
+# yield typed errors, never panics, and any accepted snapshot must sit
+# at or below its warmup boundary and run; seeded with a boundary rung
+# and a mid-warmup rung) and the restored buddy allocator (arbitrary
+# free blocks must be rejected or yield a consistent allocator).
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotCodec -fuzztime=10s ./internal/machine/
 	$(GO) test -run='^$$' -fuzz=FuzzBuddyState -fuzztime=10s ./internal/physmem/

@@ -6,7 +6,7 @@
 //
 //	seesaw-coord -addr :9090 -workers localhost:8081,localhost:8082 \
 //	    -store /var/lib/seesaw/store
-//	seesaw-coord -addr 127.0.0.1:0 -route affinity   # workers register themselves
+//	seesaw-coord -addr 127.0.0.1:0   # workers register themselves
 //
 // Workers may be listed statically with -workers or register at runtime
 // via POST /v1/cluster/workers (seesaw-served -register does this).
@@ -42,7 +42,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:9090", "listen address (port 0 picks a random port)")
 		workers    = flag.String("workers", "", "comma-separated static worker addresses (host:port)")
 		storeDir   = flag.String("store", "", "shared content-addressed result store `dir` (empty = no read-through cache)")
-		route      = flag.String("route", cluster.RouteAffinity, "routing policy: affinity, least-loaded, or round-robin")
 		leaseTTL   = flag.Duration("lease-ttl", 10*time.Second, "missed-heartbeat budget before a dispatched cell requeues")
 		attempts   = flag.Int("max-attempts", 5, "per-cell dispatch budget before the cell is reported failed")
 		backoff    = flag.Duration("backoff", 250*time.Millisecond, "base requeue backoff (jittered exponential)")
@@ -59,7 +58,7 @@ func main() {
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 
 	cfg := cluster.Config{
-		Route: *route, LeaseTTL: *leaseTTL, MaxAttempts: *attempts,
+		LeaseTTL: *leaseTTL, MaxAttempts: *attempts,
 		BackoffBase: *backoff, BackoffMax: *backoffMax, Seed: *seed,
 		ProbeEvery: *probeEvery, EvictAfter: *evictAfter,
 		RatePerSec: *rate, Burst: *burst, MaxCellsPerJob: *maxCells,
@@ -91,8 +90,8 @@ func main() {
 	// The resolved address goes to stdout so scripts (and the cluster
 	// smoke test) can discover a random port; everything else is stderr.
 	fmt.Printf("listening on %s\n", ln.Addr())
-	logger.Printf("seesaw-coord: listening on %s (route=%s workers=%d store=%q)",
-		ln.Addr(), *route, len(cfg.Workers), *storeDir)
+	logger.Printf("seesaw-coord: listening on %s (workers=%d store=%q)",
+		ln.Addr(), len(cfg.Workers), *storeDir)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

@@ -163,7 +163,8 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
-// TestRouters exercises the pick policies over a hand-built registry.
+// TestRouters exercises the affinity policy and its least-loaded spill
+// over a hand-built registry.
 func TestRouters(t *testing.T) {
 	c := &Coordinator{workers: map[string]*worker{}, cfg: Config{}.withDefaults()}
 	add := func(addr string, slots, active int, healthy bool) *worker {
@@ -177,21 +178,15 @@ func TestRouters(t *testing.T) {
 	w3 := add("c:1", 2, 0, false) // dead
 	w4 := add("d:1", 2, 1, true)  // 1 free
 
-	u := &unit{}
-	if got := (leastLoaded{}).pick(c, u); got != w2 {
-		t.Fatalf("least-loaded picked %v", got)
-	}
-	rr := &roundRobin{}
-	if got := rr.pick(c, u); got != w2 {
-		t.Fatalf("round-robin first pick %v (a is full, c dead)", got)
-	}
-	if got := rr.pick(c, u); got != w4 {
-		t.Fatalf("round-robin second pick %v", got)
+	// Unsigned cells spill to the worker with the most free slots (a is
+	// full, c dead).
+	a := newAffinity()
+	if got := a.pick(c, &unit{}); got != w2 {
+		t.Fatalf("spill picked %v", got)
 	}
 
-	// Affinity: first signed cell elects an owner; followers stick to it;
+	// Signed cells: the first elects an owner; followers stick to it;
 	// owner saturation means wait; owner death re-elects.
-	a := newAffinity()
 	su := &unit{hasSig: true}
 	su.sig.Seed = 7
 	if got := a.pick(c, su); got != w2 {

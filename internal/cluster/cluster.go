@@ -20,12 +20,11 @@
 //     untouched — and a later successful probe readmits it. A worker
 //     whose report schema differs from the coordinator's is refused:
 //     mixed-version clusters cannot merge byte-identical tables.
-//   - Routing. Pluggable policies pick the worker for each dispatch:
-//     round-robin, least-loaded, and warmup-signature affinity, which
-//     routes cells sharing a machine.WarmupSignature to the worker
-//     already holding the forked warm snapshot (the analogue of
-//     prefix-affinity KV-cache routing in inference clusters) and falls
-//     back to least-loaded when that worker dies.
+//   - Routing. Warmup-signature affinity picks the worker for each
+//     dispatch: cells sharing a machine.WarmupSignature go to the worker
+//     already holding that warm master (the analogue of prefix-affinity
+//     KV-cache routing in inference clusters), and cells without one, or
+//     whose owner died, spill to the least-loaded worker.
 //   - Admission. Job submissions pass a token bucket and a bound on
 //     pending cells; past either the API answers 429 with a Retry-After
 //     hint through the daemon's own /v1/jobs surface
@@ -71,9 +70,6 @@ type Config struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 	Seed        int64
-	// Route picks the routing policy: "affinity" (default),
-	// "least-loaded", or "round-robin".
-	Route string
 	// ProbeEvery and ProbeTimeout shape health checks (defaults 2s/1s);
 	// EvictAfter is the consecutive-failure eviction threshold
 	// (default 3).
@@ -105,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 8 * time.Second
-	}
-	if c.Route == "" {
-		c.Route = RouteAffinity
 	}
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 2 * time.Second
@@ -171,7 +164,7 @@ type Counters struct {
 // them. Construct with New, serve Handler, stop with Drain or Close.
 type Coordinator struct {
 	cfg    Config
-	router router
+	route  *affinity
 	bucket *tokenBucket
 
 	rootCtx    context.Context
@@ -211,19 +204,7 @@ func New(cfg Config) *Coordinator {
 		leases:     make(map[string]*lease),
 		dupWait:    make(map[string][]*unit),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
-	}
-	switch cfg.Route {
-	case RouteRoundRobin:
-		c.router = &roundRobin{}
-	case RouteLeastLoaded:
-		c.router = &leastLoaded{}
-	case RouteAffinity:
-		c.router = newAffinity()
-	default:
-		// Unknown policies degrade to least-loaded rather than failing a
-		// daemon that is otherwise fine; the choice is logged once.
-		cfg.Logger.Printf("cluster: unknown route policy %q, using %s", cfg.Route, RouteLeastLoaded)
-		c.router = &leastLoaded{}
+		route:      newAffinity(),
 	}
 	if cfg.RatePerSec > 0 {
 		c.bucket = newTokenBucket(cfg.RatePerSec, float64(cfg.Burst))

@@ -65,7 +65,6 @@ func (c *Coordinator) workerStatuses() []WorkerStatus {
 type healthBody struct {
 	Status        string         `json:"status"` // "ok" or "draining"
 	SchemaVersion int            `json:"schema_version"`
-	Route         string         `json:"route"`
 	Queued        int            `json:"queued"`
 	Leases        int            `json:"leases"`
 	Jobs          int            `json:"jobs"`
@@ -78,7 +77,6 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := healthBody{
 		Status:        "ok",
 		SchemaVersion: sim.SchemaVersion,
-		Route:         c.router.name(),
 		Queued:        len(c.queue),
 		Leases:        len(c.leases),
 		Jobs:          len(c.jobs),

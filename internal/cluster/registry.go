@@ -105,11 +105,9 @@ func (c *Coordinator) evictLocked(w *worker, now time.Time) {
 			canceled++
 		}
 	}
-	if aff, ok := c.router.(*affinity); ok {
-		for sig, owner := range aff.owners {
-			if owner == w {
-				delete(aff.owners, sig)
-			}
+	for sig, owner := range c.route.owners {
+		if owner == w {
+			delete(c.route.owners, sig)
 		}
 	}
 	c.cfg.Logger.Printf("cluster: evicted worker %s after %d failed probes (%d leases canceled)", w.addr, w.consecFails, canceled)

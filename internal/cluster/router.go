@@ -1,57 +1,16 @@
 package cluster
 
-import (
-	"time"
-
-	"seesaw/internal/machine"
-)
-
-// Routing policy names accepted by Config.Route.
-const (
-	RouteRoundRobin  = "round-robin"
-	RouteLeastLoaded = "least-loaded"
-	RouteAffinity    = "affinity"
-)
-
-// router picks the worker for one dispatchable unit. Called under the
-// coordinator mutex; returning nil leaves the unit queued for the next
-// pass. Policies may keep state (rotation cursors, affinity maps) —
-// there is exactly one router per coordinator.
-type router interface {
-	pick(c *Coordinator, u *unit) *worker
-	name() string
-}
+import "seesaw/internal/machine"
 
 // hasSlot reports whether w can take one more lease.
 func hasSlot(w *worker) bool {
 	return w.healthy && w.active < w.slots
 }
 
-// roundRobin rotates through workers with free slots in registration
-// order, ignoring load differences — the baseline policy.
-type roundRobin struct{ next int }
-
-func (r *roundRobin) name() string { return RouteRoundRobin }
-
-func (r *roundRobin) pick(c *Coordinator, _ *unit) *worker {
-	n := len(c.order)
-	for i := 0; i < n; i++ {
-		w := c.workers[c.order[(r.next+i)%n]]
-		if hasSlot(w) {
-			r.next = (r.next + i + 1) % n
-			return w
-		}
-	}
-	return nil
-}
-
 // leastLoaded picks the worker with the most free slots (ties broken by
-// registration order, keeping scans deterministic).
-type leastLoaded struct{}
-
-func (leastLoaded) name() string { return RouteLeastLoaded }
-
-func (leastLoaded) pick(c *Coordinator, _ *unit) *worker {
+// registration order, keeping scans deterministic), or nil when every
+// worker is full or dead.
+func leastLoaded(c *Coordinator) *worker {
 	var best *worker
 	bestFree := 0
 	for _, addr := range c.order {
@@ -66,33 +25,29 @@ func (leastLoaded) pick(c *Coordinator, _ *unit) *worker {
 	return best
 }
 
-// affinity routes cells sharing a machine.WarmupSignature to the worker
-// that already warmed that machine: the first cell of a signature elects
-// whichever worker least-loaded picks as the signature's owner, and
-// every later cell follows — landing in the worker's shared-warmup run
-// function, which forks the warm snapshot instead of re-warming. If the
-// owner is saturated the cell waits (a queued cell is cheaper than a
-// redundant multi-second warmup); if the owner was evicted the next cell
+// affinity is the coordinator's routing policy. It routes cells sharing
+// a machine.WarmupSignature to the worker that already warmed that
+// machine: the first cell of a signature elects whichever worker
+// leastLoaded picks as the signature's owner, and every later cell
+// follows — landing in the worker's shared-warmup run function, which
+// forks the warm master instead of re-warming. If the owner is
+// saturated the cell waits (a queued cell is cheaper than a redundant
+// multi-second warmup); if the owner was evicted the next cell
 // re-elects an owner among the living and the sweep continues with one
-// re-warm — the clean fallback the failure matrix demands. Cells without
-// a signature (no warmup, trace replay) fall through to least-loaded.
+// re-warm. Cells without a signature (no warmup, trace replay) spill to
+// leastLoaded. pick runs under the coordinator mutex; returning nil
+// leaves the unit queued for the next pass.
 type affinity struct {
 	owners map[machine.WarmupSignature]*worker
-	spill  leastLoaded
-	// lastSweep drops stale assignments so a long-lived coordinator's
-	// owner map cannot grow without bound.
-	lastSweep time.Time
 }
 
 func newAffinity() *affinity {
 	return &affinity{owners: make(map[machine.WarmupSignature]*worker)}
 }
 
-func (a *affinity) name() string { return RouteAffinity }
-
 func (a *affinity) pick(c *Coordinator, u *unit) *worker {
 	if !u.hasSig {
-		return a.spill.pick(c, u)
+		return leastLoaded(c)
 	}
 	if owner, ok := a.owners[u.sig]; ok {
 		if owner.healthy {
@@ -107,7 +62,7 @@ func (a *affinity) pick(c *Coordinator, u *unit) *worker {
 		delete(a.owners, u.sig)
 		c.counters.AffinityReassigned++
 	}
-	w := a.spill.pick(c, u)
+	w := leastLoaded(c)
 	if w != nil {
 		a.owners[u.sig] = w
 	}

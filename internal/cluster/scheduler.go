@@ -109,7 +109,7 @@ func (c *Coordinator) step() {
 				continue
 			}
 		}
-		w := c.router.pick(c, u)
+		w := c.route.pick(c, u)
 		if w == nil {
 			rest = append(rest, u)
 			continue

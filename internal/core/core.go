@@ -102,10 +102,6 @@ type L1Cache interface {
 	SlowCycles() int
 	// Storage exposes the underlying array for stats.
 	Storage() *cache.Cache
-	// Clone returns an independent deep copy of the design's warm state
-	// (tags, recency, TFT, way-predictor history, statistics), for
-	// warm-state snapshots.
-	Clone() L1Cache
 }
 
 // Config describes an L1 data cache design point.

@@ -6,13 +6,13 @@ import (
 )
 
 // Design describes one registered L1 cache design: how to build it, how
-// to validate its geometry knobs, how to capture and restore its
-// mutable state for snapshots, and the metadata the harnesses
+// to validate its geometry knobs, and the metadata the harnesses
 // (machine build, chaos sweep, evolve menus, service wire spec) need to
-// enumerate the zoo without hardcoding names.
+// enumerate the zoo without hardcoding names. Snapshots carry only OS
+// state (warmup never touches an L1), so a design needs no codec.
 //
-// A design is added in one place: implement L1Cache (plus DesignNamed),
-// fill in a Design, and Register it. Everything downstream — seesaw-sim
+// A design is added in one place: implement L1Cache, fill in a Design,
+// and Register it. Everything downstream — seesaw-sim
 // -cache, the sweep matrix, the served spec, the conformance battery —
 // picks it up from the registry.
 type Design struct {
@@ -43,15 +43,6 @@ type Design struct {
 	// (e.g. SEESAW's TFT), for the evolve area objective; nil = none.
 	AreaBytes func(Config) uint64
 
-	// State captures design-specific mutable state beyond the storage
-	// array into st (whose Cache image is already filled); nil when the
-	// design has none.
-	State func(l L1Cache, st *L1State)
-	// SetState restores what State captured and cross-checks that the
-	// state actually belongs to this design; nil when the design
-	// carries none (the restore then only rejects foreign state).
-	SetState func(l L1Cache, st L1State) error
-
 	// ChaosSerialTLB / ChaosSmallTLB / ChaosL1Ways are the knob
 	// overrides the chaos sweep applies to this design's cells (0/false
 	// = none): e.g. the serial PIPT point is only meaningful with the
@@ -59,13 +50,6 @@ type Design struct {
 	ChaosSerialTLB int
 	ChaosSmallTLB  bool
 	ChaosL1Ways    int
-}
-
-// DesignNamed reports which registered design an L1Cache instance
-// realizes. Every registered design's cache type implements it; the
-// snapshot codec routes capture/restore through it.
-type DesignNamed interface {
-	DesignName() string
 }
 
 var (
@@ -119,12 +103,4 @@ func SortedDesignNames() []string {
 	names := DesignNames()
 	sort.Strings(names)
 	return names
-}
-
-// designOf resolves the descriptor an L1 instance belongs to.
-func designOf(l L1Cache) (*Design, bool) {
-	if dn, ok := l.(DesignNamed); ok {
-		return LookupDesign(dn.DesignName())
-	}
-	return nil, false
 }

@@ -90,9 +90,6 @@ func (v *Vespa) Name() string {
 	return fmt.Sprintf("VESPA-%dKB-%dw/%dp", v.cfg.SizeBytes>>10, v.cfg.Ways, v.cfg.Partitions)
 }
 
-// DesignName implements DesignNamed.
-func (v *Vespa) DesignName() string { return "vespa" }
-
 // Geometry exposes the partitioned geometry.
 func (v *Vespa) Geometry() addr.CacheGeometry { return v.geom }
 
@@ -210,12 +207,4 @@ func (v *Vespa) SlowCycles() int { return v.t.slowCycles }
 // Storage implements L1Cache.
 func (v *Vespa) Storage() *cache.Cache { return v.c }
 
-// Clone implements L1Cache.
-func (v *Vespa) Clone() L1Cache {
-	c := *v
-	c.c = v.c.Clone()
-	return &c
-}
-
 var _ L1Cache = (*Vespa)(nil)
-var _ DesignNamed = (*Vespa)(nil)

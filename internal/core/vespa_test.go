@@ -20,8 +20,8 @@ func TestVespaConstructor(t *testing.T) {
 	if v.Geometry().Partitions != 2 || v.Geometry().WaysPerPartition() != 4 {
 		t.Errorf("geometry = %v, want 2 partitions of 4 ways", v.Geometry())
 	}
-	if v.Name() == "" || v.DesignName() != "vespa" {
-		t.Errorf("Name %q / DesignName %q", v.Name(), v.DesignName())
+	if v.Name() == "" {
+		t.Error("empty display name")
 	}
 	if v.FastCycles() >= v.SlowCycles() {
 		t.Errorf("fast %d not below slow %d", v.FastCycles(), v.SlowCycles())
@@ -151,70 +151,5 @@ func TestVespaFillVictimsAndSweeps(t *testing.T) {
 	}
 	if v.Access(0x2000, 0x2000, addr.Page4K, false).Hit {
 		t.Error("line survived EvictRange")
-	}
-}
-
-// warmVespa advances a VESPA through both paths so storage and the
-// stats carry state.
-func warmVespa(t *testing.T) *Vespa {
-	t.Helper()
-	v := mustNewVespa(t, cfg32K(1.33))
-	va := addr.VAddr(0x4000_0000 | 1<<12)
-	pa := translate2M(va, 7)
-	v.Fill(pa, addr.Page2M, false, false)
-	v.Access(va, pa, addr.Page2M, false)
-	v.Access(0x1000, 0x1000, addr.Page4K, false) // miss
-	v.Fill(0x1000, addr.Page4K, false, false)
-	return v
-}
-
-func TestVespaClone(t *testing.T) {
-	v := warmVespa(t)
-	c := v.Clone().(*Vespa)
-	if c.Stats != v.Stats {
-		t.Errorf("clone stats %+v, want %+v", c.Stats, v.Stats)
-	}
-	va := addr.VAddr(0x4000_0000 | 1<<12)
-	pa := translate2M(va, 7)
-	if r0, r1 := v.Access(va, pa, addr.Page2M, false), c.Access(va, pa, addr.Page2M, false); r0 != r1 {
-		t.Errorf("clone access %+v, original %+v", r1, r0)
-	}
-	// Divergence: evicting from the clone must not touch the original.
-	c.EvictRange(0, 1<<30)
-	if !v.Access(va, pa, addr.Page2M, false).Hit {
-		t.Error("clone's eviction emptied the original — storage is shared")
-	}
-}
-
-// TestVespaStateRoundTrip drives the registry State/SetState hooks:
-// VESPA's statistics ride the opaque Extra field, and cross-design or
-// damaged state is rejected.
-func TestVespaStateRoundTrip(t *testing.T) {
-	v := warmVespa(t)
-	fresh := mustNewVespa(t, cfg32K(1.33))
-	if err := SetL1State(fresh, StateOf(v)); err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Stats != v.Stats {
-		t.Errorf("restored stats %+v, want %+v", fresh.Stats, v.Stats)
-	}
-	va := addr.VAddr(0x4000_0000 | 1<<12)
-	pa := translate2M(va, 7)
-	if r0, r1 := v.Access(va, pa, addr.Page2M, false), fresh.Access(va, pa, addr.Page2M, false); r0 != r1 {
-		t.Errorf("restored access %+v, original %+v", r1, r0)
-	}
-
-	if err := SetL1State(mustNewVespa(t, cfg32K(1.33)), StateOf(warmSeesaw())); err == nil {
-		t.Error("VESPA accepted a SEESAW state (stray TFT)")
-	}
-	noExtra := StateOf(v)
-	noExtra.Extra = nil
-	if err := SetL1State(mustNewVespa(t, cfg32K(1.33)), noExtra); err == nil {
-		t.Error("VESPA accepted a state missing its statistics")
-	}
-	garbled := StateOf(v)
-	garbled.Extra = []byte("{")
-	if err := SetL1State(mustNewVespa(t, cfg32K(1.33)), garbled); err == nil {
-		t.Error("VESPA accepted undecodable statistics")
 	}
 }

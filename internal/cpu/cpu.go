@@ -69,9 +69,6 @@ type Model interface {
 	Cycles() uint64
 	// Instructions returns total retired instructions.
 	Instructions() uint64
-	// Clone returns an independent deep copy of the model's state, for
-	// warm-state snapshots.
-	Clone() Model
 }
 
 // IPC computes instructions per cycle for a model.

@@ -168,7 +168,6 @@ type Injector struct {
 	cfg   Config
 	kinds []Kind
 	rng   *rand.Rand
-	src   *xrand.Source
 
 	Stats Stats
 }
@@ -185,12 +184,11 @@ func New(cfg Config, simSeed int64) (*Injector, error) {
 	if seed == 0 {
 		seed = simSeed ^ 0x5ee5aa7f
 	}
-	rng, src := xrand.New(seed)
+	rng, _ := xrand.New(seed)
 	return &Injector{
 		cfg:   cfg,
 		kinds: schedules[cfg.Schedule],
 		rng:   rng,
-		src:   src,
 	}, nil
 }
 

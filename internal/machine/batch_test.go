@@ -111,10 +111,12 @@ func TestParallelGenDeterminism(t *testing.T) {
 	}
 }
 
-// TestSnapshotMidEpochPending: a machine stopped inside a batched epoch
-// holds pre-generated records the generator has already advanced past.
-// Snapshot and Fork must refuse it rather than copy a desynced stream,
-// and the refusal must leave the machine runnable: its continuation
+// TestSnapshotMidEpochPending: a machine stopped at the warmup boundary
+// with the first measured epoch already generated holds records the
+// generator has advanced past, so Snapshot and Fork must refuse it
+// rather than copy a desynced stream. A machine stopped inside a
+// measured epoch is past the boundary, which Snapshot refuses first.
+// Either refusal must leave the machine runnable: its continuation
 // still matches a cold run byte for byte.
 func TestSnapshotMidEpochPending(t *testing.T) {
 	ctx := context.Background()
@@ -132,6 +134,9 @@ func TestSnapshotMidEpochPending(t *testing.T) {
 	if _, err := atBoundary.Fork(cfg); err == nil || !strings.Contains(err.Error(), "pending") {
 		t.Errorf("Fork with pre-generated records pending returned %v, want a pending-records error", err)
 	}
+	if _, err := atBoundary.Snapshot(); err == nil || !strings.Contains(err.Error(), "pending") {
+		t.Errorf("Snapshot with pre-generated records pending returned %v, want a pending-records error", err)
+	}
 
 	// Execute 100 references of a ~4096-reference epoch, leaving the
 	// rest pending.
@@ -142,8 +147,8 @@ func TestSnapshotMidEpochPending(t *testing.T) {
 	if m.batch.cur.empty() {
 		t.Fatal("expected pending pre-generated records mid-epoch")
 	}
-	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "pending") {
-		t.Errorf("Snapshot with pre-generated records pending returned %v, want a pending-records error", err)
+	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "boundary") {
+		t.Errorf("Snapshot inside a measured epoch returned %v, want a past-boundary error", err)
 	}
 
 	for name, mc := range map[string]*Machine{"boundary": atBoundary, "mid-epoch": m} {

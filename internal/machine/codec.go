@@ -13,17 +13,8 @@ import (
 	"hash/crc32"
 	"io"
 
-	"seesaw/internal/addr"
-	"seesaw/internal/check"
-	"seesaw/internal/coherence"
-	"seesaw/internal/core"
-	"seesaw/internal/cpu"
-	"seesaw/internal/energy"
-	"seesaw/internal/faults"
-	"seesaw/internal/metrics"
 	"seesaw/internal/osmm"
 	"seesaw/internal/physmem"
-	"seesaw/internal/tlb"
 	"seesaw/internal/workload"
 	"seesaw/internal/xrand"
 )
@@ -35,14 +26,17 @@ import (
 // every snapshot key and prunes entries whose header disagrees, so old
 // rungs are recomputed rather than mis-resumed.
 //
-// Version 4 carries no pre-generated records: snapshots are only taken
-// with both epoch buffers empty, so version 3's BatchCur/BatchNext are
-// gone. Since version 3, physical memory is encoded as the buddy's free
+// Version 5 carries only the OS half, with the cursor at or below the
+// warmup boundary; version 4 also carried every cache, TLB, directory,
+// CPU and hook state, none of which warmup ever changes. Since version
+// 4 no pre-generated records travel: snapshots are only taken with both
+// epoch buffers empty, so version 3's BatchCur/BatchNext are gone.
+// Since version 3, physical memory is encoded as the buddy's free
 // blocks and the memhog's pinned frames only; version 2 also carried
 // the buddy's heap arrays and the hog's frame index. Since version 2,
 // Config travels as-is, CacheKind as its registry name; version 1
 // stored CacheKind as an int enum. Older versions no longer decode.
-const SnapshotSchemaVersion = 4
+const SnapshotSchemaVersion = 5
 
 // snapMagic opens every encoded snapshot. The leading byte is
 // deliberately non-ASCII so a snapshot is never mistaken for text.
@@ -72,20 +66,17 @@ var (
 	ErrSnapshotSchema = errors.New("machine: snapshot schema mismatch")
 )
 
-// snapshotState is the complete serialized machine: the config it was
-// built from plus every component's mutable state. Decoding rebuilds
-// the machine with Build (which re-creates all config-derived structure
-// and wiring) and then restores each component in place, so every
-// cross-component pointer — walker to page table, memhog to buddy,
-// recorder into every subsystem — stays valid without rewiring.
+// snapshotState is the serialized OS half of a machine: the config it
+// was built from, the reference cursor, and the state of every
+// component warmup mutates. Decoding builds a machine from the config
+// (which re-creates all config-derived structure and wiring) and
+// restores each OS component in place, so every cross-component
+// pointer — memhog to buddy, manager to page tables — stays valid
+// without rewiring. The microarchitecture is never encoded: Resume
+// builds it fresh, exactly as at the warmup boundary of a cold run.
 type snapshotState struct {
-	Cfg Config
-
+	Cfg       Config
 	GlobalRef int
-	CurRef    uint64
-	L2Lookups uint64
-	SuperRefs uint64
-	Spike     []addr.PAddr
 
 	RNG    xrand.SourceState
 	Buddy  physmem.BuddyState
@@ -93,36 +84,17 @@ type snapshotState struct {
 	Mgr    osmm.ManagerState
 	Gen    workload.GeneratorState
 	CoGens []workload.GeneratorState
-
-	L1s   []core.L1State
-	L1Is  []core.L1State
-	Hiers []tlb.HierarchyState
-	CPUs  []cpu.CoreState
-	Coh   coherence.SystemState
-	Acct  energy.Account
-
-	Injector  *faults.InjectorState
-	Metrics   *metrics.RecorderState
-	Checker   *check.State
-	LastWidth []int
 }
 
-// captureState serializes the machine. The receiver must hold no
-// pre-generated records; Snapshot's check guarantees that.
-func (m *Machine) captureState() (*snapshotState, error) {
+// captureState serializes the snapshot's OS half.
+func (m *Machine) captureState() *snapshotState {
 	st := &snapshotState{
 		Cfg:       m.cfg,
 		GlobalRef: m.globalRef,
-		CurRef:    m.curRef,
-		L2Lookups: m.l2Lookups,
-		SuperRefs: m.superRefs,
-		Spike:     append([]addr.PAddr(nil), m.spike...),
 		RNG:       m.rngSrc.State(),
 		Buddy:     m.buddy.State(),
 		Mgr:       m.mgr.State(),
 		Gen:       m.gen.State(),
-		Acct:      *m.acct,
-		LastWidth: append([]int(nil), m.lastWidth...),
 	}
 	if m.hog != nil {
 		hs := m.hog.State()
@@ -131,36 +103,7 @@ func (m *Machine) captureState() (*snapshotState, error) {
 	for _, g := range m.coGens {
 		st.CoGens = append(st.CoGens, g.State())
 	}
-	for _, l1 := range m.l1s {
-		st.L1s = append(st.L1s, core.StateOf(l1))
-	}
-	for _, il1 := range m.l1is {
-		st.L1Is = append(st.L1Is, core.StateOf(il1))
-	}
-	for _, h := range m.hiers {
-		st.Hiers = append(st.Hiers, h.State())
-	}
-	for _, c := range m.cpus {
-		cs, err := cpu.StateOf(c)
-		if err != nil {
-			return nil, err
-		}
-		st.CPUs = append(st.CPUs, cs)
-	}
-	st.Coh = m.cohSys.State()
-	if m.Hooks.Injector != nil {
-		is := m.Hooks.Injector.State()
-		st.Injector = &is
-	}
-	if m.Hooks.Metrics != nil {
-		ms := m.Hooks.Metrics.State()
-		st.Metrics = &ms
-	}
-	if m.Hooks.Checker != nil {
-		cs := m.Hooks.Checker.State()
-		st.Checker = &cs
-	}
-	return st, nil
+	return st
 }
 
 // applyState restores a captured state onto a machine freshly built
@@ -168,9 +111,8 @@ func (m *Machine) captureState() (*snapshotState, error) {
 // disagreement between the state and the built machine's shape is a
 // corruption error, never a panic.
 func (m *Machine) applyState(st *snapshotState) error {
-	total := m.cfg.WarmupRefs + m.cfg.Refs
-	if st.GlobalRef < 0 || st.GlobalRef > total {
-		return fmt.Errorf("reference cursor %d outside [0,%d]", st.GlobalRef, total)
+	if st.GlobalRef < 0 || st.GlobalRef > m.cfg.WarmupRefs {
+		return fmt.Errorf("reference cursor %d outside the warmup phase [0,%d]", st.GlobalRef, m.cfg.WarmupRefs)
 	}
 	if err := m.rngSrc.SetState(st.RNG); err != nil {
 		return err
@@ -200,82 +142,17 @@ func (m *Machine) applyState(st *snapshotState) error {
 			return err
 		}
 	}
-	if len(st.L1s) != len(m.l1s) || len(st.L1Is) != len(m.l1is) ||
-		len(st.Hiers) != len(m.hiers) || len(st.CPUs) != len(m.cpus) {
-		return fmt.Errorf("state sized for a different core count")
-	}
-	for i, ls := range st.L1s {
-		if err := core.SetL1State(m.l1s[i], ls); err != nil {
-			return err
-		}
-	}
-	for i, ls := range st.L1Is {
-		if err := core.SetL1State(m.l1is[i], ls); err != nil {
-			return err
-		}
-	}
-	for i, hs := range st.Hiers {
-		if err := m.hiers[i].SetState(hs); err != nil {
-			return err
-		}
-	}
-	for i, cs := range st.CPUs {
-		if err := cpu.SetModelState(m.cpus[i], cs); err != nil {
-			return err
-		}
-	}
-	if err := m.cohSys.SetState(st.Coh); err != nil {
-		return err
-	}
-	*m.acct = st.Acct
-
-	if (st.Injector != nil) != (m.Hooks.Injector != nil) {
-		return fmt.Errorf("state and config disagree about a fault injector")
-	}
-	if st.Injector != nil {
-		if err := m.Hooks.Injector.SetState(*st.Injector); err != nil {
-			return err
-		}
-	}
-	if (st.Metrics != nil) != (m.Hooks.Metrics != nil) {
-		return fmt.Errorf("state and config disagree about a metrics recorder")
-	}
-	if st.Metrics != nil {
-		if err := m.Hooks.Metrics.SetState(*st.Metrics); err != nil {
-			return err
-		}
-		if len(st.LastWidth) != len(m.lastWidth) {
-			return fmt.Errorf("probe-width tracker sized for %d cores, machine has %d", len(st.LastWidth), len(m.lastWidth))
-		}
-		copy(m.lastWidth, st.LastWidth)
-	}
-	if (st.Checker != nil) != (m.Hooks.Checker != nil) {
-		return fmt.Errorf("state and config disagree about the invariant checker")
-	}
-	if st.Checker != nil {
-		if err := m.Hooks.Checker.SetState(*st.Checker); err != nil {
-			return err
-		}
-	}
-
 	m.globalRef = st.GlobalRef
-	m.curRef = st.CurRef
-	m.l2Lookups = st.L2Lookups
-	m.superRefs = st.SuperRefs
-	m.spike = append(m.spike[:0], st.Spike...)
 	return nil
 }
 
 // MarshalBinary encodes the snapshot into the versioned binary format:
 // an integrity header (magic, SnapshotSchemaVersion, payload length,
-// CRC32) over a flate-compressed gob of the complete machine state,
-// config included. Encoding is deterministic — no map ranges reach the
+// CRC32) over a flate-compressed gob of the machine's OS half, config
+// included. Encoding is deterministic — no map ranges reach the
 // encoder — so equal snapshots produce equal bytes.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
-	st, err := s.m.captureState()
-	if err != nil {
-		return nil, err
-	}
+	st := s.m.captureState()
 	var payload bytes.Buffer
 	fw, err := flate.NewWriter(&payload, flate.BestSpeed)
 	if err != nil {
@@ -311,8 +188,8 @@ func PeekSnapshotVersion(data []byte) (int, error) {
 
 // UnmarshalBinary decodes data into s: the header is verified (magic,
 // schema version, length, checksum), the state payload decoded, a fresh
-// machine built from the embedded config, and every component restored
-// in place. All failures return typed errors (ErrSnapshotTruncated,
+// machine built from the embedded config, and every OS component
+// restored in place. All failures return typed errors (ErrSnapshotTruncated,
 // ErrSnapshotSchema, ErrSnapshotCorrupt); hostile input never panics
 // and never yields a machine that would silently mis-resume.
 func (s *Snapshot) UnmarshalBinary(data []byte) (err error) {
@@ -347,6 +224,8 @@ func (s *Snapshot) UnmarshalBinary(data []byte) (err error) {
 	if derr := gob.NewDecoder(io.LimitReader(fr, maxSnapPayload)).Decode(&st); derr != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, derr)
 	}
+	// Build, not just the OS half: a config whose microarchitecture
+	// cannot be built is corrupt here, never a panic in Resume.
 	m, berr := Build(st.Cfg)
 	if berr != nil {
 		return fmt.Errorf("%w: embedded config: %v", ErrSnapshotCorrupt, berr)

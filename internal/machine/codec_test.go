@@ -12,9 +12,9 @@ import (
 	"seesaw/internal/workload"
 )
 
-// hookedConfig is testConfig with every hook attached: the codec must
-// carry recorder, checker, and injector state, not just the bare
-// machine.
+// hookedConfig is testConfig with every hook attached: a resumed
+// machine must build its recorder, checker, and injector fresh, exactly
+// as a cold run reaches its measured phase with them.
 func hookedConfig(t *testing.T, kind CacheKind) Config {
 	t.Helper()
 	cfg := testConfig(t, kind)
@@ -41,56 +41,71 @@ func encodeDecode(t *testing.T, snap *Snapshot) *Snapshot {
 	return got
 }
 
+// osHeavyConfig is hookedConfig with every OS-side option that shapes
+// the warm image turned on at once: instruction caches over a
+// transparently huge text region, a co-runner address space that
+// context switches take real timeslices from, and 70% of memory pinned
+// by memhog.
+func osHeavyConfig(t *testing.T, kind CacheKind) Config {
+	t.Helper()
+	cfg := hookedConfig(t, kind)
+	co, err := workload.ByName("astar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ICache = true
+	cfg.TextHuge = true
+	cfg.CoRunner = &co
+	cfg.ContextSwitchEvery = 10_000
+	cfg.CoRunSliceRefs = 500
+	cfg.MemhogFraction = 0.7
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 // TestCodecRoundTripMidEpoch is the differential battery's core case:
-// for every registered cache design, with every hook attached, a
-// machine is stopped mid-phase (100 measured references past the warmup
-// boundary, inside the first epoch), snapshotted, encoded, decoded, and
-// resumed — and the decoded continuation must match the original
-// machine's own continuation byte for byte, from a config equal to the
-// original field for field. A direct (unencoded) resume is compared
-// too, so a failure distinguishes "clone is wrong" from "codec is
-// wrong". This is the codec leg of the zoo conformance battery (see
-// zoo_test.go).
+// for every registered cache design, with every hook attached, and
+// again with I-cache, co-runner and heavy memhog, a machine is stopped
+// mid-warmup (inside an epoch, off every rung and cadence boundary),
+// snapshotted, encoded, decoded, resumed, warmed to the boundary and
+// measured — and the report must match a cold run byte for byte, from
+// a config equal to the original field for field. A direct (unencoded)
+// resume is compared too, so a failure distinguishes "the OS copy is
+// wrong" from "the codec is wrong". This is the codec leg of the zoo
+// conformance battery (see zoo_test.go).
 func TestCodecRoundTripMidEpoch(t *testing.T) {
 	for _, name := range DesignNames() {
 		t.Run(name, func(t *testing.T) {
-			ctx := context.Background()
-			cfg := hookedConfig(t, CacheKind(name))
-			m := warmMaster(t, cfg)
+			for _, variant := range []struct {
+				name string
+				cfg  func(*testing.T, CacheKind) Config
+			}{{"hooked", hookedConfig}, {"os-heavy", osHeavyConfig}} {
+				cfg := variant.cfg(t, CacheKind(name))
+				want := reportText(t, mustBuild(t, cfg))
 
-			// Step leaves no pre-generated records behind, so the
-			// machine can be snapshotted anywhere inside an epoch.
-			for i := 0; i < 100; i++ {
-				if err := m.Step(); err != nil {
+				m := mustBuild(t, cfg)
+				if err := m.WarmupTo(context.Background(), 12_345); err != nil {
 					t.Fatal(err)
 				}
-			}
-			snap, err := m.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if err := m.Measure(ctx); err != nil {
-				t.Fatal(err)
-			}
-			r, err := m.Report()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want bytes.Buffer
-			if err := r.WriteText(&want); err != nil {
-				t.Fatal(err)
-			}
-
-			if got := reportText(t, snap.Resume()); !bytes.Equal(want.Bytes(), got) {
-				t.Errorf("direct resume differs from original continuation:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
-			}
-			dec := encodeDecode(t, snap)
-			if !reflect.DeepEqual(dec.m.cfg, snap.m.cfg) {
-				t.Errorf("decoded config differs:\nwant %+v\ngot  %+v", snap.m.cfg, dec.m.cfg)
-			}
-			if got := reportText(t, dec.Resume()); !bytes.Equal(want.Bytes(), got) {
-				t.Errorf("decoded resume differs from original continuation:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
+				snap, err := m.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := reportText(t, snap.Resume()); !bytes.Equal(want, got) {
+					t.Errorf("%s: direct resume differs from the cold run:\nwant:\n%s\ngot:\n%s", variant.name, want, got)
+				}
+				dec := encodeDecode(t, snap)
+				if !reflect.DeepEqual(dec.m.cfg, snap.m.cfg) {
+					t.Errorf("%s: decoded config differs:\nwant %+v\ngot  %+v", variant.name, snap.m.cfg, dec.m.cfg)
+				}
+				if dec.Ref() != 12_345 {
+					t.Errorf("%s: decoded snapshot sits at ref %d, want 12345", variant.name, dec.Ref())
+				}
+				if got := reportText(t, dec.Resume()); !bytes.Equal(want, got) {
+					t.Errorf("%s: decoded resume differs from the cold run:\nwant:\n%s\ngot:\n%s", variant.name, want, got)
+				}
 			}
 		})
 	}
@@ -236,6 +251,18 @@ func TestCodecErrors(t *testing.T) {
 			}
 			return d
 		}(), ErrSnapshotCorrupt},
+		{"cursor past boundary", func() []byte {
+			// A well-formed payload whose cursor sits inside the
+			// measured phase: the microarchitecture it would need is
+			// not in the snapshot, so the decoder must refuse it.
+			bad := snap.Resume()
+			bad.globalRef = cfg.WarmupRefs + 1
+			d, err := (&Snapshot{m: bad}).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}(), ErrSnapshotCorrupt},
 		{"flipped payload byte", func() []byte {
 			d := append([]byte(nil), data...)
 			d[len(d)/2] ^= 0x40
@@ -315,9 +342,10 @@ func TestWarmupTo(t *testing.T) {
 
 // FuzzSnapshotCodec throws arbitrary and systematically damaged bytes
 // at the decoder: it must never panic, must return one of the typed
-// errors on anything it rejects, and anything it accepts must actually
-// run. Seeded with a genuine encoded snapshot so mutations explore the
-// interesting region around valid input.
+// errors on anything it rejects, and anything it accepts must sit at or
+// below its warmup boundary and actually run. Seeded with genuine
+// encoded snapshots, one at the boundary and one mid-warmup, so
+// mutations explore the interesting region around valid input.
 func FuzzSnapshotCodec(f *testing.F) {
 	p, err := workload.ByName("redis")
 	if err != nil {
@@ -359,6 +387,22 @@ func FuzzSnapshotCodec(f *testing.F) {
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/3] ^= 0x80
 	f.Add(corrupt)
+	mid, err := Build(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := mid.WarmupTo(context.Background(), 123); err != nil {
+		f.Fatal(err)
+	}
+	midSnap, err := mid.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	rung, err := midSnap.MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rung)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := UnmarshalSnapshot(data)
@@ -369,8 +413,12 @@ func FuzzSnapshotCodec(f *testing.F) {
 			}
 			return
 		}
-		// Accepted input must yield a machine that can run a few
-		// references and re-encode without failing.
+		// Accepted input must lie inside the warmup phase, yield a
+		// machine that can run a few references, and re-encode without
+		// failing.
+		if s.Ref() < 0 || s.Ref() > s.m.cfg.WarmupRefs {
+			t.Fatalf("decoder accepted cursor %d outside the warmup phase [0,%d]", s.Ref(), s.m.cfg.WarmupRefs)
+		}
 		re := s.Resume()
 		total := re.Config().WarmupRefs + re.Config().Refs
 		for i := 0; i < 50 && re.Ref() < total; i++ {

@@ -4,8 +4,9 @@
 // and CPU timing models, plus the optional fault/check/metrics hooks.
 // Build constructs a Machine from a Config; Step advances it one memory
 // reference; Warmup and Measure drive the two execution phases; and
-// Snapshot/Resume/Fork deep-copy warm state so sweeps can share one
-// warmed OS image across many measured design points (see snapshot.go).
+// Snapshot/Resume/Fork copy the warmed OS image — the only state warmup
+// changes — so sweeps can share it across many measured design points
+// (see snapshot.go).
 //
 // internal/sim re-exports Config and Report and keeps the one-call
 // Run/RunContext orchestration; everything about how the machine is put

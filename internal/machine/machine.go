@@ -46,8 +46,8 @@ type Hooks struct {
 // OS memory manager, per-core TLB hierarchies and L1 caches over a
 // coherent LLC, CPU timing models, and the workload generators driving
 // them. Build constructs one; Step advances it a single reference;
-// Warmup and Measure run the two phases; Snapshot/Resume/Fork
-// deep-copy warm state (snapshot.go).
+// Warmup and Measure run the two phases; Snapshot/Resume/Fork copy the
+// warm OS half and rebuild the rest (snapshot.go).
 type Machine struct {
 	cfg Config
 
@@ -56,8 +56,8 @@ type Machine struct {
 	Hooks Hooks
 
 	// Deterministic OS-side randomness: rng is shared by the memory
-	// manager and the memhog; rngSrc counts its draws so clones resume
-	// at the same stream position.
+	// manager and the memhog; rngSrc holds its position so copies of the
+	// OS half resume at the same point of the stream.
 	rng    *rand.Rand
 	rngSrc *xrand.Source
 
@@ -79,13 +79,12 @@ type Machine struct {
 	cohSys   *coherence.System
 	acct     *energy.Account
 
-	// cohAll caches the coherence participant order cohL1s returns; it
-	// is built lazily (so clones, which never copy it, rebuild their
-	// own) instead of concatenating a fresh slice per call.
+	// cohAll caches the coherence participant order cohL1s returns, so
+	// per-reference paths do not concatenate a fresh slice per call.
 	cohAll []core.L1Cache
 
 	// batch holds the scratch buffers of the epoch-batched reference
-	// loop (never cloned; rebuilt lazily on first use).
+	// loop (never copied; rebuilt lazily on first use).
 	batch batchState
 
 	// schedule interleaves application threads with the system thread;
@@ -392,11 +391,8 @@ func (m *Machine) buildUarch() error {
 // attachMetrics wires a recorder (nil for the disabled path) into every
 // subsystem that mirrors activity into the observability layer: L1
 // storage arrays and TFTs on both sides, TLB hierarchies, the coherence
-// system, and the machine's probe-width tracker. buildUarch calls it at
-// construction; clone and snapshot decoding call it to point the wiring
-// at their own recorder.
+// system, and the machine's probe-width tracker.
 func (m *Machine) attachMetrics(mrec *metrics.Recorder) {
-	m.Hooks.Metrics = mrec
 	for i, l1 := range m.l1s {
 		l1.Storage().Metrics, l1.Storage().MetricsCore = mrec, i
 		if s := m.seesaws[i]; s != nil {
@@ -412,21 +408,16 @@ func (m *Machine) attachMetrics(mrec *metrics.Recorder) {
 	for i, h := range m.hiers {
 		h.Metrics, h.MetricsCore = mrec, i
 	}
-	if m.cohSys != nil {
-		m.cohSys.Metrics = mrec
-	}
+	m.cohSys.Metrics = mrec
 	if mrec != nil {
 		m.lastWidth = make([]int, len(m.cohL1s()))
-	} else {
-		m.lastWidth = nil
 	}
 }
 
 // cohL1s returns the coherence participant order: data caches first,
 // then (when modeled) the instruction caches. The slice is built once
 // and cached — per-reference coherence paths used to pay a fresh
-// concatenation on every call. Clones never copy the cache, so their
-// first call rebuilds it over their own L1s.
+// concatenation on every call.
 func (m *Machine) cohL1s() []core.L1Cache {
 	if m.cohAll == nil {
 		m.cohAll = append(append(make([]core.L1Cache, 0, len(m.l1s)+len(m.l1is)), m.l1s...), m.l1is...)
@@ -435,8 +426,7 @@ func (m *Machine) cohL1s() []core.L1Cache {
 }
 
 // wireSuperFills connects each hierarchy's superpage-TLB-fill event to
-// the core's TFTs (Fig 5 steps 6-8). Called by buildUarch and again by
-// clone, which must re-close over the cloned seesaws.
+// the core's TFTs (Fig 5 steps 6-8).
 func (m *Machine) wireSuperFills() {
 	for i := range m.hiers {
 		ds, is := m.seesaws[i], (*core.Seesaw)(nil)
@@ -444,7 +434,6 @@ func (m *Machine) wireSuperFills() {
 			is = m.iseesaws[i]
 		}
 		if ds == nil && is == nil {
-			m.hiers[i].OnL1SuperFill = nil
 			continue
 		}
 		m.hiers[i].OnL1SuperFill = func(va addr.VAddr, asid uint16) {

@@ -217,10 +217,10 @@ func TestSnapshotResume(t *testing.T) {
 
 // TestSnapshotWithHooks: machines carrying a metrics recorder, the
 // invariant checker, and a fault injector snapshot and resume
-// bit-identically — each resumed copy gets its own recorder and checker
-// positioned exactly where the original's were, wired over the copy's
-// own components. (Earlier versions refused to snapshot hooked
-// machines; the snapshot ladder requires it.)
+// bit-identically, at the warmup boundary and mid-warmup. The snapshot
+// carries no hook state (warmup never touches it): each resumed copy
+// builds its own recorder, checker and injector, wired over the copy's
+// own components.
 func TestSnapshotWithHooks(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(t, KindSeesaw)
@@ -230,12 +230,48 @@ func TestSnapshotWithHooks(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m := warmMaster(t, cfg)
-	snap, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := reportText(t, mustBuild(t, cfg))
 
+	m := mustBuild(t, cfg)
+	for _, at := range []int{7_000, cfg.WarmupRefs} {
+		if err := m.WarmupTo(ctx, at); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		re := snap.Resume()
+		if re.Hooks.Metrics == nil || re.Hooks.Checker == nil || re.Hooks.Injector == nil {
+			t.Fatal("resumed machine is missing hooks its config asked for")
+		}
+		if re.Hooks.Metrics == m.Hooks.Metrics || re.Hooks.Checker == m.Hooks.Checker {
+			t.Fatal("resumed machine shares hook state with the original")
+		}
+		if got := reportText(t, re); !bytes.Equal(want, got) {
+			t.Errorf("hooked resume at ref %d differs from the cold run:\nwant:\n%s\ngot:\n%s", at, want, got)
+		}
+	}
+}
+
+// TestSnapshotPastBoundary: once the measured phase has started, the
+// caches, TLBs and hooks hold state a snapshot does not carry, so
+// Snapshot refuses — and the refusal leaves the machine runnable to the
+// same report as a cold run.
+func TestSnapshotPastBoundary(t *testing.T) {
+	ctx := context.Background()
+	cfg := testConfig(t, KindSeesaw)
+	want := reportText(t, mustBuild(t, cfg))
+
+	m := warmMaster(t, cfg)
+	for i := 0; i < 100; i++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "boundary") {
+		t.Fatalf("Snapshot past the warmup boundary returned %v, want a boundary refusal", err)
+	}
 	if err := m.Measure(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -243,20 +279,12 @@ func TestSnapshotWithHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := r.WriteText(&want); err != nil {
+	var got bytes.Buffer
+	if err := r.WriteText(&got); err != nil {
 		t.Fatal(err)
 	}
-
-	re := snap.Resume()
-	if re.Hooks.Metrics == nil || re.Hooks.Checker == nil || re.Hooks.Injector == nil {
-		t.Fatal("resumed machine is missing hooks its config asked for")
-	}
-	if re.Hooks.Metrics == m.Hooks.Metrics || re.Hooks.Checker == m.Hooks.Checker {
-		t.Fatal("resumed machine shares hook state with the original")
-	}
-	if got := reportText(t, re); !bytes.Equal(want.Bytes(), got) {
-		t.Errorf("hooked resume differs from the original continuation:\nwant:\n%s\ngot:\n%s", want.Bytes(), got)
+	if !bytes.Equal(want, got.Bytes()) {
+		t.Errorf("run after a refused snapshot differs from the cold run:\nwant:\n%s\ngot:\n%s", want, got.Bytes())
 	}
 }
 

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"seesaw/internal/addr"
-	"seesaw/internal/check"
-	"seesaw/internal/core"
 	"seesaw/internal/osmm"
-	"seesaw/internal/pagetable"
 	"seesaw/internal/workload"
 )
 
@@ -73,12 +69,15 @@ func (c Config) WarmupSignature() WarmupSignature {
 	}
 }
 
-// cloneOS deep-copies the OS half of the machine into dst: RNG position,
-// physical memory, fragmentation, manager and every address space, and
-// the workload generators. After it returns, dst.proc is the clone's
-// main process and dst's manager hooks are still unwired. The receiver
-// must hold no pre-generated records (see checkNoPending).
-func (m *Machine) cloneOS(dst *Machine) {
+// cloneOS returns a machine for cfg holding a deep copy of m's OS half
+// — RNG position, physical memory, fragmentation, manager and every
+// address space, the workload generators — and its reference cursor.
+// Nothing microarchitectural is built and the manager's hooks are
+// unwired: a snapshot keeps the copy as it is, and fork builds the rest
+// fresh. The receiver must hold no pre-generated records (see
+// checkNoPending).
+func (m *Machine) cloneOS(cfg Config) *Machine {
+	dst := &Machine{cfg: cfg, nCores: m.nCores, globalRef: m.globalRef}
 	dst.rngSrc = m.rngSrc.Clone()
 	dst.rng = rand.New(dst.rngSrc)
 	dst.buddy = m.buddy.Clone()
@@ -97,111 +96,47 @@ func (m *Machine) cloneOS(dst *Machine) {
 		}
 	}
 	dst.schedule = m.schedule // built once from the profile, never mutated
+	return dst
 }
 
-// newPT maps a page table of this machine to its counterpart in the
-// cloned manager, for rewiring cloned page walkers.
-func (m *Machine) newPT(clonedMgr *osmm.Manager, old *pagetable.Table) *pagetable.Table {
-	if old == m.proc.PT {
-		return clonedMgr.Process(mainASID).PT
+// fork returns a machine for cfg that continues from m's OS half, with
+// caches, TLBs, coherence, CPUs and hooks built fresh from cfg. It is
+// the one constructor behind Fork and Resume.
+func (m *Machine) fork(cfg Config) (*Machine, error) {
+	f := m.cloneOS(cfg)
+	if err := f.buildUarch(); err != nil {
+		return nil, err
 	}
-	if m.cfg.CoRunner != nil && old == m.mgr.Process(coASID).PT {
-		return clonedMgr.Process(coASID).PT
-	}
-	// Walkers only ever point at a managed process's table; reaching
-	// here would mean a table leaked from outside the machine.
-	panic("machine: walker table belongs to no managed process")
+	return f, nil
 }
 
-// clone deep-copies the whole machine — OS state, warm
-// microarchitectural state, and every attached hook — and rewires every
-// cross-component reference to the clone's own parts: the cloned
-// recorder replaces the original in every subsystem's metrics mirror,
-// and the cloned checker audits the clone's caches and directory.
-func (m *Machine) clone() *Machine {
-	c := &Machine{
-		cfg:               m.cfg,
-		nCores:            m.nCores,
-		superTLBThreshold: m.superTLBThreshold,
-		speculates:        m.speculates,
-		globalRef:         m.globalRef,
-		curRef:            m.curRef,
-		l2Lookups:         m.l2Lookups,
-		superRefs:         m.superRefs,
-		dropTFT:           m.dropTFT,
-		spike:             append([]addr.PAddr(nil), m.spike...),
-	}
-	m.cloneOS(c)
-
-	c.l1s = make([]core.L1Cache, m.nCores)
-	c.seesaws = make([]*core.Seesaw, m.nCores)
-	for i, l1 := range m.l1s {
-		cl := l1.Clone()
-		c.l1s[i] = cl
-		if s, ok := cl.(*core.Seesaw); ok {
-			c.seesaws[i] = s
-		}
-	}
-	if m.cfg.ICache {
-		c.l1is = make([]core.L1Cache, m.nCores)
-		c.iseesaws = make([]*core.Seesaw, m.nCores)
-		for i, l1i := range m.l1is {
-			cl := l1i.Clone()
-			c.l1is[i] = cl
-			if s, ok := cl.(*core.Seesaw); ok {
-				c.iseesaws[i] = s
-			}
-		}
-	}
-	for _, h := range m.hiers {
-		w := h.Walker()
-		c.hiers = append(c.hiers, h.Clone(w.Clone(m.newPT(c.mgr, w.Table))))
-	}
-	c.wireSuperFills()
-	c.cohSys = m.cohSys.Clone(c.cohL1s())
-	for _, cm := range m.cpus {
-		c.cpus = append(c.cpus, cm.Clone())
-	}
-	acct := *m.acct
-	c.acct = &acct
-
-	if m.Hooks.Injector != nil {
-		c.Hooks.Injector = m.Hooks.Injector.Clone()
-	}
-	if m.Hooks.Metrics != nil {
-		c.attachMetrics(m.Hooks.Metrics.Clone())
-		copy(c.lastWidth, m.lastWidth)
-	}
-	if m.Hooks.Checker != nil {
-		chk := m.Hooks.Checker.Clone(check.Wiring{
-			L1s: c.cohL1s(), Hiers: c.hiers, Seesaws: c.seesaws, ISeesaws: c.iseesaws,
-			Coh: c.cohSys, Mgr: c.mgr,
-		})
-		chk.Metrics = c.Hooks.Metrics
-		c.Hooks.Checker = chk
-	}
-	c.mgr.OnInvlpg = c.onInvlpg
-	c.mgr.OnPromote = c.onPromote
-	return c
-}
-
-// A Snapshot is a frozen deep copy of a machine, typically taken at the
-// warmup boundary. Each Resume yields an independent runnable machine,
-// so one snapshot can seed any number of measured runs.
+// A Snapshot is a frozen copy of a machine's OS half, taken at or
+// before the warmup boundary: the config, the reference cursor, the RNG
+// position, physical memory and its fragmentation, the memory manager
+// with every page table, and the workload generators. Warmup never
+// touches caches, TLBs, TFTs, coherence, CPU models or hooks, so that
+// is the whole of a warm machine. Each Resume yields an independent
+// runnable machine, so one snapshot can seed any number of runs.
 type Snapshot struct {
+	// m holds the OS half. Snapshot builds nothing else; a decoded
+	// snapshot's machine also carries the microarchitecture Build made
+	// to prove its config, which Resume never reads.
 	m *Machine
 }
 
-// Snapshot deep-copies the machine's current state, hooks included:
-// each resumed copy gets its own metrics recorder, invariant checker,
-// and fault injector, all positioned exactly where the original's were,
-// so a resumed run continues bit-identically to the uninterrupted one.
-// It fails while pre-generated records are pending (see checkNoPending).
+// Snapshot copies the machine's OS half. It fails past the warmup
+// boundary, where the measured phase has started mutating state a
+// snapshot does not carry, and while pre-generated records are pending
+// (see checkNoPending). A refused snapshot leaves the machine runnable.
 func (m *Machine) Snapshot() (*Snapshot, error) {
+	if m.globalRef > m.cfg.WarmupRefs {
+		return nil, fmt.Errorf("sim: snapshot is only valid up to the warmup boundary (at ref %d, boundary is %d)",
+			m.globalRef, m.cfg.WarmupRefs)
+	}
 	if err := m.checkNoPending(); err != nil {
 		return nil, err
 	}
-	return &Snapshot{m: m.clone()}, nil
+	return &Snapshot{m: m.cloneOS(m.cfg)}, nil
 }
 
 // checkNoPending joins any in-flight lookahead generation and refuses a
@@ -220,11 +155,18 @@ func (m *Machine) checkNoPending() error {
 	return nil
 }
 
-// Resume returns an independent machine continuing from the snapshot's
-// state. The snapshot itself is not consumed: every call returns a
-// fresh copy.
+// Resume returns an independent machine continuing from the snapshot:
+// a copy of its OS half with the microarchitecture built fresh from its
+// config, exactly as Fork builds one. The snapshot itself is not
+// consumed: every call returns a fresh machine.
 func (s *Snapshot) Resume() *Machine {
-	return s.m.clone()
+	m, err := s.m.fork(s.m.cfg)
+	if err != nil {
+		// The snapshot's config already built a whole machine: the
+		// original, or the decoder's proof build.
+		panic(fmt.Sprintf("machine: rebuilding a snapshot's microarchitecture: %v", err))
+	}
+	return m
 }
 
 // Fork creates a machine for cfg that inherits this machine's warmed OS
@@ -236,10 +178,10 @@ func (s *Snapshot) Resume() *Machine {
 //
 // The receiver must sit exactly at the warmup boundary (Warmup just
 // completed, Measure not started) and cfg's WarmupSignature must equal
-// the receiver's; otherwise Fork fails. Unlike Snapshot, Fork accepts
-// any hooks in cfg — metrics, checker, and faults all start fresh in
-// the measured phase, exactly as they would in a cold run. Like
-// Snapshot, it fails while pre-generated records are pending.
+// the receiver's; otherwise Fork fails. Fork accepts any hooks in cfg —
+// metrics, checker, and faults all start fresh in the measured phase,
+// exactly as they would in a cold run. Like Snapshot, it fails while
+// pre-generated records are pending.
 func (m *Machine) Fork(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -254,14 +196,5 @@ func (m *Machine) Fork(cfg Config) (*Machine, error) {
 	if err := m.checkNoPending(); err != nil {
 		return nil, err
 	}
-	f := &Machine{
-		cfg:       cfg.withDefaults(),
-		nCores:    m.nCores,
-		globalRef: m.globalRef,
-	}
-	m.cloneOS(f)
-	if err := f.buildUarch(); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return m.fork(cfg.withDefaults())
 }

@@ -3,6 +3,7 @@ package machine
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"seesaw/internal/core"
@@ -12,9 +13,9 @@ import (
 // TestZooConformance is the registry conformance battery: every design
 // in the zoo — present and future — must pass the machine-level
 // contracts the harness layers lean on. The legs here cover
-// build-by-name and clone deep-copy isolation; the two heavyweight legs
-// run registry-wide in their own tests (fork-equals-cold in
-// TestForkEqualsCold, the mid-epoch snapshot codec round-trip in
+// build-by-name and snapshot isolation; the two heavyweight legs run
+// registry-wide in their own tests (fork-equals-cold in
+// TestForkEqualsCold, the mid-warmup snapshot codec round-trip in
 // TestCodecRoundTripMidEpoch), and the chaos leg below drives every
 // fault schedule under the online invariant checker.
 func TestZooConformance(t *testing.T) {
@@ -27,21 +28,28 @@ func TestZooConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The built L1 must identify as the registered design, or
-				// the snapshot codec cannot route its state.
-				dn, ok := m.l1s[0].(core.DesignNamed)
+				// The name must route to the registered design's own
+				// builder: every core's L1 has the type that builder makes.
+				d, ok := core.LookupDesign(name)
 				if !ok {
-					t.Fatalf("%T does not implement core.DesignNamed", m.l1s[0])
+					t.Fatalf("design %q is not registered", name)
 				}
-				if dn.DesignName() != name {
-					t.Fatalf("built L1 identifies as %q, want %q", dn.DesignName(), name)
+				ref, err := d.New(m.cfg.l1cfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, l1 := range m.l1s {
+					if reflect.TypeOf(l1) != reflect.TypeOf(ref) {
+						t.Fatalf("core %d built a %T, design %q builds a %T", i, l1, name, ref)
+					}
 				}
 			})
 
 			t.Run("clone-deep-copy", func(t *testing.T) {
 				// A snapshot taken at the warmup boundary must be isolated
 				// from the machine it was taken from: running the original
-				// to completion cannot change what the snapshot resumes to.
+				// to completion (its promotion scans and splinters move the
+				// OS half too) cannot change what the snapshot resumes to.
 				ctx := context.Background()
 				cfg := testConfig(t, kind)
 				m := warmMaster(t, cfg)

@@ -21,11 +21,3 @@ func (n *node) clone() *node {
 	}
 	return c
 }
-
-// Clone returns a copy of the walker's statistics walking the given
-// (typically cloned) table.
-func (w *Walker) Clone(table *Table) *Walker {
-	c := *w
-	c.Table = table
-	return &c
-}

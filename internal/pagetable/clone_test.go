@@ -53,28 +53,3 @@ func TestClone(t *testing.T) {
 		t.Error("original lost a page unmapped on the clone")
 	}
 }
-
-// TestWalkerClone: the cloned walker carries the statistics forward but
-// walks the table it is given, accumulating independently.
-func TestWalkerClone(t *testing.T) {
-	pt := New()
-	va := addr.VAddr(0x7f00_1234_5000)
-	if err := pt.Map(va, 0xabc, addr.Page4K); err != nil {
-		t.Fatal(err)
-	}
-	w := NewWalker(pt, 20)
-	w.Walk(va)
-
-	cw := w.Clone(pt.Clone())
-	if cw.WalkCycles() != w.WalkCycles() || cw.AvgLevels() != w.AvgLevels() {
-		t.Errorf("clone stats %d/%.2f, want %d/%.2f",
-			cw.WalkCycles(), cw.AvgLevels(), w.WalkCycles(), w.AvgLevels())
-	}
-	cw.Walk(va)
-	if cw.WalkCycles() == w.WalkCycles() {
-		t.Error("clone's walk mutated shared statistics")
-	}
-	if cw.Table == w.Table {
-		t.Error("clone walks the original table")
-	}
-}

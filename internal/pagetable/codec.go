@@ -98,23 +98,3 @@ func (t *Table) SetState(s TableState) error {
 	t.counts = s.Counts
 	return nil
 }
-
-// WalkerState is a page walker's serializable statistics; the table it
-// walks and its per-level cost are wiring and config, restored
-// separately.
-type WalkerState struct {
-	Walks       uint64
-	Faults      uint64
-	LevelsTotal uint64
-	WalkCycles  uint64
-}
-
-// State captures the walker's statistics.
-func (w *Walker) State() WalkerState {
-	return WalkerState{Walks: w.Walks, Faults: w.Faults, LevelsTotal: w.LevelsTotal, WalkCycles: w.walkCycles}
-}
-
-// SetState restores the walker's statistics in place.
-func (w *Walker) SetState(s WalkerState) {
-	w.Walks, w.Faults, w.LevelsTotal, w.walkCycles = s.Walks, s.Faults, s.LevelsTotal, s.WalkCycles
-}

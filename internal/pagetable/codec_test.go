@@ -112,22 +112,3 @@ func TestTableStateRejections(t *testing.T) {
 		t.Error("accepted a radix deeper than the page-table levels")
 	}
 }
-
-// TestWalkerStateRoundTrip: walker statistics travel; the table wiring
-// is untouched.
-func TestWalkerStateRoundTrip(t *testing.T) {
-	pt := mappedTable(t)
-	w := NewWalker(pt, 20)
-	w.Walk(0x7f00_1234_5000)
-	w.Walk(0xdead_0000) // fault
-
-	fresh := NewWalker(pt, 20)
-	fresh.SetState(w.State())
-	if fresh.State() != w.State() {
-		t.Errorf("restored walker state %+v, want %+v", fresh.State(), w.State())
-	}
-	if fresh.WalkCycles() != w.WalkCycles() || fresh.AvgLevels() != w.AvgLevels() {
-		t.Errorf("restored walker stats %d/%.2f, want %d/%.2f",
-			fresh.WalkCycles(), fresh.AvgLevels(), w.WalkCycles(), w.AvgLevels())
-	}
-}

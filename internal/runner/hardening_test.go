@@ -81,6 +81,30 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	}
 }
 
+// TestRetryHonorsCancellation: a cell that panics after its pool was
+// canceled surfaces the cancellation, not a retriable CellError — the
+// pool checks its context between attempts and stops retrying.
+func TestRetryHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	calls := 0
+	p := NewWithRunContext(1, func(context.Context, sim.Config) (*sim.Report, error) {
+		calls++
+		cancel() // the pool is canceled while this attempt runs
+		panic("transient")
+	}).WithContext(ctx).WithRetries(3)
+	_, err := p.Submit(testConfig(t, "redis", 42)).Wait()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (%T), want context.Canceled", err, err)
+	}
+	var ce *CellError
+	if errors.As(err, &ce) {
+		t.Fatalf("err = %v, a CellError despite the canceled pool", err)
+	}
+	if calls != 1 {
+		t.Errorf("run called %d times after cancellation, want 1", calls)
+	}
+}
+
 // TestDeterministicErrorNotRetried: a plain simulation error (e.g. an
 // invalid config) is surfaced immediately — the simulator is
 // deterministic, so re-running would only reproduce it.

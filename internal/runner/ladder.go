@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"seesaw/internal/machine"
@@ -80,15 +81,17 @@ type warmEntry struct {
 // boundary — so the next process (or the next retry after a crash)
 // starts from the deepest point any run ever reached rather than from
 // zero. Reports stay byte-identical to cold runs: a rung is a
-// bit-exact machine snapshot, and the measured phase always runs fresh
-// via Fork.
+// bit-exact copy of the machine's OS half (all warmup ever changes),
+// and the measured phase always runs fresh via Fork.
 //
 // With snaps == nil (an untyped nil: a nil *store.Store inside the
 // interface is not nil) the ladder degenerates to the in-memory shared
 // warmup New uses: each distinct WarmupSignature is warmed once, by
 // whichever cell arrives first, and every matching cell forks its
-// measured phase from that master. A failed warmup (e.g. canceled) is
-// dropped so a later cell can rebuild it. The masters live in the
+// measured phase from that master. A failed warmup is dropped so a
+// later cell can rebuild it; cells already queued behind a warmup that
+// failed only because its own cell was canceled retry on a fresh entry
+// rather than inherit that cancellation. The masters live in the
 // returned closure, so many short-lived pools can share them. Configs
 // with no warmup phase or a replay trace take the ordinary
 // sim.RunContext path.
@@ -101,26 +104,35 @@ func LadderRun(snaps SnapshotStore, rungEvery int) (RunFunc, *LadderStats) {
 			return sim.RunContext(ctx, cfg)
 		}
 		sig := cfg.WarmupSignature()
-		mu.Lock()
-		e, ok := warmed[sig]
-		if !ok {
-			e = &warmEntry{}
-			warmed[sig] = e
-		}
-		mu.Unlock()
-		e.once.Do(func() {
-			m, err := climb(ctx, cfg, snaps, rungEvery, stats)
-			if err != nil {
-				e.err = err
-				mu.Lock()
-				delete(warmed, sig)
-				mu.Unlock()
-				return
+		var e *warmEntry
+		for {
+			mu.Lock()
+			e = warmed[sig]
+			if e == nil {
+				e = &warmEntry{}
+				warmed[sig] = e
 			}
-			e.m = m
-		})
-		if e.err != nil {
-			return nil, e.err
+			mu.Unlock()
+			e.once.Do(func() {
+				m, err := climb(ctx, cfg, snaps, rungEvery, stats)
+				if err != nil {
+					e.err = err
+					mu.Lock()
+					delete(warmed, sig)
+					mu.Unlock()
+					return
+				}
+				e.m = m
+			})
+			if e.err == nil {
+				break
+			}
+			// The climber's own cancellation or deadline says nothing
+			// about this cell: while ctx is live, warm on a fresh entry.
+			canceled := errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)
+			if !canceled || ctx.Err() != nil {
+				return nil, e.err
+			}
 		}
 		e.mu.Lock()
 		f, err := e.m.Fork(cfg)

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"seesaw/internal/sim"
 	"seesaw/internal/store"
@@ -185,5 +187,93 @@ func TestLadderPassthrough(t *testing.T) {
 	}
 	if n := s.SnapLen(); n != 0 {
 		t.Errorf("passthrough wrote %d rungs", n)
+	}
+}
+
+// blockFirstLookup is a SnapshotStore with no rungs whose first
+// DeepestSnapshot call announces itself on entered and then blocks
+// until release closes, holding that cell's climb in place.
+type blockFirstLookup struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (b *blockFirstLookup) DeepestSnapshot(string, int) ([]byte, int, bool) {
+	first := false
+	b.once.Do(func() { first = true })
+	if first {
+		close(b.entered)
+		<-b.release
+	}
+	return nil, 0, false
+}
+
+func (b *blockFirstLookup) PutSnapshot(string, int, []byte) error { return nil }
+func (b *blockFirstLookup) DropSnapshot(string, int)              {}
+
+// TestLadderCanceledClimbSparesWaiters: cell A climbs a signature's
+// warmup and is canceled mid-climb while cell B, same signature, other
+// design, live context, waits on that climb. A's cancellation is A's
+// alone: B must warm on its own and return the cold run's report, not
+// A's context error.
+func TestLadderCanceledClimbSparesWaiters(t *testing.T) {
+	st := &blockFirstLookup{entered: make(chan struct{}), release: make(chan struct{})}
+	run, _ := LadderRun(st, 0)
+	cfgA := ladderConfig(t, sim.KindBaseline, 45)
+	cfgB := ladderConfig(t, sim.KindSeesaw, 45)
+	want := runCell(t, sim.RunContext, cfgB)
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	errA := make(chan error, 1)
+	go func() {
+		_, err := run(ctxA, cfgA)
+		errA <- err
+	}()
+	<-st.entered // A holds the signature's entry
+
+	type result struct {
+		rep *sim.Report
+		err error
+	}
+	resB := make(chan result, 1)
+	go func() {
+		r, err := run(context.Background(), cfgB)
+		resB <- result{r, err}
+	}()
+	waitOnceWaiters(t, 2) // A climbing, B queued behind it
+	cancelA()
+	close(st.release)
+
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled cell A returned %v, want context.Canceled", err)
+	}
+	b := <-resB
+	if b.err != nil {
+		t.Fatalf("cell B inherited A's failure: %v", b.err)
+	}
+	var got bytes.Buffer
+	if err := b.rep.WriteText(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got.Bytes()) {
+		t.Errorf("cell B's report differs from the cold run:\nwant:\n%s\ngot:\n%s", want, got.Bytes())
+	}
+}
+
+// waitOnceWaiters blocks until n goroutines sit inside a sync.Once —
+// here, a warm entry's climber plus the cells queued behind it.
+func waitOnceWaiters(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		stacks := buf[:runtime.Stack(buf, true)]
+		if bytes.Count(stacks, []byte("sync.(*Once).doSlow")) >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("fewer than %d goroutines reached the warm entry's sync.Once", n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

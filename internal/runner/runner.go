@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -167,15 +166,6 @@ type Pool struct {
 	store   ResultStore
 	ladder  *LadderStats
 
-	// Retry backoff (WithRetryBackoff): zero backoffBase retries
-	// immediately, the historical behaviour.
-	backoffBase time.Duration
-	backoffMax  time.Duration
-	backoffRng  *rand.Rand
-	// sleep is the context-aware delay seam; tests replace it to record
-	// the exact delays a seed produces without waiting them out.
-	sleep func(context.Context, time.Duration) error
-
 	mu    sync.Mutex
 	cells map[string]*Future
 	stats Stats
@@ -211,22 +201,6 @@ func NewWithRunContext(workers int, run RunFunc) *Pool {
 		run:     run,
 		ctx:     context.Background(),
 		cells:   make(map[string]*Future),
-		sleep:   sleepCtx,
-	}
-}
-
-// sleepCtx waits d or until ctx is canceled, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
 	}
 }
 
@@ -269,55 +243,15 @@ func (p *Pool) WithTimeout(d time.Duration) *Pool {
 }
 
 // WithRetries re-executes a cell up to n extra times after a CellError
-// (panic or timeout). Ordinary simulation errors are never retried: the
-// simulator is deterministic, so they would only reproduce. Configure
-// before the first Submit.
+// (panic or timeout), immediately. Ordinary simulation errors are never
+// retried: the simulator is deterministic, so they would only
+// reproduce. Configure before the first Submit.
 func (p *Pool) WithRetries(n int) *Pool {
 	if n < 0 {
 		n = 0
 	}
 	p.retries = n
 	return p
-}
-
-// WithRetryBackoff spaces retry attempts with jittered exponential
-// backoff instead of retrying immediately: attempt n (1-based) waits
-// base·2^(n-1), capped at max, then jittered uniformly into [d/2, 3d/2)
-// so a batch of cells failing together (a crashed worker, a transient
-// resource spike) does not retry in lockstep. The jitter stream is
-// seeded, so a pool built with the same seed produces the same delay
-// sequence — the property the deterministic-seed test pins. A zero base
-// disables backoff (the historical immediate retry); max <= 0 defaults
-// to 32·base. Configure before the first Submit.
-func (p *Pool) WithRetryBackoff(base, max time.Duration, seed int64) *Pool {
-	if base <= 0 {
-		p.backoffBase = 0
-		return p
-	}
-	if max <= 0 {
-		max = 32 * base
-	}
-	p.backoffBase = base
-	p.backoffMax = max
-	p.backoffRng = rand.New(rand.NewSource(seed))
-	return p
-}
-
-// backoffDelay computes the jittered delay before retry attempt n
-// (1-based). Callers must not hold p.mu; the rng draw is serialized so
-// concurrent cells consume a single deterministic jitter stream.
-func (p *Pool) backoffDelay(attempt int) time.Duration {
-	d := p.backoffBase
-	for i := 1; i < attempt && d < p.backoffMax; i++ {
-		d *= 2
-	}
-	if d > p.backoffMax {
-		d = p.backoffMax
-	}
-	p.mu.Lock()
-	jitter := p.backoffRng.Int63n(int64(d))
-	p.mu.Unlock()
-	return d/2 + time.Duration(jitter)
 }
 
 // WithProgress enables a live progress line on w (in-place, \r-updated):
@@ -447,11 +381,6 @@ func (p *Pool) guarded(cfg sim.Config) (*sim.Report, error) {
 			p.mu.Lock()
 			p.stats.Retries++
 			p.mu.Unlock()
-			if p.backoffBase > 0 {
-				if serr := p.sleep(p.ctx, p.backoffDelay(attempt)); serr != nil {
-					return nil, serr
-				}
-			}
 		}
 	}
 	p.mu.Lock()

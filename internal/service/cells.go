@@ -72,8 +72,7 @@ func (s *Server) handleCellRun(w http.ResponseWriter, r *http.Request) {
 	pool := runner.NewWithRunContext(2, s.cellRun).
 		WithContext(ctx).
 		WithTimeout(s.cfg.CellTimeout).
-		WithRetries(s.cfg.Retries).
-		WithRetryBackoff(s.cfg.RetryBackoff, 0, s.cfg.RetryBackoffSeed)
+		WithRetries(s.cfg.Retries)
 	if s.cfg.Store != nil {
 		pool.WithStore(s.cfg.Store)
 	}

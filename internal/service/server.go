@@ -43,11 +43,6 @@ type Config struct {
 	// CellTimeout and Retries harden each job's pool (see runner).
 	CellTimeout time.Duration
 	Retries     int
-	// RetryBackoff, when positive, spaces retry attempts with jittered
-	// exponential backoff from this base (see runner.WithRetryBackoff);
-	// RetryBackoffSeed seeds the jitter stream deterministically.
-	RetryBackoff     time.Duration
-	RetryBackoffSeed int64
 	// Run is the cell-execution seam (default sim.RunContext); tests
 	// inject counting or failing cells.
 	Run runner.RunFunc
@@ -211,8 +206,7 @@ func (s *Server) runJob(j *job) {
 	pool := runner.NewWithRunContext(s.cfg.Workers, s.innerRun).
 		WithContext(j.Context()).
 		WithTimeout(s.cfg.CellTimeout).
-		WithRetries(s.cfg.Retries).
-		WithRetryBackoff(s.cfg.RetryBackoff, 0, s.cfg.RetryBackoffSeed)
+		WithRetries(s.cfg.Retries)
 	if s.cfg.Store != nil {
 		pool.WithStore(s.cfg.Store)
 	}

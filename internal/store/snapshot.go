@@ -1,6 +1,7 @@
 // Snapshot namespace: alongside finished reports, the store keeps
-// partial-run machine snapshots — the rungs of the snapshot ladder —
-// keyed by (warmup prefix hash, reference depth). A rung written by any
+// warmup-phase machine snapshots (the OS half of a machine part way
+// through its warmup) — the rungs of the snapshot ladder — keyed by
+// (warmup prefix hash, reference depth). A rung written by any
 // process against the same store directory lets any later sweep resume
 // the warmup from that depth instead of replaying it, and the affinity
 // routing in internal/cluster means workers repeatedly land on prefixes
