@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build vet fmt test race stress bench bench-baseline perfgate cover chaos cluster-smoke importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
+.PHONY: build vet bench-vet fmt test race stress bench bench-baseline perfgate cover chaos cluster-smoke importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The bench module is its own module, so root builds and tests never
+# compile it; it calls Machine.Step, Config.Trace and the core, TLB and
+# coherence constructors directly, so vet it against the tree.
+bench-vet:
+	$(GO) -C bench vet ./...
 
 # The format gate fails if any Go file is not gofmt-clean.
 fmt:
@@ -102,4 +108,4 @@ fuzz-smoke:
 zoo-smoke:
 	$(GO) run ./tools/zoosmoke
 
-verify: build vet fmt test race stress cover chaos cluster-smoke importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate
+verify: build vet bench-vet fmt test race stress cover chaos cluster-smoke importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate

@@ -174,6 +174,9 @@ func NewPIPT(cfg Config) (*PIPT, error) {
 	if err := validateFreq(cfg); err != nil {
 		return nil, err
 	}
+	if cfg.WayPredict {
+		return nil, fmt.Errorf("core: PIPT does not model way prediction")
+	}
 	geom, err := addr.NewCacheGeometry(cfg.SizeBytes, cfg.Ways, 1)
 	if err != nil {
 		return nil, err

@@ -393,6 +393,10 @@ func TestPIPTSerialLatency(t *testing.T) {
 		t.Error("PIPT has one latency")
 	}
 	_ = v
+	wp := Config{SizeBytes: 32 << 10, Ways: 4, FreqGHz: 1.33, WayPredict: true}
+	if _, err := NewPIPT(wp); err == nil {
+		t.Error("accepted way prediction, which PIPT does not model")
+	}
 }
 
 func TestNamesDistinct(t *testing.T) {

@@ -3,16 +3,16 @@ package machine
 import (
 	"bytes"
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 
+	"seesaw/internal/trace"
 	"seesaw/internal/workload"
 )
 
 // stepToEnd drives a machine to the end of its measured phase one
-// Step() at a time — the fully serial path, no epoch batching beyond
-// whatever pending records already exist.
+// Step() at a time: every epoch is one reference long, so records are
+// drawn in schedule order.
 func stepToEnd(t *testing.T, m *Machine) []byte {
 	t.Helper()
 	total := m.Config().WarmupRefs + m.Config().Refs
@@ -32,34 +32,11 @@ func stepToEnd(t *testing.T, m *Machine) []byte {
 	return buf.Bytes()
 }
 
-// TestBatchedMatchesStepped pins the core batching contract: the
-// epoch-batched Warmup/Measure loop produces a byte-identical report to
-// driving the same machine one Step() at a time. Generation never reads
-// execution state and execution stays in schedule order, so batching
-// (and the lookahead pipeline behind it) must be observationally
-// invisible.
-func TestBatchedMatchesStepped(t *testing.T) {
-	cfg := testConfig(t, KindSeesaw)
-	batched, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reportText(t, batched)
-
-	stepped, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := stepToEnd(t, stepped)
-	if !bytes.Equal(want, got) {
-		t.Errorf("batched run differs from stepped run:\nbatched:\n%s\nstepped:\n%s", want, got)
-	}
-}
-
-// parallelConfig is a 4-thread workload with the I-cache modeled, so
-// epoch pre-generation runs five generator goroutines (4 app threads +
-// the system thread) filling data and instruction streams concurrently.
-func parallelConfig(t *testing.T) Config {
+// nutchConfig is a 4-thread workload with the I-cache and text
+// superpages modeled on fragmented memory, with promotion and splinter
+// cadences firing in both phases: an epoch fill walks five generator
+// threads, each drawing data and instruction streams.
+func nutchConfig(t *testing.T) Config {
 	t.Helper()
 	p, err := workload.ByName("nutch")
 	if err != nil {
@@ -88,84 +65,81 @@ func parallelConfig(t *testing.T) Config {
 	return cfg
 }
 
-// TestParallelGenDeterminism runs the same multi-threaded cell at
-// GOMAXPROCS=1 and GOMAXPROCS=8 and requires byte-identical reports:
-// the per-thread generator workers touch disjoint state and disjoint
-// buffer slots, so scheduling must not be observable. Run under -race
-// this also audits the worker/join discipline.
-func TestParallelGenDeterminism(t *testing.T) {
-	cfg := parallelConfig(t)
-	reports := make([][]byte, 2)
-	for i, procs := range []int{1, 8} {
-		prev := runtime.GOMAXPROCS(procs)
-		m, err := Build(cfg)
-		if err != nil {
-			runtime.GOMAXPROCS(prev)
-			t.Fatal(err)
+// replayConfig replays a recorded redis stream with the I-cache
+// modeled: data references come from Config.Trace, instruction fetches
+// from the generator. The trace is drawn from a second seed, so it is
+// not the stream the machine would generate itself.
+func replayConfig(t *testing.T) Config {
+	t.Helper()
+	cfg := testConfig(t, KindSeesaw)
+	cfg.WarmupRefs = 0
+	cfg.ICache = true
+	g := workload.NewGenerator(cfg.Workload, cfg.Seed+1)
+	g.BindDefault()
+	var schedule []int
+	for tid := 0; tid < g.Threads(); tid++ {
+		for k := 0; k < 8; k++ {
+			schedule = append(schedule, tid)
 		}
-		reports[i] = reportText(t, m)
-		runtime.GOMAXPROCS(prev)
 	}
-	if !bytes.Equal(reports[0], reports[1]) {
-		t.Errorf("reports differ across GOMAXPROCS:\nP=1:\n%s\nP=8:\n%s", reports[0], reports[1])
+	schedule = append(schedule, g.SystemTID())
+	cfg.Trace = make([]trace.Record, cfg.Refs)
+	for i := range cfg.Trace {
+		cfg.Trace[i] = g.Next(schedule[i%len(schedule)])
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// TestBatchedMatchesStepped pins the epoch contract: the Warmup/Measure
+// loop, which fills each epoch thread by thread before executing it,
+// produces a byte-identical report to driving the same machine one
+// Step() at a time. Generation never reads execution state and
+// execution stays in schedule order, so epochs must be observationally
+// invisible — for a one-thread workload, a multi-threaded one with the
+// I-cache, and a trace replay.
+func TestBatchedMatchesStepped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"redis", testConfig(t, KindSeesaw)},
+		{"nutch-icache", nutchConfig(t)},
+		{"replay-icache", replayConfig(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := reportText(t, mustBuild(t, tc.cfg))
+			got := stepToEnd(t, mustBuild(t, tc.cfg))
+			if !bytes.Equal(want, got) {
+				t.Errorf("batched run differs from stepped run:\nbatched:\n%s\nstepped:\n%s", want, got)
+			}
+		})
 	}
 }
 
-// TestSnapshotMidEpochPending: a machine stopped at the warmup boundary
-// with the first measured epoch already generated holds records the
-// generator has advanced past, so Snapshot and Fork must refuse it
-// rather than copy a desynced stream. A machine stopped inside a
-// measured epoch is past the boundary, which Snapshot refuses first.
-// Either refusal must leave the machine runnable: its continuation
-// still matches a cold run byte for byte.
-func TestSnapshotMidEpochPending(t *testing.T) {
-	ctx := context.Background()
-	cfg := testConfig(t, KindSeesaw)
-	want := reportText(t, mustBuild(t, cfg))
-	total := cfg.WarmupRefs + cfg.Refs
-
-	// Batch the warmup with the measured phase as the lookahead bound:
-	// the machine stops at the warmup boundary with the first measured
-	// epoch already generated.
-	atBoundary := mustBuild(t, cfg)
-	if err := atBoundary.stepBatch(cfg.WarmupRefs, 0, total); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := atBoundary.Fork(cfg); err == nil || !strings.Contains(err.Error(), "pending") {
-		t.Errorf("Fork with pre-generated records pending returned %v, want a pending-records error", err)
-	}
-	if _, err := atBoundary.Snapshot(); err == nil || !strings.Contains(err.Error(), "pending") {
-		t.Errorf("Snapshot with pre-generated records pending returned %v, want a pending-records error", err)
-	}
-
-	// Execute 100 references of a ~4096-reference epoch, leaving the
-	// rest pending.
-	m := warmMaster(t, cfg)
-	if err := m.stepBatch(100, cfg.WarmupRefs, total); err != nil {
-		t.Fatal(err)
-	}
-	if m.batch.cur.empty() {
-		t.Fatal("expected pending pre-generated records mid-epoch")
-	}
-	if _, err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), "boundary") {
-		t.Errorf("Snapshot inside a measured epoch returned %v, want a past-boundary error", err)
-	}
-
-	for name, mc := range map[string]*Machine{"boundary": atBoundary, "mid-epoch": m} {
-		if err := mc.Measure(ctx); err != nil {
-			t.Fatal(err)
-		}
-		r, err := mc.Report()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := r.WriteText(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got.Bytes()) {
-			t.Errorf("%s: continuation after a refused copy differs from the cold run:\nwant:\n%s\ngot:\n%s", name, want, got.Bytes())
-		}
+// TestStepPastEnd: once the measured phase is complete, Step refuses
+// rather than simulate a reference the config never asked for — or, on
+// a trace replay, index past the trace — and the cursor stays put.
+func TestStepPastEnd(t *testing.T) {
+	gen := testConfig(t, KindSeesaw)
+	gen.Refs = 500
+	replay := replayConfig(t)
+	replay.Trace = replay.Trace[:50]
+	for name, cfg := range map[string]Config{"generated": gen, "replay": replay} {
+		t.Run(name, func(t *testing.T) {
+			m := mustBuild(t, cfg)
+			end := m.Config().WarmupRefs + m.Config().Refs
+			stepToEnd(t, m)
+			err := m.Step()
+			if err == nil || !strings.Contains(err.Error(), "past the end") {
+				t.Errorf("Step at the end of the measured phase returned %v, want a past-the-end error", err)
+			}
+			if m.Ref() != end {
+				t.Errorf("after a refused Step, Ref() = %d, want %d", m.Ref(), end)
+			}
+		})
 	}
 }
 
@@ -179,11 +153,12 @@ func mustBuild(t *testing.T, cfg Config) *Machine {
 	return m
 }
 
-// TestMeasuredStepAllocFree is the allocation regression gate: with
-// every hook disabled, a measured-phase reference allocates nothing.
-// The machine is warmed past its cold-start fills first so map growth
-// and lazily sized scratch buffers have reached steady state.
-func TestMeasuredStepAllocFree(t *testing.T) {
+// allocFreeConfig is a warmed-up redis cell with every hook and every
+// cadenced OS activity off (negative disables; zero would take the
+// default): promotion scans and splinters legitimately allocate
+// page-table state, which is not what the allocation gates check.
+func allocFreeConfig(t *testing.T) Config {
+	t.Helper()
 	p, err := workload.ByName("redis")
 	if err != nil {
 		t.Fatal(err)
@@ -192,16 +167,13 @@ func TestMeasuredStepAllocFree(t *testing.T) {
 		Workload:   p,
 		Seed:       42,
 		Refs:       60_000,
-		WarmupRefs: 10_000,
+		WarmupRefs: 8_192,
 		CacheKind:  KindSeesaw,
 		L1Size:     32 << 10,
 		FreqGHz:    1.33,
 		CPUKind:    "ooo",
 		MemBytes:   512 << 20,
 
-		// Cadenced OS activity off (negative disables; zero would take
-		// the default): promotion scans and splinters legitimately
-		// allocate page-table state, which is not what this test gates.
 		ContextSwitchEvery: -1,
 		PromoteScanEvery:   -1,
 		SplinterEvery:      -1,
@@ -209,12 +181,16 @@ func TestMeasuredStepAllocFree(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := m.Warmup(ctx); err != nil {
+	return cfg
+}
+
+// TestMeasuredStepAllocFree is the allocation regression gate: with
+// every hook disabled, a measured-phase reference allocates nothing.
+// The machine is warmed past its cold-start fills first so map growth
+// and lazily sized scratch buffers have reached steady state.
+func TestMeasuredStepAllocFree(t *testing.T) {
+	m := mustBuild(t, allocFreeConfig(t))
+	if err := m.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the measured-phase state: caches, TLBs, coherence directory.
@@ -229,5 +205,25 @@ func TestMeasuredStepAllocFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("measured Step allocates %.3f objects/ref with hooks disabled, want 0", avg)
+	}
+}
+
+// TestMeasuredEpochAllocFree: with every hook disabled, one whole
+// 4096-reference measured epoch through the reference loop — its fill
+// and its execution — allocates nothing.
+func TestMeasuredEpochAllocFree(t *testing.T) {
+	ctx := context.Background()
+	m := mustBuild(t, allocFreeConfig(t))
+	// Warm up, then warm the measured-phase state over five epochs; the
+	// cursor stays on an epoch boundary.
+	if err := m.run(ctx, m.Config().WarmupRefs+5*epochRefs); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		if err := m.run(ctx, m.Ref()+epochRefs); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("a measured epoch allocates %.1f objects with hooks disabled, want 0", avg)
 	}
 }

@@ -29,8 +29,8 @@ import (
 // Version 5 carries only the OS half, with the cursor at or below the
 // warmup boundary; version 4 also carried every cache, TLB, directory,
 // CPU and hook state, none of which warmup ever changes. Since version
-// 4 no pre-generated records travel: snapshots are only taken with both
-// epoch buffers empty, so version 3's BatchCur/BatchNext are gone.
+// 4 no pre-generated records travel (version 3's BatchCur/BatchNext):
+// a machine never draws records past its reference cursor.
 // Since version 3, physical memory is encoded as the buddy's free
 // blocks and the memhog's pinned frames only; version 2 also carried
 // the buddy's heap arrays and the hog's frame index. Since version 2,
@@ -270,7 +270,7 @@ func (m *Machine) WarmupTo(ctx context.Context, n int) error {
 	if n <= m.globalRef {
 		return nil
 	}
-	return m.run(ctx, 0, n)
+	return m.run(ctx, n)
 }
 
 // PrefixHash is the content address of this config's warmup prefix: hex

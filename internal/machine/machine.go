@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"seesaw/internal/addr"
 	"seesaw/internal/cache"
@@ -46,8 +45,9 @@ type Hooks struct {
 // OS memory manager, per-core TLB hierarchies and L1 caches over a
 // coherent LLC, CPU timing models, and the workload generators driving
 // them. Build constructs one; Step advances it a single reference;
-// Warmup and Measure run the two phases; Snapshot/Resume/Fork copy the
-// warm OS half and rebuild the rest (snapshot.go).
+// Warmup and Measure run the two phases; Snapshot copies the warm OS
+// half, and Snapshot.Resume and Snapshot.Fork rebuild the rest around
+// it (snapshot.go).
 type Machine struct {
 	cfg Config
 
@@ -83,9 +83,9 @@ type Machine struct {
 	// per-reference paths do not concatenate a fresh slice per call.
 	cohAll []core.L1Cache
 
-	// batch holds the scratch buffers of the epoch-batched reference
-	// loop (never copied; rebuilt lazily on first use).
-	batch batchState
+	// epoch holds the records of the epoch being executed (never
+	// copied; sized lazily on first use).
+	epoch epochBuf
 
 	// schedule interleaves application threads with the system thread;
 	// superTLBThreshold gates the scheduler's fast-path speculation and
@@ -120,11 +120,11 @@ const (
 	coASID   = 2
 )
 
-// cancelCheckMask sets how often the reference loops poll their
-// context: every 4096 references, cheap enough to be invisible next to
-// the work of one reference yet responsive enough that a canceled or
+// epochRefs is the longest epoch: run polls its context before every
+// epoch, so 4096 references is cheap enough to be invisible next to the
+// work of one reference yet responsive enough that a canceled or
 // timed-out cell unwinds within a fraction of a millisecond.
-const cancelCheckMask = 1<<12 - 1
+const epochRefs = 1 << 12
 
 // Build validates cfg and constructs a fully wired machine: the OS side
 // (physical memory, fragmentation, page tables, mapped workload
@@ -732,50 +732,15 @@ func (m *Machine) applyFault(ev faults.Event) error {
 
 // Step executes the next reference — a warmup step while the machine is
 // inside [0, WarmupRefs), a full measured step afterwards — and
-// advances the reference cursor. Warmup and Measure run epoch batches
-// over the same per-step bodies with context polling.
+// advances the reference cursor. It runs a one-reference epoch, so its
+// record is drawn exactly as Warmup and Measure draw theirs; a replayed
+// trace is read at the cursor. Stepping past the end of the measured
+// phase is an error.
 func (m *Machine) Step() error {
-	m.settle()
-	if !m.batch.cur.empty() {
-		// A batched run left pre-generated records behind (the generator
-		// has already advanced past them); consume them in order.
-		return m.stepBatch(1, 0, m.cfg.WarmupRefs+m.cfg.Refs)
+	if end := m.cfg.WarmupRefs + m.cfg.Refs; m.globalRef >= end {
+		return fmt.Errorf("sim: step past the end of the measured phase (at ref %d, end is %d)", m.globalRef, end)
 	}
-	i := m.globalRef
-	var err error
-	if i < m.cfg.WarmupRefs {
-		err = m.stepWarmup(i, m.gen.Next(m.schedule[i%len(m.schedule)]))
-	} else {
-		rec, iva, jumped, gerr := m.nextMeasuredRec(i)
-		if gerr != nil {
-			return gerr
-		}
-		err = m.stepMeasured(i, rec, iva, jumped)
-	}
-	if err != nil {
-		return err
-	}
-	m.globalRef++
-	return nil
-}
-
-// nextMeasuredRec draws the next measured reference — from the trace
-// when one is replayed, from the workload generator otherwise — plus
-// the instruction fetch for its block when the I-cache is modeled.
-func (m *Machine) nextMeasuredRec(i int) (rec trace.Record, iva addr.VAddr, jumped bool, err error) {
-	if m.cfg.Trace != nil {
-		rec = m.cfg.Trace[i-m.cfg.WarmupRefs]
-		if int(rec.TID) >= m.nCores {
-			return rec, 0, false, fmt.Errorf("sim: trace record %d names thread %d but the system has %d cores",
-				i, rec.TID, m.nCores)
-		}
-	} else {
-		rec = m.gen.Next(m.schedule[i%len(m.schedule)])
-	}
-	if m.cfg.ICache {
-		iva, jumped = m.gen.NextCode(int(rec.TID), int(rec.Gap)+1)
-	}
-	return rec, iva, jumped, nil
+	return m.runEpoch(1)
 }
 
 // stepWarmup advances the OS-only warmup phase one reference: the
@@ -786,8 +751,8 @@ func (m *Machine) nextMeasuredRec(i int) (rec trace.Record, iva addr.VAddr, jump
 // and fault injection are deferred to the measured phase. All cadences
 // key on the global reference index i, so a WarmupRefs=0 run is
 // bit-identical to the unphased simulator. rec is reference i's record,
-// drawn by the caller (inline or batch-pregenerated).
-func (m *Machine) stepWarmup(i int, rec trace.Record) error {
+// drawn by the epoch fill.
+func (m *Machine) stepWarmup(i int, rec trace.Record) {
 	if m.cfg.PromoteScanEvery > 0 && i > 0 && i%m.cfg.PromoteScanEvery == 0 {
 		m.mgr.PromoteScan(m.proc, 2)
 	}
@@ -796,15 +761,14 @@ func (m *Machine) stepWarmup(i int, rec trace.Record) error {
 			m.mgr.Splinter(m.proc, rec.VA)
 		}
 	}
-	return nil
 }
 
 // stepMeasured executes one fully modeled reference at global index i:
 // the data access, the instruction fetch, periodic OS activity, and
 // fault injection. rec (and iva/jumped when the I-cache is modeled) are
-// reference i's pre-drawn records; generation never depends on
-// execution state, so drawing them early — or in parallel per thread —
-// is observationally identical.
+// reference i's records, drawn by the epoch fill; generation never
+// depends on execution state, so drawing them ahead is observationally
+// identical.
 func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped bool) error {
 	m.curRef = uint64(i)
 	tid := int(rec.TID)
@@ -888,206 +852,110 @@ func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped b
 	return nil
 }
 
-// epochBuf holds one epoch's pre-generated records: reference
-// [start+off, start+len(recs)) are still unconsumed. ivas/jumps carry
-// the I-side fetch stream when icache was set at generation time.
+// epochBuf holds the records of one epoch: recs[j] is reference
+// cursor+j, and ivas/jumps carry its instruction fetch when the I-cache
+// is modeled in the measured phase. The buffer is sized for the longest
+// epoch and reused from epoch to epoch, and every epoch executes in full
+// before the next is drawn, so the generators never run ahead of the
+// reference cursor.
 type epochBuf struct {
-	start  int
-	off    int
-	recs   []trace.Record
-	ivas   []addr.VAddr
-	jumps  []bool
-	icache bool
+	recs  []trace.Record
+	ivas  []addr.VAddr
+	jumps []bool
 }
 
-func (e *epochBuf) empty() bool { return e.off >= len(e.recs) }
-
-// batchState is the double-buffered epoch pipeline: cur holds the
-// records currently being executed, next is (optionally) being filled
-// by generator goroutines while execution proceeds — generation never
-// reads execution state, so the lookahead is free parallelism. The
-// buffers are reused across epochs and never copied: snapshots and
-// forks refuse a machine with records pending (checkNoPending).
-type batchState struct {
-	cur      epochBuf
-	next     epochBuf
-	inflight bool // generator goroutines are filling next
-	wg       sync.WaitGroup
-}
-
-// settle waits for any in-flight lookahead generation and, when the
-// current buffer is drained, adopts the lookahead epoch as current.
-// Callers that copy the generator or read batch state must settle
-// first. Both buffers may legitimately hold records — a batch that
-// stopped mid-epoch leaves cur partially consumed with next already
-// generated — but then next must be the epoch immediately after cur.
-func (m *Machine) settle() {
-	b := &m.batch
-	if b.inflight {
-		b.wg.Wait()
-		b.inflight = false
+// fill draws the n records of the epoch starting at the cursor, which
+// must not span the warmup boundary (the phases draw differently). A
+// generated epoch fills thread by thread, each thread's references in
+// program order: generator state is per thread (each tid owns its RNG,
+// cursors and last VA), so the buffer equals a draw in schedule order,
+// and each thread's state stays hot for its whole slice. A replayed
+// trace is read at the cursor, with the instruction fetches drawn from
+// the generator.
+func (m *Machine) fill(n int) error {
+	e := &m.epoch
+	if e.recs == nil {
+		e.recs = make([]trace.Record, epochRefs)
+		e.ivas = make([]addr.VAddr, epochRefs)
+		e.jumps = make([]bool, epochRefs)
 	}
-	if b.next.empty() {
-		return
-	}
-	if b.cur.empty() {
-		b.cur, b.next = b.next, b.cur
-	} else if b.next.start != b.cur.start+len(b.cur.recs) {
-		panic("machine: epoch pipeline out of order")
-	}
-}
-
-// pregen fills buf with references [start, start+n), one goroutine per
-// workload thread. Generator state is fully per-thread (each tid owns
-// its RNG, cursors, and last-VA), and each position of the epoch
-// belongs to exactly one tid, so the workers touch disjoint state and
-// disjoint buffer slots — the result is byte-identical to serial
-// generation in schedule order, at any GOMAXPROCS. With background set
-// the call returns immediately and settle() joins the workers.
-func (m *Machine) pregen(buf *epochBuf, start, n int, icache, background bool) {
-	if cap(buf.recs) < n {
-		buf.recs = make([]trace.Record, n)
-		buf.ivas = make([]addr.VAddr, n)
-		buf.jumps = make([]bool, n)
-	}
-	buf.recs, buf.ivas, buf.jumps = buf.recs[:n], buf.ivas[:n], buf.jumps[:n]
-	buf.start, buf.off, buf.icache = start, 0, icache
-	nt := m.gen.Threads() + 1 // app threads + the system thread
-	for t := 0; t < nt; t++ {
-		m.batch.wg.Add(1)
-		go m.genWorker(buf, t, start, icache)
-	}
-	if background {
-		m.batch.inflight = true
-		return
-	}
-	m.batch.wg.Wait()
-}
-
-// genWorker pre-generates, in program order, every reference of thread
-// tid inside buf's epoch.
-func (m *Machine) genWorker(buf *epochBuf, tid, g0 int, icache bool) {
-	defer m.batch.wg.Done()
-	s := m.schedule
-	pos := g0 % len(s)
-	for j := range buf.recs {
-		st := s[pos]
-		if pos++; pos == len(s) {
-			pos = 0
-		}
-		if st != tid {
-			continue
-		}
-		rec := m.gen.Next(tid)
-		buf.recs[j] = rec
-		if icache {
-			buf.ivas[j], buf.jumps[j] = m.gen.NextCode(tid, int(rec.Gap)+1)
-		}
-	}
-}
-
-// epochLen returns the batch length starting at ref g for the phase
-// [base, end): up to the next cancellation-poll boundary or the phase
-// end, whichever is nearer. Phase boundaries also clamp the warmup
-// edge, so an epoch never spans warmup and measured generation.
-func (m *Machine) epochLen(g, base, end int) int {
-	n := cancelCheckMask + 1 - ((g - base) & cancelCheckMask)
-	if rem := end - g; n > rem {
-		n = rem
-	}
-	if w := m.cfg.WarmupRefs; g < w && g+n > w {
-		n = w - g
-	}
-	return n
-}
-
-// stepBatch advances the machine n references as one epoch: the
-// per-thread slices of the epoch are generated in parallel behind a
-// barrier (usually one epoch ahead, overlapped with execution of the
-// previous epoch), then executed serially in schedule order —
-// coherence couples the cores (LLC recency, directory state, snoops,
-// back-invalidations land on every miss), so execution order is the
-// serialization point that keeps reports byte-identical. end bounds
-// the phase for lookahead generation.
-func (m *Machine) stepBatch(n, base, end int) error {
-	// Never span the warmup boundary: the phases generate differently.
-	if w := m.cfg.WarmupRefs; m.globalRef < w && m.globalRef+n > w {
-		n = w - m.globalRef
-	}
-	measured := m.globalRef >= m.cfg.WarmupRefs
-	if measured && m.cfg.Trace != nil {
-		// Trace replay: records are already materialized; nothing to
-		// pre-generate (NextCode draws must stay in step order).
-		for k := 0; k < n; k++ {
-			if err := m.Step(); err != nil {
-				return err
+	e.recs, e.ivas, e.jumps = e.recs[:n], e.ivas[:n], e.jumps[:n]
+	g := m.globalRef
+	icache := g >= m.cfg.WarmupRefs && m.cfg.ICache
+	if m.cfg.Trace != nil { // never with a warmup phase (RuleTraceWarmup)
+		for j := range e.recs {
+			rec := m.cfg.Trace[g+j]
+			if int(rec.TID) >= m.nCores {
+				return fmt.Errorf("sim: trace record %d names thread %d but the system has %d cores",
+					g+j, rec.TID, m.nCores)
+			}
+			e.recs[j] = rec
+			if icache {
+				e.ivas[j], e.jumps[j] = m.gen.NextCode(int(rec.TID), int(rec.Gap)+1)
 			}
 		}
 		return nil
 	}
-	b := &m.batch
-	for n > 0 {
-		if b.cur.empty() {
-			m.settle()
-			if b.cur.empty() {
-				ic := measured && m.cfg.ICache
-				m.pregen(&b.cur, m.globalRef, m.epochLen(m.globalRef, base, end), ic, false)
+	s := m.schedule
+	for tid := 0; tid < m.nCores; tid++ { // the app threads, then the system thread
+		pos := g % len(s)
+		for j := range e.recs {
+			if s[pos] == tid {
+				rec := m.gen.Next(tid)
+				e.recs[j] = rec
+				if icache {
+					e.ivas[j], e.jumps[j] = m.gen.NextCode(tid, int(rec.Gap)+1)
+				}
 			}
-		}
-		if b.cur.start+b.cur.off != m.globalRef {
-			// Pending records no longer line up with the cursor: the
-			// generator advanced past references that were never
-			// executed, which no supported call sequence produces.
-			panic("machine: pre-generated records out of sync with reference cursor")
-		}
-		// Kick the next epoch's generation before executing this one
-		// (not worth a goroutine handoff for single-Step calls).
-		if nstart := b.cur.start + len(b.cur.recs); n > 1 && nstart < end && !b.inflight && b.next.empty() {
-			ic := nstart >= m.cfg.WarmupRefs && m.cfg.ICache && m.cfg.Trace == nil
-			m.pregen(&b.next, nstart, m.epochLen(nstart, base, end), ic, true)
-		}
-		k := len(b.cur.recs) - b.cur.off
-		if k > n {
-			k = n
-		}
-		for ; k > 0; k-- {
-			i := m.globalRef
-			off := b.cur.off
-			var err error
-			if i < m.cfg.WarmupRefs {
-				err = m.stepWarmup(i, b.cur.recs[off])
-			} else {
-				err = m.stepMeasured(i, b.cur.recs[off], b.cur.ivas[off], b.cur.jumps[off])
+			if pos++; pos == len(s) {
+				pos = 0
 			}
-			if err != nil {
-				return err
-			}
-			b.cur.off++
-			m.globalRef++
-			n--
 		}
 	}
 	return nil
 }
 
-// run is the single phase-aware reference loop behind Warmup and
-// Measure: it advances the machine to end in epoch batches, polling ctx
-// exactly when (globalRef-base)&cancelCheckMask == 0 — the same 4096-
-// reference cadence the per-step loops used, now computed once per
-// epoch instead of once per reference.
-func (m *Machine) run(ctx context.Context, base, end int) error {
+// runEpoch fills the n-reference epoch at the cursor, then executes it
+// in schedule order: coherence couples the cores (LLC recency,
+// directory state, snoops and back-invalidations land on every miss),
+// so execution order is what keeps reports byte-identical.
+func (m *Machine) runEpoch(n int) error {
+	if err := m.fill(n); err != nil {
+		return err
+	}
+	e := &m.epoch
+	if m.globalRef < m.cfg.WarmupRefs {
+		for _, rec := range e.recs {
+			m.stepWarmup(m.globalRef, rec)
+			m.globalRef++
+		}
+		return nil
+	}
+	for j, rec := range e.recs {
+		if err := m.stepMeasured(m.globalRef, rec, e.ivas[j], e.jumps[j]); err != nil {
+			return err
+		}
+		m.globalRef++
+	}
+	return nil
+}
+
+// run is the one reference loop behind Warmup, WarmupTo and Measure: it
+// advances the machine to end an epoch at a time. An epoch runs to the
+// next multiple of 4096 references, end or the warmup boundary,
+// whichever is nearest, and ctx is polled before each one, so a
+// canceled cell unwinds within one epoch and leaves no drawn record
+// unexecuted.
+func (m *Machine) run(ctx context.Context, end int) error {
 	for m.globalRef < end {
-		if (m.globalRef-base)&cancelCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		// Batch to the next poll boundary (or the phase end).
-		n := cancelCheckMask + 1 - ((m.globalRef - base) & cancelCheckMask)
-		if rem := end - m.globalRef; n > rem {
-			n = rem
+		n := min(epochRefs-m.globalRef%epochRefs, end-m.globalRef)
+		if w := m.cfg.WarmupRefs; m.globalRef < w {
+			n = min(n, w-m.globalRef)
 		}
-		if err := m.stepBatch(n, base, end); err != nil {
+		if err := m.runEpoch(n); err != nil {
 			return err
 		}
 	}
@@ -1097,7 +965,7 @@ func (m *Machine) run(ctx context.Context, base, end int) error {
 // Warmup runs the OS-only warmup phase to its boundary. It is a no-op
 // when WarmupRefs is zero or the phase already ran.
 func (m *Machine) Warmup(ctx context.Context) error {
-	return m.run(ctx, 0, m.cfg.WarmupRefs)
+	return m.run(ctx, m.cfg.WarmupRefs)
 }
 
 // Measure runs the measured phase: cfg.Refs fully modeled references
@@ -1106,5 +974,5 @@ func (m *Machine) Warmup(ctx context.Context) error {
 // runner's per-cell timeout and the service's per-job cancellation
 // reclaim a stuck or abandoned cell.
 func (m *Machine) Measure(ctx context.Context) error {
-	return m.run(ctx, m.cfg.WarmupRefs, m.cfg.WarmupRefs+m.cfg.Refs)
+	return m.run(ctx, m.cfg.WarmupRefs+m.cfg.Refs)
 }

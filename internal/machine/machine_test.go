@@ -87,14 +87,25 @@ func warmMaster(t *testing.T, cfg Config) *Machine {
 	return m
 }
 
+// warmSnapshot snapshots a warmMaster at its warmup boundary.
+func warmSnapshot(t *testing.T, cfg Config) *Snapshot {
+	t.Helper()
+	snap, err := warmMaster(t, cfg).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 // TestForkEqualsCold is the tentpole guarantee: a cell forked from a
-// warmed machine produces a byte-identical report to a cold run of the
-// same config. The master is warmed as the baseline design, then forked
-// into every registered design — exactly how a shared-warmup sweep uses
-// it, and one leg of the zoo conformance battery (see zoo_test.go).
+// warmed machine's snapshot produces a byte-identical report to a cold
+// run of the same config. The master is warmed as the baseline design,
+// then forked into every registered design — exactly how a
+// shared-warmup sweep uses it, and one leg of the zoo conformance
+// battery (see zoo_test.go).
 func TestForkEqualsCold(t *testing.T) {
 	ctx := context.Background()
-	master := warmMaster(t, testConfig(t, KindBaseline))
+	master := warmSnapshot(t, testConfig(t, KindBaseline))
 	for _, name := range DesignNames() {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig(t, CacheKind(name))
@@ -146,7 +157,7 @@ func TestForkWithHooksEqualsCold(t *testing.T) {
 	}
 	want := reportText(t, cold)
 
-	master := warmMaster(t, testConfig(t, KindBaseline))
+	master := warmSnapshot(t, testConfig(t, KindBaseline))
 	forked, err := master.Fork(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -288,33 +299,78 @@ func TestSnapshotPastBoundary(t *testing.T) {
 	}
 }
 
-// TestForkRejections: forking off the warmup boundary or with a
-// disagreeing warmup signature must fail loudly, never silently produce
-// a wrong-state machine.
+// TestForkRejections: forking a snapshot taken off the warmup boundary
+// or with a disagreeing warmup signature must fail loudly, never
+// silently produce a wrong-state machine.
 func TestForkRejections(t *testing.T) {
 	cfg := testConfig(t, KindBaseline)
-	m, err := Build(cfg)
+	m := mustBuild(t, cfg)
+	// Not at the boundary yet.
+	cold, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Not at the boundary yet.
-	if _, err := m.Fork(cfg); err == nil || !strings.Contains(err.Error(), "boundary") {
+	if _, err := cold.Fork(cfg); err == nil || !strings.Contains(err.Error(), "boundary") {
 		t.Errorf("fork before warmup: got err %v, want boundary refusal", err)
 	}
 	if err := m.Warmup(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Signature mismatch: different seed warms differently.
 	bad := cfg
 	bad.Seed = 43
-	if _, err := m.Fork(bad); err == nil || !strings.Contains(err.Error(), "signature") {
+	if _, err := snap.Fork(bad); err == nil || !strings.Contains(err.Error(), "signature") {
 		t.Errorf("fork with different seed: got err %v, want signature refusal", err)
 	}
 	// Agreeing config forks fine.
 	good := cfg
 	good.CacheKind = KindSeesaw
-	if _, err := m.Fork(good); err != nil {
+	if _, err := snap.Fork(good); err != nil {
 		t.Errorf("fork with agreeing signature: %v", err)
+	}
+}
+
+// flipCtx is a context whose Err turns to context.Canceled from its
+// (after+1)th call on: the reference loop polls once per epoch, so the
+// cancel lands at a chosen poll.
+type flipCtx struct {
+	context.Context
+	calls, after int
+}
+
+func (c *flipCtx) Err() error {
+	if c.calls++; c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSnapshotAfterCanceledWarmup: a warmup canceled at its second
+// poll stops one epoch in, with every drawn record executed, so the
+// machine snapshots there; the snapshot resumes, finishes its warmup
+// and measures to the cold run's report byte for byte.
+func TestSnapshotAfterCanceledWarmup(t *testing.T) {
+	ctx := context.Background()
+	cfg := testConfig(t, KindSeesaw)
+	want := reportText(t, mustBuild(t, cfg))
+
+	m := mustBuild(t, cfg)
+	if err := m.Warmup(&flipCtx{Context: ctx, after: 1}); err != context.Canceled {
+		t.Fatalf("Warmup under a context canceled at its second poll returned %v, want context.Canceled", err)
+	}
+	if m.Ref() != epochRefs {
+		t.Errorf("canceled warmup stopped at ref %d, want %d (one epoch)", m.Ref(), epochRefs)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot after a canceled warmup: %v", err)
+	}
+	if got := reportText(t, snap.Resume()); !bytes.Equal(want, got) {
+		t.Errorf("resume after a canceled warmup differs from the cold run:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 // WarmupSignature identifies everything that shapes the warmup phase: a
 // machine's state at the warmup boundary is a pure function of its
 // signature. Two configs with equal signatures pass through identical
-// warmup states, so a sweep may warm one machine and Fork every cell
-// whose config agrees — measured-phase parameters (cache kind, geometry,
-// policies, Refs, hooks, context-switch cadence, fault schedules) are
-// deliberately absent. The struct is comparable and usable as a map key.
+// warmup states, so a sweep may warm one machine, snapshot it, and Fork
+// every cell whose config agrees — measured-phase parameters (cache
+// kind, geometry, policies, Refs, hooks, context-switch cadence, fault
+// schedules) are deliberately absent. The struct is comparable and
+// usable as a map key.
 type WarmupSignature struct {
 	// Workload and CoRunner are the profiles' %+v renderings (profiles
 	// hold no pointers, so the rendering is a faithful identity);
@@ -74,8 +75,7 @@ func (c Config) WarmupSignature() WarmupSignature {
 // address space, the workload generators — and its reference cursor.
 // Nothing microarchitectural is built and the manager's hooks are
 // unwired: a snapshot keeps the copy as it is, and fork builds the rest
-// fresh. The receiver must hold no pre-generated records (see
-// checkNoPending).
+// fresh.
 func (m *Machine) cloneOS(cfg Config) *Machine {
 	dst := &Machine{cfg: cfg, nCores: m.nCores, globalRef: m.globalRef}
 	dst.rngSrc = m.rngSrc.Clone()
@@ -101,7 +101,7 @@ func (m *Machine) cloneOS(cfg Config) *Machine {
 
 // fork returns a machine for cfg that continues from m's OS half, with
 // caches, TLBs, coherence, CPUs and hooks built fresh from cfg. It is
-// the one constructor behind Fork and Resume.
+// the one constructor behind Snapshot.Fork and Snapshot.Resume.
 func (m *Machine) fork(cfg Config) (*Machine, error) {
 	f := m.cloneOS(cfg)
 	if err := f.buildUarch(); err != nil {
@@ -126,33 +126,14 @@ type Snapshot struct {
 
 // Snapshot copies the machine's OS half. It fails past the warmup
 // boundary, where the measured phase has started mutating state a
-// snapshot does not carry, and while pre-generated records are pending
-// (see checkNoPending). A refused snapshot leaves the machine runnable.
+// snapshot does not carry; a refused snapshot leaves the machine
+// runnable.
 func (m *Machine) Snapshot() (*Snapshot, error) {
 	if m.globalRef > m.cfg.WarmupRefs {
 		return nil, fmt.Errorf("sim: snapshot is only valid up to the warmup boundary (at ref %d, boundary is %d)",
 			m.globalRef, m.cfg.WarmupRefs)
 	}
-	if err := m.checkNoPending(); err != nil {
-		return nil, err
-	}
 	return &Snapshot{m: m.cloneOS(m.cfg)}, nil
-}
-
-// checkNoPending joins any in-flight lookahead generation and refuses a
-// machine whose epoch buffers still hold pre-generated records: the
-// generator has already advanced past them, so a copy without them
-// would desync its reference stream. Every completed Warmup, WarmupTo
-// or Measure leaves both buffers empty (a phase's last epoch starts no
-// lookahead), so records are pending only after a canceled run or a
-// partial epoch; Step drains them.
-func (m *Machine) checkNoPending() error {
-	m.settle()
-	if !m.batch.cur.empty() || !m.batch.next.empty() {
-		return fmt.Errorf("sim: pre-generated records are pending at ref %d; snapshot or fork after a completed Warmup, WarmupTo or Measure",
-			m.globalRef)
-	}
-	return nil
 }
 
 // Resume returns an independent machine continuing from the snapshot:
@@ -169,32 +150,29 @@ func (s *Snapshot) Resume() *Machine {
 	return m
 }
 
-// Fork creates a machine for cfg that inherits this machine's warmed OS
+// Fork creates a machine for cfg that inherits the snapshot's warmed OS
 // state — RNG position, fragmented physical memory, page tables, mapped
 // regions, generator positions — and builds the microarchitecture
 // (caches, TLBs, coherence, CPUs, hooks) fresh from cfg. Because warmup
 // never touches microarchitectural state, the fork is bit-identical to
 // a cold run of cfg that executed the same warmup itself.
 //
-// The receiver must sit exactly at the warmup boundary (Warmup just
-// completed, Measure not started) and cfg's WarmupSignature must equal
-// the receiver's; otherwise Fork fails. Fork accepts any hooks in cfg —
-// metrics, checker, and faults all start fresh in the measured phase,
-// exactly as they would in a cold run. Like Snapshot, it fails while
-// pre-generated records are pending.
-func (m *Machine) Fork(cfg Config) (*Machine, error) {
+// The snapshot must sit exactly at the warmup boundary and cfg's
+// WarmupSignature must equal the snapshot's; otherwise Fork fails. Fork
+// accepts any hooks in cfg — metrics, checker, and faults all start
+// fresh in the measured phase, exactly as they would in a cold run. Like
+// Resume, it leaves the snapshot untouched, so one snapshot seeds any
+// number of forks.
+func (s *Snapshot) Fork(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if m.globalRef != m.cfg.WarmupRefs {
+	if s.m.globalRef != s.m.cfg.WarmupRefs {
 		return nil, fmt.Errorf("sim: fork is only valid at the warmup boundary (at ref %d, boundary is %d)",
-			m.globalRef, m.cfg.WarmupRefs)
+			s.m.globalRef, s.m.cfg.WarmupRefs)
 	}
-	if got, want := cfg.WarmupSignature(), m.cfg.WarmupSignature(); got != want {
-		return nil, fmt.Errorf("sim: fork config's warmup signature disagrees with the warmed machine's")
+	if cfg.WarmupSignature() != s.Signature() {
+		return nil, fmt.Errorf("sim: fork config's warmup signature disagrees with the snapshot's")
 	}
-	if err := m.checkNoPending(); err != nil {
-		return nil, err
-	}
-	return m.fork(cfg.withDefaults())
+	return s.m.fork(cfg.withDefaults())
 }

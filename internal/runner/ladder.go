@@ -61,15 +61,17 @@ func (l *LadderStats) count(f func(*LadderCounters)) {
 	l.mu.Unlock()
 }
 
-// warmEntry is one shared warmed machine: built and warmed exactly once
-// per warmup signature, then forked by every cell that matches.
+// warmEntry is one shared warm master: a snapshot of the OS half of a
+// machine warmed exactly once per warmup signature, forked by every
+// cell that matches. The warmed machine itself, with its caches and
+// LLC, is dropped once snapshotted.
 type warmEntry struct {
 	once sync.Once
-	m    *machine.Machine
+	snap *machine.Snapshot
 	err  error
 	// mu serializes Fork calls on the shared master. Forking only reads
-	// the master, but the serialization is cheap next to a measured run
-	// and removes any aliasing doubt.
+	// the snapshot, but the serialization is cheap next to a measured
+	// run and removes any aliasing doubt.
 	mu sync.Mutex
 }
 
@@ -82,7 +84,7 @@ type warmEntry struct {
 // starts from the deepest point any run ever reached rather than from
 // zero. Reports stay byte-identical to cold runs: a rung is a
 // bit-exact copy of the machine's OS half (all warmup ever changes),
-// and the measured phase always runs fresh via Fork.
+// and the measured phase always runs fresh via Snapshot.Fork.
 //
 // With snaps == nil (an untyped nil: a nil *store.Store inside the
 // interface is not nil) the ladder degenerates to the in-memory shared
@@ -91,10 +93,10 @@ type warmEntry struct {
 // measured phase from that master. A failed warmup is dropped so a
 // later cell can rebuild it; cells already queued behind a warmup that
 // failed only because its own cell was canceled retry on a fresh entry
-// rather than inherit that cancellation. The masters live in the
-// returned closure, so many short-lived pools can share them. Configs
-// with no warmup phase or a replay trace take the ordinary
-// sim.RunContext path.
+// rather than inherit that cancellation. The masters, snapshots of the
+// warmed OS half, live in the returned closure, so many short-lived
+// pools can share them. Configs with no warmup phase or a replay trace
+// take the ordinary sim.RunContext path.
 func LadderRun(snaps SnapshotStore, rungEvery int) (RunFunc, *LadderStats) {
 	stats := &LadderStats{}
 	var mu sync.Mutex
@@ -114,15 +116,12 @@ func LadderRun(snaps SnapshotStore, rungEvery int) (RunFunc, *LadderStats) {
 			}
 			mu.Unlock()
 			e.once.Do(func() {
-				m, err := climb(ctx, cfg, snaps, rungEvery, stats)
-				if err != nil {
-					e.err = err
+				e.snap, e.err = climb(ctx, cfg, snaps, rungEvery, stats)
+				if e.err != nil {
 					mu.Lock()
 					delete(warmed, sig)
 					mu.Unlock()
-					return
 				}
-				e.m = m
 			})
 			if e.err == nil {
 				break
@@ -135,7 +134,7 @@ func LadderRun(snaps SnapshotStore, rungEvery int) (RunFunc, *LadderStats) {
 			}
 		}
 		e.mu.Lock()
-		f, err := e.m.Fork(cfg)
+		f, err := e.snap.Fork(cfg)
 		e.mu.Unlock()
 		if err != nil {
 			return nil, err
@@ -148,10 +147,11 @@ func LadderRun(snaps SnapshotStore, rungEvery int) (RunFunc, *LadderStats) {
 	return run, stats
 }
 
-// climb produces a machine warmed to cfg's warmup boundary: resume from
-// the deepest stored rung if one decodes, execute the remaining warmup
-// in rung-sized chunks, and persist each rung passed on the way up.
-func climb(ctx context.Context, cfg sim.Config, snaps SnapshotStore, rungEvery int, stats *LadderStats) (*machine.Machine, error) {
+// climb returns a snapshot of a machine warmed to cfg's warmup
+// boundary: resume from the deepest stored rung if one decodes, execute
+// the remaining warmup in rung-sized chunks, and persist each rung
+// passed on the way up.
+func climb(ctx context.Context, cfg sim.Config, snaps SnapshotStore, rungEvery int, stats *LadderStats) (*machine.Snapshot, error) {
 	var m *machine.Machine
 	resumedAt := 0
 	if snaps != nil {
@@ -190,14 +190,7 @@ func climb(ctx context.Context, cfg sim.Config, snaps SnapshotStore, rungEvery i
 	}
 	stats.count(func(c *LadderCounters) { c.Warmups++ })
 
-	persist := func() {
-		if snaps == nil {
-			return
-		}
-		snap, err := m.Snapshot()
-		if err != nil {
-			return
-		}
+	persist := func(snap *machine.Snapshot) {
 		data, err := snap.MarshalBinary()
 		if err != nil {
 			return
@@ -217,7 +210,9 @@ func climb(ctx context.Context, cfg sim.Config, snaps SnapshotStore, rungEvery i
 				return nil, err
 			}
 			stats.count(func(c *LadderCounters) { c.RunRefs += uint64(m.Ref() - before) })
-			persist()
+			if snap, err := m.Snapshot(); err == nil {
+				persist(snap)
+			}
 		}
 	}
 	before := m.Ref()
@@ -225,8 +220,12 @@ func climb(ctx context.Context, cfg sim.Config, snaps SnapshotStore, rungEvery i
 		return nil, err
 	}
 	stats.count(func(c *LadderCounters) { c.RunRefs += uint64(m.Ref() - before) })
-	if resumedAt < cfg.WarmupRefs {
-		persist() // the boundary rung: full-warmup resumes skip straight here
+	snap, err := m.Snapshot()
+	if err != nil {
+		return nil, err
 	}
-	return m, nil
+	if snaps != nil && resumedAt < cfg.WarmupRefs {
+		persist(snap) // the boundary rung: full-warmup resumes skip straight here
+	}
+	return snap, nil
 }

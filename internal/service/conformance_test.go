@@ -195,6 +195,7 @@ func TestJobsAPIConformance(t *testing.T) {
 					"unknown workload": `{"cells":[{"workload":"no-such-workload"}]}`,
 					"mem_mb past 32GB": `{"cells":[{"workload":"redis","mem_mb":32770}]}`,
 					"mem_mb wrapping":  `{"cells":[{"workload":"redis","mem_mb":17592186044416}]}`,
+					"pipt waypredict":  `{"cells":[{"workload":"redis","cache":"pipt","waypredict":true}]}`,
 				} {
 					if resp := post(t, fe.url+"/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
 						t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)

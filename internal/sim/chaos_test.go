@@ -164,6 +164,7 @@ func TestValidateRejectsImpossibleConfigs(t *testing.T) {
 		{"memhog-range", func(c *Config) { c.MemhogFraction = 1.2 }},
 		{"scheduler-conflict", func(c *Config) { c.SchedulerAlwaysFast = true; c.SchedulerAlwaysSlow = true }},
 		{"bad-fault-schedule", func(c *Config) { c.Faults = &faults.Config{Schedule: "meteor"} }},
+		{"pipt-waypredict", func(c *Config) { c.CacheKind = KindPIPT; c.WayPredict = true }},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
