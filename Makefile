@@ -55,8 +55,10 @@ cover:
 # The chaos gate runs every fault-injection schedule against every cache
 # design with the online invariant checker enabled; any violation or
 # crashed cell fails the target (non-zero exit from seesaw-sweep).
+# olio's five L1s share a heap, so the directory and the inclusive LLC
+# face real sharing and invalidations under every schedule.
 chaos:
-	$(GO) run ./cmd/seesaw-sweep -chaos -workloads redis,mcf -refs 6000 -fault-every 500
+	$(GO) run ./cmd/seesaw-sweep -chaos -workloads redis,mcf,olio -refs 6000 -fault-every 500
 
 # The cluster gate boots a coordinator with three self-registering
 # workers, runs the same sweep locally and through the cluster while

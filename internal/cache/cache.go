@@ -1,10 +1,11 @@
 // Package cache implements the set-associative cache storage model shared
-// by every cache in the simulator: the SEESAW and baseline VIPT L1s, the
-// PIPT design-alternative L1s, and the shared LLC. It stores physically
-// tagged lines with MOESI coherence states, supports way-partitioned
-// lookup and insertion (the mechanism SEESAW builds on), and implements
-// both global and partition-local true-LRU replacement — the paper's
-// "4way-8way" and "4way" insertion policies respectively.
+// by every L1 design in the simulator: SEESAW, the baseline VIPT and PIPT
+// L1s, and the other registered designs. (The shared LLC keeps its own,
+// smaller storage in internal/coherence.) It stores physically tagged
+// lines with MOESI coherence states, supports way-partitioned lookup and
+// insertion (the mechanism SEESAW builds on), and implements both global
+// and partition-local true-LRU replacement — the paper's "4way-8way" and
+// "4way" insertion policies respectively.
 //
 // Timing and energy are deliberately not modeled here; internal/core
 // charges them based on how many ways each probe touches.
@@ -122,8 +123,7 @@ type Cache struct {
 
 	// Metrics, when non-nil, mirrors hit/miss accounting into the
 	// observability layer under MetricsCore (the coherence index of the
-	// cache). Nil — the default, and always nil for the LLC — costs one
-	// predictable branch per lookup.
+	// cache). Nil, the default, costs one predictable branch per lookup.
 	Metrics     *metrics.Recorder
 	MetricsCore int
 }

@@ -15,6 +15,8 @@
 //   - no physical line is duplicated within a set;
 //   - every cached copy is known to the coherence directory, and the
 //     single-owner/no-stale-sharer discipline holds for the line;
+//   - every cached copy is resident in the inclusive LLC, whose victims
+//     back-invalidate the L1s;
 //   - after a promotion sweep, no line of the old frames survives in
 //     any L1; after an invlpg, no TLB or TFT entry for the region
 //     survives in any core.
@@ -48,6 +50,7 @@ const (
 	KindSweptSurvived     = "swept-line-survived"
 	KindTLBSurvived       = "tlb-entry-survived"
 	KindTFTSurvived       = "tft-entry-survived"
+	KindNotInLLC          = "l1-line-not-in-llc"
 )
 
 // Kinds lists every violation kind in a stable order; the index of a
@@ -57,7 +60,7 @@ var Kinds = []string{
 	KindTranslationStale, KindChunkDisagree, KindTFTStaleHit,
 	KindPartitionMismatch, KindDuplicateLine, KindStaleSharer,
 	KindMultiOwner, KindExclusiveShared, KindSweptSurvived,
-	KindTLBSurvived, KindTFTSurvived,
+	KindTLBSurvived, KindTFTSurvived, KindNotInLLC,
 }
 
 // KindCode returns the stable index of a violation kind (len(Kinds) for
@@ -245,12 +248,15 @@ func tagCopies(st *cache.Cache, line addr.PAddr) int {
 }
 
 // checkCoherence audits the accessed line across every L1 against the
-// directory. Only the dangerous direction is asserted for residency: a
-// cache holding a line the directory does not list can never be
-// reached by a probe. (The directory briefly listing a requester whose
-// fill has not landed yet is a benign in-flight state.)
+// directory and the LLC. Only the dangerous direction is asserted for
+// residency: a cache holding a line the directory does not list can
+// never be reached by a probe, and one holding a line the LLC lacks
+// escapes the back-invalidation that keeps the hierarchy inclusive.
+// (The directory briefly listing a requester whose fill has not landed
+// yet is a benign in-flight state.)
 func (c *Checker) checkCoherence(ref uint64, va addr.VAddr, line addr.PAddr) {
 	sharers, _, tracked := c.w.Coh.Residency(line)
+	inLLC := c.w.Coh.InLLC(line)
 	owners := 0     // caches in M/E/O
 	exclusives := 0 // caches in M/E
 	holders := 0
@@ -265,6 +271,10 @@ func (c *Checker) checkCoherence(ref uint64, va addr.VAddr, line addr.PAddr) {
 			c.Record(Violation{Kind: KindStaleSharer, Ref: ref, Core: j, VA: va, PA: line,
 				Detail: fmt.Sprintf("L1 %d holds the line in %v but the directory does not list it (tracked=%v sharers=%#x)",
 					j, st.StateOf(set, way), tracked, sharers)})
+		}
+		if !inLLC {
+			c.Record(Violation{Kind: KindNotInLLC, Ref: ref, Core: j, VA: va, PA: line,
+				Detail: fmt.Sprintf("L1 %d holds the line in %v but the inclusive LLC does not", j, st.StateOf(set, way))})
 		}
 		switch st.StateOf(set, way) {
 		case cache.Modified, cache.Exclusive:

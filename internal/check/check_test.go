@@ -14,9 +14,10 @@ import (
 	"seesaw/internal/tlb"
 )
 
-// rig is a two-core mini-system: baseline VIPT L1s over a real
-// directory, OS memory manager, and page table, so every violation the
-// tests provoke is provoked against genuine simulator state.
+// rig is a multi-core mini-system: baseline VIPT L1s over a real
+// directory and LLC, OS memory manager, and page table, so every
+// violation the tests provoke is provoked against genuine simulator
+// state.
 type rig struct {
 	chk  *Checker
 	l1s  []core.L1Cache
@@ -26,7 +27,13 @@ type rig struct {
 	base addr.VAddr // 4MB base-page-backed region
 }
 
+// newRig builds a two-core rig over the default memory system.
 func newRig(t *testing.T) *rig {
+	t.Helper()
+	return newRigWith(t, 2, coherence.DefaultConfig(2))
+}
+
+func newRigWith(t *testing.T, cores int, cohCfg coherence.Config) *rig {
 	t.Helper()
 	buddy, err := physmem.New(64 << 20)
 	if err != nil {
@@ -43,8 +50,11 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	ccfg := core.Config{SizeBytes: 32 << 10, Ways: 8, FreqGHz: 2}
-	l1s := []core.L1Cache{core.MustNewBaselineVIPT(ccfg), core.MustNewBaselineVIPT(ccfg)}
-	coh := coherence.MustNew(coherence.DefaultConfig(2), l1s)
+	l1s := make([]core.L1Cache, cores)
+	for i := range l1s {
+		l1s[i] = core.MustNewBaselineVIPT(ccfg)
+	}
+	coh := coherence.MustNew(cohCfg, l1s)
 	return &rig{
 		chk:  New(Wiring{L1s: l1s, Coh: coh, Mgr: mgr}),
 		l1s:  l1s,
@@ -66,19 +76,31 @@ func (r *rig) translate(t *testing.T, va addr.VAddr) tlb.Result {
 	return tlb.Result{PA: pa, Size: size}
 }
 
-// access performs one full protocol-correct reference on a core:
-// lookup, checker audit pre-fill, then miss service and fill.
+// access performs one full protocol-correct load on a core.
 func (r *rig) access(t *testing.T, coreID int, va addr.VAddr) core.AccessResult {
 	t.Helper()
+	return r.ref(t, coreID, va, false)
+}
+
+// ref performs one full protocol-correct reference on a core: lookup,
+// checker audit pre-fill, then the store upgrade or the miss service
+// and fill, as the machine does.
+func (r *rig) ref(t *testing.T, coreID int, va addr.VAddr, store bool) core.AccessResult {
+	t.Helper()
 	tr := r.translate(t, va)
-	ar := r.l1s[coreID].Access(va, tr.PA, tr.Size, false)
+	ar := r.l1s[coreID].Access(va, tr.PA, tr.Size, store)
 	r.chk.AfterAccess(Access{Core: coreID, VA: va, ASID: 1, TR: tr, AR: ar})
-	if !ar.Hit {
-		mr := r.coh.Miss(coreID, tr.PA, false)
-		fr := r.l1s[coreID].Fill(tr.PA, tr.Size, false, mr.Shared)
+	switch {
+	case !ar.Hit:
+		mr := r.coh.Miss(coreID, tr.PA, store)
+		fr := r.l1s[coreID].Fill(tr.PA, tr.Size, store, mr.Shared)
 		if fr.Victim.Valid {
 			r.coh.Evicted(coreID, fr.VictimPA, fr.Writeback)
 		}
+	case store && (ar.State == cache.Shared || ar.State == cache.Owned):
+		r.coh.Upgrade(coreID, tr.PA)
+	case store:
+		r.l1s[coreID].UpgradeToModified(tr.PA)
 	}
 	return ar
 }
@@ -110,6 +132,42 @@ func TestStaleSharerDetected(t *testing.T) {
 	r.chk.AfterAccess(Access{Core: 1, VA: va, ASID: 1, TR: tr, AR: ar})
 	if got := r.chk.Report().ByKind[KindStaleSharer]; got == 0 {
 		t.Fatalf("unregistered copy not flagged; report %+v", r.chk.Report())
+	}
+}
+
+func TestLineMissingFromLLCDetected(t *testing.T) {
+	r := newRig(t)
+	va := r.base
+	tr := r.translate(t, va)
+	// Fill core 0 without a Miss: the LLC never sees the line, so the
+	// copy is outside the inclusive hierarchy.
+	r.l1s[0].Fill(tr.PA, tr.Size, false, false)
+	ar := r.l1s[0].Access(va, tr.PA, tr.Size, false)
+	r.chk.AfterAccess(Access{Core: 0, VA: va, ASID: 1, TR: tr, AR: ar})
+	if got := r.chk.Report().ByKind[KindNotInLLC]; got == 0 {
+		t.Fatalf("L1 copy outside the LLC not flagged; report %+v", r.chk.Report())
+	}
+}
+
+// TestInclusionHoldsUnderBackInvalidation drives random loads and
+// stores from four cores over an LLC far smaller than their L1s, so LLC
+// victims keep back-invalidating L1 copies; every audit must pass.
+func TestInclusionHoldsUnderBackInvalidation(t *testing.T) {
+	cfg := coherence.DefaultConfig(2)
+	cfg.LLCSizeBytes, cfg.LLCWays = 16<<10, 2
+	r := newRigWith(t, 4, cfg)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 20000; i++ {
+		// 2048 lines spread over the 4MB region: shared across cores and
+		// eight times the LLC's capacity.
+		va := r.base + addr.VAddr(rng.Intn(2048))*2048
+		r.ref(t, rng.Intn(4), va, rng.Intn(4) == 0)
+	}
+	if r.coh.Stats.BackInvals == 0 {
+		t.Fatal("no back-invalidations: the LLC is not oversubscribed")
+	}
+	if rep := r.chk.Report(); rep.Violations != 0 {
+		t.Fatalf("%d violations under back-invalidation: %v", rep.Violations, rep.Sample)
 	}
 }
 

@@ -5,6 +5,11 @@
 // reports snoopy protocols increase SEESAW's energy savings by a further
 // 2-5%).
 //
+// The LLC keeps its own storage (llc.go), one recency-ordered row of
+// 4-byte words per set. Each LLC victim back-invalidates every L1 copy,
+// so every line an L1 holds is resident in the LLC; internal/check
+// asserts that through InLLC.
+//
 // Every invalidation, downgrade, and back-invalidation lands on an L1 as
 // a coherence lookup — the probes whose associativity cost SEESAW's 4way
 // insertion policy cuts in half (Section IV-C1, Fig 11).
@@ -14,7 +19,6 @@ import (
 	"fmt"
 
 	"seesaw/internal/addr"
-	"seesaw/internal/cache"
 	"seesaw/internal/core"
 	"seesaw/internal/metrics"
 	"seesaw/internal/sram"
@@ -80,6 +84,10 @@ type Stats struct {
 	UpgradeRequests uint64
 }
 
+// MaxL1s is the most L1 caches one System serves: the directory keeps a
+// line's sharers in a 64-bit mask.
+const MaxL1s = 64
+
 // dirEntry tracks one line's L1 residency.
 type dirEntry struct {
 	sharers uint64 // bitmask of cores holding the line
@@ -88,10 +96,9 @@ type dirEntry struct {
 
 // System is the shared memory system under N L1 caches.
 type System struct {
-	cfg  Config
-	l1s  []core.L1Cache
-	llc  *cache.Cache
-	geom addr.CacheGeometry
+	cfg Config
+	l1s []core.L1Cache
+	llc llc
 	// dir holds entries by value: hot-path updates load, mutate locally,
 	// and store back, so steady-state misses never allocate (the pointer
 	// map used to allocate one dirEntry per tracked line).
@@ -119,8 +126,8 @@ func New(cfg Config, l1s []core.L1Cache) (*System, error) {
 	if len(l1s) == 0 {
 		return nil, fmt.Errorf("coherence: no L1 caches")
 	}
-	if len(l1s) > 64 {
-		return nil, fmt.Errorf("coherence: %d cores exceed the 64-core directory bitmask", len(l1s))
+	if len(l1s) > MaxL1s {
+		return nil, fmt.Errorf("coherence: %d cores exceed the %d-core directory bitmask", len(l1s), MaxL1s)
 	}
 	if cfg.FreqGHz <= 0 {
 		return nil, fmt.Errorf("coherence: non-positive frequency")
@@ -132,8 +139,7 @@ func New(cfg Config, l1s []core.L1Cache) (*System, error) {
 	return &System{
 		cfg:               cfg,
 		l1s:               l1s,
-		llc:               cache.New(geom),
-		geom:              geom,
+		llc:               newLLC(geom),
 		dir:               make(map[addr.PAddr]dirEntry),
 		snoopBuf:          make([]int, 0, len(l1s)),
 		llcCycles:         sram.Cycles(cfg.LLCLatencyNS, cfg.FreqGHz),
@@ -185,31 +191,31 @@ func (s *System) probe(coreID int, pa addr.PAddr, op core.SnoopOp) core.ProbeRes
 	return r
 }
 
-// llcLookup accesses the LLC; on a miss it fetches from DRAM, installs
-// the line, and back-invalidates any L1 copies of the LLC victim
-// (inclusive hierarchy).
+// llcLookup accesses the LLC; on a miss it fetches from DRAM and
+// installs the line.
 func (s *System) llcLookup(pa addr.PAddr, store bool) (hitLLC bool, cycles int) {
 	line := pa.LineBase()
-	set, tag := s.geom.SetIndexP(line), s.geom.TagP(line)
-	if _, hit := s.llc.Access(set, cache.AnyPartition, tag); hit {
+	if s.llc.lookup(line) {
 		s.Stats.LLCHits++
 		return true, s.llcCycles
 	}
 	s.Stats.LLCMisses++
 	s.Stats.DRAMReads++
-	st := cache.Exclusive
-	if store {
-		st = cache.Modified
-	}
-	v := s.llc.Insert(set, cache.AnyPartition, tag, st)
-	if v.Valid {
-		victimPA := s.geom.LineFromSetTag(set, v.Tag)
-		s.backInvalidate(victimPA)
-		if v.State.Dirty() {
-			s.Stats.DRAMWrites++
-		}
-	}
+	s.llcFill(line, store)
 	return false, s.dramCycles
+}
+
+// llcFill inserts a line the LLC does not hold and back-invalidates any
+// L1 copies of the LLC victim (inclusive hierarchy).
+func (s *System) llcFill(line addr.PAddr, dirty bool) {
+	victim, victimDirty, evicted := s.llc.insert(line, dirty)
+	if !evicted {
+		return
+	}
+	s.backInvalidate(victim)
+	if victimDirty {
+		s.Stats.DRAMWrites++
+	}
 }
 
 // backInvalidate removes every L1 copy of an LLC victim (inclusive LLC),
@@ -269,7 +275,7 @@ func (s *System) Miss(reqCore int, pa addr.PAddr, store bool) MissResult {
 				peerHadData = true
 				if r.State.Dirty() {
 					s.Stats.Writebacks++
-					s.llcInstall(line, cache.Modified)
+					s.llcWriteback(line)
 				}
 			}
 		}
@@ -319,19 +325,10 @@ func (s *System) Miss(reqCore int, pa addr.PAddr, store bool) MissResult {
 	return res
 }
 
-// llcInstall writes a line into the LLC (peer writeback path).
-func (s *System) llcInstall(line addr.PAddr, st cache.State) {
-	set, tag := s.geom.SetIndexP(line), s.geom.TagP(line)
-	if way, hit := s.llc.Probe(set, cache.AnyPartition, tag); hit {
-		s.llc.SetState(set, way, st)
-		return
-	}
-	v := s.llc.Insert(set, cache.AnyPartition, tag, st)
-	if v.Valid {
-		s.backInvalidate(s.geom.LineFromSetTag(set, v.Tag))
-		if v.State.Dirty() {
-			s.Stats.DRAMWrites++
-		}
+// llcWriteback writes a dirty line back into the LLC.
+func (s *System) llcWriteback(line addr.PAddr) {
+	if !s.llc.writeback(line) {
+		s.llcFill(line, true)
 	}
 }
 
@@ -374,7 +371,7 @@ func (s *System) Evicted(coreID int, pa addr.PAddr, dirty bool) {
 	}
 	if dirty {
 		s.Stats.Writebacks++
-		s.llcInstall(line, cache.Modified)
+		s.llcWriteback(line)
 	}
 }
 
@@ -392,8 +389,10 @@ func (s *System) Residency(pa addr.PAddr) (sharers uint64, owner int, tracked bo
 	return e.sharers, int(e.owner), true
 }
 
-// LLC exposes the last-level cache (stats).
-func (s *System) LLC() *cache.Cache { return s.llc }
+// InLLC reports whether pa's line is resident in the LLC, without
+// touching its recency. The inclusive LLC must hold every line an L1
+// holds; the invariant checker asserts it.
+func (s *System) InLLC(pa addr.PAddr) bool { return s.llc.resident(pa.LineBase()) }
 
 // TotalCoherenceEnergyNJ sums coherence lookup energy across cores.
 func (s *System) TotalCoherenceEnergyNJ() float64 {

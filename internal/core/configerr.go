@@ -57,6 +57,11 @@ const (
 	// Unknown names are a hard rejection, never a silent fallback to the
 	// baseline.
 	RuleUnknownDesign Rule = "unknown-design"
+	// RuleCoherenceDomain: the coherence directory tracks sharers in a
+	// 64-bit mask, so the L1s of every core (the workload's threads plus
+	// the system thread, doubled by the instruction caches) must number
+	// at most 64.
+	RuleCoherenceDomain Rule = "coherence-domain-too-large"
 )
 
 // ConfigError is the typed, machine-readable form of a configuration

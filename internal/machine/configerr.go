@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"seesaw/internal/coherence"
 	"seesaw/internal/core"
 )
 
@@ -30,6 +31,7 @@ const (
 	RuleMemBytesRange          = core.RuleMemBytesRange
 	RuleTraceWarmup            = core.RuleTraceWarmup
 	RuleUnknownDesign          = core.RuleUnknownDesign
+	RuleCoherenceDomain        = core.RuleCoherenceDomain
 )
 
 // ConfigError is the typed, machine-readable form of a configuration
@@ -78,6 +80,17 @@ func (d Config) validateKnobs() *ConfigError {
 	if d.SpecFastThreshold < 0 {
 		return configErr("SpecFastThreshold", d.SpecFastThreshold, RuleSpecThresholdNegative,
 			"speculation threshold is a TLB entry count (0 = paper default)")
+	}
+	// The coherence domain holds one data L1 per core (the workload's
+	// threads plus the system thread) and, when modeled, one I-cache each.
+	l1s := d.Workload.Threads + 1
+	if d.ICache {
+		l1s *= 2
+	}
+	if l1s > coherence.MaxL1s {
+		return configErr("Workload.Threads", d.Workload.Threads, RuleCoherenceDomain,
+			"%d threads plus the system thread give %d coherent L1s (I-caches=%v); the directory tracks at most %d",
+			d.Workload.Threads, l1s, d.ICache, coherence.MaxL1s)
 	}
 	if d.Trace != nil && d.WarmupRefs > 0 {
 		return configErr("WarmupRefs", d.WarmupRefs, RuleTraceWarmup,

@@ -165,6 +165,7 @@ func TestValidateRejectsImpossibleConfigs(t *testing.T) {
 		{"scheduler-conflict", func(c *Config) { c.SchedulerAlwaysFast = true; c.SchedulerAlwaysSlow = true }},
 		{"bad-fault-schedule", func(c *Config) { c.Faults = &faults.Config{Schedule: "meteor"} }},
 		{"pipt-waypredict", func(c *Config) { c.CacheKind = KindPIPT; c.WayPredict = true }},
+		{"coherence-domain", func(c *Config) { c.Workload.Threads = 32; c.ICache = true }},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

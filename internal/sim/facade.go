@@ -76,4 +76,5 @@ const (
 	RuleMemBytesRange          = machine.RuleMemBytesRange
 	RuleTraceWarmup            = machine.RuleTraceWarmup
 	RuleUnknownDesign          = machine.RuleUnknownDesign
+	RuleCoherenceDomain        = machine.RuleCoherenceDomain
 )
