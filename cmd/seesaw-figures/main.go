@@ -99,7 +99,10 @@ func main() {
 			fmt.Printf("# %s\n%s\n", id, tb.CSV())
 		} else {
 			tb.WriteTo(os.Stdout)
-			fmt.Printf("(%s in %.1fs)\n\n", id, time.Since(start).Seconds())
+			fmt.Println()
+			// Timing goes to stderr, so stdout holds only the
+			// deterministic tables.
+			fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, time.Since(start).Seconds())
 		}
 	}
 	if st := opts.Pool.Stats(); st.CacheHits > 0 && !*csv {

@@ -8,9 +8,10 @@ import "fmt"
 // geometry-impossible genomes instead of crashing a worker, and tests
 // pin them, so renaming one is a breaking change.
 //
-// The type lives here so design descriptors (see registry.go) can
-// report typed geometry rejections; internal/machine aliases it and its
-// values, which is where most callers import them from.
+// The rules are named only here, so design descriptors (see
+// registry.go) can report typed geometry rejections; internal/machine
+// and internal/sim alias the Rule and ConfigError types, and every
+// caller names the values as core.Rule….
 type Rule string
 
 const (
@@ -62,6 +63,10 @@ const (
 	// the system thread, doubled by the instruction caches) must number
 	// at most 64.
 	RuleCoherenceDomain Rule = "coherence-domain-too-large"
+	// RuleTraceHeap1G: a trace records heap addresses against the
+	// default 2MB-rounded region layout, but a 1GB heap is mapped at the
+	// next 1GB boundary, so a replay would touch unmapped addresses.
+	RuleTraceHeap1G Rule = "trace-with-heap1g"
 )
 
 // ConfigError is the typed, machine-readable form of a configuration

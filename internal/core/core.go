@@ -1,12 +1,15 @@
 // Package core implements the paper's contribution: the SEESAW
 // (Set-Enhanced Superpage-Aware) L1 data cache, alongside the baseline
-// VIPT cache it improves on and the serial PIPT design alternative it is
-// compared against in Fig 14.
+// VIPT cache it improves on, the serial PIPT design alternative it is
+// compared against in Fig 14, and the authors' precursor VESPA.
 //
-// All three present the same L1Cache interface to the CPU models and the
-// coherence layer. Lookups report their latency in cycles, how many ways
-// they probed, and their energy, so the simulator can account performance
-// and energy exactly as the paper's Tables I/III describe.
+// Every design embeds one skeleton (skeleton.go): the storage array, the
+// timing, the way predictor, a one-partition and a whole-set lookup,
+// and the fill, snoop and sweep paths. A design keeps only its
+// constructor constraints and its Access decision, the choice of which
+// lookup to run. Lookups report their latency in cycles, how many ways
+// they probed, and their energy, so the simulator can account
+// performance and energy exactly as the paper's Tables I/III describe.
 package core
 
 import (
@@ -16,6 +19,7 @@ import (
 	"seesaw/internal/cache"
 	"seesaw/internal/sram"
 	"seesaw/internal/tft"
+	"seesaw/internal/waypred"
 )
 
 // AccessResult describes one CPU-side L1 lookup.
@@ -29,8 +33,9 @@ type AccessResult struct {
 	// Cycles is the L1 lookup latency (TLB/L2/walk penalties are
 	// accounted separately by the TLB hierarchy).
 	Cycles int
-	// FastPath reports a SEESAW partition-only lookup (TFT hit). For
-	// baseline and PIPT caches it is always false.
+	// FastPath reports a partition-only lookup (a SEESAW TFT hit or a
+	// VESPA superpage access). For baseline and PIPT caches it is always
+	// false.
 	FastPath bool
 	// WaysProbed counts ways read by this lookup.
 	WaysProbed int
@@ -76,8 +81,10 @@ const (
 	SnoopDowngrade
 )
 
-// L1Cache is the interface shared by the SEESAW, baseline VIPT, and PIPT
-// L1 data caches.
+// L1Cache is an L1 design as the CPU models, the coherence layer and
+// the machine see it. Every registered design implements it by
+// embedding the skeleton, which supplies every method but Name and
+// Access.
 type L1Cache interface {
 	// Name identifies the design for reports.
 	Name() string
@@ -102,14 +109,17 @@ type L1Cache interface {
 	SlowCycles() int
 	// Storage exposes the underlying array for stats.
 	Storage() *cache.Cache
+	// Predictor exposes the way predictor (nil when disabled).
+	Predictor() *waypred.MRU
 }
 
 // Config describes an L1 data cache design point.
 type Config struct {
 	SizeBytes uint64
 	Ways      int
-	// Partitions is the SEESAW way-partition count; baseline and PIPT
-	// designs ignore it.
+	// Partitions is the way-partition count of SEESAW and VESPA (0 =
+	// Ways/4); baseline and PIPT designs ignore it and use one
+	// partition.
 	Partitions int
 	// FreqGHz converts SRAM nanoseconds to cycles.
 	FreqGHz float64
@@ -211,33 +221,4 @@ func validateFreq(cfg Config) error {
 		return fmt.Errorf("core: non-positive frequency %v", cfg.FreqGHz)
 	}
 	return nil
-}
-
-// fillState picks the MOESI state for a newly installed line.
-func fillState(store, shared bool) cache.State {
-	switch {
-	case store:
-		return cache.Modified
-	case shared:
-		return cache.Shared
-	default:
-		return cache.Exclusive
-	}
-}
-
-// snoopApply applies a snoop operation to a hit line and returns whether
-// the line stays resident.
-func snoopApply(c *cache.Cache, set, way int, op SnoopOp) {
-	switch op {
-	case SnoopPeek:
-	case SnoopInvalidate:
-		c.SetState(set, way, cache.Invalid)
-	case SnoopDowngrade:
-		switch c.StateOf(set, way) {
-		case cache.Modified:
-			c.SetState(set, way, cache.Owned)
-		case cache.Exclusive:
-			c.SetState(set, way, cache.Shared)
-		}
-	}
 }

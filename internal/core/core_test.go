@@ -325,8 +325,8 @@ func TestPromotionSweep(t *testing.T) {
 	if len(victims) != len(oldPAs) {
 		t.Errorf("sweep evicted %d lines, want %d", len(victims), len(oldPAs))
 	}
-	if s.Stats.PromotionSweeps != 1 || s.Stats.SweptLines != 3 {
-		t.Errorf("stats = %+v", s.Stats)
+	if s.Shared.PromotionSweeps != 1 || s.Shared.SweptLines != 3 {
+		t.Errorf("stats = %+v", s.Shared)
 	}
 	for _, pa := range oldPAs {
 		if r := s.Snoop(pa, SnoopPeek); r.Hit {

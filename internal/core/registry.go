@@ -11,10 +11,11 @@ import (
 // enumerate the zoo without hardcoding names. Snapshots carry only OS
 // state (warmup never touches an L1), so a design needs no codec.
 //
-// A design is added in one place: implement L1Cache, fill in a Design,
-// and Register it. Everything downstream — seesaw-sim
-// -cache, the sweep matrix, the served spec, the conformance battery —
-// picks it up from the registry.
+// A design is added in one place: embed the skeleton and write the
+// constructor constraints, Name and Access decision (that implements
+// L1Cache), fill in a Design, and Register it. Everything downstream —
+// seesaw-sim -cache, the sweep matrix, the served spec, the conformance
+// battery — picks it up from the registry.
 type Design struct {
 	// Name is the registry key and the wire spelling: the value of
 	// machine.Config.CacheKind, the service spec's "cache" field, and

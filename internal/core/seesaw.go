@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"seesaw/internal/addr"
-	"seesaw/internal/cache"
 	"seesaw/internal/tft"
-	"seesaw/internal/waypred"
 )
 
 // SeesawStats counts the Table I lookup cases and the Fig 13 TFT-miss
@@ -21,29 +19,18 @@ type SeesawStats struct {
 	SuperTFTMissMisses uint64 // superpage access, TFT miss, cache miss
 	BaseAccesses       uint64 // base-page accesses (always slow)
 
-	// Coherence lookups all pay only the partition cost under the 4way
-	// policy.
-	CoherenceProbes uint64
-
-	// PromotionSweeps counts EvictRange sweeps from page promotions;
-	// SweptLines the lines they evicted.
-	PromotionSweeps uint64
-	SweptLines      uint64
-
 	TFTFlushes uint64
 }
 
-// Seesaw is the SEESAW L1 data cache (Section IV): a VIPT cache whose sets
-// are way-partitioned, with a TFT predicting superpage-backed regions so
-// that superpage accesses (and, via the 4way insertion policy, all
-// coherence lookups) probe a single partition.
+// Seesaw is the SEESAW L1 data cache (Section IV): a VIPT cache whose
+// sets are way-partitioned, with a TFT predicting superpage-backed
+// regions. Its lookup rule: probe only the VA-named partition when the
+// TFT predicts a superpage, otherwise search the whole set. Under the
+// 4way insertion policy every coherence lookup probes a single
+// partition too.
 type Seesaw struct {
-	cfg  Config
-	geom addr.CacheGeometry
-	c    *cache.Cache
-	f    *tft.TFT
-	t    timing
-	wp   *waypred.MRU // nil unless cfg.WayPredict
+	skeleton
+	f *tft.TFT
 
 	Stats SeesawStats
 }
@@ -54,33 +41,12 @@ func NewSeesaw(cfg Config) (*Seesaw, error) {
 	if err := validateFreq(cfg); err != nil {
 		return nil, err
 	}
-	if cfg.Partitions == 0 {
-		cfg.Partitions = cfg.Ways / 4
-		if cfg.Partitions < 1 {
-			cfg.Partitions = 1
-		}
-	}
-	geom, err := addr.NewCacheGeometry(cfg.SizeBytes, cfg.Ways, cfg.Partitions)
+	cfg = defaultPartitions(cfg)
+	k, err := newSkeleton(cfg, cfg.Partitions, viptIndex, superIndex)
 	if err != nil {
 		return nil, err
 	}
-	if !geom.VIPTIndexInsidePageOffset(addr.Page4K) {
-		return nil, fmt.Errorf("core: %v violates the VIPT constraint for 4KB pages", geom)
-	}
-	// The partition index bits must be page-offset bits of a 2MB page,
-	// or the whole design premise collapses.
-	if !geom.PartitionIndexKnown(addr.Page2M) {
-		return nil, fmt.Errorf("core: %v partition index exceeds the 2MB page offset", geom)
-	}
-	t, err := newTiming(cfg, cfg.Partitions)
-	if err != nil {
-		return nil, err
-	}
-	s := &Seesaw{cfg: cfg, geom: geom, c: cache.NewWithPolicy(geom, cfg.Replacement), f: tft.New(cfg.TFT), t: t}
-	if cfg.WayPredict {
-		s.wp = waypred.NewMRU(geom.Sets())
-	}
-	return s, nil
+	return &Seesaw{skeleton: k, f: tft.New(cfg.TFT)}, nil
 }
 
 // MustNewSeesaw panics on error.
@@ -100,9 +66,6 @@ func (s *Seesaw) Name() string {
 // TFT exposes the filter table (stats, Fig 13).
 func (s *Seesaw) TFT() *tft.TFT { return s.f }
 
-// Geometry exposes the partitioned geometry.
-func (s *Seesaw) Geometry() addr.CacheGeometry { return s.geom }
-
 // Access implements L1Cache, realizing Table I:
 //
 //   - The TFT is probed in parallel with the (speculative) partition
@@ -111,9 +74,6 @@ func (s *Seesaw) Geometry() addr.CacheGeometry { return s.geom }
 //     fast latency, partition energy — whether it hits or misses.
 //   - TFT miss (base page, or superpage the TFT forgot): the remaining
 //     partitions are probed too — slow latency, full energy.
-//
-// The lookups fill the named result in place, so the 40-byte result is
-// not copied back through each helper on the per-reference path.
 func (s *Seesaw) Access(va addr.VAddr, pa addr.PAddr, psize addr.PageSize, store bool) (res AccessResult) {
 	s.Stats.Accesses++
 	set := s.geom.SetIndexV(va)
@@ -128,7 +88,7 @@ func (s *Seesaw) Access(va addr.VAddr, pa addr.PAddr, psize addr.PageSize, store
 		// The TFT can only hold regions that were superpage-backed when
 		// a 2MB translation was filled; a hit licenses the fast path.
 		part := s.geom.PartitionIndexV(va)
-		s.fastLookup(&res, set, part, tag)
+		s.lookupPartition(&res, set, part, tag)
 		if res.Hit {
 			s.Stats.FastHits++
 		} else {
@@ -141,7 +101,7 @@ func (s *Seesaw) Access(va addr.VAddr, pa addr.PAddr, psize addr.PageSize, store
 	// TFT miss: the speculative partition probe is followed by the
 	// remaining partitions — equivalent to a full-set search at the
 	// baseline's latency and energy (Table I rows 3-4).
-	s.slowLookup(&res, set, tag)
+	s.lookupSet(&res, set, tag)
 	if super {
 		if res.Hit {
 			s.Stats.SuperTFTMissHits++
@@ -152,181 +112,6 @@ func (s *Seesaw) Access(va addr.VAddr, pa addr.PAddr, psize addr.PageSize, store
 	res.Superpage = super
 	return
 }
-
-// fastLookup probes a single partition (TFT hit path), optionally through
-// the way predictor: SEESAW presents the right partition to the
-// predictor, so a misprediction only costs a re-probe of that partition
-// (Section IV-B2).
-func (s *Seesaw) fastLookup(res *AccessResult, set, part int, tag uint64) {
-	wpp := s.geom.WaysPerPartition()
-	if s.wp != nil {
-		if pred, ok := s.wp.Predict(set); ok && s.c.PartitionOfWay(pred) == part {
-			if s.c.ProbeWay(set, pred, tag) {
-				s.c.Touch(set, pred)
-				s.wp.Feedback(set, pred, true, pred)
-				*res = AccessResult{
-					Hit: true, State: s.c.StateOf(set, pred),
-					Cycles: s.t.fastCycles, FastPath: true,
-					WaysProbed: 1, EnergyNJ: s.t.eOne,
-				}
-				return
-			}
-			way, hit := s.c.Access(set, part, tag)
-			feedbackWay := -1
-			*res = AccessResult{
-				Hit: hit, Cycles: 2 * s.t.fastCycles, FastPath: true,
-				WaysProbed: 1 + wpp, EnergyNJ: s.t.eOne + s.t.ePart,
-			}
-			if hit {
-				feedbackWay = way
-				res.State = s.c.StateOf(set, way)
-			}
-			s.wp.Feedback(set, feedbackWay, true, pred)
-			return
-		}
-	}
-	way, hit := s.c.Access(set, part, tag)
-	*res = AccessResult{
-		Hit: hit, Cycles: s.t.fastCycles, FastPath: true,
-		WaysProbed: wpp, EnergyNJ: s.t.ePart,
-	}
-	if hit {
-		res.State = s.c.StateOf(set, way)
-		if s.wp != nil {
-			s.wp.Feedback(set, way, false, 0)
-		}
-	}
-}
-
-// slowLookup searches the whole set (TFT miss / base page), optionally
-// through the way predictor.
-func (s *Seesaw) slowLookup(res *AccessResult, set int, tag uint64) {
-	if s.wp != nil {
-		if pred, ok := s.wp.Predict(set); ok {
-			if s.c.ProbeWay(set, pred, tag) {
-				s.c.Touch(set, pred)
-				s.wp.Feedback(set, pred, true, pred)
-				*res = AccessResult{
-					Hit: true, State: s.c.StateOf(set, pred),
-					Cycles:     s.t.slowCycles,
-					WaysProbed: 1, EnergyNJ: s.t.eOne,
-				}
-				return
-			}
-			way, hit := s.c.Access(set, cache.AnyPartition, tag)
-			feedbackWay := -1
-			*res = AccessResult{
-				Hit: hit, Cycles: 2 * s.t.slowCycles,
-				WaysProbed: 1 + s.cfg.Ways, EnergyNJ: s.t.eOne + s.t.eFull,
-			}
-			if hit {
-				feedbackWay = way
-				res.State = s.c.StateOf(set, way)
-			}
-			s.wp.Feedback(set, feedbackWay, true, pred)
-			return
-		}
-	}
-	way, hit := s.c.Access(set, cache.AnyPartition, tag)
-	*res = AccessResult{
-		Hit: hit, Cycles: s.t.slowCycles,
-		WaysProbed: s.cfg.Ways, EnergyNJ: s.t.eFull,
-	}
-	if hit {
-		res.State = s.c.StateOf(set, way)
-		if s.wp != nil {
-			s.wp.Feedback(set, way, false, 0)
-		}
-	}
-}
-
-// Predictor exposes the way predictor (nil when disabled).
-func (s *Seesaw) Predictor() *waypred.MRU { return s.wp }
-
-// insertPartition picks the insertion scope per the configured policy.
-func (s *Seesaw) insertPartition(pa addr.PAddr, psize addr.PageSize) int {
-	if s.cfg.Policy == FourEightWay && !psize.IsSuper() {
-		return cache.AnyPartition
-	}
-	return s.geom.PartitionIndexP(pa)
-}
-
-// Fill implements L1Cache: the 4way policy inserts into the partition the
-// physical address names with partition-local LRU (for superpages the VA
-// names the same partition), keeping every line's location derivable from
-// its PA.
-func (s *Seesaw) Fill(pa addr.PAddr, psize addr.PageSize, store, shared bool) FillResult {
-	set := s.geom.SetIndexP(pa)
-	part := s.insertPartition(pa, psize)
-	v := s.c.Insert(set, part, s.geom.TagP(pa), fillState(store, shared))
-	if s.wp != nil {
-		s.wp.Feedback(set, v.Way, false, 0) // the filled way becomes MRU
-	}
-	eVictim := s.t.eVictimPart
-	if part == cache.AnyPartition {
-		eVictim = s.t.eVictimFull
-	}
-	r := FillResult{Victim: v, EnergyNJ: s.t.eFill + eVictim}
-	if v.Valid {
-		r.VictimPA = s.geom.LineFromSetTag(set, v.Tag)
-		r.Writeback = v.State.Dirty()
-	}
-	return r
-}
-
-// Snoop implements L1Cache. Coherence lookups carry physical addresses,
-// so under the 4way policy the partition is always known: every probe —
-// superpage or base page — pays only the partition cost (Section IV-C1).
-// Under the 4way-8way ablation base pages may sit anywhere, so the full
-// set is searched.
-func (s *Seesaw) Snoop(pa addr.PAddr, op SnoopOp) ProbeResult {
-	s.Stats.CoherenceProbes++
-	set := s.geom.SetIndexP(pa)
-	tag := s.geom.TagP(pa)
-	if s.cfg.Policy == FourWay {
-		part := s.geom.PartitionIndexP(pa)
-		way, hit := s.c.Probe(set, part, tag)
-		res := ProbeResult{Hit: hit, WaysProbed: s.geom.WaysPerPartition(), EnergyNJ: s.t.ePart}
-		if hit {
-			res.State = s.c.StateOf(set, way)
-			snoopApply(s.c, set, way, op)
-		}
-		return res
-	}
-	way, hit := s.c.Probe(set, cache.AnyPartition, tag)
-	res := ProbeResult{Hit: hit, WaysProbed: s.cfg.Ways, EnergyNJ: s.t.eFull}
-	if hit {
-		res.State = s.c.StateOf(set, way)
-		snoopApply(s.c, set, way, op)
-	}
-	return res
-}
-
-// UpgradeToModified implements L1Cache.
-func (s *Seesaw) UpgradeToModified(pa addr.PAddr) {
-	if set, way, ok := s.c.FindLine(pa); ok {
-		s.c.SetState(set, way, cache.Modified)
-	}
-}
-
-// EvictRange implements L1Cache; SEESAW uses it for the promotion sweep
-// (Section IV-C2), done under cover of the OS's 150-200 cycle TLB
-// invalidation instruction.
-func (s *Seesaw) EvictRange(lo, hi addr.PAddr) []cache.Victim {
-	victims := s.c.EvictRange(lo, hi)
-	s.Stats.PromotionSweeps++
-	s.Stats.SweptLines += uint64(len(victims))
-	return victims
-}
-
-// FastCycles implements L1Cache.
-func (s *Seesaw) FastCycles() int { return s.t.fastCycles }
-
-// SlowCycles implements L1Cache.
-func (s *Seesaw) SlowCycles() int { return s.t.slowCycles }
-
-// Storage implements L1Cache.
-func (s *Seesaw) Storage() *cache.Cache { return s.c }
 
 // OnSuperpageTLBFill is the TFT fill hook (Fig 5 steps 6-8): wire it to
 // tlb.Hierarchy.OnL1SuperFill. va is any address in the filled 2MB page.

@@ -108,7 +108,7 @@ func TestVespaInsertionPolicy(t *testing.T) {
 	if p := mixed.Snoop(0x1000, SnoopInvalidate); p.WaysProbed != 8 || !p.Hit {
 		t.Errorf("4way-8way snoop = %+v, want full-set hit", p)
 	}
-	if fourWay.Stats.CoherenceProbes != 1 || mixed.Stats.CoherenceProbes != 1 {
+	if fourWay.Shared.CoherenceProbes != 1 || mixed.Shared.CoherenceProbes != 1 {
 		t.Error("coherence probes not counted")
 	}
 	// Both invalidated the line.
@@ -146,8 +146,8 @@ func TestVespaFillVictimsAndSweeps(t *testing.T) {
 	if len(victims) == 0 {
 		t.Fatal("promotion sweep evicted nothing")
 	}
-	if v.Stats.PromotionSweeps != 1 || v.Stats.SweptLines != uint64(len(victims)) {
-		t.Errorf("sweep stats = %+v, want 1 sweep / %d lines", v.Stats, len(victims))
+	if v.Shared.PromotionSweeps != 1 || v.Shared.SweptLines != uint64(len(victims)) {
+		t.Errorf("sweep stats = %+v, want 1 sweep / %d lines", v.Shared, len(victims))
 	}
 	if v.Access(0x2000, 0x2000, addr.Page4K, false).Hit {
 		t.Error("line survived EvictRange")

@@ -26,40 +26,32 @@ func Fig2a(o Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each (size, ways, workload) replay is an independent cell; fan them
-	// out on the pool, then reduce row-by-row in submission order.
-	tasks := make([][][]*runner.Task[float64], len(fig2Sizes))
-	for si, size := range fig2Sizes {
-		tasks[si] = make([][]*runner.Task[float64], len(sram.Assocs))
-		for wi, ways := range sram.Assocs {
-			if uint64(ways)*addr.LineSize > size {
-				continue
-			}
-			tasks[si][wi] = make([]*runner.Task[float64], len(profiles))
-			for pi, p := range profiles {
-				p, size, ways := p, size, ways
-				tasks[si][wi][pi] = runner.Go(o.Pool, func() (float64, error) {
-					return cacheOnlyMPKI(p, o.Seed, o.Refs, size, ways)
-				})
-			}
+	// The study is trace-driven: each workload's stream is drawn once
+	// and replayed against every bare cache, one pool task per workload.
+	tasks := make([]*runner.Task[[][]float64], len(profiles))
+	for pi, p := range profiles {
+		tasks[pi] = runner.Go(o.Pool, func() ([][]float64, error) {
+			return cacheOnlyMPKI(p, o.Seed, o.Refs)
+		})
+	}
+	mpki := make([][][]float64, len(profiles))
+	for pi, task := range tasks {
+		if mpki[pi], err = task.Wait(); err != nil {
+			return nil, err
 		}
 	}
 	t := stats.NewTable("Fig 2a: average MPKI vs associativity",
 		"size", "DM", "2-way", "4-way", "8-way", "16-way", "32-way")
 	for si, size := range fig2Sizes {
 		row := []string{fmt.Sprintf("%dKB", size>>10)}
-		for wi := range sram.Assocs {
-			if tasks[si][wi] == nil {
+		for wi, ways := range sram.Assocs {
+			if !fig2aFits(size, ways) {
 				row = append(row, "-")
 				continue
 			}
 			var sum stats.Summary
-			for _, task := range tasks[si][wi] {
-				mpki, err := task.Wait()
-				if err != nil {
-					return nil, err
-				}
-				sum.Add(mpki)
+			for pi := range profiles {
+				sum.Add(mpki[pi][si][wi])
 			}
 			row = append(row, fmt.Sprintf("%.1f", sum.Mean()))
 		}
@@ -69,28 +61,49 @@ func Fig2a(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// cacheOnlyMPKI replays a workload against a bare cache model (identity
-// translation, no timing) — the methodology of the paper's trace-driven
-// motivation study.
-func cacheOnlyMPKI(p workload.Profile, seed int64, refs int, size uint64, ways int) (float64, error) {
-	geom, err := addr.NewCacheGeometry(size, ways, 1)
-	if err != nil {
-		return 0, err
-	}
+// fig2aFits reports whether a Fig 2a cache of size bytes has at least
+// one set at the given associativity.
+func fig2aFits(size uint64, ways int) bool { return uint64(ways)*addr.LineSize <= size }
+
+// cacheOnlyMPKI draws one workload's stream once and replays it against
+// a bare cache model of every Fig 2a geometry (identity translation, no
+// timing) — the methodology of the paper's trace-driven motivation
+// study. mpki[si][wi] is the MPKI of fig2Sizes[si] at sram.Assocs[wi];
+// geometries that do not fit stay zero.
+func cacheOnlyMPKI(p workload.Profile, seed int64, refs int) ([][]float64, error) {
 	g := workload.NewGenerator(p, seed)
 	g.BindDefault()
-	c := cache.New(geom)
+	// Only the line addresses and the instruction count matter, so the
+	// stream is kept as physical addresses, not trace records.
+	pas := make([]addr.PAddr, refs)
 	var instrs uint64
-	for i := 0; i < refs; i++ {
+	for i := range pas {
 		rec := g.Next(i % p.Threads)
 		instrs += uint64(rec.Gap) + 1
-		pa := addr.PAddr(rec.VA)
-		set, tag := geom.SetIndexP(pa), geom.TagP(pa)
-		if _, hit := c.Access(set, cache.AnyPartition, tag); !hit {
-			c.Insert(set, cache.AnyPartition, tag, cache.Shared)
+		pas[i] = addr.PAddr(rec.VA)
+	}
+	mpki := make([][]float64, len(fig2Sizes))
+	for si, size := range fig2Sizes {
+		mpki[si] = make([]float64, len(sram.Assocs))
+		for wi, ways := range sram.Assocs {
+			if !fig2aFits(size, ways) {
+				continue
+			}
+			geom, err := addr.NewCacheGeometry(size, ways, 1)
+			if err != nil {
+				return nil, err
+			}
+			c := cache.New(geom)
+			for _, pa := range pas {
+				set, tag := geom.SetIndexP(pa), geom.TagP(pa)
+				if _, hit := c.Access(set, cache.AnyPartition, tag); !hit {
+					c.Insert(set, cache.AnyPartition, tag, cache.Shared)
+				}
+			}
+			mpki[si][wi] = c.MPKI(instrs)
 		}
 	}
-	return c.MPKI(instrs), nil
+	return mpki, nil
 }
 
 // Fig2b reproduces "Cache Access Latency" versus associativity from the

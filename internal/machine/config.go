@@ -71,7 +71,7 @@ func (k CacheKind) design() (*core.Design, bool) {
 func ParseCacheKind(name string) (CacheKind, error) {
 	k := CacheKind(name)
 	if _, ok := k.design(); !ok {
-		return "", configErr("CacheKind", k.String(), RuleUnknownDesign,
+		return "", configErr("CacheKind", k.String(), core.RuleUnknownDesign,
 			"no registered design is named %q (have %v)", k.String(), core.SortedDesignNames())
 	}
 	return CacheKind(k.String()), nil

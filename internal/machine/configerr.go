@@ -8,31 +8,10 @@ import (
 )
 
 // Rule identifies, machine-readably, which configuration constraint a
-// ConfigError reports. The type and its values live in internal/core so
-// design descriptors can return typed geometry rejections; they are
-// aliased here because this package's Config.Validate is where callers
-// meet them. The values are stable API: the evolutionary search's
-// mutation operators (internal/evolve) switch on them to prune
-// geometry-impossible genomes instead of crashing a worker, and tests
-// pin them, so renaming one is a breaking change.
+// ConfigError reports. The type and its values live in internal/core
+// (core.Rule…), so a rule is named in one file; the type is aliased here
+// because this package's Config.Validate is where callers meet it.
 type Rule = core.Rule
-
-const (
-	RulePartitionsNotPow2      = core.RulePartitionsNotPow2
-	RulePartitionsExceedWays   = core.RulePartitionsExceedWays
-	RuleWaysNotDivisible       = core.RuleWaysNotDivisible
-	RuleTFTEntriesNegative     = core.RuleTFTEntriesNegative
-	RuleTFTAssocInvalid        = core.RuleTFTAssocInvalid
-	RuleTFTEntriesNotDivisible = core.RuleTFTEntriesNotDivisible
-	RuleTFTSetsNotPow2         = core.RuleTFTSetsNotPow2
-	RuleSpecThresholdNegative  = core.RuleSpecThresholdNegative
-	RuleSchedulerContradiction = core.RuleSchedulerContradiction
-	RuleMemhogRange            = core.RuleMemhogRange
-	RuleMemBytesRange          = core.RuleMemBytesRange
-	RuleTraceWarmup            = core.RuleTraceWarmup
-	RuleUnknownDesign          = core.RuleUnknownDesign
-	RuleCoherenceDomain        = core.RuleCoherenceDomain
-)
 
 // ConfigError is the typed, machine-readable form of a configuration
 // rejection: which field, which value, and which rule it broke (see
@@ -66,19 +45,19 @@ const maxMemBytes = 32 << 30
 // constructor round-trip afterwards.
 func (d Config) validateKnobs() *ConfigError {
 	if d.MemhogFraction < 0 || d.MemhogFraction > 0.95 {
-		return configErr("MemhogFraction", d.MemhogFraction, RuleMemhogRange,
+		return configErr("MemhogFraction", d.MemhogFraction, core.RuleMemhogRange,
 			"memhog fraction outside [0, 0.95]")
 	}
 	if d.MemBytes%(2<<20) != 0 || d.MemBytes > maxMemBytes {
-		return configErr("MemBytes", d.MemBytes, RuleMemBytesRange,
+		return configErr("MemBytes", d.MemBytes, core.RuleMemBytesRange,
 			"simulated memory must be a multiple of 2MB and at most %d bytes", uint64(maxMemBytes))
 	}
 	if d.SchedulerAlwaysFast && d.SchedulerAlwaysSlow {
-		return configErr("SchedulerAlwaysFast", true, RuleSchedulerContradiction,
+		return configErr("SchedulerAlwaysFast", true, core.RuleSchedulerContradiction,
 			"scheduler cannot be both always-fast and always-slow")
 	}
 	if d.SpecFastThreshold < 0 {
-		return configErr("SpecFastThreshold", d.SpecFastThreshold, RuleSpecThresholdNegative,
+		return configErr("SpecFastThreshold", d.SpecFastThreshold, core.RuleSpecThresholdNegative,
 			"speculation threshold is a TLB entry count (0 = paper default)")
 	}
 	// The coherence domain holds one data L1 per core (the workload's
@@ -88,17 +67,21 @@ func (d Config) validateKnobs() *ConfigError {
 		l1s *= 2
 	}
 	if l1s > coherence.MaxL1s {
-		return configErr("Workload.Threads", d.Workload.Threads, RuleCoherenceDomain,
+		return configErr("Workload.Threads", d.Workload.Threads, core.RuleCoherenceDomain,
 			"%d threads plus the system thread give %d coherent L1s (I-caches=%v); the directory tracks at most %d",
 			d.Workload.Threads, l1s, d.ICache, coherence.MaxL1s)
 	}
 	if d.Trace != nil && d.WarmupRefs > 0 {
-		return configErr("WarmupRefs", d.WarmupRefs, RuleTraceWarmup,
+		return configErr("WarmupRefs", d.WarmupRefs, core.RuleTraceWarmup,
 			"warmup requires online generation, not a trace replay")
+	}
+	if d.Trace != nil && d.Heap1G {
+		return configErr("Heap1G", d.Heap1G, core.RuleTraceHeap1G,
+			"a trace records heap addresses in the default 2MB-rounded layout; a 1GB heap maps elsewhere")
 	}
 	dsg, ok := d.CacheKind.design()
 	if !ok {
-		return configErr("CacheKind", d.CacheKind.String(), RuleUnknownDesign,
+		return configErr("CacheKind", d.CacheKind.String(), core.RuleUnknownDesign,
 			"no registered design is named %q (have %v)", d.CacheKind.String(), core.SortedDesignNames())
 	}
 	if dsg.Validate != nil {
@@ -108,20 +91,20 @@ func (d Config) validateKnobs() *ConfigError {
 	}
 	if t := d.TFT; true {
 		if t.Entries < 0 {
-			return configErr("TFT.Entries", t.Entries, RuleTFTEntriesNegative,
+			return configErr("TFT.Entries", t.Entries, core.RuleTFTEntriesNegative,
 				"TFT entry count cannot be negative (0 = paper default)")
 		}
 		if t.Assoc < 0 || t.Assoc > t.Entries {
-			return configErr("TFT.Assoc", t.Assoc, RuleTFTAssocInvalid,
+			return configErr("TFT.Assoc", t.Assoc, core.RuleTFTAssocInvalid,
 				"TFT associativity must lie in [0, %d]", t.Entries)
 		}
 		if t.Assoc > 1 {
 			if t.Entries%t.Assoc != 0 {
-				return configErr("TFT.Entries", t.Entries, RuleTFTEntriesNotDivisible,
+				return configErr("TFT.Entries", t.Entries, core.RuleTFTEntriesNotDivisible,
 					"%d entries do not divide into %d-way sets", t.Entries, t.Assoc)
 			}
 			if sets := t.Entries / t.Assoc; !isPow2(sets) {
-				return configErr("TFT.Entries", t.Entries, RuleTFTSetsNotPow2,
+				return configErr("TFT.Entries", t.Entries, core.RuleTFTSetsNotPow2,
 					"%d entries / %d ways = %d sets, not a power of two", t.Entries, t.Assoc, sets)
 			}
 		}

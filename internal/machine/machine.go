@@ -489,17 +489,10 @@ func (m *Machine) onPromote(asid uint16, vaBase addr.VAddr, oldFrames []addr.PAd
 	}
 	m.Hooks.Metrics.Add(0, metrics.CtrPromotion, 1)
 	m.Hooks.Metrics.Emit(-1, metrics.EvPromote, uint64(vaBase), uint64(newPA), uint64(len(oldFrames)))
-	for i, l1 := range m.l1s {
+	for p, l1 := range m.cohL1s() {
 		for _, f := range oldFrames {
 			for _, v := range l1.EvictRange(f, f+4096) {
-				m.cohSys.Evicted(i, v.PA, v.State.Dirty())
-			}
-		}
-	}
-	for i, l1i := range m.l1is {
-		for _, f := range oldFrames {
-			for _, v := range l1i.EvictRange(f, f+4096) {
-				m.cohSys.Evicted(m.nCores+i, v.PA, v.State.Dirty())
+				m.cohSys.Evicted(p, v.PA, v.State.Dirty())
 			}
 		}
 	}
@@ -525,6 +518,19 @@ func (m *Machine) sampleAccess(mcore int, va addr.VAddr, ar core.AccessResult) {
 		m.lastWidth[mcore] = ar.WaysProbed
 		mrec.Emit(mcore, metrics.EvProbeWidth, uint64(va), 0, uint64(ar.WaysProbed))
 	}
+}
+
+// missFill services an L1 miss of pa at coherence participant p: the
+// coherence miss, the fill, and the victim's eviction notice to the
+// directory. It returns the miss latency.
+func (m *Machine) missFill(p int, l1 core.L1Cache, pa addr.PAddr, size addr.PageSize, store bool) int {
+	mr := m.cohSys.Miss(p, pa, store)
+	fill := l1.Fill(pa, size, store, mr.Shared)
+	m.acct.AddL1CPUSide(fill.EnergyNJ)
+	if fill.Victim.Valid {
+		m.cohSys.Evicted(p, fill.VictimPA, fill.Writeback)
+	}
+	return mr.Cycles
 }
 
 // dataAccess runs one data reference on core tid in the given address
@@ -567,24 +573,13 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 	}
 	extra := tr.ExtraCycles
 	if !ar.Hit {
-		mr := m.cohSys.Miss(tid, tr.PA, store)
-		fill := l1.Fill(tr.PA, tr.Size, store, mr.Shared)
-		m.acct.AddL1CPUSide(fill.EnergyNJ)
-		if fill.Victim.Valid {
-			m.cohSys.Evicted(tid, fill.VictimPA, fill.Writeback)
-		}
-		extra += mr.Cycles
+		extra += m.missFill(tid, l1, tr.PA, tr.Size, store)
 		// Next-line prefetch, staying inside the 4KB frame.
 		if m.cfg.Prefetch {
 			nextPA := tr.PA.LineBase() + addr.LineSize
 			if nextPA.PageBase(addr.Page4K) == tr.PA.PageBase(addr.Page4K) {
 				if _, _, resident := l1.Storage().FindLine(nextPA); !resident {
-					pmr := m.cohSys.Miss(tid, nextPA, false)
-					pfill := l1.Fill(nextPA, tr.Size, false, pmr.Shared)
-					m.acct.AddL1CPUSide(pfill.EnergyNJ)
-					if pfill.Victim.Valid {
-						m.cohSys.Evicted(tid, pfill.VictimPA, pfill.Writeback)
-					}
+					m.missFill(tid, l1, nextPA, tr.Size, false)
 				}
 			}
 		}
@@ -798,15 +793,10 @@ func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped b
 			m.iseesaws[tid].OnSuperpageTLBFill(iva)
 		}
 		if !iar.Hit {
-			imr := m.cohSys.Miss(m.nCores+tid, itr.PA, false)
-			ifill := il1.Fill(itr.PA, itr.Size, false, imr.Shared)
-			m.acct.AddL1CPUSide(ifill.EnergyNJ)
-			if ifill.Victim.Valid {
-				m.cohSys.Evicted(m.nCores+tid, ifill.VictimPA, ifill.Writeback)
-			}
+			missCycles := m.missFill(m.nCores+tid, il1, itr.PA, itr.Size, false)
 			// Front-end miss stall: the fetch buffer hides part of
 			// it on the OoO core.
-			stall := iar.Cycles + itr.ExtraCycles + imr.Cycles
+			stall := iar.Cycles + itr.ExtraCycles + missCycles
 			if m.cfg.CPUKind == "ooo" {
 				stall = (stall + 1) / 2
 			}
@@ -882,7 +872,7 @@ func (m *Machine) fill(n int) error {
 	e.recs, e.ivas, e.jumps = e.recs[:n], e.ivas[:n], e.jumps[:n]
 	g := m.globalRef
 	icache := g >= m.cfg.WarmupRefs && m.cfg.ICache
-	if m.cfg.Trace != nil { // never with a warmup phase (RuleTraceWarmup)
+	if m.cfg.Trace != nil { // never with a warmup phase (core.RuleTraceWarmup)
 		for j := range e.recs {
 			rec := m.cfg.Trace[g+j]
 			if int(rec.TID) >= m.nCores {

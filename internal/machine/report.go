@@ -190,19 +190,10 @@ func (m *Machine) Report() (*Report, error) {
 				r.TFT.SuperMissedL1MissPct += 100 * float64(missedMiss) / den
 			}
 		}
-		// Predictor accuracy (WP designs); report core 0's.
-		if i == 0 {
-			switch v := l1.(type) {
-			case *core.BaselineVIPT:
-				if v.Predictor() != nil {
-					r.WPAccuracy = v.Predictor().Accuracy()
-				}
-			case *core.Seesaw:
-				if v.Predictor() != nil {
-					r.WPAccuracy = v.Predictor().Accuracy()
-				}
-			}
-		}
+	}
+	// Predictor accuracy (WP designs); report core 0's.
+	if wp := m.l1s[0].Predictor(); wp != nil {
+		r.WPAccuracy = wp.Accuracy()
 	}
 	// Average the per-core TFT percentages.
 	if n := countSeesaws(m.seesaws); n > 0 {

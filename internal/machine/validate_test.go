@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"seesaw/internal/core"
 	"seesaw/internal/tft"
+	"seesaw/internal/trace"
 	"seesaw/internal/workload"
 )
 
@@ -20,27 +22,31 @@ func TestValidateTypedErrors(t *testing.T) {
 		rule Rule // "" = must validate cleanly
 	}{
 		{"default-ok", func(c *Config) {}, ""},
-		{"partitions-not-pow2", func(c *Config) { c.Partitions = 3 }, RulePartitionsNotPow2},
-		{"partitions-negative", func(c *Config) { c.Partitions = -2 }, RulePartitionsNotPow2},
-		{"partitions-exceed-ways", func(c *Config) { c.Partitions = 16 }, RulePartitionsExceedWays},
+		{"partitions-not-pow2", func(c *Config) { c.Partitions = 3 }, core.RulePartitionsNotPow2},
+		{"partitions-negative", func(c *Config) { c.Partitions = -2 }, core.RulePartitionsNotPow2},
+		{"partitions-exceed-ways", func(c *Config) { c.Partitions = 16 }, core.RulePartitionsExceedWays},
 		{"partitions-2-ok", func(c *Config) { c.Partitions = 2 }, ""},
-		{"tft-entries-negative", func(c *Config) { c.TFT = tft.Config{Entries: -1} }, RuleTFTEntriesNegative},
-		{"tft-assoc-exceeds-entries", func(c *Config) { c.TFT = tft.Config{Entries: 4, Assoc: 8} }, RuleTFTAssocInvalid},
-		{"tft-assoc-negative", func(c *Config) { c.TFT = tft.Config{Entries: 16, Assoc: -1} }, RuleTFTAssocInvalid},
-		{"tft-entries-not-divisible", func(c *Config) { c.TFT = tft.Config{Entries: 18, Assoc: 4} }, RuleTFTEntriesNotDivisible},
-		{"tft-sets-not-pow2", func(c *Config) { c.TFT = tft.Config{Entries: 24, Assoc: 2} }, RuleTFTSetsNotPow2},
+		{"tft-entries-negative", func(c *Config) { c.TFT = tft.Config{Entries: -1} }, core.RuleTFTEntriesNegative},
+		{"tft-assoc-exceeds-entries", func(c *Config) { c.TFT = tft.Config{Entries: 4, Assoc: 8} }, core.RuleTFTAssocInvalid},
+		{"tft-assoc-negative", func(c *Config) { c.TFT = tft.Config{Entries: 16, Assoc: -1} }, core.RuleTFTAssocInvalid},
+		{"tft-entries-not-divisible", func(c *Config) { c.TFT = tft.Config{Entries: 18, Assoc: 4} }, core.RuleTFTEntriesNotDivisible},
+		{"tft-sets-not-pow2", func(c *Config) { c.TFT = tft.Config{Entries: 24, Assoc: 2} }, core.RuleTFTSetsNotPow2},
 		// The Fig 13 study points: direct-mapped TFTs index MOD
 		// entries, so non-power-of-two set counts are legal there.
 		{"tft-12-direct-mapped-ok", func(c *Config) { c.TFT = tft.Config{Entries: 12, Assoc: 1} }, ""},
 		{"tft-20-direct-mapped-ok", func(c *Config) { c.TFT = tft.Config{Entries: 20, Assoc: 1} }, ""},
 		{"tft-32x4-ok", func(c *Config) { c.TFT = tft.Config{Entries: 32, Assoc: 4} }, ""},
-		{"spec-threshold-negative", func(c *Config) { c.SpecFastThreshold = -1 }, RuleSpecThresholdNegative},
+		{"spec-threshold-negative", func(c *Config) { c.SpecFastThreshold = -1 }, core.RuleSpecThresholdNegative},
 		{"spec-threshold-ok", func(c *Config) { c.SpecFastThreshold = 8 }, ""},
-		{"scheduler-contradiction", func(c *Config) { c.SchedulerAlwaysFast, c.SchedulerAlwaysSlow = true, true }, RuleSchedulerContradiction},
-		{"memhog-range", func(c *Config) { c.MemhogFraction = 0.99 }, RuleMemhogRange},
-		{"mem-bytes-not-2mb", func(c *Config) { c.MemBytes = 3 << 19 }, RuleMemBytesRange},
-		{"mem-bytes-past-32gb", func(c *Config) { c.MemBytes = 32<<30 + 2<<20 }, RuleMemBytesRange},
+		{"scheduler-contradiction", func(c *Config) { c.SchedulerAlwaysFast, c.SchedulerAlwaysSlow = true, true }, core.RuleSchedulerContradiction},
+		{"memhog-range", func(c *Config) { c.MemhogFraction = 0.99 }, core.RuleMemhogRange},
+		{"mem-bytes-not-2mb", func(c *Config) { c.MemBytes = 3 << 19 }, core.RuleMemBytesRange},
+		{"mem-bytes-past-32gb", func(c *Config) { c.MemBytes = 32<<30 + 2<<20 }, core.RuleMemBytesRange},
 		{"mem-bytes-32gb-ok", func(c *Config) { c.MemBytes = 32 << 30 }, ""},
+		{"trace-heap1g", func(c *Config) {
+			c.Trace, c.WarmupRefs, c.Heap1G = []trace.Record{{VA: 0x5555_5540_0000}}, 0, true
+		}, core.RuleTraceHeap1G},
+		{"trace-ok", func(c *Config) { c.Trace, c.WarmupRefs = []trace.Record{{VA: 0x5555_5540_0000}}, 0 }, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -166,6 +166,11 @@ func TestValidateRejectsImpossibleConfigs(t *testing.T) {
 		{"bad-fault-schedule", func(c *Config) { c.Faults = &faults.Config{Schedule: "meteor"} }},
 		{"pipt-waypredict", func(c *Config) { c.CacheKind = KindPIPT; c.WayPredict = true }},
 		{"coherence-domain", func(c *Config) { c.Workload.Threads = 32; c.ICache = true }},
+		{"trace-heap1g", func(c *Config) {
+			c.Trace = generateTrace(t, "redis", c.Seed, 1000)
+			c.Heap1G = true
+			c.MemBytes = 4 << 30
+		}},
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {

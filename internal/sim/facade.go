@@ -54,27 +54,11 @@ const FourEightWay = core.FourEightWay
 
 // ConfigError is the typed rejection Config.Validate returns for knob
 // combinations it can attribute to a single constraint (unwrap with
-// errors.As); Rule enumerates the stable machine-readable identifiers.
-// The evolutionary search (internal/evolve) prunes invalid genomes on
-// these instead of crashing a worker.
+// errors.As); its Rule is one of the stable machine-readable
+// identifiers declared in internal/core. The evolutionary search
+// (internal/evolve) prunes invalid genomes on these instead of crashing
+// a worker.
 type (
 	ConfigError = machine.ConfigError
 	Rule        = machine.Rule
-)
-
-const (
-	RulePartitionsNotPow2      = machine.RulePartitionsNotPow2
-	RulePartitionsExceedWays   = machine.RulePartitionsExceedWays
-	RuleWaysNotDivisible       = machine.RuleWaysNotDivisible
-	RuleTFTEntriesNegative     = machine.RuleTFTEntriesNegative
-	RuleTFTAssocInvalid        = machine.RuleTFTAssocInvalid
-	RuleTFTEntriesNotDivisible = machine.RuleTFTEntriesNotDivisible
-	RuleTFTSetsNotPow2         = machine.RuleTFTSetsNotPow2
-	RuleSpecThresholdNegative  = machine.RuleSpecThresholdNegative
-	RuleSchedulerContradiction = machine.RuleSchedulerContradiction
-	RuleMemhogRange            = machine.RuleMemhogRange
-	RuleMemBytesRange          = machine.RuleMemBytesRange
-	RuleTraceWarmup            = machine.RuleTraceWarmup
-	RuleUnknownDesign          = machine.RuleUnknownDesign
-	RuleCoherenceDomain        = machine.RuleCoherenceDomain
 )

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"testing"
+
+	"seesaw/internal/core"
 )
 
 // TestFacadeVocabularies pins the facade's pass-throughs over the leaf
@@ -28,7 +30,7 @@ func TestFacadeVocabularies(t *testing.T) {
 
 // TestDesignFacade pins the registry pass-throughs: every registered
 // name parses back to itself, unknown names get the typed
-// RuleUnknownDesign rejection, and the metadata view agrees with the
+// core.RuleUnknownDesign rejection, and the metadata view agrees with the
 // name list.
 func TestDesignFacade(t *testing.T) {
 	names := DesignNames()
@@ -45,8 +47,8 @@ func TestDesignFacade(t *testing.T) {
 		t.Error("unknown design name parsed without error")
 	} else {
 		var ce *ConfigError
-		if !errors.As(err, &ce) || ce.Rule != RuleUnknownDesign {
-			t.Errorf("unknown design error = %v, want rule %s", err, RuleUnknownDesign)
+		if !errors.As(err, &ce) || ce.Rule != core.RuleUnknownDesign {
+			t.Errorf("unknown design error = %v, want rule %s", err, core.RuleUnknownDesign)
 		}
 	}
 	infos := DesignInfos()

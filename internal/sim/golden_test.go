@@ -40,21 +40,35 @@ func goldenConfig(t *testing.T, kind CacheKind) Config {
 	return cfg
 }
 
-// TestGoldenReport locks down the default-seed seesaw-sim report for all
-// three cache designs, byte for byte. A legitimate behaviour change is
-// recorded by re-running with -update and reviewing the diff.
+// TestGoldenReport locks down the default-seed seesaw-sim report for
+// every registered cache design, byte for byte, plus the lookup variants
+// the designs share code for: way-predicted baseline and SEESAW lookups
+// and SEESAW's 4way-8way insertion policy. A design registered without
+// a golden fails here with the -update hint. A legitimate behaviour
+// change is recorded by re-running with -update and reviewing the diff.
 func TestGoldenReport(t *testing.T) {
-	kinds := []struct {
-		name string
-		kind CacheKind
-	}{
-		{"seesaw", KindSeesaw},
-		{"baseline", KindBaseline},
-		{"pipt", KindPIPT},
+	type goldenCase struct {
+		name   string
+		kind   CacheKind
+		mutate func(*Config)
 	}
-	for _, k := range kinds {
+	var cases []goldenCase
+	for _, name := range DesignNames() {
+		cases = append(cases, goldenCase{name, CacheKind(name), func(*Config) {}})
+	}
+	cases = append(cases,
+		goldenCase{"baseline_waypredict", KindBaseline, func(c *Config) { c.WayPredict = true }},
+		goldenCase{"seesaw_waypredict", KindSeesaw, func(c *Config) { c.WayPredict = true }},
+		goldenCase{"seesaw_4way-8way", KindSeesaw, func(c *Config) { c.Policy = FourEightWay }},
+	)
+	for _, k := range cases {
 		t.Run(k.name, func(t *testing.T) {
-			r, err := Run(goldenConfig(t, k.kind))
+			cfg := goldenConfig(t, k.kind)
+			k.mutate(&cfg)
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,22 +81,14 @@ func TestGoldenReport(t *testing.T) {
 	}
 }
 
-// TestGoldenChaosReport pins one fault-injected run per cache design:
-// the shootdown schedule with the invariant checker on. Beyond the
-// report numbers it asserts the run stays violation-free, so the golden
-// diff doubles as a chaos regression gate.
+// TestGoldenChaosReport pins one fault-injected run per registered cache
+// design: the shootdown schedule with the invariant checker on. Beyond
+// the report numbers it asserts the run stays violation-free, so the
+// golden diff doubles as a chaos regression gate.
 func TestGoldenChaosReport(t *testing.T) {
-	kinds := []struct {
-		name string
-		kind CacheKind
-	}{
-		{"seesaw", KindSeesaw},
-		{"baseline", KindBaseline},
-		{"pipt", KindPIPT},
-	}
-	for _, k := range kinds {
-		t.Run(k.name, func(t *testing.T) {
-			cfg := goldenConfig(t, k.kind)
+	for _, name := range DesignNames() {
+		t.Run(name, func(t *testing.T) {
+			cfg := goldenConfig(t, CacheKind(name))
 			cfg.Refs = 20_000
 			cfg.MemhogFraction = 0.4
 			cfg.CheckInvariants = true
@@ -104,7 +110,7 @@ func TestGoldenChaosReport(t *testing.T) {
 			if err := r.WriteText(&buf); err != nil {
 				t.Fatal(err)
 			}
-			compareGolden(t, filepath.Join("testdata", "golden", "chaos_"+k.name+".txt"), buf.Bytes())
+			compareGolden(t, filepath.Join("testdata", "golden", "chaos_"+name+".txt"), buf.Bytes())
 		})
 	}
 }

@@ -39,7 +39,7 @@ const (
 )
 
 // ParseCacheKind resolves a design name against the registry, returning
-// a typed ConfigError (RuleUnknownDesign) for unknown spellings instead
+// a typed ConfigError (core.RuleUnknownDesign) for unknown spellings instead
 // of silently defaulting to baseline.
 func ParseCacheKind(name string) (CacheKind, error) {
 	return machine.ParseCacheKind(name)
