@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet bench-vet fmt test race stress bench bench-baseline perfgate cover chaos cluster-smoke importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
+.PHONY: build vet bench-vet fmt test race stress bench bench-baseline perfgate cover chaos importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
 
 build:
 	$(GO) build ./...
@@ -26,11 +26,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The stress gate repeats the concurrency-heavy packages under the race
-# detector, so an ordering bug that a single run passes four times in
-# five still fails the gate.
+# The stress gate repeats the concurrency-heavy packages, the service
+# daemon and the runner pool, under the race detector, so an ordering
+# bug that a single run passes four times in five still fails the gate.
 stress:
-	$(GO) test -race -count=20 ./internal/service/ ./internal/cluster/ ./internal/runner/
+	$(GO) test -race -count=20 ./internal/service/ ./internal/runner/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -59,13 +59,6 @@ cover:
 # face real sharing and invalidations under every schedule.
 chaos:
 	$(GO) run ./cmd/seesaw-sweep -chaos -workloads redis,mcf,olio -refs 6000 -fault-every 500
-
-# The cluster gate boots a coordinator with three self-registering
-# workers, runs the same sweep locally and through the cluster while
-# SIGKILLing one worker mid-sweep, and requires byte-identical merged
-# tables plus a clean coordinator drain (tools/clustersmoke).
-cluster-smoke:
-	$(GO) run ./tools/clustersmoke
 
 # The import gate keeps cmd/ on the simulator's stable surfaces (sim,
 # machine, runner, service, ...) instead of reaching into subsystem
@@ -110,4 +103,4 @@ fuzz-smoke:
 zoo-smoke:
 	$(GO) run ./tools/zoosmoke
 
-verify: build vet bench-vet fmt test race stress cover chaos cluster-smoke importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate
+verify: build vet bench-vet fmt test race stress cover chaos importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate

@@ -1,11 +1,10 @@
-// Command seesaw-client talks to a running seesaw-served daemon or a
-// seesaw-coord cluster coordinator — the API is identical: it submits
-// jobs, waits for and prints results, tails SSE progress streams, and
-// cancels jobs.
+// Command seesaw-client talks to a running seesaw-served daemon: it
+// submits jobs, waits for and prints results, tails SSE progress
+// streams, and cancels jobs.
 //
 //	seesaw-client -addr localhost:8080 -workloads redis,mcf -refs 50000
 //	seesaw-client -addr localhost:8080 -job job.json -wait
-//	seesaw-client -addr localhost:9090 -stream j000001
+//	seesaw-client -addr localhost:8080 -stream j000001
 //	seesaw-client -addr localhost:8080 -status j000001
 //	seesaw-client -addr localhost:8080 -cancel j000001
 //
@@ -18,7 +17,7 @@
 // absorbed by sleeping out the server's Retry-After hint and
 // resubmitting, and a progress stream severed mid-job reconnects with
 // Last-Event-ID, so every event is printed exactly once across
-// reconnects (see internal/cluster.Client).
+// reconnects (see internal/service.Client).
 package main
 
 import (
@@ -31,14 +30,13 @@ import (
 	"time"
 
 	"seesaw/internal/cliutil"
-	"seesaw/internal/cluster"
 	"seesaw/internal/service"
 	"seesaw/internal/sim"
 )
 
 func main() {
 	var (
-		addr = flag.String("addr", "localhost:8080", "seesaw-served or seesaw-coord address")
+		addr = flag.String("addr", "localhost:8080", "seesaw-served address")
 
 		jobFile = flag.String("job", "", "submit this JSON job `file` (a service.JobRequest) instead of building one from flags")
 		label   = flag.String("label", "", "label for the submitted job")
@@ -61,7 +59,7 @@ func main() {
 	if flag.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected arguments %q — jobs are submitted with -job <file>, not positionally", flag.Args()))
 	}
-	cl := cluster.NewClient(*addr)
+	cl := service.NewClient(*addr)
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancelCtx context.CancelFunc
@@ -175,8 +173,6 @@ func printEvent(id string, ev service.Event) {
 	switch ev.Type {
 	case "state", "done":
 		fmt.Printf("%s: %s\n", id, ev.State)
-	case "requeue":
-		fmt.Printf("%s: requeued %s (%s)\n", id, ev.Desc, ev.Error)
 	case "cell":
 		if ev.OK {
 			fmt.Printf("%s: [%d/%d] %s ok", id, ev.Completed, ev.Cells, ev.Desc)

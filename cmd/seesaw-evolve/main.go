@@ -7,7 +7,7 @@
 //
 //	seesaw-evolve -seed 7 -generations 8 -pop 12 -frag 0.6
 //	seesaw-evolve -store /tmp/rs -warmup 200000                # warmed + resumable
-//	seesaw-evolve -cluster http://coord:8080                   # remote evaluation
+//	seesaw-evolve -cluster localhost:8080                      # on a seesaw-served daemon
 //
 // Same seed, same scenario → byte-identical generation log (stderr) and
 // front (stdout). Genomes that agree on OS knobs fork one warmed
@@ -58,7 +58,7 @@ func main() {
 		parallel    = flag.Int("parallel", 0, "simulation cells to run concurrently (0 = GOMAXPROCS, 1 = serial)")
 		storeDir    = flag.String("store", "", "content-addressed result store `dir`: dedups evaluations across generations and runs, and holds the search checkpoint")
 		rungEvery   = flag.Int("rung-every", 0, "persist an intermediate snapshot rung every N warmup references while climbing the store's ladder (0 = only the warmup-boundary rung; requires -store)")
-		clusterURL  = flag.String("cluster", "", "evaluate on the coordinator (or daemon) at `URL` instead of locally")
+		clusterURL  = flag.String("cluster", "", "evaluate on the seesaw-served daemon at `URL` instead of locally")
 		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per cell (0 = unbounded)")
 		retries     = flag.Int("retries", 0, "re-execution attempts for panicking or timed-out cells")
 
@@ -86,7 +86,7 @@ func main() {
 		fatalUsage(fmt.Errorf("-rung-every must be >= 0"))
 	}
 	if *clusterURL != "" && *storeDir != "" {
-		// Evaluation dedup is server-side in cluster mode; the local
+		// Evaluation dedup is server-side in remote mode; the local
 		// store still holds the checkpoint, which is all it is for.
 		fmt.Fprintln(os.Stderr, "seesaw-evolve: -cluster evaluates remotely; -store holds only the search checkpoint")
 	}

@@ -6,12 +6,9 @@
 //
 //	seesaw-served -addr :8080 -store /var/lib/seesaw/store
 //	seesaw-served -addr 127.0.0.1:0        # random port, printed on stdout
-//	seesaw-served -addr :8081 -register localhost:9090   # join a cluster
 //
-// With -register, the daemon is a cluster worker: it announces itself to
-// a seesaw-coord coordinator (re-announcing periodically, so coordinator
-// restarts and evictions heal) and executes coordinator-dispatched cells
-// via POST /v1/cells/run alongside normal direct jobs.
+// seesaw-client, seesaw-sweep -cluster and seesaw-evolve -cluster take
+// the daemon's address and run their cells here.
 //
 // The server drains gracefully on SIGTERM/SIGINT: intake stops (503),
 // queued and running jobs finish, then the process exits. A second
@@ -19,19 +16,15 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -50,8 +43,6 @@ func main() {
 		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per cell, e.g. 5m (0 = unbounded)")
 		retries     = flag.Int("retries", 0, "re-execution attempts for panicking or timed-out cells")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Minute, "how long shutdown waits for in-flight jobs")
-		register    = flag.String("register", "", "coordinator `URL` to register with (seesaw-coord); re-registers periodically so a restarted coordinator rediscovers this worker")
-		advertise   = flag.String("advertise", "", "address to register as (default: the resolved listen address)")
 		rungEvery   = flag.Int("rung-every", 0, "persist an intermediate snapshot rung every N warmup references while climbing the store's snapshot ladder (0 = only the warmup-boundary rung; needs -store)")
 		snapBudget  = flag.Int64("snap-budget", 0, "snapshot namespace size budget in bytes; oldest rungs are evicted past it (0 = unlimited; needs -store)")
 	)
@@ -98,18 +89,6 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	// Self-registration: tell the coordinator we exist, and keep telling
-	// it — re-registration is how a worker survives a coordinator restart
-	// and how a previously evicted worker asks to be probed right away.
-	// The loop dies with the process; draining needs no extra teardown.
-	if *register != "" {
-		self := *advertise
-		if self == "" {
-			self = ln.Addr().String()
-		}
-		go registerLoop(*register, self, logger)
-	}
-
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
 	select {
@@ -137,44 +116,6 @@ func main() {
 		fatal(drainErr)
 	}
 	logger.Printf("seesaw-served: drained clean")
-}
-
-// registerLoop POSTs this worker's address to the coordinator's registry
-// until done closes: once at startup (with fast retries while the
-// coordinator may still be booting), then on a slow heartbeat cadence.
-func registerLoop(coordURL, self string, logger *log.Logger) {
-	if !strings.Contains(coordURL, "://") {
-		coordURL = "http://" + coordURL
-	}
-	url := strings.TrimRight(coordURL, "/") + "/v1/cluster/workers"
-	body, _ := json.Marshal(map[string]string{"addr": self})
-	client := &http.Client{Timeout: 5 * time.Second}
-	registered := false
-	delay := time.Second
-	for {
-		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				if !registered {
-					logger.Printf("seesaw-served: registered with %s as %s", coordURL, self)
-					registered = true
-				}
-				delay = 30 * time.Second
-			} else {
-				logger.Printf("seesaw-served: register: coordinator answered HTTP %d", resp.StatusCode)
-				delay = 5 * time.Second
-			}
-		} else {
-			if registered {
-				logger.Printf("seesaw-served: register: %v (will keep retrying)", err)
-			}
-			registered = false
-			delay = time.Second
-		}
-		time.Sleep(delay)
-	}
 }
 
 func fatal(err error) {

@@ -1,8 +1,7 @@
-// Cluster mode: with -cluster URL the sweep does not simulate locally —
-// every cell joins one cluster.Batch that ships the whole grid to a
-// seesaw-coord coordinator (or a single seesaw-served daemon; the API is
-// identical) on the first Wait. The submit/reduce structure of the
-// sweep is untouched: cells are still registered in table order and
+// Remote mode: with -cluster URL the sweep does not simulate locally —
+// every cell joins one service.Batch that ships the whole grid to a
+// seesaw-served daemon on the first Wait. The submit/reduce structure of
+// the sweep is untouched: cells are still registered in table order and
 // reduced in table order, so the merged table is byte-identical to a
 // local run of the same grid — the cluster tests pin exactly that
 // property.
@@ -10,13 +9,13 @@
 package main
 
 import (
-	"seesaw/internal/cluster"
+	"seesaw/internal/service"
 	"seesaw/internal/sim"
 )
 
 // future is the one thing the reduce phase needs from a submitted cell.
-// *runner.Future satisfies it for local sweeps; *cluster.Cell does for
-// cluster sweeps.
+// *runner.Future satisfies it for local sweeps; *service.Cell does for
+// remote sweeps.
 type future interface {
 	Wait() (*sim.Report, error)
 }
@@ -25,7 +24,7 @@ type future interface {
 // Submitting never blocks; Wait on the returned future does.
 func (o sweepOptions) newSubmitter() func(sim.Config) future {
 	if o.clusterURL != "" {
-		b := cluster.NewBatch(cluster.NewClient(o.clusterURL), "seesaw-sweep")
+		b := service.NewBatch(service.NewClient(o.clusterURL), "seesaw-sweep")
 		return func(cfg sim.Config) future { return b.Submit(cfg) }
 	}
 	p := o.newPool()

@@ -18,7 +18,7 @@
 //	seesaw-sweep -parallel 8 -cell-timeout 5m -retries 1
 //	seesaw-sweep -chaos -workloads redis,mcf -refs 6000 -fault-every 500
 //	seesaw-sweep -faults mix -check -refs 20000
-//	seesaw-sweep -cluster localhost:9090 -workloads redis,nutch
+//	seesaw-sweep -cluster localhost:8080 -workloads redis,nutch
 //
 // With -warmup N every cell gets an OS-only warmup phase; cells that
 // agree on their warmup signature fork one warmed machine instead of
@@ -26,12 +26,11 @@
 // store's snapshot ladder, so a rerun resumes each warmup from the
 // deepest persisted rung. Tables are byte-identical to cold runs.
 //
-// With -cluster URL the cells run on a seesaw-coord fleet (or a single
-// seesaw-served daemon) instead of in-process; the emitted table is
-// byte-identical either way. Execution knobs that configure the local
-// pool (-parallel, -cell-timeout, -retries, -store, -rung-every, -prom,
-// -progress) belong to the workers and coordinator in that mode and are
-// rejected.
+// With -cluster URL the cells run on the seesaw-served daemon at URL
+// instead of in-process; the emitted table is byte-identical either way.
+// Execution knobs that configure the local pool (-parallel,
+// -cell-timeout, -retries, -store, -rung-every, -prom, -progress) belong
+// to the daemon in that mode and are rejected.
 package main
 
 import (
@@ -101,9 +100,8 @@ type sweepOptions struct {
 	// warming every signature from zero.
 	ladder      runner.RunFunc
 	ladderStats *runner.LadderStats
-	// clusterURL routes every cell to a seesaw-coord coordinator (or a
-	// single seesaw-served daemon) instead of simulating locally; see
-	// cluster.go.
+	// clusterURL routes every cell to a seesaw-served daemon instead of
+	// simulating locally; see cluster.go.
 	clusterURL string
 }
 
@@ -185,7 +183,7 @@ func main() {
 		storeDir = flag.String("store", "",
 			"content-addressed result store `dir`: completed cells and warmup rungs are persisted and reused, so a killed sweep resumes where it stopped")
 		clusterURL = flag.String("cluster", "",
-			"run every cell on the seesaw-coord cluster (or seesaw-served daemon) at `URL` instead of simulating locally")
+			"run every cell on the seesaw-served daemon at `URL` instead of simulating locally")
 	)
 	prof = cliutil.RegisterProfiling(flag.CommandLine)
 	flag.Parse()
@@ -205,11 +203,10 @@ func main() {
 		fatalUsage(fmt.Errorf("-rung-every must be positive"))
 	}
 	if *clusterURL != "" {
-		// Local-pool knobs have no cluster meaning: execution lives on the
-		// workers (seesaw-served -workers/-cell-timeout/-retries), the
-		// store and its ladder on the coordinator and workers (-store,
-		// -rung-every), and shared warmup is the affinity router's job.
-		// Reject rather than silently ignore.
+		// Local-pool knobs have no remote meaning: execution, the store
+		// and its ladder live on the daemon (seesaw-served -workers,
+		// -cell-timeout, -retries, -store, -rung-every). Reject rather
+		// than silently ignore.
 		for _, bad := range []struct {
 			set  bool
 			flag string
@@ -222,7 +219,7 @@ func main() {
 			{*retries != 0, "-retries"},
 		} {
 			if bad.set {
-				fatalUsage(fmt.Errorf("%s configures the local pool and cannot be combined with -cluster (set it on the workers or coordinator instead)", bad.flag))
+				fatalUsage(fmt.Errorf("%s configures the local pool and cannot be combined with -cluster (set it on the seesaw-served daemon instead)", bad.flag))
 			}
 		}
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Future is the one thing the search needs from a submitted cell.
-// *runner.Future satisfies it for local evaluation; *cluster.Cell does
+// *runner.Future satisfies it for local evaluation; *service.Cell does
 // for remote.
 type Future interface {
 	Wait() (*sim.Report, error)

@@ -14,11 +14,11 @@ import (
 	"seesaw/internal/sim"
 )
 
-// runCellStream POSTs one coordinator-style cell and consumes the SSE
-// response, returning the heartbeat count and the terminal result.
-func runCellStream(t *testing.T, url string, req CellRunRequest) (int, CellRunResult) {
+// runCell POSTs one cell and consumes the SSE response, which must be
+// a 200 text/event-stream carrying exactly one "result" event.
+func runCell(t *testing.T, url string, cell CellSpec) CellRunResult {
 	t.Helper()
-	body, _ := json.Marshal(req)
+	body, _ := json.Marshal(CellRunRequest{Cell: cell})
 	resp, err := http.Post(url+"/v1/cells/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -30,67 +30,43 @@ func runCellStream(t *testing.T, url string, req CellRunRequest) (int, CellRunRe
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("cells/run content type %q", ct)
 	}
-	heartbeats := 0
 	var res CellRunResult
-	event := ""
+	var events []string
 	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 64<<10), 16<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "event: "):
-			event = line[len("event: "):]
+			events = append(events, line[len("event: "):])
 		case strings.HasPrefix(line, "data: "):
-			data := line[len("data: "):]
-			switch event {
-			case "heartbeat":
-				var hb struct {
-					LeaseID string `json:"lease_id"`
-				}
-				if err := json.Unmarshal([]byte(data), &hb); err != nil {
-					t.Fatalf("bad heartbeat %q: %v", data, err)
-				}
-				if hb.LeaseID != req.LeaseID {
-					t.Fatalf("heartbeat lease %q, want %q", hb.LeaseID, req.LeaseID)
-				}
-				heartbeats++
-			case "result":
-				if err := json.Unmarshal([]byte(data), &res); err != nil {
-					t.Fatalf("bad result %q: %v", data, err)
-				}
-				return heartbeats, res
+			if err := json.Unmarshal([]byte(line[len("data: "):]), &res); err != nil {
+				t.Fatalf("bad result %q: %v", line, err)
 			}
 		}
 	}
-	t.Fatal("stream ended without a result event")
-	return 0, res
-}
-
-// slowRun returns a run function that holds the cell for d before
-// reporting, so heartbeats have time to fire.
-func slowRun(d time.Duration) func(context.Context, sim.Config) (*sim.Report, error) {
-	return func(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
-		select {
-		case <-time.After(d):
-			return &sim.Report{SchemaVersion: sim.SchemaVersion, Design: "fake", Workload: cfg.Workload.Name}, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
 	}
+	if len(events) != 1 || events[0] != "result" {
+		t.Fatalf("cells/run events %q, want exactly one result", events)
+	}
+	return res
 }
 
-// TestCellRunHeartbeatsAndResult: a dispatched cell streams periodic
-// lease-renewing heartbeats while it runs, then a terminal result
-// carrying the report, and the drain gate returns to idle.
-func TestCellRunHeartbeatsAndResult(t *testing.T) {
-	s, ts, runs := newTestServer(t, Config{QueueDepth: 4, Workers: 2, Run: slowRun(150 * time.Millisecond)})
+// TestCellRunResult: a cell answers with one result event carrying the
+// report; an identical request is a store hit, and the totals and the
+// drain gate account for both.
+func TestCellRunResult(t *testing.T) {
+	s, ts, runs := newTestServer(t, Config{QueueDepth: 4, Workers: 2,
+		Run: func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
+			return &sim.Report{SchemaVersion: sim.SchemaVersion, Design: "fake", Workload: cfg.Workload.Name}, nil
+		}})
 
 	cell := CellSpec{Workload: "redis", Refs: 1000, Seed: 7, MemMB: 256}
-	hb, res := runCellStream(t, ts.URL, CellRunRequest{Cell: cell, LeaseID: "lease-1", HeartbeatMS: 20})
-	if hb < 2 {
-		t.Errorf("saw %d heartbeats over a 150ms cell at 20ms cadence, want >=2", hb)
-	}
-	if res.LeaseID != "lease-1" || res.Error != "" || res.Report == nil {
-		t.Fatalf("result %+v, want lease-1, no error, a report", res)
+	res := runCell(t, ts.URL, cell)
+	if res.Error != "" || res.Report == nil {
+		t.Fatalf("result %+v, want no error and a report", res)
 	}
 	if res.Report.Workload != "redis" {
 		t.Errorf("report workload %q", res.Report.Workload)
@@ -99,20 +75,20 @@ func TestCellRunHeartbeatsAndResult(t *testing.T) {
 		t.Fatalf("executed %d cells, want 1", got)
 	}
 
-	// Identical re-dispatch is answered by the shared store read-through:
+	// An identical request is answered by the shared store read-through:
 	// no second simulation, and the totals account for the hit.
-	_, res2 := runCellStream(t, ts.URL, CellRunRequest{Cell: cell, LeaseID: "lease-2"})
+	res2 := runCell(t, ts.URL, cell)
 	if res2.Error != "" || res2.Report == nil {
 		t.Fatalf("store-hit result %+v", res2)
 	}
 	if got := runs.Load(); got != 1 {
-		t.Fatalf("re-dispatch executed %d extra cells, want 0", got-1)
+		t.Fatalf("repeat executed %d extra cells, want 0", got-1)
 	}
 	s.mu.Lock()
 	running, totals := s.cellsRunning, s.cellTotals
 	s.mu.Unlock()
 	if running != 0 {
-		t.Errorf("cells_running %d after both streams finished, want 0", running)
+		t.Errorf("cells_running %d after both requests finished, want 0", running)
 	}
 	if totals.Runs != 1 || totals.StoreHits != 1 || totals.Submitted != 2 {
 		t.Errorf("cell totals %+v, want runs=1 store_hits=1 submitted=2", totals)
@@ -127,7 +103,7 @@ func TestCellRunFailure(t *testing.T) {
 		Run: func(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
 			panic("boom")
 		}})
-	_, res := runCellStream(t, ts.URL, CellRunRequest{Cell: CellSpec{Workload: "redis", Refs: 1000, MemMB: 256}, LeaseID: "l"})
+	res := runCell(t, ts.URL, CellSpec{Workload: "redis", Refs: 1000, MemMB: 256})
 	if res.Report != nil || !strings.Contains(res.Error, "boom") {
 		t.Fatalf("result %+v, want nil report and a boom error", res)
 	}
@@ -177,20 +153,22 @@ func TestCellRunBadRequests(t *testing.T) {
 	}
 }
 
-// TestCellRunClientDisconnect: a coordinator abandoning the stream
-// (lease expired, job canceled) cancels the in-flight simulation and
-// releases the drain gate — while a Drain issued mid-cell waits for
-// exactly that unwind before declaring the server idle.
+// TestCellRunClientDisconnect: a client hanging up cancels the
+// in-flight simulation and releases the drain gate — while a Drain
+// issued mid-cell waits for exactly that unwind before declaring the
+// server idle.
 func TestCellRunClientDisconnect(t *testing.T) {
+	started := make(chan struct{})
 	var canceled atomic.Bool
 	s, ts, _ := newTestServer(t, Config{QueueDepth: 4, Workers: 1,
 		Run: func(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
+			close(started)
 			<-ctx.Done()
 			canceled.Store(true)
 			return nil, ctx.Err()
 		}})
 
-	body, _ := json.Marshal(CellRunRequest{Cell: CellSpec{Workload: "redis", Refs: 1000, MemMB: 256}, LeaseID: "l", HeartbeatMS: 10})
+	body, _ := json.Marshal(CellRunRequest{Cell: CellSpec{Workload: "redis", Refs: 1000, MemMB: 256}})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/cells/run", bytes.NewReader(body))
 	resp, err := http.DefaultClient.Do(req)
@@ -198,18 +176,14 @@ func TestCellRunClientDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	// Read the first heartbeat so the cell is known to be in flight.
-	buf := make([]byte, 1)
-	if _, err := resp.Body.Read(buf); err != nil {
-		t.Fatal(err)
-	}
+	<-started // the cell is in flight
 
-	// Drain must not report idle while the dispatched cell is running.
+	// Drain must not report idle while the cell is running.
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
 	select {
 	case err := <-drained:
-		t.Fatalf("drain returned %v while a dispatched cell was running", err)
+		t.Fatalf("drain returned %v while a cell was running", err)
 	case <-time.After(100 * time.Millisecond):
 	}
 

@@ -13,12 +13,11 @@ import (
 	"testing"
 	"time"
 
-	"seesaw/internal/cluster"
 	"seesaw/internal/service"
 	"seesaw/internal/sim"
 )
 
-// maxCells is the per-job cell bound both front ends run with.
+// maxCells is the per-job cell bound the daemon runs with.
 const maxCells = 3
 
 var quiet = log.New(io.Discard, "", 0)
@@ -32,13 +31,13 @@ func fakeRun(_ context.Context, cfg sim.Config) (*sim.Report, error) {
 	return &sim.Report{SchemaVersion: sim.SchemaVersion, Design: "fake", Workload: cfg.Workload.Name}, nil
 }
 
-// frontEnd is one running implementation of the /v1/jobs API.
-type frontEnd struct {
-	url   string
-	drain func(context.Context) error
+// daemon is one running server and its URL.
+type daemon struct {
+	url string
+	*service.Server
 }
 
-func startDaemon(t *testing.T, cfg service.Config) frontEnd {
+func startDaemon(t *testing.T, cfg service.Config) daemon {
 	t.Helper()
 	if cfg.Run == nil {
 		cfg.Run = fakeRun
@@ -47,67 +46,7 @@ func startDaemon(t *testing.T, cfg service.Config) frontEnd {
 	s := service.New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() { ts.Close(); s.Close() })
-	return frontEnd{ts.URL, s.Drain}
-}
-
-// startCoordinator fronts one daemon worker with a coordinator whose
-// pending-cell queue holds fewer cells than one job may carry.
-func startCoordinator(t *testing.T) frontEnd {
-	t.Helper()
-	worker := startDaemon(t, service.Config{Workers: 2})
-	c := cluster.New(cluster.Config{
-		Workers:        []string{strings.TrimPrefix(worker.url, "http://")},
-		MaxCellsPerJob: maxCells,
-		MaxQueuedCells: maxCells - 1,
-		Logger:         quiet,
-	})
-	ts := httptest.NewServer(c.Handler())
-	t.Cleanup(func() { ts.Close(); c.Close() })
-	return frontEnd{ts.URL, c.Drain}
-}
-
-// frontEnds lists both implementations, each with the way it is driven
-// into a 429.
-var frontEnds = []struct {
-	name  string
-	start func(*testing.T) frontEnd
-	// busy saturates a fresh front end and returns the refused submit.
-	busy func(*testing.T) *http.Response
-}{
-	{
-		name:  "daemon",
-		start: func(t *testing.T) frontEnd { return startDaemon(t, service.Config{}) },
-		busy: func(t *testing.T) *http.Response {
-			// One job runs (blocked), one fills the depth-1 queue.
-			started := make(chan struct{}, 1)
-			release := make(chan struct{})
-			t.Cleanup(func() { close(release) })
-			fe := startDaemon(t, service.Config{QueueDepth: 1, Workers: 1,
-				Run: func(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
-					select {
-					case started <- struct{}{}:
-					default:
-					}
-					select {
-					case <-release:
-						return fakeRun(ctx, cfg)
-					case <-ctx.Done():
-						return nil, ctx.Err()
-					}
-				}})
-			mustSubmit(t, fe, jobBody(1))
-			<-started
-			mustSubmit(t, fe, jobBody(1))
-			return post(t, fe.url+"/v1/jobs", jobBody(1))
-		},
-	},
-	{
-		name:  "coordinator",
-		start: func(t *testing.T) frontEnd { return startCoordinator(t) },
-		busy: func(t *testing.T) *http.Response {
-			return post(t, startCoordinator(t).url+"/v1/jobs", jobBody(maxCells))
-		},
-	},
+	return daemon{ts.URL, s}
 }
 
 // jobBody is a job of n distinct cells.
@@ -142,7 +81,7 @@ func post(t *testing.T, url, body string) *http.Response {
 	return do(t, http.MethodPost, url, body)
 }
 
-func mustSubmit(t *testing.T, fe frontEnd, body string) service.JobStatus {
+func mustSubmit(t *testing.T, fe daemon, body string) service.JobStatus {
 	t.Helper()
 	resp := post(t, fe.url+"/v1/jobs", body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -181,75 +120,96 @@ func readEvents(t *testing.T, resp *http.Response) []string {
 	return blocks
 }
 
-// TestJobsAPIConformance runs the same /v1/jobs cases against the
-// daemon and the cluster coordinator: one API, one set of status codes.
+// TestJobsAPIConformance pins the /v1/jobs status codes and the SSE
+// resume contract that Client relies on. The cases run under the name of
+// the front end they drive, the daemon.
 func TestJobsAPIConformance(t *testing.T) {
-	for _, f := range frontEnds {
-		t.Run(f.name, func(t *testing.T) {
-			t.Run("400", func(t *testing.T) {
-				fe := f.start(t)
-				for name, body := range map[string]string{
-					"bad JSON":         "{not json",
-					"no cells":         `{"cells":[]}`,
-					"too many cells":   jobBody(maxCells + 1),
-					"unknown workload": `{"cells":[{"workload":"no-such-workload"}]}`,
-					"mem_mb past 32GB": `{"cells":[{"workload":"redis","mem_mb":32770}]}`,
-					"mem_mb wrapping":  `{"cells":[{"workload":"redis","mem_mb":17592186044416}]}`,
-					"pipt waypredict":  `{"cells":[{"workload":"redis","cache":"pipt","waypredict":true}]}`,
-				} {
-					if resp := post(t, fe.url+"/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
-						t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
-					}
+	t.Run("daemon", daemonConformance)
+}
+
+func daemonConformance(t *testing.T) {
+	t.Run("400", func(t *testing.T) {
+		fe := startDaemon(t, service.Config{})
+		for name, body := range map[string]string{
+			"bad JSON":         "{not json",
+			"no cells":         `{"cells":[]}`,
+			"too many cells":   jobBody(maxCells + 1),
+			"unknown workload": `{"cells":[{"workload":"no-such-workload"}]}`,
+			"mem_mb past 32GB": `{"cells":[{"workload":"redis","mem_mb":32770}]}`,
+			"mem_mb wrapping":  `{"cells":[{"workload":"redis","mem_mb":17592186044416}]}`,
+			"pipt waypredict":  `{"cells":[{"workload":"redis","cache":"pipt","waypredict":true}]}`,
+		} {
+			if resp := post(t, fe.url+"/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s: HTTP %d, want 400", name, resp.StatusCode)
+			}
+		}
+	})
+	t.Run("404", func(t *testing.T) {
+		fe := startDaemon(t, service.Config{})
+		for _, r := range []struct{ method, path string }{
+			{http.MethodGet, "/v1/jobs/nope"},
+			{http.MethodDelete, "/v1/jobs/nope"},
+			{http.MethodGet, "/v1/jobs/nope/stream"},
+		} {
+			if resp := do(t, r.method, fe.url+r.path, ""); resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s: HTTP %d, want 404", r.method, r.path, resp.StatusCode)
+			}
+		}
+	})
+	t.Run("429", func(t *testing.T) {
+		// One job runs (blocked), one fills the depth-1 queue.
+		started := make(chan struct{}, 1)
+		release := make(chan struct{})
+		t.Cleanup(func() { close(release) })
+		fe := startDaemon(t, service.Config{QueueDepth: 1, Workers: 1,
+			Run: func(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
+				select {
+				case started <- struct{}{}:
+				default:
 				}
-			})
-			t.Run("404", func(t *testing.T) {
-				fe := f.start(t)
-				for _, r := range []struct{ method, path string }{
-					{http.MethodGet, "/v1/jobs/nope"},
-					{http.MethodDelete, "/v1/jobs/nope"},
-					{http.MethodGet, "/v1/jobs/nope/stream"},
-				} {
-					if resp := do(t, r.method, fe.url+r.path, ""); resp.StatusCode != http.StatusNotFound {
-						t.Errorf("%s %s: HTTP %d, want 404", r.method, r.path, resp.StatusCode)
-					}
+				select {
+				case <-release:
+					return fakeRun(ctx, cfg)
+				case <-ctx.Done():
+					return nil, ctx.Err()
 				}
-			})
-			t.Run("429", func(t *testing.T) {
-				resp := f.busy(t)
-				if resp.StatusCode != http.StatusTooManyRequests {
-					t.Fatalf("HTTP %d, want 429", resp.StatusCode)
-				}
-				if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
-					t.Fatalf("Retry-After %q, want a positive integer", resp.Header.Get("Retry-After"))
-				}
-			})
-			t.Run("503 after drain", func(t *testing.T) {
-				fe := f.start(t)
-				if err := fe.drain(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				if resp := post(t, fe.url+"/v1/jobs", jobBody(1)); resp.StatusCode != http.StatusServiceUnavailable {
-					t.Fatalf("HTTP %d, want 503", resp.StatusCode)
-				}
-			})
-			t.Run("stream resume", func(t *testing.T) {
-				fe := f.start(t)
-				st := mustSubmit(t, fe, jobBody(2))
-				url := fe.url + "/v1/jobs/" + st.ID + "/stream"
-				all := readEvents(t, do(t, http.MethodGet, url, ""))
-				if len(all) < 4 || !strings.Contains(all[len(all)-1], "event: done") {
-					t.Fatalf("live stream of a 2-cell job: %q", all)
-				}
-				// Resuming anywhere — mid-history, at the done event, past
-				// it — returns exactly the events after Last-Event-ID.
-				for _, last := range []int{1, len(all) - 1, len(all), len(all) + 3} {
-					got := readEvents(t, do(t, http.MethodGet, url, "", "Last-Event-ID", strconv.Itoa(last)))
-					want := all[min(last, len(all)):]
-					if strings.Join(got, "\n\n") != strings.Join(want, "\n\n") {
-						t.Errorf("resume after %d: got %q, want %q", last, got, want)
-					}
-				}
-			})
-		})
-	}
+			}})
+		mustSubmit(t, fe, jobBody(1))
+		<-started
+		mustSubmit(t, fe, jobBody(1))
+		resp := post(t, fe.url+"/v1/jobs", jobBody(1))
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("HTTP %d, want 429", resp.StatusCode)
+		}
+		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+			t.Fatalf("Retry-After %q, want a positive integer", resp.Header.Get("Retry-After"))
+		}
+	})
+	t.Run("503 after drain", func(t *testing.T) {
+		fe := startDaemon(t, service.Config{})
+		if err := fe.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if resp := post(t, fe.url+"/v1/jobs", jobBody(1)); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("HTTP %d, want 503", resp.StatusCode)
+		}
+	})
+	t.Run("stream resume", func(t *testing.T) {
+		fe := startDaemon(t, service.Config{})
+		st := mustSubmit(t, fe, jobBody(2))
+		url := fe.url + "/v1/jobs/" + st.ID + "/stream"
+		all := readEvents(t, do(t, http.MethodGet, url, ""))
+		if len(all) < 4 || !strings.Contains(all[len(all)-1], "event: done") {
+			t.Fatalf("live stream of a 2-cell job: %q", all)
+		}
+		// Resuming anywhere — mid-history, at the done event, past it —
+		// returns exactly the events after Last-Event-ID.
+		for _, last := range []int{1, len(all) - 1, len(all), len(all) + 3} {
+			got := readEvents(t, do(t, http.MethodGet, url, "", "Last-Event-ID", strconv.Itoa(last)))
+			want := all[min(last, len(all)):]
+			if strings.Join(got, "\n\n") != strings.Join(want, "\n\n") {
+				t.Errorf("resume after %d: got %q, want %q", last, got, want)
+			}
+		}
+	})
 }

@@ -10,29 +10,13 @@ import (
 	"time"
 )
 
-// Jobs is a backend of the /v1/jobs API. The daemon's Server and the
-// cluster's Coordinator both implement it; MountJobs turns either into
-// the same HTTP surface, so clients cannot tell them apart.
-type Jobs interface {
-	// Submit validates and admits one job and returns its id. A
-	// validation failure (see JobRequest.Configs) is a 400, a
-	// *BusyError a 429 with Retry-After, and ErrDraining a 503.
-	Submit(req JobRequest) (string, error)
-	// Job returns one job, or ErrNotFound.
-	Job(id string) (*Job, error)
-	// List returns every job in submission order.
-	List() []*Job
-	// Cancel cancels one job and returns it, or ErrNotFound.
-	Cancel(id string) (*Job, error)
-}
-
 // ErrDraining is returned by Submit once Drain has begun; mapped to 503.
 var ErrDraining = errors.New("service: draining, not accepting jobs")
 
 // ErrNotFound is returned for unknown job ids; mapped to 404.
 var ErrNotFound = errors.New("service: no such job")
 
-// BusyError is Submit's 429: the backend is at capacity and asks the
+// BusyError is Submit's 429: the server is at capacity and asks the
 // client to come back after RetryAfter.
 type BusyError struct {
 	Reason     string
@@ -51,8 +35,8 @@ type ErrorBody struct {
 	Error string `json:"error"`
 }
 
-// WriteJSON writes v as indented JSON with status code.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes v as indented JSON with status code.
+func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -60,86 +44,83 @@ func WriteJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// MountJobs registers the /v1/jobs API over jobs on mux:
-//
-//	POST   /v1/jobs              submit; 202, 400, 429 + Retry-After, or 503 while draining
-//	GET    /v1/jobs              list job summaries
-//	GET    /v1/jobs/{id}         status (+results unless results=0)
-//	DELETE /v1/jobs/{id}         cancel
-//	GET    /v1/jobs/{id}/stream  SSE progress (Last-Event-ID resume)
-func MountJobs(mux *http.ServeMux, jobs Jobs) {
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req JobRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
-			WriteJSON(w, http.StatusBadRequest, ErrorBody{"bad job JSON: " + err.Error()})
-			return
-		}
-		id, err := jobs.Submit(req)
-		if err == nil {
-			j, _ := jobs.Job(id)
-			WriteJSON(w, http.StatusAccepted, j.Status(false))
-			return
-		}
-		var busy *BusyError
-		var bad *badRequestError
-		code := http.StatusInternalServerError
-		switch {
-		case errors.As(err, &busy):
-			secs := int(math.Ceil(busy.RetryAfter.Seconds()))
-			w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
-			code = http.StatusTooManyRequests
-		case errors.Is(err, ErrDraining):
-			code = http.StatusServiceUnavailable
-		case errors.As(err, &bad):
-			code = http.StatusBadRequest
-		}
-		WriteJSON(w, code, ErrorBody{err.Error()})
-	})
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		list := jobs.List()
-		out := make([]JobStatus, len(list))
-		for i, j := range list {
-			out[i] = j.Status(false)
-		}
-		WriteJSON(w, http.StatusOK, out)
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		j, err := jobs.Job(r.PathValue("id"))
-		if err != nil {
-			WriteJSON(w, http.StatusNotFound, ErrorBody{err.Error()})
-			return
-		}
-		WriteJSON(w, http.StatusOK, j.Status(r.URL.Query().Get("results") != "0"))
-	})
-	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		j, err := jobs.Cancel(r.PathValue("id"))
-		if err != nil {
-			WriteJSON(w, http.StatusNotFound, ErrorBody{err.Error()})
-			return
-		}
-		WriteJSON(w, http.StatusOK, j.Status(false))
-	})
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		j, err := jobs.Job(r.PathValue("id"))
-		if err != nil {
-			WriteJSON(w, http.StatusNotFound, ErrorBody{err.Error()})
-			return
-		}
-		stream(w, r, j)
-	})
+// handleSubmit serves POST /v1/jobs: 202, 400 on a validation failure (see
+// JobRequest.Configs), 429 + Retry-After on a *BusyError, and 503 while
+// draining.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req JobRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req); err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorBody{"bad job JSON: " + err.Error()})
+		return
+	}
+	id, err := s.Submit(req)
+	if err == nil {
+		j, _ := s.Job(id)
+		writeJSON(w, http.StatusAccepted, j.Status(false))
+		return
+	}
+	var busy *BusyError
+	var bad *badRequestError
+	code := http.StatusInternalServerError
+	switch {
+	case errors.As(err, &busy):
+		secs := int(math.Ceil(busy.RetryAfter.Seconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
+		code = http.StatusTooManyRequests
+	case errors.Is(err, ErrDraining):
+		code = http.StatusServiceUnavailable
+	case errors.As(err, &bad):
+		code = http.StatusBadRequest
+	}
+	writeJSON(w, code, ErrorBody{err.Error()})
 }
 
-// stream serves a job's progress as Server-Sent Events: the history
-// first (late subscribers replay everything), then live events until
-// the job has ended and nothing is left to send, or the client
-// disconnects. Every event carries its history position as the SSE id,
-// and a client reconnecting with Last-Event-ID: N is resumed at event
-// N+1 — the standard SSE resume contract, so a dropped stream loses
-// nothing.
-func stream(w http.ResponseWriter, r *http.Request, j *Job) {
+// handleList serves GET /v1/jobs: every job's summary in submission order.
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	jobs := s.List()
+	out := make([]JobStatus, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.Status(false)
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+// handleStatus serves GET /v1/jobs/{id}, with results unless results=0.
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	j, err := s.Job(r.PathValue("id"))
+	if err != nil {
+		writeJSON(w, http.StatusNotFound, ErrorBody{err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, j.Status(r.URL.Query().Get("results") != "0"))
+}
+
+// handleCancel serves DELETE /v1/jobs/{id}.
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
+	j, err := s.Cancel(r.PathValue("id"))
+	if err != nil {
+		writeJSON(w, http.StatusNotFound, ErrorBody{err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, j.Status(false))
+}
+
+// handleStream serves GET /v1/jobs/{id}/stream, a job's progress as
+// Server-Sent Events: the history first (late subscribers replay
+// everything), then live events until the job has ended and nothing is
+// left to send, or the client disconnects. Every event carries its
+// history position as the SSE id, and a client reconnecting with
+// Last-Event-ID: N is resumed at event N+1 — the standard SSE resume
+// contract, so a dropped stream loses nothing.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
+	j, err := s.Job(r.PathValue("id"))
+	if err != nil {
+		writeJSON(w, http.StatusNotFound, ErrorBody{err.Error()})
+		return
+	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		WriteJSON(w, http.StatusInternalServerError, ErrorBody{"streaming unsupported"})
+		writeJSON(w, http.StatusInternalServerError, ErrorBody{"streaming unsupported"})
 		return
 	}
 	seq, _ := strconv.Atoi(r.Header.Get("Last-Event-ID"))

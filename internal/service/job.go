@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"seesaw/internal/runner"
@@ -23,19 +24,21 @@ func Terminal(state string) bool {
 	return state == StateDone || state == StateFailed || state == StateCanceled
 }
 
-// Job is one batch of cells behind the /v1/jobs API: its state machine,
-// per-cell results and progress-event history. The daemon's dispatcher
-// and the cluster coordinator both drive it through the same methods,
-// and MountJobs serves it. Its mutex is a leaf: it is never held while
-// calling out, so backends may call in while holding their own locks.
+// Job is one batch of cells behind the /v1/jobs API: the configs its
+// pool runs, its state machine, per-cell results and progress-event
+// history. The Server drives it and its handlers serve it. Its mutex is
+// a leaf: it is never held while calling out, so the server calls in
+// while holding its own lock.
 type Job struct {
 	ID    string
 	Label string
 
+	cfgs   []sim.Config
 	ctx    context.Context
 	cancel context.CancelFunc
-	// stats supplies the backend's scheduling outcomes for statuses.
-	stats func() PoolStats
+	// pool runs the cells once a dispatcher has claimed the job; its
+	// counters are the job's PoolStats.
+	pool atomic.Pointer[runner.Pool]
 
 	mu       sync.Mutex
 	state    string
@@ -54,13 +57,13 @@ type Job struct {
 	wake   chan struct{}
 }
 
-// NewJob builds a queued job over cfgs whose context derives from
-// parent. stats reports its scheduling outcomes in every status.
-func NewJob(parent context.Context, id, label string, cfgs []sim.Config, stats func() PoolStats) *Job {
+// newJob builds a queued job over cfgs whose context derives from
+// parent.
+func newJob(parent context.Context, id, label string, cfgs []sim.Config) *Job {
 	ctx, cancel := context.WithCancel(parent)
 	j := &Job{
 		ID: id, Label: label,
-		ctx: ctx, cancel: cancel, stats: stats,
+		cfgs: cfgs, ctx: ctx, cancel: cancel,
 		state:   StateQueued,
 		results: make([]CellResult, len(cfgs)),
 		created: time.Now(),
@@ -71,16 +74,6 @@ func NewJob(parent context.Context, id, label string, cfgs []sim.Config, stats f
 	}
 	return j
 }
-
-// Context is the job's cancellation scope; cells run under it.
-func (j *Job) Context() context.Context { return j.ctx }
-
-// Cancel cancels the job's context. The job reaches its terminal state
-// once its cells settle (see CompleteCell).
-func (j *Job) Cancel() { j.cancel() }
-
-// Start moves a queued job to running.
-func (j *Job) Start() { j.setState(StateRunning) }
 
 // State returns the job's current state.
 func (j *Job) State() string {
@@ -99,17 +92,11 @@ func (j *Job) publish(ev Event) {
 	j.wake = make(chan struct{})
 }
 
-// setState transitions the job and publishes the change.
+// setState transitions the job and publishes the change: a "state"
+// event, or the final "done" event for a terminal state.
 func (j *Job) setState(state string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.setStateLocked(state)
-}
-
-func (j *Job) setStateLocked(state string) {
-	if Terminal(j.state) {
-		return // cancel/finish races: first terminal state wins
-	}
 	j.state = state
 	typ := "state"
 	if Terminal(state) {
@@ -121,12 +108,10 @@ func (j *Job) setStateLocked(state string) {
 	j.publish(Event{Type: typ, State: state})
 }
 
-// CompleteCell records cell i's outcome and publishes its progress
+// completeCell records cell i's outcome and publishes its progress
 // event, summarizing the metrics epoch series when the cell carried one.
-// The call that settles the last cell ends the job — canceled if its
-// context was canceled, failed if any cell failed, done otherwise — and
-// then cancels the job's context. Each cell completes exactly once.
-func (j *Job) CompleteCell(i int, rep *sim.Report, err error) {
+// Each cell completes exactly once.
+func (j *Job) completeCell(i int, rep *sim.Report, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	r := &j.results[i]
@@ -152,26 +137,21 @@ func (j *Job) CompleteCell(i int, rep *sim.Report, err error) {
 	j.done++
 	ev.Completed = j.done
 	j.publish(ev)
-	if j.done < len(j.results) {
-		return
-	}
-	switch {
-	case j.ctx.Err() != nil:
-		j.setStateLocked(StateCanceled)
-	case j.failed > 0:
-		j.setStateLocked(StateFailed)
-	default:
-		j.setStateLocked(StateDone)
-	}
-	j.cancel()
 }
 
-// Requeue publishes a "requeue" event: cell i's attempt failed with
-// errMsg and the cell went back to the queue.
-func (j *Job) Requeue(i int, errMsg string) {
+// outcome is the state a job whose cells have all settled ends in:
+// canceled if its context was canceled, failed if any cell failed, done
+// otherwise.
+func (j *Job) outcome() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.publish(Event{Type: "requeue", Index: i, Desc: j.results[i].Desc, Error: errMsg, Cells: len(j.results)})
+	switch {
+	case j.ctx.Err() != nil:
+		return StateCanceled
+	case j.failed > 0:
+		return StateFailed
+	}
+	return StateDone
 }
 
 // since returns the events after the first seq, whether the job has
@@ -187,6 +167,15 @@ func (j *Job) since(seq int) (evs []Event, ended bool, wake <-chan struct{}) {
 		evs = j.events[seq:]
 	}
 	return evs, Terminal(j.state), j.wake
+}
+
+// poolStats reads the job's pool counters (zero before it has a pool).
+func (j *Job) poolStats() PoolStats {
+	p := j.pool.Load()
+	if p == nil {
+		return PoolStats{}
+	}
+	return wireStats(p)
 }
 
 // Status snapshots the job for the API. withResults=false omits the
@@ -212,6 +201,27 @@ func (j *Job) Status(withResults bool) JobStatus {
 	j.mu.Unlock()
 	// Read after the snapshot, so the counters already include every
 	// cell the snapshot shows as settled.
-	st.Pool = j.stats()
+	st.Pool = j.poolStats()
 	return st
+}
+
+// wireStats converts a pool's counters to their wire form.
+func wireStats(p *runner.Pool) PoolStats {
+	st := p.Stats()
+	return PoolStats{
+		Submitted: st.Submitted, Runs: st.Runs, CacheHits: st.CacheHits,
+		Retries: st.Retries, Failures: st.Failures,
+		StoreHits: st.StoreHits, StorePuts: st.StorePuts,
+	}
+}
+
+// add folds q's counters into p.
+func (p *PoolStats) add(q PoolStats) {
+	p.Submitted += q.Submitted
+	p.Runs += q.Runs
+	p.CacheHits += q.CacheHits
+	p.Retries += q.Retries
+	p.Failures += q.Failures
+	p.StoreHits += q.StoreHits
+	p.StorePuts += q.StorePuts
 }

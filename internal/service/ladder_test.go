@@ -39,12 +39,11 @@ func getHealth(t *testing.T, url string) healthBody {
 	return h
 }
 
-// TestCellRunClimbsLadder: a worker with a store warms remote cells
+// TestCellRunClimbsLadder: a daemon with a store warms its cells
 // through the snapshot ladder — the first cell persists rungs, a
-// restarted worker over the same directory resumes from the boundary
-// rung with zero warmup references executed, and the reports agree.
-// This is the worker-side payoff of the coordinator's affinity routing:
-// the warmup a worker computed in a previous life is found on disk.
+// restarted daemon over the same directory resumes from the boundary
+// rung with zero warmup references executed, and the reports agree:
+// the warmup a daemon computed in a previous life is found on disk.
 func TestCellRunClimbsLadder(t *testing.T) {
 	dir := t.TempDir()
 	quiet := log.New(io.Discard, "", 0)
@@ -59,17 +58,17 @@ func TestCellRunClimbsLadder(t *testing.T) {
 		Seed: 7, MemMB: 256,
 	}
 	_, ts1 := newLadderServer(t, st, 2_500)
-	_, res1 := runCellStream(t, ts1.URL, CellRunRequest{Cell: cell, LeaseID: "l1", HeartbeatMS: 50})
+	res1 := runCell(t, ts1.URL, cell)
 	if res1.Error != "" || res1.Report == nil {
 		t.Fatalf("first cell: %+v", res1)
 	}
 	h := getHealth(t, ts1.URL)
 	if h.Ladder == nil || h.Ladder.Warmups != 1 || h.Ladder.RungHits != 0 {
-		t.Fatalf("first worker healthz ladder = %+v, want one cold warmup", h.Ladder)
+		t.Fatalf("first daemon healthz ladder = %+v, want one cold warmup", h.Ladder)
 	}
 	// Rungs at 2500, 5000, and the 6000 boundary.
 	if h.Ladder.RungPuts != 3 || st.SnapLen() != 3 {
-		t.Fatalf("first worker persisted %d rungs (disk: %d), want 3", h.Ladder.RungPuts, st.SnapLen())
+		t.Fatalf("first daemon persisted %d rungs (disk: %d), want 3", h.Ladder.RungPuts, st.SnapLen())
 	}
 
 	// "Restart": a fresh store handle and server over the same directory.
@@ -83,20 +82,20 @@ func TestCellRunClimbsLadder(t *testing.T) {
 	// still serve it.
 	cell2 := cell
 	cell2.Cache = "baseline"
-	_, res2 := runCellStream(t, ts2.URL, CellRunRequest{Cell: cell2, LeaseID: "l2", HeartbeatMS: 50})
+	res2 := runCell(t, ts2.URL, cell2)
 	if res2.Error != "" || res2.Report == nil {
 		t.Fatalf("resumed cell: %+v", res2)
 	}
 	h2 := getHealth(t, ts2.URL)
 	if h2.Ladder == nil || h2.Ladder.RungHits != 1 || h2.Ladder.ResumedRefs != 6_000 || h2.Ladder.RunRefs != 0 {
-		t.Fatalf("restarted worker healthz ladder = %+v, want a full-depth resume", h2.Ladder)
+		t.Fatalf("restarted daemon healthz ladder = %+v, want a full-depth resume", h2.Ladder)
 	}
 
 	// The resumed run and a ladder-free run of the same cell agree.
 	sClean := New(Config{QueueDepth: 2, Workers: 2, Logger: quiet})
 	tsClean := httptest.NewServer(sClean.Handler())
 	defer func() { tsClean.Close(); sClean.Close() }()
-	_, resClean := runCellStream(t, tsClean.URL, CellRunRequest{Cell: cell2, LeaseID: "l3", HeartbeatMS: 50})
+	resClean := runCell(t, tsClean.URL, cell2)
 	if !reflect.DeepEqual(resClean.Report, res2.Report) {
 		t.Error("ladder-resumed report differs from the ladder-free run")
 	}

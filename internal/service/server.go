@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"seesaw/internal/metrics"
@@ -31,10 +30,9 @@ type Config struct {
 	MaxCellsPerJob int
 	// Store, when non-nil, is the shared content-addressed result store
 	// every job's pool reads through — the cross-job, cross-restart
-	// dedup layer. It also turns on the snapshot ladder for remote
-	// cells: warmups resume from the deepest rung persisted in the
-	// store and persist new rungs as they climb, so affinity-routed
-	// workers warm from disk across restarts.
+	// dedup layer. It also turns on the snapshot ladder: warmups resume
+	// from the deepest rung persisted in the store and persist new rungs
+	// as they climb, so the daemon warms from disk across restarts.
 	Store *store.Store
 	// SnapRungEvery, when positive, persists an intermediate snapshot
 	// rung every N warmup references while climbing (0 = only the
@@ -56,14 +54,14 @@ type Config struct {
 // them. Construct with New, serve Handler, stop with Drain or Close.
 type Server struct {
 	cfg   Config
-	queue chan *job
+	queue chan *Job
 
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
 	dispatch   sync.WaitGroup
 
-	// cellRun executes one remote cell (POST /v1/cells/run); it wraps
-	// the configured run function with the server-wide cell concurrency
+	// cellRun executes one POST /v1/cells/run cell; it wraps the
+	// configured run function with the server-wide cell concurrency
 	// bound and, when no run function was injected, shares warmed
 	// masters across requests — via the store's snapshot ladder when a
 	// store is attached (runner.LadderRun), in memory otherwise
@@ -79,14 +77,14 @@ type Server struct {
 	ladderStats *runner.LadderStats
 
 	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []*job // submission order for listings
+	jobs     map[string]*Job
+	order    []*Job // submission order for listings
 	seq      int
 	draining bool
 	running  int
 	queued   int
-	// cellsRunning counts in-flight POST /v1/cells/run executions —
-	// cluster work the drain path must wait out like any queued job.
+	// cellsRunning counts in-flight POST /v1/cells/run executions, which
+	// the drain path must wait out like any queued job.
 	cellsRunning int
 	cellTotals   PoolStats
 	// merged accumulates every finished job's counters-only metrics for
@@ -122,16 +120,15 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		queue:      make(chan *job, cfg.QueueDepth),
+		queue:      make(chan *Job, cfg.QueueDepth),
 		rootCtx:    ctx,
 		rootCancel: cancel,
-		jobs:       make(map[string]*job),
+		jobs:       make(map[string]*Job),
 		cellSem:    make(chan struct{}, cfg.Workers),
 	}
-	// Remote cells run through one shared-warmup closure (unless a test
-	// injected its own run function), so cells routed here for their
-	// warmup signature find the warmed master from earlier requests —
-	// the worker-side half of the coordinator's affinity routing.
+	// Cells run through one shared-warmup closure (unless a test
+	// injected its own run function), so a cell finds the warmed master
+	// an earlier job or request with its warmup signature left behind.
 	inner := cfg.Run
 	if !injected {
 		if cfg.Store != nil {
@@ -157,7 +154,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// dispatcher executes queued jobs until the server shuts down.
+// dispatcher executes queued jobs until the server shuts down. A job
+// canceled while queued has already ended (see Cancel) and is skipped.
 func (s *Server) dispatcher() {
 	defer s.dispatch.Done()
 	for {
@@ -166,45 +164,26 @@ func (s *Server) dispatcher() {
 			return
 		case j := <-s.queue:
 			s.mu.Lock()
-			s.queued--
-			s.running++
+			claimed := j.State() == StateQueued
+			if claimed {
+				s.queued--
+				s.running++
+				j.setState(StateRunning)
+			}
 			s.mu.Unlock()
-			s.runJob(j)
-			s.mu.Lock()
-			s.running--
-			s.mu.Unlock()
+			if claimed {
+				s.runJob(j)
+			}
 		}
-	}
-}
-
-// job is the daemon's queue entry: the shared record plus the configs
-// its pool runs and, once running, that pool (the PoolStats source).
-type job struct {
-	*Job
-	cfgs []sim.Config
-	pool atomic.Pointer[runner.Pool]
-}
-
-func (j *job) poolStats() PoolStats {
-	p := j.pool.Load()
-	if p == nil {
-		return PoolStats{}
-	}
-	ps := p.Stats()
-	return PoolStats{
-		Submitted: ps.Submitted, Runs: ps.Runs, CacheHits: ps.CacheHits,
-		Retries: ps.Retries, Failures: ps.Failures,
-		StoreHits: ps.StoreHits, StorePuts: ps.StorePuts,
 	}
 }
 
 // runJob executes one job's cells on a fresh pool (its own cancellation
 // scope) over the shared store, awaiting futures in submission order so
-// results and progress events are deterministic.
-func (s *Server) runJob(j *job) {
-	j.Start()
+// results and progress events are deterministic, then ends the job.
+func (s *Server) runJob(j *Job) {
 	pool := runner.NewWithRunContext(s.cfg.Workers, s.innerRun).
-		WithContext(j.Context()).
+		WithContext(j.ctx).
 		WithTimeout(s.cfg.CellTimeout).
 		WithRetries(s.cfg.Retries)
 	if s.cfg.Store != nil {
@@ -217,19 +196,32 @@ func (s *Server) runJob(j *job) {
 	}
 	for i, fut := range futs {
 		rep, err := fut.Wait()
-		j.CompleteCell(i, rep, err)
+		j.completeCell(i, rep, err)
 	}
-	final := j.State()
-	st := pool.Stats()
 	s.mu.Lock()
-	s.merged.Merge(pool.MergedSeries())
-	s.poolTotals.Submitted += st.Submitted
-	s.poolTotals.Runs += st.Runs
-	s.poolTotals.CacheHits += st.CacheHits
-	s.poolTotals.Retries += st.Retries
-	s.poolTotals.Failures += st.Failures
-	s.poolTotals.StoreHits += st.StoreHits
-	s.poolTotals.StorePuts += st.StorePuts
+	final := s.endLocked(j)
+	s.mu.Unlock()
+	st := j.poolStats()
+	s.cfg.Logger.Printf("service: job %s %s (cells=%d runs=%d store_hits=%d cache_hits=%d failures=%d)",
+		j.ID, final, len(j.cfgs), st.Runs, st.StoreHits, st.CacheHits, st.Failures)
+}
+
+// endLocked is the one place a job ends, once every cell has settled.
+// It folds the job's pool counters into the server totals, counts its
+// outcome and takes it off the queued or running gauge, and only then
+// publishes the terminal state, so a client that has seen "done" finds
+// the job in /metrics and /healthz. Callers hold s.mu.
+func (s *Server) endLocked(j *Job) string {
+	if p := j.pool.Load(); p != nil {
+		s.merged.Merge(p.MergedSeries())
+		s.poolTotals.add(wireStats(p))
+	}
+	if j.State() == StateQueued {
+		s.queued--
+	} else {
+		s.running--
+	}
+	final := j.outcome()
 	switch final {
 	case StateDone:
 		s.jobsDone++
@@ -238,9 +230,9 @@ func (s *Server) runJob(j *job) {
 	case StateCanceled:
 		s.jobsCancel++
 	}
-	s.mu.Unlock()
-	s.cfg.Logger.Printf("service: job %s %s (cells=%d runs=%d store_hits=%d cache_hits=%d failures=%d)",
-		j.ID, final, len(j.cfgs), st.Runs, st.StoreHits, st.CacheHits, st.Failures)
+	j.setState(final)
+	j.cancel() // release the job's context
+	return final
 }
 
 // Submit validates and enqueues a job, returning its id. It never
@@ -257,8 +249,7 @@ func (s *Server) Submit(req JobRequest) (string, error) {
 		return "", ErrDraining
 	}
 	s.seq++
-	j := &job{cfgs: cfgs}
-	j.Job = NewJob(s.rootCtx, fmt.Sprintf("j%06d", s.seq), req.Label, cfgs, j.poolStats)
+	j := newJob(s.rootCtx, fmt.Sprintf("j%06d", s.seq), req.Label, cfgs)
 	select {
 	case s.queue <- j:
 		s.jobs[j.ID] = j
@@ -267,7 +258,7 @@ func (s *Server) Submit(req JobRequest) (string, error) {
 		return j.ID, nil
 	default:
 		s.seq--    // the id was never issued
-		j.Cancel() // release the unqueued job's context
+		j.cancel() // release the unqueued job's context
 		// Explicit backpressure: the queue is bounded by design. The
 		// hint scales with how much work is ahead of the caller.
 		backlog := s.queued + s.running
@@ -283,33 +274,36 @@ func (s *Server) Job(id string) (*Job, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return j.Job, nil
+	return j, nil
 }
 
 // List returns every job in submission order.
 func (s *Server) List() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*Job, len(s.order))
-	for i, j := range s.order {
-		out[i] = j.Job
-	}
-	return out
+	return append([]*Job(nil), s.order...)
 }
 
-// Cancel cancels a job's context: queued cells fail immediately, running
-// cells unwind at the simulator's next poll point.
+// Cancel cancels a job's context. A running job's cells unwind at the
+// simulator's next poll point, and the job ends canceled once they have
+// settled; until then it still reads running. A queued job ends at
+// once: its cells settle with the context error before "done" is
+// published, and the dispatcher that pops it later skips it (until
+// then it keeps its slot in the bounded queue).
 func (s *Server) Cancel(id string) (*Job, error) {
-	j, err := s.Job(id)
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return nil, ErrNotFound
 	}
-	j.Cancel()
-	// A still-queued job never reaches runJob's terminal transition
-	// until a dispatcher pops it; mark it canceled now so its status is
-	// immediately truthful. (A terminal job ignores later transitions,
-	// so the race with its last cell is benign.)
-	j.setState(StateCanceled)
+	j.cancel()
+	if j.State() == StateQueued {
+		for i := range j.cfgs {
+			j.completeCell(i, nil, j.ctx.Err())
+		}
+		s.endLocked(j)
+	}
 	return j, nil
 }
 
@@ -344,21 +338,24 @@ func (s *Server) Close() {
 	s.dispatch.Wait()
 }
 
-// Handler returns the HTTP API: the /v1/jobs surface (MountJobs) plus
-// the cluster worker, health, and metrics endpoints.
+// Handler returns the HTTP API listed in the package doc.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	MountJobs(mux, s)
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs", s.handleList)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
+	mux.HandleFunc("GET /v1/jobs/{id}/stream", s.handleStream)
 	mux.HandleFunc("POST /v1/cells/run", s.handleCellRun)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
-// healthBody is the GET /healthz payload. Workers, CellsRunning, and
-// SchemaVersion exist for cluster coordinators: capacity for slot
-// accounting, load for routing, and the schema pin so a coordinator can
-// refuse a worker whose binary would shape reports differently.
+// healthBody is the GET /healthz payload. Workers is the cell
+// concurrency, CellsRunning the POST /v1/cells/run load, and
+// SchemaVersion the report schema this binary writes, so a client can
+// tell whether its reports would compare with the daemon's.
 type healthBody struct {
 	Status        string                 `json:"status"` // "ok" or "draining"
 	Queued        int                    `json:"queued"`
@@ -392,7 +389,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		lc := s.ladderStats.Counters()
 		h.Ladder = &lc
 	}
-	WriteJSON(w, http.StatusOK, h)
+	writeJSON(w, http.StatusOK, h)
 }
 
 // handleMetrics exposes the lifetime merged simulation counters plus
@@ -413,9 +410,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{Name: "seesaw_service_store_hits_total", Help: "cells answered by the content-addressed store", Value: float64(s.poolTotals.StoreHits)},
 		{Name: "seesaw_service_store_puts_total", Help: "reports persisted to the store", Value: float64(s.poolTotals.StorePuts)},
 		{Name: "seesaw_service_cell_failures_total", Help: "cells that exhausted retries", Value: float64(s.poolTotals.Failures)},
-		{Name: "seesaw_service_remote_cells_running", Help: "coordinator-dispatched cells executing now", Value: float64(s.cellsRunning)},
-		{Name: "seesaw_service_remote_cells_total", Help: "coordinator-dispatched cells executed", Value: float64(s.cellTotals.Runs)},
-		{Name: "seesaw_service_remote_store_hits_total", Help: "coordinator-dispatched cells answered by the store", Value: float64(s.cellTotals.StoreHits)},
+		{Name: "seesaw_service_remote_cells_running", Help: "POST /v1/cells/run cells executing now", Value: float64(s.cellsRunning)},
+		{Name: "seesaw_service_remote_cells_total", Help: "POST /v1/cells/run cells executed", Value: float64(s.cellTotals.Runs)},
+		{Name: "seesaw_service_remote_store_hits_total", Help: "POST /v1/cells/run cells answered by the store", Value: float64(s.cellTotals.StoreHits)},
 	}
 	s.mu.Unlock()
 	if s.cfg.Store != nil {

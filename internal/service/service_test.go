@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -483,5 +484,114 @@ func TestDrainRacesCancel(t *testing.T) {
 	}
 	if resp, _ := postJob(t, ts, oneCell(99)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("drained server answered submit with HTTP %d, want 503", resp.StatusCode)
+	}
+}
+
+// waitEnded blocks until j has published its terminal event.
+func waitEnded(j *Job) {
+	for {
+		_, ended, wake := j.since(0)
+		if ended {
+			return
+		}
+		<-wake
+	}
+}
+
+// eventTypes lists j's published event types in order.
+func eventTypes(j *Job) []string {
+	evs, _, _ := j.since(0)
+	types := make([]string, len(evs))
+	for i, ev := range evs {
+		types[i] = ev.Type
+	}
+	return types
+}
+
+// TestDoneIsCounted: a job publishes "done" only after the server has
+// counted it, so a client that has seen "done" finds the job in the
+// outcome counters and pool totals and no longer in the running gauge.
+// The jobs run one at a time and instantly, so each "done" races the
+// dispatcher's bookkeeping.
+func TestDoneIsCounted(t *testing.T) {
+	s := New(Config{Workers: 1, Logger: log.New(io.Discard, "", 0),
+		Run: func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
+			return &sim.Report{SchemaVersion: sim.SchemaVersion, Workload: cfg.Workload.Name}, nil
+		}})
+	defer s.Close()
+	const jobs = 2000
+	for k := 1; k <= jobs; k++ {
+		id, err := s.Submit(oneCell(int64(k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _ := s.Job(id)
+		waitEnded(j)
+		s.mu.Lock()
+		running, queued, done, submitted := s.running, s.queued, s.jobsDone, s.poolTotals.Submitted
+		s.mu.Unlock()
+		if running != 0 || queued != 0 || done != uint64(k) || submitted != uint64(k) {
+			t.Fatalf("after job %d's done: running=%d queued=%d jobs_done=%d cells_submitted=%d, want 0 0 %d %d",
+				k, running, queued, done, submitted, k, k)
+		}
+	}
+}
+
+// TestCancelQueuedJob: DELETE on a queued job ends it at once — its
+// cells settle with the cancellation before "done", which is its last
+// event, and /metrics and /healthz count it before DELETE returns — and
+// the dispatcher that pops it later skips it.
+func TestCancelQueuedJob(t *testing.T) {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	s, ts, runs := newTestServer(t, Config{QueueDepth: 4, Workers: 1, Run: blockingRun(started, release)})
+	_, blocker := postJob(t, ts, oneCell(1))
+	<-started
+	_, queued := postJob(t, ts, JobRequest{Cells: []CellSpec{
+		{Workload: "redis", Refs: 1000, Seed: 2, MemMB: 256},
+		{Workload: "redis", Refs: 1000, Seed: 3, MemMB: 256},
+	}})
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if st.State != StateCanceled || st.Failed != 2 {
+		t.Fatalf("DELETE of a queued job answered %+v, want canceled with 2 failed cells", st)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"seesaw_service_jobs_canceled_total 1", "seesaw_service_jobs_queued 0"} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("metrics right after DELETE lack %q", want)
+		}
+	}
+	if h := getHealth(t, ts.URL); h.Queued != 0 || h.Running != 1 {
+		t.Errorf("healthz right after DELETE: queued=%d running=%d, want 0 1", h.Queued, h.Running)
+	}
+	j, _ := s.Job(queued.ID)
+	want := "[cell cell done]"
+	if got := fmt.Sprint(eventTypes(j)); got != want {
+		t.Fatalf("canceled queued job's events %s, want %s", got, want)
+	}
+
+	// Once a later job has finished, the dispatcher has popped the
+	// canceled one; it must have run nothing and published nothing.
+	close(release)
+	waitDone(t, ts, blocker.ID)
+	_, after := postJob(t, ts, oneCell(4))
+	waitDone(t, ts, after.ID)
+	if got := fmt.Sprint(eventTypes(j)); got != want {
+		t.Errorf("after the dispatcher popped it, the canceled job's events are %s, want %s", got, want)
+	}
+	if got := runs.Load(); got != 2 {
+		t.Errorf("%d cells ran, want 2 (the canceled job's must not)", got)
 	}
 }

@@ -9,15 +9,22 @@
 //
 // The API surface:
 //
-//	POST   /v1/jobs           submit a job (batch of cells); 202, or 429
-//	                          + Retry-After when the queue is full, or
-//	                          503 while draining
+//	POST   /v1/jobs           submit a job (batch of cells); 202, 400 on
+//	                          a bad job, 429 + Retry-After when the queue
+//	                          is full, or 503 while draining
 //	GET    /v1/jobs           list job summaries
 //	GET    /v1/jobs/{id}      job status + (partial) results
-//	GET    /v1/jobs/{id}/stream  SSE progress events
+//	GET    /v1/jobs/{id}/stream  SSE progress events (Last-Event-ID resume)
 //	DELETE /v1/jobs/{id}      cancel the job's context
+//	POST   /v1/cells/run      run one cell synchronously; 200 SSE with one
+//	                          "result" event, 400 on a bad cell, or 503
+//	                          while draining
 //	GET    /healthz           liveness + queue/store snapshot
 //	GET    /metrics           Prometheus text exposition
+//
+// Client and Batch are the Go side of /v1/jobs: seesaw-client,
+// seesaw-sweep -cluster and seesaw-evolve -cluster run cells on a daemon
+// through them.
 package service
 
 import (
@@ -177,7 +184,7 @@ func (c CellSpec) Config() (sim.Config, error) {
 
 // SpecFromConfig maps a simulation cell onto the wire format, then
 // proves the mapping exact: the spec is resolved back to a sim.Config
-// and both must agree on CanonicalKey — the identity the cluster's
+// and both must agree on CanonicalKey — the identity the daemon's
 // duplicate suppression and the shared result store key on. A config
 // the wire format cannot carry faithfully (trace replay, counters-only
 // metrics, a co-runner) is an error here, never a silently-different
@@ -185,7 +192,7 @@ func (c CellSpec) Config() (sim.Config, error) {
 // dispatch.
 func SpecFromConfig(cfg sim.Config) (CellSpec, error) {
 	if cfg.Trace != nil {
-		return CellSpec{}, fmt.Errorf("trace-replay cells cannot run on a cluster")
+		return CellSpec{}, fmt.Errorf("trace-replay cells cannot run on a remote daemon")
 	}
 	if cfg.Metrics != nil && cfg.Metrics.EpochRefs <= 0 {
 		return CellSpec{}, fmt.Errorf("counters-only metrics have no wire form; use -prom with local sweeps")
@@ -330,9 +337,9 @@ type Event struct {
 	// so a client that reconnects with Last-Event-ID: N resumes at event
 	// N+1 instead of replaying or losing history.
 	Seq int `json:"-"`
-	// Type is "state" (job transition), "cell" (one cell finished),
-	// "requeue" (cluster mode: a leased cell returned to the queue), or
-	// "done" (terminal; the stream ends after it).
+	// Type is "state" (job transition), "cell" (one cell finished), or
+	// "done" (terminal; the job publishes nothing after it and the
+	// stream ends).
 	Type  string `json:"type"`
 	State string `json:"state,omitempty"`
 	// Cell-completion fields.

@@ -2,10 +2,9 @@
 // warmup-phase machine snapshots (the OS half of a machine part way
 // through its warmup) — the rungs of the snapshot ladder — keyed by
 // (warmup prefix hash, reference depth). A rung written by any
-// process against the same store directory lets any later sweep resume
-// the warmup from that depth instead of replaying it, and the affinity
-// routing in internal/cluster means workers repeatedly land on prefixes
-// whose rungs they (or a predecessor) already persisted.
+// process against the same store directory lets any later sweep, or a
+// restarted seesaw-served daemon, resume the warmup from that depth
+// instead of replaying it.
 //
 // Layout: snap/<prefix[:2]>/<prefix>/<refs>.snap, where prefix is
 // machine.Config.PrefixHash() (which folds in the snapshot schema

@@ -34,7 +34,6 @@ var allowed = map[string]bool{
 	"seesaw/internal/machine":     true,
 	"seesaw/internal/runner":      true,
 	"seesaw/internal/service":     true,
-	"seesaw/internal/cluster":     true,
 	"seesaw/internal/stats":       true,
 	"seesaw/internal/cliutil":     true,
 	"seesaw/internal/experiments": true,
