@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet bench-vet fmt test race stress bench bench-baseline perfgate cover chaos importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
+.PHONY: build vet bench-vet bench-test fmt test race stress bench bench-baseline perfgate cover chaos importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,13 @@ vet:
 # coherence constructors directly, so vet it against the tree.
 bench-vet:
 	$(GO) -C bench vet ./...
+
+# The bench self-test runs every benchmark workload small, in both
+# modes. It is the only test that drives figures-all's cell function,
+# which builds and measures machines itself, on a pool that hands it a
+# context carrying a recorded stream.
+bench-test:
+	$(GO) -C bench test ./...
 
 # The format gate fails if any Go file is not gofmt-clean.
 fmt:
@@ -103,4 +110,4 @@ fuzz-smoke:
 zoo-smoke:
 	$(GO) run ./tools/zoosmoke
 
-verify: build vet bench-vet fmt test race stress cover chaos importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate
+verify: build vet bench-vet bench-test fmt test race stress cover chaos importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate

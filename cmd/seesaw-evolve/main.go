@@ -155,7 +155,7 @@ func main() {
 	}
 	writeFront(res)
 	if pool != nil {
-		fmt.Fprintf(os.Stderr, "evaluation sources: %s\n", pool.Stats().Sources())
+		fmt.Fprintf(os.Stderr, "evaluation sources: %s\n", ev.Sources())
 	}
 }
 

@@ -106,8 +106,8 @@ func main() {
 		}
 	}
 	if st := opts.Pool.Stats(); st.CacheHits > 0 && !*csv {
-		fmt.Fprintf(os.Stderr, "seesaw-figures: %d cells submitted, %d simulated, %d served from cache (%d workers)\n",
-			st.Submitted, st.Runs, st.CacheHits, opts.Pool.Workers())
+		fmt.Fprintf(os.Stderr, "seesaw-figures: %d cells submitted to %d workers: %s\n",
+			st.Submitted, opts.Pool.Workers(), st.Sources())
 	}
 	if err := prof.Stop(); err != nil {
 		fmt.Fprintln(os.Stderr, "seesaw-figures:", err)

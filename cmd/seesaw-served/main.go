@@ -84,7 +84,7 @@ func main() {
 	// can discover a random port; everything else logs to stderr.
 	fmt.Printf("listening on %s\n", ln.Addr())
 	logger.Printf("seesaw-served: listening on %s (queue=%d workers=%d store=%q)",
-		ln.Addr(), *queueDepth, *workers, *storeDir)
+		ln.Addr(), *queueDepth, svc.Workers(), *storeDir)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

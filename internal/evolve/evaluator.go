@@ -37,5 +37,7 @@ func (e PoolEvaluator) Submit(cfg sim.Config) Future { return e.Pool.Submit(cfg)
 // themselves are the barrier.
 func (e PoolEvaluator) Flush() {}
 
-// Sources implements Evaluator.
-func (e PoolEvaluator) Sources() string { return e.Pool.Stats().Sources() }
+// Sources implements Evaluator with the pool's DeterministicSources:
+// its stream counts follow worker timing, and the generation log must
+// stay byte-identical for a given seed.
+func (e PoolEvaluator) Sources() string { return e.Pool.Stats().DeterministicSources() }

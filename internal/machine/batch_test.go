@@ -210,20 +210,35 @@ func TestMeasuredStepAllocFree(t *testing.T) {
 
 // TestMeasuredEpochAllocFree: with every hook disabled, one whole
 // 4096-reference measured epoch through the reference loop — its fill
-// and its execution — allocates nothing.
+// and its execution — allocates nothing, whether the fill generates the
+// epoch or replays it from a recorded stream.
 func TestMeasuredEpochAllocFree(t *testing.T) {
 	ctx := context.Background()
-	m := mustBuild(t, allocFreeConfig(t))
-	// Warm up, then warm the measured-phase state over five epochs; the
-	// cursor stays on an epoch boundary.
-	if err := m.run(ctx, m.Config().WarmupRefs+5*epochRefs); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(5, func() {
-		if err := m.run(ctx, m.Ref()+epochRefs); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("a measured epoch allocates %.1f objects with hooks disabled, want 0", avg)
+	for _, replayed := range []bool{false, true} {
+		name := map[bool]string{false: "generated", true: "replayed"}[replayed]
+		t.Run(name, func(t *testing.T) {
+			m := mustBuild(t, allocFreeConfig(t))
+			if err := m.Warmup(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if replayed {
+				// Recording allocates the stream once, at the boundary.
+				if err := m.useStream(WithStream(ctx, NewStream())); err != nil || m.stream == nil {
+					t.Fatalf("attaching a stream: %v", err)
+				}
+			}
+			// Warm the measured-phase state over five epochs; the cursor
+			// stays on an epoch boundary.
+			if err := m.run(ctx, m.Config().WarmupRefs+5*epochRefs); err != nil {
+				t.Fatal(err)
+			}
+			if avg := testing.AllocsPerRun(5, func() {
+				if err := m.run(ctx, m.Ref()+epochRefs); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("a %s measured epoch allocates %.1f objects with hooks disabled, want 0", name, avg)
+			}
+		})
 	}
 }

@@ -250,8 +250,9 @@ type Config struct {
 	Prices energy.Prices
 }
 
-// withDefaults fills zero values.
-func (c Config) withDefaults() Config {
+// WithDefaults returns the config with every zero value filled in: the
+// values a machine built from it runs at, as Machine.Config reports.
+func (c Config) WithDefaults() Config {
 	if c.Refs == 0 {
 		c.Refs = 200_000
 	} else if c.Refs < 0 {
@@ -323,7 +324,7 @@ func (c Config) il1cfg() core.Config {
 // array (SEESAW's TFT; zero for designs without side structures), from
 // the registry's area hook — the evolve search's area objective.
 func (c Config) DesignAreaBytes() uint64 {
-	d := c.withDefaults()
+	d := c.WithDefaults()
 	dsg, ok := d.CacheKind.design()
 	if !ok || dsg.AreaBytes == nil {
 		return 0
@@ -351,7 +352,7 @@ func (c Config) Validate() (err error) {
 			err = fmt.Errorf("sim: invalid config: %v", r)
 		}
 	}()
-	d := c.withDefaults()
+	d := c.WithDefaults()
 	if cerr := d.validateKnobs(); cerr != nil {
 		return cerr
 	}

@@ -86,6 +86,9 @@ type Machine struct {
 	// epoch holds the records of the epoch being executed (never
 	// copied; sized lazily on first use).
 	epoch epochBuf
+	// stream, once Measure attached one at the warmup boundary, supplies
+	// the measured phase's records in place of gen (stream.go).
+	stream *Stream
 
 	// schedule interleaves application threads with the system thread;
 	// superTLBThreshold gates the scheduler's fast-path speculation and
@@ -136,7 +139,7 @@ func Build(cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg.withDefaults()}
+	m := &Machine{cfg: cfg.WithDefaults()}
 	if err := m.buildOS(); err != nil {
 		return nil, err
 	}
@@ -854,25 +857,31 @@ type epochBuf struct {
 	jumps []bool
 }
 
+// alloc sizes the buffer for the longest epoch.
+func (e *epochBuf) alloc() {
+	e.recs = make([]trace.Record, epochRefs)
+	e.ivas = make([]addr.VAddr, epochRefs)
+	e.jumps = make([]bool, epochRefs)
+}
+
 // fill draws the n records of the epoch starting at the cursor, which
 // must not span the warmup boundary (the phases draw differently). A
-// generated epoch fills thread by thread, each thread's references in
-// program order: generator state is per thread (each tid owns its RNG,
-// cursors and last VA), so the buffer equals a draw in schedule order,
-// and each thread's state stays hot for its whole slice. A replayed
-// trace is read at the cursor, with the instruction fetches drawn from
-// the generator.
+// measured phase with an attached stream reads the recording. A
+// replayed trace is read at the cursor, with the instruction fetches
+// drawn from the generator. Otherwise the generator draws the epoch
+// (draw).
 func (m *Machine) fill(n int) error {
 	e := &m.epoch
 	if e.recs == nil {
-		e.recs = make([]trace.Record, epochRefs)
-		e.ivas = make([]addr.VAddr, epochRefs)
-		e.jumps = make([]bool, epochRefs)
+		e.alloc()
 	}
 	e.recs, e.ivas, e.jumps = e.recs[:n], e.ivas[:n], e.jumps[:n]
 	g := m.globalRef
 	icache := g >= m.cfg.WarmupRefs && m.cfg.ICache
-	if m.cfg.Trace != nil { // never with a warmup phase (core.RuleTraceWarmup)
+	switch {
+	case m.stream != nil: // attached at the boundary, so measured
+		m.stream.replay(e, g, m.schedule)
+	case m.cfg.Trace != nil: // never with a warmup phase (core.RuleTraceWarmup)
 		for j := range e.recs {
 			rec := m.cfg.Trace[g+j]
 			if int(rec.TID) >= m.nCores {
@@ -884,17 +893,28 @@ func (m *Machine) fill(n int) error {
 				e.ivas[j], e.jumps[j] = m.gen.NextCode(int(rec.TID), int(rec.Gap)+1)
 			}
 		}
-		return nil
+	default:
+		m.draw(m.gen, g, e, icache)
 	}
+	return nil
+}
+
+// draw fills e with gen's records for the references starting at index
+// g, and their instruction fetches when icache is set. It goes thread
+// by thread, each thread's references in program order: generator state
+// is per thread (each tid owns its RNG, cursors and last VA), so the
+// buffer equals a draw in schedule order, and each thread's state stays
+// hot for its whole slice.
+func (m *Machine) draw(gen *workload.Generator, g int, e *epochBuf, icache bool) {
 	s := m.schedule
 	for tid := 0; tid < m.nCores; tid++ { // the app threads, then the system thread
 		pos := g % len(s)
 		for j := range e.recs {
 			if s[pos] == tid {
-				rec := m.gen.Next(tid)
+				rec := gen.Next(tid)
 				e.recs[j] = rec
 				if icache {
-					e.ivas[j], e.jumps[j] = m.gen.NextCode(tid, int(rec.Gap)+1)
+					e.ivas[j], e.jumps[j] = gen.NextCode(tid, int(rec.Gap)+1)
 				}
 			}
 			if pos++; pos == len(s) {
@@ -902,7 +922,6 @@ func (m *Machine) fill(n int) error {
 			}
 		}
 	}
-	return nil
 }
 
 // runEpoch fills the n-reference epoch at the cursor, then executes it
@@ -962,7 +981,12 @@ func (m *Machine) Warmup(ctx context.Context) error {
 // starting at the warmup boundary. When ctx is canceled the loop stops
 // at the next poll point and returns ctx's error — this is how the
 // runner's per-cell timeout and the service's per-job cancellation
-// reclaim a stuck or abandoned cell.
+// reclaim a stuck or abandoned cell. When ctx carries a Stream (see
+// WithStream) and the machine sits at its boundary, the measured phase
+// replays the stream instead of generating its records.
 func (m *Machine) Measure(ctx context.Context) error {
+	if err := m.useStream(ctx); err != nil {
+		return err
+	}
 	return m.run(ctx, m.cfg.WarmupRefs+m.cfg.Refs)
 }

@@ -48,7 +48,7 @@ type WarmupSignature struct {
 // applied, so explicit and defaulted spellings of the same machine
 // agree.
 func (c Config) WarmupSignature() WarmupSignature {
-	d := c.withDefaults()
+	d := c.WithDefaults()
 	co := ""
 	if d.CoRunner != nil {
 		co = fmt.Sprintf("%+v", *d.CoRunner)
@@ -174,5 +174,5 @@ func (s *Snapshot) Fork(cfg Config) (*Machine, error) {
 	if cfg.WarmupSignature() != s.Signature() {
 		return nil, fmt.Errorf("sim: fork config's warmup signature disagrees with the snapshot's")
 	}
-	return s.m.fork(cfg.withDefaults())
+	return s.m.fork(cfg.WithDefaults())
 }

@@ -14,6 +14,17 @@
 // Forked and resumed reports are byte-identical to cold sim.RunContext
 // runs, which stays the reference the tests compare against.
 //
+// Cells that draw the same measured-phase records, those with equal
+// machine.StreamKey (the warmup signature plus Refs), form a stream
+// group. A pool of two or more workers drains its queue group by group,
+// oldest first, and passes each group of two or more cells one
+// machine.Stream on the context it hands its RunFunc: the first member
+// to reach its measured phase records the stream from a clone of its
+// generator, every member replays it, and the pool drops it when the
+// group drains (Stats.StreamsRecorded, Stats.StreamReplays). A
+// one-worker pool runs each cell inline and generates live, as sim.Run
+// does.
+//
 // The pool also carries a keyed result cache: two submissions of an
 // identical cell share one execution. The evaluation re-runs the same
 // baseline-VIPT cell once per figure that compares against it; with one
@@ -32,6 +43,7 @@ import (
 	"sync"
 	"time"
 
+	"seesaw/internal/machine"
 	"seesaw/internal/metrics"
 	"seesaw/internal/sim"
 )
@@ -89,11 +101,13 @@ func (e *CellError) Error() string {
 }
 
 // Describe renders a one-line cell identity for failure reports: enough
-// to re-run the exact cell from the command line.
+// to re-run the exact cell from the command line. It shows the values
+// the cell runs at, defaults applied, not the config's zero fields.
 func Describe(cfg sim.Config) string {
+	d := cfg.WithDefaults()
 	return fmt.Sprintf("workload=%s design=%v l1=%dKB/%dw freq=%.2fGHz seed=%d refs=%d",
-		cfg.Workload.Name, cfg.CacheKind, cfg.L1Size>>10, cfg.L1Ways,
-		cfg.FreqGHz, cfg.Seed, cfg.Refs)
+		d.Workload.Name, d.CacheKind, d.L1Size>>10, d.L1Ways,
+		d.FreqGHz, d.Seed, d.Refs)
 }
 
 // Task is the handle to one asynchronously running cell. Awaiting tasks
@@ -140,14 +154,32 @@ type Stats struct {
 	// RungRefsSkipped is the total warmup references those resumes
 	// avoided re-simulating.
 	RungRefsSkipped uint64
+	// StreamsRecorded is the number of measured-phase streams recorded,
+	// at most one per stream group of two or more cells.
+	StreamsRecorded uint64
+	// StreamReplays is the number of cells whose measured phase read a
+	// recorded stream instead of generating its records, the recording
+	// cell included.
+	StreamReplays uint64
 }
 
 // Sources summarizes where the pool's answers came from, for one-line
-// logs: cells served by the disk store, by the in-memory duplicate
+// logs: the DeterministicSources counts plus how many measured-phase
+// streams were recorded and how many fresh cells replayed one. Which
+// cells share a stream depends on worker timing, so those two counts
+// can differ between runs of the same cells.
+func (s Stats) Sources() string {
+	return fmt.Sprintf("%s; streams recorded %d, replayed by %d cells",
+		s.DeterministicSources(), s.StreamsRecorded, s.StreamReplays)
+}
+
+// DeterministicSources is the part of Sources that the cells alone
+// determine: cells served by the disk store, by the in-memory duplicate
 // cache, and by fresh execution, plus how many of the fresh warmups
 // were shortened by ladder rungs. The evolutionary search logs one of
-// these per generation so dedup effectiveness is visible.
-func (s Stats) Sources() string {
+// these per generation, so dedup effectiveness is visible and the log
+// stays byte-identical for a seed.
+func (s Stats) DeterministicSources() string {
 	return fmt.Sprintf("store %d, cached %d, fresh %d (rung resumes %d, %d warmup refs skipped)",
 		s.StoreHits, s.CacheHits, s.Runs, s.RungResumes, s.RungRefsSkipped)
 }
@@ -155,10 +187,14 @@ func (s Stats) Sources() string {
 // Pool schedules independent cells onto at most Workers concurrent
 // executions. The zero Pool is not usable; construct with New. A pool
 // with one worker executes cells inline at submission time, restoring
-// the exact serial execution order of the pre-pool harness.
+// the exact serial execution order of the pre-pool harness. A larger
+// pool queues cells by stream group (see the package doc). A group gets
+// a stream only if another cell is queued behind its first when that
+// one starts, and it leaves the queue with its last queued cell, so
+// only about Workers streams are live; a later cell with the same key
+// starts a new group.
 type Pool struct {
 	workers int
-	sem     chan struct{}
 	run     RunFunc
 	timeout time.Duration
 	retries int
@@ -173,10 +209,37 @@ type Pool struct {
 	// excluded) in submission order, so MergedSeries reduces each cell's
 	// metrics exactly once, deterministically.
 	order []*Future
+	// queue holds the groups with queued cells, oldest first; open
+	// indexes its stream groups by key. busy counts the worker
+	// goroutines draining the queue; each exits when the queue empties.
+	queue []*group
+	open  map[machine.StreamKey]*group
+	busy  int
 	// progress, when set, gets a live one-line status update as cells
 	// complete; completed counts them.
 	progress  io.Writer
 	completed uint64
+}
+
+// group is one stream group of queued cells. A group without a key
+// holds one trace cell or Go task and never shares a stream.
+type group struct {
+	key   machine.StreamKey
+	keyed bool
+	jobs  []job
+	// stream is set when the group's first cell starts with another
+	// queued behind it; running counts members still executing.
+	stream  *machine.Stream
+	running int
+}
+
+// job is one queued execution: run computes the result, reading the
+// group's stream (nil for none), and done publishes it. The pool
+// settles its counters between the two, so a caller that has awaited
+// every future reads final Stats.
+type job struct {
+	run  func(*machine.Stream)
+	done func()
 }
 
 // New returns a pool with the given worker count; workers <= 0 selects
@@ -197,10 +260,10 @@ func NewWithRunContext(workers int, run RunFunc) *Pool {
 	}
 	return &Pool{
 		workers: workers,
-		sem:     make(chan struct{}, workers),
 		run:     run,
 		ctx:     context.Background(),
 		cells:   make(map[string]*Future),
+		open:    make(map[machine.StreamKey]*group),
 	}
 }
 
@@ -324,8 +387,9 @@ func (p *Pool) Submit(cfg sim.Config) *Future {
 	}
 	p.order = append(p.order, f)
 	p.mu.Unlock()
-	schedule(p, f, func() (*sim.Report, error) {
-		rep, err := p.guarded(cfg)
+	sk, keyed := cfg.StreamKey()
+	enqueue(p, sk, keyed, f, func(s *machine.Stream) (*sim.Report, error) {
+		rep, err := p.guarded(cfg, s)
 		p.noteDone()
 		return rep, err
 	})
@@ -336,9 +400,13 @@ func (p *Pool) Submit(cfg sim.Config) *Future {
 // timeout, retry, and cancellation policy, converting panics and
 // overruns into a typed CellError on the future instead of killing the
 // process.
-func (p *Pool) guarded(cfg sim.Config) (*sim.Report, error) {
+func (p *Pool) guarded(cfg sim.Config, s *machine.Stream) (*sim.Report, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
+	}
+	ctx := p.ctx
+	if s != nil {
+		ctx = machine.WithStream(ctx, s)
 	}
 	if p.store != nil {
 		if rep, ok := p.store.Get(cfg); ok {
@@ -358,7 +426,7 @@ func (p *Pool) guarded(cfg sim.Config) (*sim.Report, error) {
 		p.mu.Lock()
 		p.stats.Runs++
 		p.mu.Unlock()
-		rep, err := p.runOnce(cfg)
+		rep, err := p.runOnce(ctx, cfg)
 		if err == nil {
 			if p.store != nil {
 				if perr := p.store.Put(cfg, rep); perr == nil {
@@ -389,17 +457,18 @@ func (p *Pool) guarded(cfg sim.Config) (*sim.Report, error) {
 	return nil, last
 }
 
-// runOnce executes a single attempt, applying the wall-clock budget. The
-// budget is enforced by context: the attempt goroutine runs the cell
-// under a deadline that sim.RunContext polls, so an overrunning cell
-// unwinds and frees its goroutine and simulation state shortly after the
-// timeout fires instead of leaking until process exit (the pre-context
-// behaviour, pinned by TestTimeoutDoesNotLeak).
-func (p *Pool) runOnce(cfg sim.Config) (*sim.Report, error) {
+// runOnce executes a single attempt under ctx (the pool's context,
+// carrying the cell's stream if it has one), applying the wall-clock
+// budget. The budget is enforced by context: the attempt goroutine runs
+// the cell under a deadline that sim.RunContext polls, so an overrunning
+// cell unwinds and frees its goroutine and simulation state shortly
+// after the timeout fires instead of leaking until process exit (the
+// pre-context behaviour, pinned by TestTimeoutDoesNotLeak).
+func (p *Pool) runOnce(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
 	if p.timeout <= 0 {
-		return p.runRecover(p.ctx, cfg)
+		return p.runRecover(ctx, cfg)
 	}
-	ctx, cancel := context.WithTimeout(p.ctx, p.timeout)
+	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	type outcome struct {
 		rep *sim.Report
 		err error
@@ -452,27 +521,85 @@ func (p *Pool) Pair(cfg sim.Config) (base, see *Future) {
 
 // Go schedules an arbitrary cell (a cache-only replay, a coverage
 // computation) on the same workers as the simulation cells. Tasks share
-// the pool's concurrency bound but not its result cache.
+// the pool's concurrency bound but not its result cache, and each
+// queues as a group of its own.
 func Go[T any](p *Pool, fn func() (T, error)) *Task[T] {
 	t := &Task[T]{done: make(chan struct{})}
-	schedule(p, t, fn)
+	enqueue(p, machine.StreamKey{}, false, t, func(*machine.Stream) (T, error) { return fn() })
 	return t
 }
 
-// schedule runs fn under the pool's worker bound and completes t. With
-// one worker it runs inline so submission order is execution order.
-func schedule[T any](p *Pool, t *Task[T], fn func() (T, error)) {
+// enqueue queues fn to complete t, in the stream group of key when
+// keyed. With one worker it runs inline, so submission order is
+// execution order and no stream is shared.
+func enqueue[T any](p *Pool, key machine.StreamKey, keyed bool, t *Task[T], fn func(*machine.Stream) (T, error)) {
+	j := job{
+		run:  func(s *machine.Stream) { t.val, t.err = fn(s) },
+		done: func() { close(t.done) },
+	}
 	if p.workers == 1 {
-		t.val, t.err = fn()
-		close(t.done)
+		j.run(nil)
+		j.done()
 		return
 	}
-	go func() {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		t.val, t.err = fn()
-		close(t.done)
-	}()
+	p.mu.Lock()
+	g := p.open[key]
+	if !keyed || g == nil {
+		g = &group{key: key, keyed: keyed}
+		if keyed {
+			p.open[key] = g
+		}
+		p.queue = append(p.queue, g)
+	}
+	g.jobs = append(g.jobs, j)
+	start := p.busy < p.workers
+	if start {
+		p.busy++
+	}
+	p.mu.Unlock()
+	if start {
+		go p.work()
+	}
+}
+
+// work drains the queue, oldest group first, and exits when it is
+// empty. The first cell of a group starts with an empty stream if
+// another cell is queued behind it; the group leaves the queue with its
+// last queued cell, and its stream's counts fold into Stats when that
+// last member finishes.
+func (p *Pool) work() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(p.queue) > 0 {
+		g := p.queue[0]
+		j := g.jobs[0]
+		g.jobs[0] = job{}
+		g.jobs = g.jobs[1:]
+		if g.keyed && g.stream == nil && len(g.jobs) > 0 {
+			g.stream = machine.NewStream()
+		}
+		if len(g.jobs) == 0 {
+			p.queue[0] = nil
+			p.queue = p.queue[1:]
+			if g.keyed {
+				delete(p.open, g.key)
+			}
+		}
+		g.running++
+		s := g.stream
+		p.mu.Unlock()
+		j.run(s)
+		p.mu.Lock()
+		if g.running--; g.running == 0 && len(g.jobs) == 0 && s != nil {
+			recorded, replays := s.Counts()
+			if recorded {
+				p.stats.StreamsRecorded++
+			}
+			p.stats.StreamReplays += uint64(replays)
+		}
+		j.done()
+	}
+	p.busy--
 }
 
 // MergedSeries awaits every distinct executed cell in submission order

@@ -266,6 +266,10 @@ func (s *Server) Submit(req JobRequest) (string, error) {
 	}
 }
 
+// Workers returns the per-job cell concurrency with the default
+// resolved: the number /healthz reports as workers.
+func (s *Server) Workers() int { return s.cfg.Workers }
+
 // Job returns one job, or ErrNotFound.
 func (s *Server) Job(id string) (*Job, error) {
 	s.mu.Lock()

@@ -595,3 +595,20 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Errorf("%d cells ran, want 2 (the canceled job's must not)", got)
 	}
 }
+
+// TestCellDescShowsDefaults: a job cell's description names the values
+// the cell runs at, so a spec that leaves size, ways, clock and refs to
+// their defaults reads 32KB/8w at 1.33 GHz over 200k references, not the
+// zero fields it was written with.
+func TestCellDescShowsDefaults(t *testing.T) {
+	cfg, err := CellSpec{Workload: "redis"}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := newJob(context.Background(), "j1", "", []sim.Config{cfg})
+	defer j.cancel()
+	want := "workload=redis design=seesaw l1=32KB/8w freq=1.33GHz seed=0 refs=200000"
+	if got := j.results[0].Desc; got != want {
+		t.Errorf("cell desc = %q, want %q", got, want)
+	}
+}

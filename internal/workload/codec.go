@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"seesaw/internal/addr"
 	"seesaw/internal/xrand"
@@ -44,6 +45,16 @@ func (g *Generator) State() GeneratorState {
 		s.Srcs[i] = src.State()
 	}
 	return s
+}
+
+// Equal reports whether two states describe the same stream position:
+// generators of one profile in equal states draw the same records from
+// here on.
+func (s GeneratorState) Equal(o GeneratorState) bool {
+	return s.HeapBase == o.HeapBase && s.SmallBase == o.SmallBase && s.OSBase == o.OSBase &&
+		s.Bound == o.Bound && slices.Equal(s.Srcs, o.Srcs) && slices.Equal(s.SeqCur, o.SeqCur) &&
+		slices.Equal(s.ChaseAt, o.ChaseAt) && slices.Equal(s.LastVA, o.LastVA) &&
+		s.CodeBase == o.CodeBase && s.CodeBound == o.CodeBound && slices.Equal(s.CodeCur, o.CodeCur)
 }
 
 // SetState restores the generator in place. The receiver must have been
