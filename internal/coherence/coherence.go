@@ -68,6 +68,34 @@ func DefaultConfig(freqGHz float64) Config {
 	}
 }
 
+// Latencies are the memory system's cycle costs at one clock.
+type Latencies struct {
+	// LLC is a directory/LLC access; DRAM is an LLC miss's round trip,
+	// the LLC access included.
+	LLC, DRAM int
+}
+
+// Latencies converts the config's nanosecond latencies at its FreqGHz.
+func (c Config) Latencies() Latencies {
+	return Latencies{
+		LLC:  sram.Cycles(c.LLCLatencyNS, c.FreqGHz),
+		DRAM: sram.Cycles(c.LLCLatencyNS+c.DRAMLatencyNS, c.FreqGHz),
+	}
+}
+
+// Miss prices a miss by its data source (System.Miss sets
+// MissResult.Cycles with it): a peer supply crosses the LLC
+// interconnect twice, an LLC hit once, an LLC miss goes to DRAM.
+func (l Latencies) Miss(r MissResult) int {
+	switch {
+	case r.FromPeer:
+		return 2 * l.LLC
+	case r.FromLLC:
+		return l.LLC
+	}
+	return l.DRAM
+}
+
 // Stats counts memory-system events.
 type Stats struct {
 	LLCHits    uint64
@@ -107,8 +135,7 @@ type System struct {
 	// never recurse into snoopTargets, so one buffer suffices.
 	snoopBuf []int
 
-	llcCycles  int
-	dramCycles int
+	lat Latencies
 
 	Stats Stats
 	// CoherenceEnergyNJ and CoherenceProbes accumulate per-core L1
@@ -142,8 +169,7 @@ func New(cfg Config, l1s []core.L1Cache) (*System, error) {
 		llc:               newLLC(geom),
 		dir:               make(map[addr.PAddr]dirEntry),
 		snoopBuf:          make([]int, 0, len(l1s)),
-		llcCycles:         sram.Cycles(cfg.LLCLatencyNS, cfg.FreqGHz),
-		dramCycles:        sram.Cycles(cfg.LLCLatencyNS+cfg.DRAMLatencyNS, cfg.FreqGHz),
+		lat:               cfg.Latencies(),
 		CoherenceEnergyNJ: make([]float64, len(l1s)),
 		CoherenceProbes:   make([]uint64, len(l1s)),
 	}, nil
@@ -193,16 +219,16 @@ func (s *System) probe(coreID int, pa addr.PAddr, op core.SnoopOp) core.ProbeRes
 
 // llcLookup accesses the LLC; on a miss it fetches from DRAM and
 // installs the line.
-func (s *System) llcLookup(pa addr.PAddr, store bool) (hitLLC bool, cycles int) {
+func (s *System) llcLookup(pa addr.PAddr, store bool) (hitLLC bool) {
 	line := pa.LineBase()
 	if s.llc.lookup(line) {
 		s.Stats.LLCHits++
-		return true, s.llcCycles
+		return true
 	}
 	s.Stats.LLCMisses++
 	s.Stats.DRAMReads++
 	s.llcFill(line, store)
-	return false, s.dramCycles
+	return false
 }
 
 // llcFill inserts a line the LLC does not hold and back-invalidates any
@@ -261,7 +287,7 @@ func (s *System) snoopTargets(reqCore int, sharers uint64) []int {
 func (s *System) Miss(reqCore int, pa addr.PAddr, store bool) MissResult {
 	line := pa.LineBase()
 	e := s.entry(line)
-	res := MissResult{Cycles: s.llcCycles} // directory/LLC tag access
+	var res MissResult
 	// Probe peers: all sharers on a store (invalidate), the owner on a
 	// load (downgrade). Snoopy mode broadcasts regardless.
 	peerHadData := false
@@ -300,13 +326,12 @@ func (s *System) Miss(reqCore int, pa addr.PAddr, store bool) MissResult {
 	if peerHadData {
 		s.Stats.PeerTransfers++
 		res.FromPeer = true
-		res.Cycles += s.llcCycles // cache-to-cache via the LLC interconnect
 	} else {
-		hit, cyc := s.llcLookup(pa, store)
-		res.Cycles = cyc
+		hit := s.llcLookup(pa, store)
 		res.FromLLC = hit
 		res.FromDRAM = !hit
 	}
+	res.Cycles = s.lat.Miss(res)
 	// Update directory for the requester.
 	if store {
 		e.sharers = 1 << uint(reqCore)
@@ -333,12 +358,12 @@ func (s *System) llcWriteback(line addr.PAddr) {
 }
 
 // Upgrade services a store hit on a Shared/Owned line: every other sharer
-// is invalidated and the requester becomes the Modified owner.
+// is invalidated and the requester becomes the Modified owner. It
+// returns the upgrade's latency, one LLC access (Latencies.LLC).
 func (s *System) Upgrade(reqCore int, pa addr.PAddr) int {
 	line := pa.LineBase()
 	e := s.entry(line)
 	s.Stats.UpgradeRequests++
-	cycles := s.llcCycles
 	for _, c := range s.snoopTargets(reqCore, e.sharers) {
 		r := s.probe(c, pa, core.SnoopInvalidate)
 		if r.Hit {
@@ -351,7 +376,7 @@ func (s *System) Upgrade(reqCore int, pa addr.PAddr) int {
 	e.owner = int8(reqCore)
 	s.dir[line] = e
 	s.l1s[reqCore].UpgradeToModified(pa)
-	return cycles
+	return s.lat.LLC
 }
 
 // Evicted reports an L1 victim so the directory stays precise; dirty

@@ -31,12 +31,17 @@ type AccessResult struct {
 	// simulator uses it to detect stores that need a coherence upgrade.
 	State cache.State
 	// Cycles is the L1 lookup latency (TLB/L2/walk penalties are
-	// accounted separately by the TLB hierarchy).
+	// accounted separately by the TLB hierarchy). It is
+	// LookupCycles(FastPath, Reprobe) of the cache that served it.
 	Cycles int
 	// FastPath reports a partition-only lookup (a SEESAW TFT hit or a
 	// VESPA superpage access). For baseline and PIPT caches it is always
 	// false.
 	FastPath bool
+	// Reprobe reports a way misprediction: the predicted way missed and
+	// the lookup's scope (partition or set) was probed a second time,
+	// doubling its latency.
+	Reprobe bool
 	// WaysProbed counts ways read by this lookup.
 	WaysProbed int
 	// EnergyNJ is the lookup energy.
@@ -107,6 +112,12 @@ type L1Cache interface {
 	// scheduler's speculation logic needs both.
 	FastCycles() int
 	SlowCycles() int
+	// LookupCycles is the latency of one lookup outcome class: a
+	// partition-only (fastPath) or whole-set lookup, probed once or,
+	// after a way misprediction, twice. A timing model prices an
+	// AccessResult at another clock by asking a cache built at that
+	// clock for its FastPath/Reprobe class.
+	LookupCycles(fastPath, reprobe bool) int
 	// Storage exposes the underlying array for stats.
 	Storage() *cache.Cache
 	// Predictor exposes the way predictor (nil when disabled).

@@ -121,7 +121,7 @@ func (k *skeleton) lookupPartition(res *AccessResult, set, part int, tag uint64)
 			way, hit := k.c.Access(set, part, tag)
 			feedbackWay := -1
 			*res = AccessResult{
-				Hit: hit, Cycles: 2 * k.t.fastCycles, FastPath: true,
+				Hit: hit, Cycles: 2 * k.t.fastCycles, FastPath: true, Reprobe: true,
 				WaysProbed: 1 + wpp, EnergyNJ: k.t.eOne + k.t.ePart,
 			}
 			if hit {
@@ -166,7 +166,7 @@ func (k *skeleton) lookupSet(res *AccessResult, set int, tag uint64) {
 			way, hit := k.c.Access(set, cache.AnyPartition, tag)
 			feedbackWay := -1
 			*res = AccessResult{
-				Hit: hit, Cycles: 2 * k.t.slowCycles,
+				Hit: hit, Cycles: 2 * k.t.slowCycles, Reprobe: true,
 				WaysProbed: 1 + k.cfg.Ways, EnergyNJ: k.t.eOne + k.t.eFull,
 			}
 			if hit {
@@ -267,6 +267,19 @@ func (k *skeleton) FastCycles() int { return k.serialTLB + k.t.fastCycles }
 
 // SlowCycles implements L1Cache.
 func (k *skeleton) SlowCycles() int { return k.serialTLB + k.t.slowCycles }
+
+// LookupCycles implements L1Cache: the probed scope's latency, once or
+// twice, after the serialized TLB lookup (PIPT only).
+func (k *skeleton) LookupCycles(fastPath, reprobe bool) int {
+	n := k.t.slowCycles
+	if fastPath {
+		n = k.t.fastCycles
+	}
+	if reprobe {
+		n *= 2
+	}
+	return k.serialTLB + n
+}
 
 // Storage implements L1Cache.
 func (k *skeleton) Storage() *cache.Cache { return k.c }

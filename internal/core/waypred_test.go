@@ -143,3 +143,51 @@ func TestWPAccuracyImprovesWithLocality(t *testing.T) {
 		t.Errorf("repeated access accuracy = %v, want ~1", acc)
 	}
 }
+
+// TestLookupCyclesPricesOutcomeClasses: every lookup's Cycles is
+// LookupCycles of its FastPath/Reprobe class, so a timing model can
+// price the class at another clock. On a 32KB SEESAW a way-mispredicted
+// fast lookup costs 2×1 = 2 cycles at 1.33 GHz, the same as a slow
+// hit, but 2×3 = 6 against 5 at 4 GHz.
+func TestLookupCyclesPricesOutcomeClasses(t *testing.T) {
+	for _, tc := range []struct {
+		freq               float64
+		reprobedFast, slow int
+	}{{1.33, 2, 2}, {4.0, 6, 5}} {
+		c := wpCfg()
+		c.FreqGHz = tc.freq
+		s := MustNewSeesaw(c)
+		if got := s.LookupCycles(true, true); got != tc.reprobedFast {
+			t.Errorf("%.2f GHz: mispredicted fast lookup = %d cycles, want %d", tc.freq, got, tc.reprobedFast)
+		}
+		if got := s.LookupCycles(false, false); got != tc.slow || got != s.SlowCycles() {
+			t.Errorf("%.2f GHz: slow hit = %d cycles (SlowCycles %d), want %d", tc.freq, got, s.SlowCycles(), tc.slow)
+		}
+		// Superpage accesses that alternate between two lines of one
+		// set hit the TFT and mispredict; base-page ones take the slow
+		// path. Every result carries its class's price.
+		const region = addr.VAddr(0x4000_0000)
+		s.OnSuperpageTLBFill(region)
+		classes := map[[2]bool]bool{}
+		for i := 0; i < 64; i++ {
+			va := region + addr.VAddr(i%2)*0x10000
+			size := addr.Page2M
+			if i%3 == 0 {
+				va, size = addr.VAddr(0x1000+i%2*0x10000), addr.Page4K
+			}
+			pa := addr.PAddr(va) + 0x1000_0000
+			r := s.Access(va, pa, size, false)
+			if !r.Hit {
+				s.Fill(pa, size, false, false)
+			}
+			if want := s.LookupCycles(r.FastPath, r.Reprobe); r.Cycles != want {
+				t.Fatalf("%.2f GHz: access %d (fast %v, reprobe %v) took %d cycles, LookupCycles says %d",
+					tc.freq, i, r.FastPath, r.Reprobe, r.Cycles, want)
+			}
+			classes[[2]bool{r.FastPath, r.Reprobe}] = true
+		}
+		if !classes[[2]bool{true, true}] || !classes[[2]bool{false, false}] {
+			t.Errorf("%.2f GHz: saw classes %v, want mispredicted fast lookups and plain slow ones", tc.freq, classes)
+		}
+	}
+}

@@ -211,20 +211,29 @@ func TestMeasuredStepAllocFree(t *testing.T) {
 // TestMeasuredEpochAllocFree: with every hook disabled, one whole
 // 4096-reference measured epoch through the reference loop — its fill
 // and its execution — allocates nothing, whether the fill generates the
-// epoch or replays it from a recorded stream.
+// epoch or replays it from a recorded stream, and whether the machine
+// retires into its own timing member alone or into three, running a
+// timing group's pass.
 func TestMeasuredEpochAllocFree(t *testing.T) {
 	ctx := context.Background()
-	for _, replayed := range []bool{false, true} {
-		name := map[bool]string{false: "generated", true: "replayed"}[replayed]
+	for _, name := range []string{"generated", "replayed", "three-members"} {
 		t.Run(name, func(t *testing.T) {
-			m := mustBuild(t, allocFreeConfig(t))
+			cfg := allocFreeConfig(t)
+			m := mustBuild(t, cfg)
 			if err := m.Warmup(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if replayed {
+			switch name {
+			case "replayed":
 				// Recording allocates the stream once, at the boundary.
 				if err := m.useStream(WithStream(ctx, NewStream())); err != nil || m.stream == nil {
 					t.Fatalf("attaching a stream: %v", err)
+				}
+			case "three-members":
+				// Joining builds the other members once, at the boundary.
+				g := NewTimingGroup(clocks(cfg)...)
+				if lead, _, err := m.joinGroup(WithTimingGroup(ctx, g)); err != nil || lead == nil || len(m.members) != 3 {
+					t.Fatalf("joining a timing group: %v, %d members", err, len(m.members))
 				}
 			}
 			// Warm the measured-phase state over five epochs; the cursor

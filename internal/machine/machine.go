@@ -10,7 +10,6 @@ import (
 	"seesaw/internal/check"
 	"seesaw/internal/coherence"
 	"seesaw/internal/core"
-	"seesaw/internal/cpu"
 	"seesaw/internal/energy"
 	"seesaw/internal/faults"
 	"seesaw/internal/metrics"
@@ -47,7 +46,8 @@ type Hooks struct {
 // them. Build constructs one; Step advances it a single reference;
 // Warmup and Measure run the two phases; Snapshot copies the warm OS
 // half, and Snapshot.Resume and Snapshot.Fork rebuild the rest around
-// it (snapshot.go).
+// it (snapshot.go). The measured phase runs the functional model once
+// per reference and retires it into each timing member (timing.go).
 type Machine struct {
 	cfg Config
 
@@ -75,9 +75,15 @@ type Machine struct {
 	l1is     []core.L1Cache // nil unless ICache
 	iseesaws []*core.Seesaw
 	hiers    []*tlb.Hierarchy
-	cpus     []cpu.Model
 	cohSys   *coherence.System
 	acct     *energy.Account
+	// members are the timing members the measured phase retires into:
+	// members[0] is this machine's own config; a machine running a
+	// TimingGroup's pass holds one more per other cell until it hands
+	// their reports over. handed is the report a group pass left this
+	// machine, which then measures nothing.
+	members []member
+	handed  *Report
 
 	// cohAll caches the coherence participant order cohL1s returns, so
 	// per-reference paths do not concatenate a fresh slice per call.
@@ -91,12 +97,10 @@ type Machine struct {
 	stream *Stream
 
 	// schedule interleaves application threads with the system thread;
-	// superTLBThreshold gates the scheduler's fast-path speculation and
 	// speculates marks whether the design has a fast/slow latency split
 	// the scheduler may speculate on at all (Design.Speculates).
-	schedule          []int
-	superTLBThreshold int
-	speculates        bool
+	schedule   []int
+	speculates bool
 	// lastWidth tracks each coherence participant's most recent probe
 	// width so EvProbeWidth fires only on transitions (metrics only).
 	lastWidth []int
@@ -279,7 +283,6 @@ func (m *Machine) buildUarch() error {
 	m.l1s = make([]core.L1Cache, m.nCores)
 	m.seesaws = make([]*core.Seesaw, m.nCores) // nil unless the design embeds a TFT
 	m.hiers = make([]*tlb.Hierarchy, m.nCores)
-	m.cpus = make([]cpu.Model, m.nCores)
 	l1cfg := cfg.l1cfg()
 	tlbCfg := tlb.SandybridgeTLBs()
 	if cfg.CPUKind == "inorder" {
@@ -328,13 +331,17 @@ func (m *Machine) buildUarch() error {
 			return err
 		}
 		m.hiers[i] = h
-		cm, err := cpu.New(cfg.CPUKind)
-		if err != nil {
-			return err
-		}
-		m.cpus[i] = cm
 	}
 	m.wireSuperFills()
+	var il1 core.L1Cache
+	if cfg.ICache {
+		il1 = m.l1is[0]
+	}
+	own, err := newMember(cfg, m.nCores, m.l1s[0], il1, m.hiers[0].L1Super())
+	if err != nil {
+		return err
+	}
+	m.members = []member{own}
 
 	cohCfg := coherence.DefaultConfig(cfg.FreqGHz)
 	cohCfg.Mode = cfg.CoherenceMode
@@ -381,13 +388,6 @@ func (m *Machine) buildUarch() error {
 	m.mgr.OnPromote = m.onPromote
 
 	m.acct = energy.NewAccount(cfg.Prices)
-	m.superTLBThreshold = 0
-	if st := m.hiers[0].L1Super(); st != nil {
-		m.superTLBThreshold = st.Config().Entries / 4
-	}
-	if cfg.SpecFastThreshold > 0 {
-		m.superTLBThreshold = cfg.SpecFastThreshold
-	}
 	return nil
 }
 
@@ -477,7 +477,7 @@ func (m *Machine) onInvlpg(asid uint16, vaBase addr.VAddr) {
 				m.iseesaws[i].InvalidatePage(vaBase)
 			}
 		}
-		m.cpus[i].Stall(175) // invlpg cost, mid paper range
+		m.stall(i, 175) // invlpg cost, mid paper range
 	}
 	if m.Hooks.Checker != nil {
 		m.Hooks.Checker.AfterInvlpg(m.curRef, asid, vaBase)
@@ -525,21 +525,21 @@ func (m *Machine) sampleAccess(mcore int, va addr.VAddr, ar core.AccessResult) {
 
 // missFill services an L1 miss of pa at coherence participant p: the
 // coherence miss, the fill, and the victim's eviction notice to the
-// directory. It returns the miss latency.
-func (m *Machine) missFill(p int, l1 core.L1Cache, pa addr.PAddr, size addr.PageSize, store bool) int {
+// directory. It returns the miss's outcome, which members price.
+func (m *Machine) missFill(p int, l1 core.L1Cache, pa addr.PAddr, size addr.PageSize, store bool) coherence.MissResult {
 	mr := m.cohSys.Miss(p, pa, store)
 	fill := l1.Fill(pa, size, store, mr.Shared)
 	m.acct.AddL1CPUSide(fill.EnergyNJ)
 	if fill.Victim.Valid {
 		m.cohSys.Evicted(p, fill.VictimPA, fill.Writeback)
 	}
-	return mr.Cycles
+	return mr
 }
 
 // dataAccess runs one data reference on core tid in the given address
-// space: translate, L1 lookup, miss service / coherence upgrade,
-// scheduler-speculation resolution, retire. countStats marks
-// main-process references (superpage-fraction metric).
+// space: translate, L1 lookup, miss service / coherence upgrade, then
+// retirement into every timing member. countStats marks main-process
+// references (superpage-fraction metric).
 func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats bool) error {
 	h := m.hiers[tid]
 	tr := h.Translate(rec.VA, asid)
@@ -574,9 +574,12 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 	if tr.Size.IsSuper() && tr.Source == tlb.SourceL1 && m.seesaws[tid] != nil {
 		m.seesaws[tid].OnSuperpageTLBFill(rec.VA)
 	}
-	extra := tr.ExtraCycles
+	a := access{
+		gap: int(rec.Gap), hit: ar.Hit, store: store, dep: rec.Dep,
+		class: lookupClass(ar), tlbExtra: tr.ExtraCycles,
+	}
 	if !ar.Hit {
-		extra += m.missFill(tid, l1, tr.PA, tr.Size, store)
+		a.miss = m.missFill(tid, l1, tr.PA, tr.Size, store)
 		// Next-line prefetch, staying inside the 4KB frame.
 		if m.cfg.Prefetch {
 			nextPA := tr.PA.LineBase() + addr.LineSize
@@ -589,41 +592,25 @@ func (m *Machine) dataAccess(tid int, rec trace.Record, asid uint16, countStats 
 	} else if store {
 		switch ar.State {
 		case cache.Shared, cache.Owned: // need coherence permission
-			extra += m.cohSys.Upgrade(tid, tr.PA)
+			m.cohSys.Upgrade(tid, tr.PA)
+			a.upgrade = true
 		default:
 			l1.UpgradeToModified(tr.PA)
 		}
 	}
-	assumedFast := false
 	if m.speculates {
-		switch {
-		case m.cfg.SchedulerAlwaysFast:
-			assumedFast = true
-		case m.cfg.SchedulerAlwaysSlow:
-			assumedFast = false
-		default:
-			// The paper's counter heuristic: speculate fast when the
-			// 2MB TLB holds at least a quarter of its entries. Any
-			// resident 1GB translation also licenses speculation —
-			// one gigabyte entry covers 512 superpage regions, so
-			// superpages are certainly not scarce.
-			if st := h.L1Super(); st != nil {
-				assumedFast = st.ValidCount() >= m.superTLBThreshold
-			}
-			if g1 := h.L1For(addr.Page1G); g1 != nil && g1.ValidCount() > 0 {
-				assumedFast = true
-			}
+		// The counter heuristic's inputs (member.assumeFast).
+		a.superValid = -1
+		if st := h.L1Super(); st != nil {
+			a.superValid = st.ValidCount()
+		}
+		if g1 := h.L1For(addr.Page1G); g1 != nil {
+			a.giga = g1.ValidCount() > 0
 		}
 	}
-	m.cpus[tid].Retire(int(rec.Gap), cpu.MemCost{
-		Hit:          ar.Hit,
-		IsStore:      store,
-		Dep:          rec.Dep,
-		L1Cycles:     ar.Cycles,
-		SlowL1Cycles: l1.SlowCycles(),
-		AssumedFast:  assumedFast,
-		ExtraCycles:  extra,
-	})
+	for i := range m.members {
+		m.members[i].retire(tid, &a, m.speculates)
+	}
 	return nil
 }
 
@@ -795,20 +782,19 @@ func (m *Machine) stepMeasured(i int, rec trace.Record, iva addr.VAddr, jumped b
 		if itr.Size.IsSuper() && itr.Source == tlb.SourceL1 && m.iseesaws[tid] != nil {
 			m.iseesaws[tid].OnSuperpageTLBFill(iva)
 		}
+		// Front-end stall: a miss stalls the fetch (member.fetchStall);
+		// on a hit, a taken branch waits one L1I hit latency for the
+		// new fetch group, the redirect bubble where SEESAW-I's fast
+		// path pays off.
+		var miss coherence.MissResult
 		if !iar.Hit {
-			missCycles := m.missFill(m.nCores+tid, il1, itr.PA, itr.Size, false)
-			// Front-end miss stall: the fetch buffer hides part of
-			// it on the OoO core.
-			stall := iar.Cycles + itr.ExtraCycles + missCycles
-			if m.cfg.CPUKind == "ooo" {
-				stall = (stall + 1) / 2
+			miss = m.missFill(m.nCores+tid, il1, itr.PA, itr.Size, false)
+		}
+		if !iar.Hit || jumped {
+			class := lookupClass(iar)
+			for i := range m.members {
+				m.members[i].fetchStall(tid, class, itr.ExtraCycles, iar.Hit, miss, jumped)
 			}
-			m.cpus[tid].Stall(stall)
-		} else if jumped {
-			// Fetch-redirect bubble: a taken branch waits one L1I
-			// hit latency for the new fetch group — where SEESAW-I's
-			// fast path pays off.
-			m.cpus[tid].Stall(iar.Cycles + itr.ExtraCycles)
 		}
 	}
 	// OS background activity.
@@ -983,10 +969,24 @@ func (m *Machine) Warmup(ctx context.Context) error {
 // runner's per-cell timeout and the service's per-job cancellation
 // reclaim a stuck or abandoned cell. When ctx carries a Stream (see
 // WithStream) and the machine sits at its boundary, the measured phase
-// replays the stream instead of generating its records.
+// replays the stream instead of generating its records. When ctx
+// carries a TimingGroup (see WithTimingGroup) and the machine sits at
+// its boundary, the first member to arrive runs the phase for the whole
+// group and hands over the others' reports, and a later member whose
+// report is waiting takes it instead of measuring.
 func (m *Machine) Measure(ctx context.Context) error {
+	g, handed, err := m.joinGroup(ctx)
+	if err != nil || handed {
+		return err
+	}
 	if err := m.useStream(ctx); err != nil {
 		return err
 	}
-	return m.run(ctx, m.cfg.WarmupRefs+m.cfg.Refs)
+	if err := m.run(ctx, m.cfg.WarmupRefs+m.cfg.Refs); err != nil {
+		return err
+	}
+	if g != nil {
+		m.handOver(g)
+	}
+	return nil
 }

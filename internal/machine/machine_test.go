@@ -400,3 +400,32 @@ func TestWarmupSignature(t *testing.T) {
 		}
 	}
 }
+
+// TestReportRepeatable: a second Report after the measured phase equals
+// the first, and leaves the first report's energy account as it was:
+// each report finishes its own copy of the machine's account.
+func TestReportRepeatable(t *testing.T) {
+	m := mustBuild(t, testConfig(t, KindSeesaw))
+	ctx := context.Background()
+	if err := m.Warmup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Measure(ctx); err != nil {
+		t.Fatal(err)
+	}
+	first, err := m.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := reportJSON(t, first)
+	second, err := m.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reportJSON(t, second); !bytes.Equal(got, before) {
+		t.Errorf("second report differs from the first:\nfirst:  %s\nsecond: %s", before, got)
+	}
+	if got := reportJSON(t, first); !bytes.Equal(got, before) {
+		t.Error("the second Report changed the first report")
+	}
+}

@@ -144,21 +144,35 @@ func (r *Report) WriteText(w io.Writer) error {
 
 // Report assembles the Report from the machine's component statistics.
 // It is normally called once, after Measure; calling it mid-run yields
-// a consistent snapshot of the statistics so far.
+// a consistent snapshot of the statistics so far, and calling it again
+// yields the same report. A machine that took its report from a
+// TimingGroup's pass returns that report.
 func (m *Machine) Report() (*Report, error) {
-	cfg := m.cfg
+	if m.handed != nil {
+		return m.handed, nil
+	}
+	return m.report(&m.members[0]), nil
+}
+
+// report assembles member mb's report from the shared functional
+// statistics and mb's own CPU models and clock. It finishes its own
+// copy of the energy account, so neither the machine's account nor an
+// earlier report's changes.
+func (m *Machine) report(mb *member) *Report {
+	cfg := mb.cfg
+	acct := *m.acct
 	r := &Report{
 		SchemaVersion: SchemaVersion,
 		Design:        m.l1s[0].Name(),
 		Workload:      cfg.Workload.Name,
-		Energy:        m.acct,
+		Energy:        &acct,
 	}
 	// Application timing: the slowest app core determines runtime.
 	for t := 0; t < m.gen.Threads(); t++ {
-		if c := m.cpus[t].Cycles(); c > r.Cycles {
+		if c := mb.cpus[t].Cycles(); c > r.Cycles {
 			r.Cycles = c
 		}
-		r.Instructions += m.cpus[t].Instructions()
+		r.Instructions += mb.cpus[t].Instructions()
 	}
 	if r.Cycles > 0 {
 		r.IPC = float64(r.Instructions) / float64(r.Cycles)
@@ -233,23 +247,23 @@ func (m *Machine) Report() (*Report, error) {
 	if cfg.ICache {
 		tlbLookups *= 2 // every instruction block also translates its fetch
 	}
-	m.acct.AddL1TLBLookups(tlbLookups)
-	m.acct.AddL2TLBLookups(m.l2Lookups)
-	m.acct.AddTFTLookups(tftLookups)
+	acct.AddL1TLBLookups(tlbLookups)
+	acct.AddL2TLBLookups(m.l2Lookups)
+	acct.AddTFTLookups(tftLookups)
 	var walkLevels, walks uint64
 	for _, h := range m.hiers {
 		walkLevels += h.Walker().LevelsTotal
 		walks += h.Walker().Walks
 	}
-	m.acct.AddWalkLevels(walkLevels)
+	acct.AddWalkLevels(walkLevels)
 	cs := m.cohSys.Stats
-	m.acct.AddLLCAccesses(cs.LLCHits + cs.LLCMisses + cs.Writebacks)
-	m.acct.AddDRAMAccesses(cs.DRAMReads + cs.DRAMWrites)
-	m.acct.AddL1Coherence(m.cohSys.TotalCoherenceEnergyNJ())
+	acct.AddLLCAccesses(cs.LLCHits + cs.LLCMisses + cs.Writebacks)
+	acct.AddDRAMAccesses(cs.DRAMReads + cs.DRAMWrites)
+	acct.AddL1Coherence(m.cohSys.TotalCoherenceEnergyNJ())
 
-	r.EnergyCPUSideNJ = m.acct.L1CPUSideNJ
-	r.EnergyCoherenceNJ = m.acct.L1CoherenceNJ
-	r.EnergyTotalNJ = m.acct.TotalNJ(r.RuntimeSec)
+	r.EnergyCPUSideNJ = acct.L1CPUSideNJ
+	r.EnergyCoherenceNJ = acct.L1CoherenceNJ
+	r.EnergyTotalNJ = acct.TotalNJ(r.RuntimeSec)
 	r.Coh = cs
 	r.TLB.L2Lookups = m.l2Lookups
 	r.TLB.Walks = walks
@@ -265,7 +279,7 @@ func (m *Machine) Report() (*Report, error) {
 		r.Check = m.Hooks.Checker.Report()
 	}
 	r.Metrics = m.Hooks.Metrics.Finish()
-	return r, nil
+	return r
 }
 
 func countSeesaws(ss []*core.Seesaw) int {

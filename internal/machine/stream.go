@@ -88,7 +88,11 @@ func (s *Stream) Counts() (recorded bool, replays int) {
 // keys generate the same records from their warmup boundary to the end
 // of the measured phase. The boundary's generator state is a function
 // of the warmup signature, and the measured phase draws Refs records
-// from it.
+// from it. The key keeps only the signature fields the generator reads:
+// memhog, the promotion and splinter cadences and the co-runner's slice
+// length shape physical memory and the OS, but data addresses come from
+// the memory manager's virtual bump allocator and the generator draws
+// from its own seeded RNG, so those four fields are zero in every key.
 type StreamKey struct {
 	WarmupSignature
 	Refs int
@@ -101,7 +105,9 @@ func (c Config) StreamKey() (key StreamKey, ok bool) {
 		return StreamKey{}, false
 	}
 	d := c.WithDefaults()
-	return StreamKey{WarmupSignature: d.WarmupSignature(), Refs: d.Refs}, true
+	sig := d.WarmupSignature()
+	sig.MemhogFraction, sig.PromoteScanEvery, sig.SplinterEvery, sig.CoRunSliceRefs = 0, 0, 0, 0
+	return StreamKey{WarmupSignature: sig, Refs: d.Refs}, true
 }
 
 // StreamMismatchError is the failure of a machine offered a recorded

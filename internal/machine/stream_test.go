@@ -136,3 +136,51 @@ func TestStreamMismatchFails(t *testing.T) {
 		})
 	}
 }
+
+// TestStreamKeyIgnoresOSFields: the stream key leaves out the warmup
+// signature fields the generator never reads. Machines that differ
+// only in memhog, the promotion or splinter cadence, or the co-runner's
+// slice length share a key and reach their warmup boundary with equal
+// generator state, so one stream serves all of them, and each replayed
+// report equals its cold run.
+func TestStreamKeyIgnoresOSFields(t *testing.T) {
+	co, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := testConfig(t, KindSeesaw)
+	base.CoRunner = &co
+	base.ContextSwitchEvery = 8_000
+	base.CoRunSliceRefs = 500
+	variants := []Config{base}
+	for _, vary := range []func(*Config){
+		func(c *Config) { c.MemhogFraction = 0.6 },
+		func(c *Config) { c.PromoteScanEvery = 3_000 },
+		func(c *Config) { c.SplinterEvery = 4_000 },
+		func(c *Config) { c.CoRunSliceRefs = 900 },
+	} {
+		c := base
+		vary(&c)
+		variants = append(variants, c)
+	}
+	key, _ := base.StreamKey()
+	want := warmMaster(t, base).gen.State()
+	s := NewStream()
+	for i, cfg := range variants {
+		if k, _ := cfg.StreamKey(); k != key {
+			t.Errorf("variant %d: stream key %+v, want %+v", i, k, key)
+		}
+		if cfg.WarmupSignature() == base.WarmupSignature() && i > 0 {
+			t.Errorf("variant %d: warmup signature should differ from the base's", i)
+		}
+		if got := warmMaster(t, cfg).gen.State(); !got.Equal(want) {
+			t.Errorf("variant %d: generator state at the boundary differs from the base's", i)
+		}
+		if cold, replayed := reportText(t, mustBuild(t, cfg)), replayText(t, cfg, s); !bytes.Equal(cold, replayed) {
+			t.Errorf("variant %d: replayed report differs from the cold run:\ncold:\n%s\nreplayed:\n%s", i, cold, replayed)
+		}
+	}
+	if rec, n := s.Counts(); !rec || n != len(variants) {
+		t.Errorf("stream counts = %v/%d, want recorded once and replayed by all %d cells", rec, n, len(variants))
+	}
+}

@@ -25,6 +25,15 @@
 // one-worker pool runs each cell inline and generates live, as sim.Run
 // does.
 //
+// Cells whose configs differ only in timing-only fields (the clock, the
+// PIPT serial TLB latency and the scheduler's speculation policy, see
+// machine.TimingKey) run the same functional simulation. When a worker
+// takes a cell, it also takes the cell's queued timing siblings and runs
+// them back to back under one machine.TimingGroup on their context: the
+// first to reach its measured phase simulates it once for all of them
+// and hands each later sibling its finished report
+// (Stats.TimingPasses, Stats.TimingAnswered).
+//
 // The pool also carries a keyed result cache: two submissions of an
 // identical cell share one execution. The evaluation re-runs the same
 // baseline-VIPT cell once per figure that compares against it; with one
@@ -161,16 +170,23 @@ type Stats struct {
 	// recorded stream instead of generating its records, the recording
 	// cell included.
 	StreamReplays uint64
+	// TimingPasses is the number of measured phases run for a timing
+	// group, at most one per group of two or more cells.
+	TimingPasses uint64
+	// TimingAnswered is the number of cells whose report a timing
+	// sibling's pass assembled, so they measured nothing themselves.
+	TimingAnswered uint64
 }
 
 // Sources summarizes where the pool's answers came from, for one-line
 // logs: the DeterministicSources counts plus how many measured-phase
-// streams were recorded and how many fresh cells replayed one. Which
-// cells share a stream depends on worker timing, so those two counts
-// can differ between runs of the same cells.
+// streams were recorded and how many fresh cells replayed one, and how
+// many timing-group passes ran and how many cells they answered. Which
+// cells share a stream or a pass depends on worker timing, so those
+// four counts can differ between runs of the same cells.
 func (s Stats) Sources() string {
-	return fmt.Sprintf("%s; streams recorded %d, replayed by %d cells",
-		s.DeterministicSources(), s.StreamsRecorded, s.StreamReplays)
+	return fmt.Sprintf("%s; streams recorded %d, replayed by %d cells; timing passes %d, answered %d cells",
+		s.DeterministicSources(), s.StreamsRecorded, s.StreamReplays, s.TimingPasses, s.TimingAnswered)
 }
 
 // DeterministicSources is the part of Sources that the cells alone
@@ -188,11 +204,12 @@ func (s Stats) DeterministicSources() string {
 // executions. The zero Pool is not usable; construct with New. A pool
 // with one worker executes cells inline at submission time, restoring
 // the exact serial execution order of the pre-pool harness. A larger
-// pool queues cells by stream group (see the package doc). A group gets
-// a stream only if another cell is queued behind its first when that
-// one starts, and it leaves the queue with its last queued cell, so
-// only about Workers streams are live; a later cell with the same key
-// starts a new group.
+// pool queues cells by stream group (see the package doc). A worker
+// takes a cell together with its queued timing siblings. A group gets a
+// stream only if another cell is still queued when a worker takes its
+// first, and it leaves the queue with its last queued cell, so only
+// about Workers streams are live; a later cell with the same key starts
+// a new group.
 type Pool struct {
 	workers int
 	run     RunFunc
@@ -234,12 +251,16 @@ type group struct {
 }
 
 // job is one queued execution: run computes the result, reading the
-// group's stream (nil for none), and done publishes it. The pool
-// settles its counters between the two, so a caller that has awaited
-// every future reads final Stats.
+// group's stream and its timing group (nil for none), and done
+// publishes it. The pool settles its counters between the two, so a
+// caller that has awaited every future reads final Stats. tkey is a
+// simulation cell's machine.TimingKey and cfg its config; tkey is empty
+// for trace cells and Go tasks, which share no pass.
 type job struct {
-	run  func(*machine.Stream)
+	run  func(*machine.Stream, *machine.TimingGroup)
 	done func()
+	tkey string
+	cfg  sim.Config
 }
 
 // New returns a pool with the given worker count; workers <= 0 selects
@@ -388,25 +409,33 @@ func (p *Pool) Submit(cfg sim.Config) *Future {
 	p.order = append(p.order, f)
 	p.mu.Unlock()
 	sk, keyed := cfg.StreamKey()
-	enqueue(p, sk, keyed, f, func(s *machine.Stream) (*sim.Report, error) {
-		rep, err := p.guarded(cfg, s)
+	j := newJob(f, func(s *machine.Stream, tg *machine.TimingGroup) (*sim.Report, error) {
+		rep, err := p.guarded(cfg, s, tg)
 		p.noteDone()
 		return rep, err
 	})
+	if tk, ok := cfg.TimingKey(); ok {
+		j.tkey, j.cfg = tk, cfg
+	}
+	enqueue(p, sk, keyed, j)
 	return f
 }
 
 // guarded runs one cell under the pool's store read-through, recovery,
 // timeout, retry, and cancellation policy, converting panics and
 // overruns into a typed CellError on the future instead of killing the
-// process.
-func (p *Pool) guarded(cfg sim.Config, s *machine.Stream) (*sim.Report, error) {
+// process. The cell's stream and timing group, when it has them, ride
+// on the context its RunFunc gets.
+func (p *Pool) guarded(cfg sim.Config, s *machine.Stream, tg *machine.TimingGroup) (*sim.Report, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
 	}
 	ctx := p.ctx
 	if s != nil {
 		ctx = machine.WithStream(ctx, s)
+	}
+	if tg != nil {
+		ctx = machine.WithTimingGroup(ctx, tg)
 	}
 	if p.store != nil {
 		if rep, ok := p.store.Get(cfg); ok {
@@ -458,12 +487,13 @@ func (p *Pool) guarded(cfg sim.Config, s *machine.Stream) (*sim.Report, error) {
 }
 
 // runOnce executes a single attempt under ctx (the pool's context,
-// carrying the cell's stream if it has one), applying the wall-clock
-// budget. The budget is enforced by context: the attempt goroutine runs
-// the cell under a deadline that sim.RunContext polls, so an overrunning
-// cell unwinds and frees its goroutine and simulation state shortly
-// after the timeout fires instead of leaking until process exit (the
-// pre-context behaviour, pinned by TestTimeoutDoesNotLeak).
+// carrying the cell's stream and timing group if it has them), applying
+// the wall-clock budget. The budget is enforced by context: the attempt
+// goroutine runs the cell under a deadline that sim.RunContext polls, so
+// an overrunning cell unwinds and frees its goroutine and simulation
+// state shortly after the timeout fires instead of leaking until
+// process exit (the pre-context behaviour, pinned by
+// TestTimeoutDoesNotLeak).
 func (p *Pool) runOnce(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
 	if p.timeout <= 0 {
 		return p.runRecover(ctx, cfg)
@@ -525,20 +555,24 @@ func (p *Pool) Pair(cfg sim.Config) (base, see *Future) {
 // queues as a group of its own.
 func Go[T any](p *Pool, fn func() (T, error)) *Task[T] {
 	t := &Task[T]{done: make(chan struct{})}
-	enqueue(p, machine.StreamKey{}, false, t, func(*machine.Stream) (T, error) { return fn() })
+	enqueue(p, machine.StreamKey{}, false, newJob(t, func(*machine.Stream, *machine.TimingGroup) (T, error) { return fn() }))
 	return t
 }
 
-// enqueue queues fn to complete t, in the stream group of key when
-// keyed. With one worker it runs inline, so submission order is
-// execution order and no stream is shared.
-func enqueue[T any](p *Pool, key machine.StreamKey, keyed bool, t *Task[T], fn func(*machine.Stream) (T, error)) {
-	j := job{
-		run:  func(s *machine.Stream) { t.val, t.err = fn(s) },
+// newJob returns the job that completes t with fn's result.
+func newJob[T any](t *Task[T], fn func(*machine.Stream, *machine.TimingGroup) (T, error)) job {
+	return job{
+		run:  func(s *machine.Stream, tg *machine.TimingGroup) { t.val, t.err = fn(s, tg) },
 		done: func() { close(t.done) },
 	}
+}
+
+// enqueue queues j in the stream group of key when keyed. With one
+// worker it runs inline, so submission order is execution order and no
+// stream or pass is shared.
+func enqueue(p *Pool, key machine.StreamKey, keyed bool, j job) {
 	if p.workers == 1 {
-		j.run(nil)
+		j.run(nil, nil)
 		j.done()
 		return
 	}
@@ -563,18 +597,19 @@ func enqueue[T any](p *Pool, key machine.StreamKey, keyed bool, t *Task[T], fn f
 }
 
 // work drains the queue, oldest group first, and exits when it is
-// empty. The first cell of a group starts with an empty stream if
-// another cell is queued behind it; the group leaves the queue with its
-// last queued cell, and its stream's counts fold into Stats when that
+// empty. It takes the oldest group's first cell together with that
+// cell's queued timing siblings (group.take) and runs them back to back,
+// under one timing group when there are two or more, whose counts fold
+// into Stats after the last of them. The stream group gets its stream
+// if a cell is still queued behind them; it leaves the queue with its
+// last queued cell, and its stream's counts fold into Stats when its
 // last member finishes.
 func (p *Pool) work() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.queue) > 0 {
 		g := p.queue[0]
-		j := g.jobs[0]
-		g.jobs[0] = job{}
-		g.jobs = g.jobs[1:]
+		batch := g.take()
 		if g.keyed && g.stream == nil && len(g.jobs) > 0 {
 			g.stream = machine.NewStream()
 		}
@@ -585,21 +620,54 @@ func (p *Pool) work() {
 				delete(p.open, g.key)
 			}
 		}
-		g.running++
+		g.running += len(batch)
 		s := g.stream
-		p.mu.Unlock()
-		j.run(s)
-		p.mu.Lock()
-		if g.running--; g.running == 0 && len(g.jobs) == 0 && s != nil {
-			recorded, replays := s.Counts()
-			if recorded {
-				p.stats.StreamsRecorded++
+		var tg *machine.TimingGroup
+		if len(batch) > 1 {
+			cfgs := make([]sim.Config, len(batch))
+			for i, j := range batch {
+				cfgs[i] = j.cfg
 			}
-			p.stats.StreamReplays += uint64(replays)
+			tg = machine.NewTimingGroup(cfgs...)
 		}
-		j.done()
+		for i, j := range batch {
+			p.mu.Unlock()
+			j.run(s, tg)
+			p.mu.Lock()
+			if tg != nil && i == len(batch)-1 {
+				passes, answered := tg.Counts()
+				p.stats.TimingPasses += uint64(passes)
+				p.stats.TimingAnswered += uint64(answered)
+			}
+			if g.running--; g.running == 0 && len(g.jobs) == 0 && s != nil {
+				recorded, replays := s.Counts()
+				if recorded {
+					p.stats.StreamsRecorded++
+				}
+				p.stats.StreamReplays += uint64(replays)
+			}
+			j.done()
+		}
 	}
 	p.busy--
+}
+
+// take removes the group's first queued cell and, for a simulation
+// cell, every queued cell with its timing key, in queue order.
+func (g *group) take() []job {
+	first := g.jobs[0]
+	batch := []job{first}
+	rest := g.jobs[:0]
+	for _, j := range g.jobs[1:] {
+		if first.tkey != "" && j.tkey == first.tkey {
+			batch = append(batch, j)
+		} else {
+			rest = append(rest, j)
+		}
+	}
+	clear(g.jobs[len(rest):])
+	g.jobs = rest
+	return batch
 }
 
 // MergedSeries awaits every distinct executed cell in submission order

@@ -212,6 +212,8 @@ func wireStats(p *runner.Pool) PoolStats {
 		Submitted: st.Submitted, Runs: st.Runs, CacheHits: st.CacheHits,
 		Retries: st.Retries, Failures: st.Failures,
 		StoreHits: st.StoreHits, StorePuts: st.StorePuts,
+		StreamsRecorded: st.StreamsRecorded, StreamReplays: st.StreamReplays,
+		TimingPasses: st.TimingPasses, TimingAnswered: st.TimingAnswered,
 	}
 }
 
@@ -224,4 +226,8 @@ func (p *PoolStats) add(q PoolStats) {
 	p.Failures += q.Failures
 	p.StoreHits += q.StoreHits
 	p.StorePuts += q.StorePuts
+	p.StreamsRecorded += q.StreamsRecorded
+	p.StreamReplays += q.StreamReplays
+	p.TimingPasses += q.TimingPasses
+	p.TimingAnswered += q.TimingAnswered
 }

@@ -612,3 +612,78 @@ func TestCellDescShowsDefaults(t *testing.T) {
 		t.Errorf("cell desc = %q, want %q", got, want)
 	}
 }
+
+// lockedBuffer is a log sink safe for the server's concurrent writers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestJobReportsSharing: a job whose cells share a measured-phase
+// stream and timing-group passes reports both pairs of counters in its
+// status, in /metrics and in its "done" log line. The six cells are
+// two designs at three clocks: one stream key, two timing keys.
+func TestJobReportsSharing(t *testing.T) {
+	logs := &lockedBuffer{}
+	s := New(Config{QueueDepth: 2, Workers: 2, Logger: log.New(logs, "", 0)})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	var req JobRequest
+	for _, cache := range []string{"seesaw", "baseline"} {
+		for _, f := range []float64{1.33, 2.8, 4.0} {
+			req.Cells = append(req.Cells, CellSpec{Workload: "redis", Cache: cache, FreqGHz: f, Refs: 5_000, Seed: 42, MemMB: 256})
+		}
+	}
+	_, st := postJob(t, ts, req)
+	var fin JobStatus
+	if err := json.Unmarshal(waitDone(t, ts, st.ID), &fin); err != nil {
+		t.Fatal(err)
+	}
+	p := fin.Pool
+	if fin.State != StateDone || p.Runs != 6 {
+		t.Fatalf("job %s with %d runs, want done with 6", fin.State, p.Runs)
+	}
+	// Workers take each cell with its queued timing siblings; whatever
+	// the interleaving, both designs' siblings queue behind the first
+	// two cells the workers take, so at least one pass answers a cell.
+	if p.TimingPasses == 0 || p.TimingAnswered < p.TimingPasses || p.TimingAnswered > 4 {
+		t.Errorf("timing passes %d, answered %d: want at least one pass, each answering 1-2 cells", p.TimingPasses, p.TimingAnswered)
+	}
+	if p.StreamsRecorded > 1 || p.StreamReplays+p.TimingAnswered > 6 {
+		t.Errorf("streams recorded %d, replayed by %d: want at most one stream, replayed only by cells that measured", p.StreamsRecorded, p.StreamReplays)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		fmt.Sprintf("seesaw_service_streams_recorded_total %d\n", p.StreamsRecorded),
+		fmt.Sprintf("seesaw_service_stream_replays_total %d\n", p.StreamReplays),
+		fmt.Sprintf("seesaw_service_timing_passes_total %d\n", p.TimingPasses),
+		fmt.Sprintf("seesaw_service_timing_answered_total %d\n", p.TimingAnswered),
+	} {
+		if !strings.Contains(string(prom), want) {
+			t.Errorf("metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+	s.Close() // waits for the dispatcher, which logs the job's end
+	want := fmt.Sprintf("streams=%d stream_replays=%d timing_passes=%d timing_answered=%d)",
+		p.StreamsRecorded, p.StreamReplays, p.TimingPasses, p.TimingAnswered)
+	if !strings.Contains(logs.String(), want) {
+		t.Errorf("job log lacks %q:\n%s", want, logs.String())
+	}
+}

@@ -117,6 +117,9 @@ type Hierarchy struct {
 	l1     []*TLB
 	l2     *TLB
 	walker *pagetable.Walker
+	// super and giga are the 2MB and 1GB L1 TLBs (nil when absent),
+	// resolved once: the scheduler heuristic reads both per reference.
+	super, giga *TLB
 
 	// OnL1SuperFill, if set, is called whenever a 2MB translation is
 	// filled into the L1 2MB TLB; the TFT hooks in here.
@@ -145,6 +148,7 @@ func NewHierarchy(cfg HierarchyConfig, walker *pagetable.Walker) (*Hierarchy, er
 		}
 		h.l2 = t
 	}
+	h.super, h.giga = h.l1For(addr.Page2M), h.l1For(addr.Page1G)
 	return h, nil
 }
 
@@ -169,10 +173,19 @@ func (h *Hierarchy) l1For(s addr.PageSize) *TLB {
 
 // L1Super returns the 2MB L1 TLB (the one whose occupancy the scheduler
 // heuristic watches), or nil if absent.
-func (h *Hierarchy) L1Super() *TLB { return h.l1For(addr.Page2M) }
+func (h *Hierarchy) L1Super() *TLB { return h.super }
 
-// L1For exposes the L1 TLB holding a page size (for stats).
-func (h *Hierarchy) L1For(s addr.PageSize) *TLB { return h.l1For(s) }
+// L1For exposes the L1 TLB holding a page size (for stats and the
+// scheduler heuristic's 1GB check).
+func (h *Hierarchy) L1For(s addr.PageSize) *TLB {
+	switch s {
+	case addr.Page2M:
+		return h.super
+	case addr.Page1G:
+		return h.giga
+	}
+	return h.l1For(s)
+}
 
 // L2 exposes the unified second-level TLB (may be nil).
 func (h *Hierarchy) L2TLB() *TLB { return h.l2 }

@@ -148,3 +148,39 @@ func TestSetIndexingDistributes(t *testing.T) {
 		t.Errorf("only %d entries resident after 64 spread fills", tl.ValidCount())
 	}
 }
+
+// TestValidCountTracksScan: the kept ValidCount equals a scan of every
+// set's live length after each of a seeded mix of fills (new pages,
+// refills of resident ones, LRU evictions), single-page invalidations,
+// 2MB region invalidations and ASID flushes, on a multi-size TLB.
+func TestValidCountTracksScan(t *testing.T) {
+	tl := MustNew(Config{Name: "mix", Entries: 16, Assoc: 4, Sizes: []addr.PageSize{addr.Page4K, addr.Page2M}})
+	scan := func() int {
+		n := 0
+		for _, l := range tl.slen {
+			n += int(l)
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(7))
+	sizes := []addr.PageSize{addr.Page4K, addr.Page2M}
+	va := func() addr.VAddr { return addr.VAddr(rng.Intn(1<<12) << 12) }
+	for step := 0; step < 20_000; step++ {
+		asid := uint16(rng.Intn(3))
+		switch op := rng.Intn(10); {
+		case op < 6:
+			s := sizes[rng.Intn(2)]
+			v := va()
+			tl.Fill(Entry{VPN: v.VPN(s), PPN: uint64(step), Size: s, ASID: asid})
+		case op < 8:
+			tl.Invalidate(va(), asid)
+		case op < 9:
+			tl.InvalidateRegion(va().PageBase(addr.Page2M), asid)
+		default:
+			tl.FlushASID(asid)
+		}
+		if got, want := tl.ValidCount(), scan(); got != want {
+			t.Fatalf("step %d: ValidCount %d, scan of the sets %d", step, got, want)
+		}
+	}
+}
