@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet bench-vet bench-test fmt test race stress bench bench-baseline perfgate cover chaos importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
+.PHONY: build vet bench-vet bench-test fmt test race stress bench bench-baseline perfgate cover chaos figures-cmp importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke verify
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,17 @@ cover:
 chaos:
 	$(GO) run ./cmd/seesaw-sweep -chaos -workloads redis,mcf,olio -refs 6000 -fault-every 500
 
+# The figures gate regenerates every figure and table on three
+# workloads twice and requires byte-identical stdout: once on two
+# workers, where cells share front-end recordings and timing passes, and
+# once on one, where every cell runs alone and live.
+figures-cmp:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/seesaw-figures" ./cmd/seesaw-figures && \
+	"$$tmp/seesaw-figures" -all -workloads redis,olio,nutch -parallel 2 > "$$tmp/shared.txt" && \
+	"$$tmp/seesaw-figures" -all -workloads redis,olio,nutch -parallel 1 > "$$tmp/live.txt" && \
+	cmp "$$tmp/shared.txt" "$$tmp/live.txt"
+
 # The import gate keeps cmd/ on the simulator's stable surfaces (sim,
 # machine, runner, service, ...) instead of reaching into subsystem
 # packages (tools/importgate).
@@ -110,4 +121,4 @@ fuzz-smoke:
 zoo-smoke:
 	$(GO) run ./tools/zoosmoke
 
-verify: build vet bench-vet bench-test fmt test race stress cover chaos importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate
+verify: build vet bench-vet bench-test fmt test race stress cover chaos figures-cmp importgate ladder-smoke evolve-smoke fuzz-smoke zoo-smoke perfgate

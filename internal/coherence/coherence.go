@@ -163,11 +163,19 @@ func New(cfg Config, l1s []core.L1Cache) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The directory tracks only lines some L1 holds (an entry goes when
+	// its last sharer does), so the L1s' total lines bound it: sized for
+	// that up front, it never rehashes as the caches fill.
+	lines := 0
+	for _, l1 := range l1s {
+		g := l1.Storage().Geometry()
+		lines += g.Sets() * g.Ways
+	}
 	return &System{
 		cfg:               cfg,
 		l1s:               l1s,
 		llc:               newLLC(geom),
-		dir:               make(map[addr.PAddr]dirEntry),
+		dir:               make(map[addr.PAddr]dirEntry, lines),
 		snoopBuf:          make([]int, 0, len(l1s)),
 		lat:               cfg.Latencies(),
 		CoherenceEnergyNJ: make([]float64, len(l1s)),

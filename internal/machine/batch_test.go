@@ -210,13 +210,14 @@ func TestMeasuredStepAllocFree(t *testing.T) {
 
 // TestMeasuredEpochAllocFree: with every hook disabled, one whole
 // 4096-reference measured epoch through the reference loop — its fill
-// and its execution — allocates nothing, whether the fill generates the
-// epoch or replays it from a recorded stream, and whether the machine
-// retires into its own timing member alone or into three, running a
-// timing group's pass.
+// and its execution — allocates nothing, whether both halves run live,
+// the machine records its front end into a stream and replays it into
+// its back end, or its back end alone replays another machine's
+// recording, and whether the machine retires into its own timing member
+// alone or into three, running a timing group's pass.
 func TestMeasuredEpochAllocFree(t *testing.T) {
 	ctx := context.Background()
-	for _, name := range []string{"generated", "replayed", "three-members"} {
+	for _, name := range []string{"generated", "replayed", "replaying", "three-members"} {
 		t.Run(name, func(t *testing.T) {
 			cfg := allocFreeConfig(t)
 			m := mustBuild(t, cfg)
@@ -226,14 +227,41 @@ func TestMeasuredEpochAllocFree(t *testing.T) {
 			switch name {
 			case "replayed":
 				// Recording allocates the stream once, at the boundary.
-				if err := m.useStream(WithStream(ctx, NewStream())); err != nil || m.stream == nil {
+				if err := m.useStream(WithStream(ctx, NewStream())); err != nil || m.stream == nil || m.rec == nil {
 					t.Fatalf("attaching a stream: %v", err)
+				}
+				// Recording an epoch of the front end allocates nothing
+				// either; run records the rest before replaying.
+				for i := 0; i < 5; i++ {
+					if err := m.recordEpoch(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if avg := testing.AllocsPerRun(5, func() {
+					if err := m.recordEpoch(); err != nil {
+						t.Fatal(err)
+					}
+				}); avg != 0 {
+					t.Errorf("recording a measured epoch allocates %.1f objects with hooks disabled, want 0", avg)
+				}
+			case "replaying":
+				// Another machine records the whole phase first.
+				s := NewStream()
+				r := mustBuild(t, cfg)
+				if err := r.Warmup(ctx); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Measure(WithStream(ctx, s)); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.useStream(WithStream(ctx, s)); err != nil || m.stream != s || m.rec != nil {
+					t.Fatalf("attaching a recorded stream: %v", err)
 				}
 			case "three-members":
 				// Joining builds the other members once, at the boundary.
 				g := NewTimingGroup(clocks(cfg)...)
-				if lead, _, err := m.joinGroup(WithTimingGroup(ctx, g)); err != nil || lead == nil || len(m.members) != 3 {
-					t.Fatalf("joining a timing group: %v, %d members", err, len(m.members))
+				if lead, _, err := m.joinGroup(WithTimingGroup(ctx, g)); err != nil || lead == nil || len(m.be.members) != 3 {
+					t.Fatalf("joining a timing group: %v", err)
 				}
 			}
 			// Warm the measured-phase state over five epochs; the cursor
@@ -247,6 +275,9 @@ func TestMeasuredEpochAllocFree(t *testing.T) {
 				}
 			}); avg != 0 {
 				t.Errorf("a %s measured epoch allocates %.1f objects with hooks disabled, want 0", name, avg)
+			}
+			if name == "replaying" && m.fe.hiers != nil {
+				t.Error("a machine replaying another's recording built its own TLBs")
 			}
 		})
 	}

@@ -86,59 +86,61 @@ type snapshotState struct {
 	CoGens []workload.GeneratorState
 }
 
-// captureState serializes the snapshot's OS half.
+// captureState serializes the machine's OS half, which must be built.
 func (m *Machine) captureState() *snapshotState {
+	fe := m.fe
 	st := &snapshotState{
 		Cfg:       m.cfg,
 		GlobalRef: m.globalRef,
-		RNG:       m.rngSrc.State(),
-		Buddy:     m.buddy.State(),
-		Mgr:       m.mgr.State(),
-		Gen:       m.gen.State(),
+		RNG:       fe.rngSrc.State(),
+		Buddy:     fe.buddy.State(),
+		Mgr:       fe.mgr.State(),
+		Gen:       fe.gen.State(),
 	}
-	if m.hog != nil {
-		hs := m.hog.State()
+	if fe.hog != nil {
+		hs := fe.hog.State()
 		st.Hog = &hs
 	}
-	for _, g := range m.coGens {
+	for _, g := range fe.coGens {
 		st.CoGens = append(st.CoGens, g.State())
 	}
 	return st
 }
 
-// applyState restores a captured state onto a machine freshly built
-// from the same config. Every component is mutated in place; any
-// disagreement between the state and the built machine's shape is a
-// corruption error, never a panic.
+// applyState restores a captured state onto a machine whose OS half
+// was freshly built from the same config. Every component is mutated in
+// place; any disagreement between the state and the built machine's
+// shape is a corruption error, never a panic.
 func (m *Machine) applyState(st *snapshotState) error {
 	if st.GlobalRef < 0 || st.GlobalRef > m.cfg.WarmupRefs {
 		return fmt.Errorf("reference cursor %d outside the warmup phase [0,%d]", st.GlobalRef, m.cfg.WarmupRefs)
 	}
-	if err := m.rngSrc.SetState(st.RNG); err != nil {
+	fe := m.fe
+	if err := fe.rngSrc.SetState(st.RNG); err != nil {
 		return err
 	}
-	if err := m.buddy.SetState(st.Buddy); err != nil {
+	if err := fe.buddy.SetState(st.Buddy); err != nil {
 		return err
 	}
-	if (st.Hog != nil) != (m.hog != nil) {
+	if (st.Hog != nil) != (fe.hog != nil) {
 		return fmt.Errorf("state and config disagree about a memhog")
 	}
 	if st.Hog != nil {
-		if err := m.hog.SetState(*st.Hog); err != nil {
+		if err := fe.hog.SetState(*st.Hog); err != nil {
 			return err
 		}
 	}
-	if err := m.mgr.SetState(st.Mgr); err != nil {
+	if err := fe.mgr.SetState(st.Mgr); err != nil {
 		return err
 	}
-	if err := m.gen.SetState(st.Gen); err != nil {
+	if err := fe.gen.SetState(st.Gen); err != nil {
 		return err
 	}
-	if len(st.CoGens) != len(m.coGens) {
-		return fmt.Errorf("state has %d co-runner generators, machine has %d", len(st.CoGens), len(m.coGens))
+	if len(st.CoGens) != len(fe.coGens) {
+		return fmt.Errorf("state has %d co-runner generators, machine has %d", len(st.CoGens), len(fe.coGens))
 	}
 	for i, gs := range st.CoGens {
-		if err := m.coGens[i].SetState(gs); err != nil {
+		if err := fe.coGens[i].SetState(gs); err != nil {
 			return err
 		}
 	}
@@ -152,6 +154,9 @@ func (m *Machine) applyState(st *snapshotState) error {
 // included. Encoding is deterministic — no map ranges reach the
 // encoder — so equal snapshots produce equal bytes.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
+	if err := s.m.ensureOS(); err != nil {
+		return nil, err
+	}
 	st := s.m.captureState()
 	var payload bytes.Buffer
 	fw, err := flate.NewWriter(&payload, flate.BestSpeed)
@@ -224,9 +229,12 @@ func (s *Snapshot) UnmarshalBinary(data []byte) (err error) {
 	if derr := gob.NewDecoder(io.LimitReader(fr, maxSnapPayload)).Decode(&st); derr != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshotCorrupt, derr)
 	}
-	// Build, not just the OS half: a config whose microarchitecture
-	// cannot be built is corrupt here, never a panic in Resume.
+	// Build validates the whole config, so one whose microarchitecture
+	// cannot be built is corrupt here, never a failure after Resume.
 	m, berr := Build(st.Cfg)
+	if berr == nil {
+		berr = m.ensureOS()
+	}
 	if berr != nil {
 		return fmt.Errorf("%w: embedded config: %v", ErrSnapshotCorrupt, berr)
 	}

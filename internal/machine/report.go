@@ -151,7 +151,26 @@ func (m *Machine) Report() (*Report, error) {
 	if m.handed != nil {
 		return m.handed, nil
 	}
-	return m.report(&m.members[0]), nil
+	if err := m.ensureBack(); err != nil {
+		return nil, err
+	}
+	if m.stream == nil {
+		if err := m.ensureOS(); err != nil {
+			return nil, err
+		}
+	}
+	return m.report(&m.be.members[0]), nil
+}
+
+// frontStats reads the front end's statistics: the recording's for a
+// machine that replayed one, its own front end's otherwise.
+func (m *Machine) frontStats() frontStats {
+	if m.stream != nil {
+		m.stream.mu.Lock()
+		defer m.stream.mu.Unlock()
+		return m.stream.stats
+	}
+	return m.fe.stats()
 }
 
 // report assembles member mb's report from the shared functional
@@ -159,16 +178,16 @@ func (m *Machine) Report() (*Report, error) {
 // copy of the energy account, so neither the machine's account nor an
 // earlier report's changes.
 func (m *Machine) report(mb *member) *Report {
-	cfg := mb.cfg
-	acct := *m.acct
+	cfg, be, fs := mb.cfg, m.be, m.frontStats()
+	acct := *be.acct
 	r := &Report{
 		SchemaVersion: SchemaVersion,
-		Design:        m.l1s[0].Name(),
+		Design:        be.l1s[0].Name(),
 		Workload:      cfg.Workload.Name,
 		Energy:        &acct,
 	}
 	// Application timing: the slowest app core determines runtime.
-	for t := 0; t < m.gen.Threads(); t++ {
+	for t := 0; t < cfg.Workload.Threads; t++ {
 		if c := mb.cpus[t].Cycles(); c > r.Cycles {
 			r.Cycles = c
 		}
@@ -180,11 +199,11 @@ func (m *Machine) report(mb *member) *Report {
 	r.RuntimeSec = float64(r.Cycles) / (cfg.FreqGHz * 1e9)
 
 	var tftLookups, tftHits uint64
-	for i, l1 := range m.l1s {
+	for i, l1 := range be.l1s {
 		st := l1.Storage().Stats
 		r.L1Hits += st.Hits
 		r.L1Misses += st.Misses
-		if s := m.seesaws[i]; s != nil {
+		if s := be.seesaws[i]; s != nil {
 			ts := s.TFT().Stats
 			tftLookups += ts.Lookups
 			tftHits += ts.Hits
@@ -206,11 +225,11 @@ func (m *Machine) report(mb *member) *Report {
 		}
 	}
 	// Predictor accuracy (WP designs); report core 0's.
-	if wp := m.l1s[0].Predictor(); wp != nil {
+	if wp := be.l1s[0].Predictor(); wp != nil {
 		r.WPAccuracy = wp.Accuracy()
 	}
 	// Average the per-core TFT percentages.
-	if n := countSeesaws(m.seesaws); n > 0 {
+	if n := countSeesaws(be.seesaws); n > 0 {
 		r.TFT.SuperMissedPct /= float64(n)
 		r.TFT.SuperMissedL1HitPct /= float64(n)
 		r.TFT.SuperMissedL1MissPct /= float64(n)
@@ -222,7 +241,7 @@ func (m *Machine) report(mb *member) *Report {
 	if r.Instructions > 0 {
 		r.MPKI = float64(r.L1Misses) / float64(r.Instructions) * 1000
 	}
-	for _, l1i := range m.l1is {
+	for _, l1i := range be.l1is {
 		st := l1i.Storage().Stats
 		r.L1IHits += st.Hits
 		r.L1IMisses += st.Misses
@@ -235,12 +254,12 @@ func (m *Machine) report(mb *member) *Report {
 			r.TFT.StaleHitsAvoided += ts.StaleHitsAvoided
 		}
 	}
-	r.SuperpageCoverage = m.proc.SuperpageCoverage()
+	r.SuperpageCoverage = fs.coverage
 	if cfg.Refs > 0 {
-		r.SuperRefFraction = float64(m.superRefs) / float64(cfg.Refs)
+		r.SuperRefFraction = float64(be.superRefs) / float64(cfg.Refs)
 	}
-	r.Promotions = m.mgr.Stats.Promotions
-	r.Splinters = m.mgr.Stats.Splinters
+	r.Promotions = fs.promotions
+	r.Splinters = fs.splinters
 
 	// Finish energy accounting from component stats.
 	tlbLookups := uint64(cfg.Refs)
@@ -248,31 +267,26 @@ func (m *Machine) report(mb *member) *Report {
 		tlbLookups *= 2 // every instruction block also translates its fetch
 	}
 	acct.AddL1TLBLookups(tlbLookups)
-	acct.AddL2TLBLookups(m.l2Lookups)
+	acct.AddL2TLBLookups(be.l2Lookups)
 	acct.AddTFTLookups(tftLookups)
-	var walkLevels, walks uint64
-	for _, h := range m.hiers {
-		walkLevels += h.Walker().LevelsTotal
-		walks += h.Walker().Walks
-	}
-	acct.AddWalkLevels(walkLevels)
-	cs := m.cohSys.Stats
+	acct.AddWalkLevels(fs.walkLevels)
+	cs := be.cohSys.Stats
 	acct.AddLLCAccesses(cs.LLCHits + cs.LLCMisses + cs.Writebacks)
 	acct.AddDRAMAccesses(cs.DRAMReads + cs.DRAMWrites)
-	acct.AddL1Coherence(m.cohSys.TotalCoherenceEnergyNJ())
+	acct.AddL1Coherence(be.cohSys.TotalCoherenceEnergyNJ())
 
 	r.EnergyCPUSideNJ = acct.L1CPUSideNJ
 	r.EnergyCoherenceNJ = acct.L1CoherenceNJ
 	r.EnergyTotalNJ = acct.TotalNJ(r.RuntimeSec)
 	r.Coh = cs
-	r.TLB.L2Lookups = m.l2Lookups
-	r.TLB.Walks = walks
+	r.TLB.L2Lookups = be.l2Lookups
+	r.TLB.Walks = fs.walks
 	// Translations resolved by the (parallel) L1 TLBs never reach the L2.
 	if cfg.Refs > 0 {
-		r.TLB.L1HitRate = 1 - float64(m.l2Lookups)/float64(cfg.Refs)
+		r.TLB.L1HitRate = 1 - float64(be.l2Lookups)/float64(cfg.Refs)
 	}
-	if m.Hooks.Injector != nil {
-		st := m.Hooks.Injector.Stats
+	if fs.faults != nil {
+		st := *fs.faults
 		r.Faults = &st
 	}
 	if m.Hooks.Checker != nil {

@@ -2,10 +2,7 @@ package machine
 
 import (
 	"fmt"
-	"math/rand"
-
-	"seesaw/internal/osmm"
-	"seesaw/internal/workload"
+	"sync"
 )
 
 // WarmupSignature identifies everything that shapes the warmup phase: a
@@ -70,46 +67,6 @@ func (c Config) WarmupSignature() WarmupSignature {
 	}
 }
 
-// cloneOS returns a machine for cfg holding a deep copy of m's OS half
-// — RNG position, physical memory, fragmentation, manager and every
-// address space, the workload generators — and its reference cursor.
-// Nothing microarchitectural is built and the manager's hooks are
-// unwired: a snapshot keeps the copy as it is, and fork builds the rest
-// fresh.
-func (m *Machine) cloneOS(cfg Config) *Machine {
-	dst := &Machine{cfg: cfg, nCores: m.nCores, globalRef: m.globalRef}
-	dst.rngSrc = m.rngSrc.Clone()
-	dst.rng = rand.New(dst.rngSrc)
-	dst.buddy = m.buddy.Clone()
-	var comp osmm.Compactor
-	if m.hog != nil {
-		dst.hog = m.hog.Clone(dst.buddy)
-		comp = dst.hog
-	}
-	dst.mgr = m.mgr.Clone(dst.buddy, dst.rng, comp)
-	dst.proc = dst.mgr.Process(mainASID)
-	dst.gen = m.gen.Clone()
-	if m.coGens != nil {
-		dst.coGens = make([]*workload.Generator, len(m.coGens))
-		for i, g := range m.coGens {
-			dst.coGens[i] = g.Clone()
-		}
-	}
-	dst.schedule = m.schedule // built once from the profile, never mutated
-	return dst
-}
-
-// fork returns a machine for cfg that continues from m's OS half, with
-// caches, TLBs, coherence, CPUs and hooks built fresh from cfg. It is
-// the one constructor behind Snapshot.Fork and Snapshot.Resume.
-func (m *Machine) fork(cfg Config) (*Machine, error) {
-	f := m.cloneOS(cfg)
-	if err := f.buildUarch(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // A Snapshot is a frozen copy of a machine's OS half, taken at or
 // before the warmup boundary: the config, the reference cursor, the RNG
 // position, physical memory and its fragmentation, the memory manager
@@ -118,10 +75,29 @@ func (m *Machine) fork(cfg Config) (*Machine, error) {
 // is the whole of a warm machine. Each Resume yields an independent
 // runnable machine, so one snapshot can seed any number of runs.
 type Snapshot struct {
-	// m holds the OS half. Snapshot builds nothing else; a decoded
-	// snapshot's machine also carries the microarchitecture Build made
-	// to prove its config, which Resume never reads.
+	// m holds the OS half. The snapshot never runs it: machines that
+	// continue from the snapshot copy it.
 	m *Machine
+	// mu serializes the copies machines continuing from the snapshot
+	// take of its OS half.
+	mu sync.Mutex
+}
+
+// cloneOS returns a copy of the snapshot's OS half for cfg.
+func (s *Snapshot) cloneOS(cfg Config) *frontEnd {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.m.fe.clone(cfg)
+}
+
+// continueAs returns an unconstructed machine for cfg (defaults
+// applied) at the snapshot's reference, whose OS half is copied from the
+// snapshot when a phase first needs it. It is the one constructor
+// behind Snapshot.Fork and Snapshot.Resume.
+func (s *Snapshot) continueAs(cfg Config) *Machine {
+	m := newMachine(cfg)
+	m.base, m.globalRef = s, s.m.globalRef
+	return m
 }
 
 // Snapshot copies the machine's OS half. It fails past the warmup
@@ -133,21 +109,21 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("sim: snapshot is only valid up to the warmup boundary (at ref %d, boundary is %d)",
 			m.globalRef, m.cfg.WarmupRefs)
 	}
-	return &Snapshot{m: m.cloneOS(m.cfg)}, nil
+	if err := m.ensureOS(); err != nil {
+		return nil, err
+	}
+	c := newMachine(m.cfg)
+	c.fe, c.globalRef = m.fe.clone(m.cfg), m.globalRef
+	return &Snapshot{m: c}, nil
 }
 
-// Resume returns an independent machine continuing from the snapshot:
-// a copy of its OS half with the microarchitecture built fresh from its
-// config, exactly as Fork builds one. The snapshot itself is not
-// consumed: every call returns a fresh machine.
+// Resume returns an independent machine continuing from the snapshot,
+// exactly as Fork continues one: it copies the snapshot's OS half when
+// a phase first needs it, and builds the rest of the machine fresh from
+// the snapshot's config. The snapshot itself is not consumed: every
+// call returns a fresh machine.
 func (s *Snapshot) Resume() *Machine {
-	m, err := s.m.fork(s.m.cfg)
-	if err != nil {
-		// The snapshot's config already built a whole machine: the
-		// original, or the decoder's proof build.
-		panic(fmt.Sprintf("machine: rebuilding a snapshot's microarchitecture: %v", err))
-	}
-	return m
+	return s.continueAs(s.m.cfg)
 }
 
 // Fork creates a machine for cfg that inherits the snapshot's warmed OS
@@ -155,7 +131,9 @@ func (s *Snapshot) Resume() *Machine {
 // regions, generator positions — and builds the microarchitecture
 // (caches, TLBs, coherence, CPUs, hooks) fresh from cfg. Because warmup
 // never touches microarchitectural state, the fork is bit-identical to
-// a cold run of cfg that executed the same warmup itself.
+// a cold run of cfg that executed the same warmup itself. Like Build,
+// Fork constructs nothing: the OS half is copied when a phase first
+// needs it, which a cell replaying another's recording never does.
 //
 // The snapshot must sit exactly at the warmup boundary and cfg's
 // WarmupSignature must equal the snapshot's; otherwise Fork fails. Fork
@@ -174,5 +152,5 @@ func (s *Snapshot) Fork(cfg Config) (*Machine, error) {
 	if cfg.WarmupSignature() != s.Signature() {
 		return nil, fmt.Errorf("sim: fork config's warmup signature disagrees with the snapshot's")
 	}
-	return s.m.fork(cfg.WithDefaults())
+	return s.continueAs(cfg.WithDefaults()), nil
 }

@@ -8,13 +8,13 @@ import (
 	"seesaw/internal/coherence"
 	"seesaw/internal/core"
 	"seesaw/internal/cpu"
-	"seesaw/internal/tlb"
 )
 
 // The measured phase splits into a functional model and timing members.
-// The functional model is everything a reference changes or counts:
-// translation, the L1 lookup and fill, the TFT, coherence and the LLC,
-// OS events, hooks and dynamic energy. None of it reads a timing-only
+// The functional model is everything a reference changes or counts: the
+// front end's translation and OS events, and the back end's L1 lookup
+// and fill, TFT, coherence and LLC, hooks and dynamic energy. None of it
+// reads a timing-only
 // field: FreqGHz only converts nanoseconds to cycles, SerialTLBCycles
 // only adds cycles to a PIPT lookup, and the scheduler fields only
 // decide what latency the CPU model assumes. So the functional model
@@ -63,9 +63,9 @@ func cycleTable(l1 core.L1Cache) (t [4]int) {
 // newMember builds cfg's timing member for a machine of nCores cores:
 // CPU models, and cycle tables read from dl1 and il1 (il1 is nil
 // without the I-cache), caches of cfg's design built at cfg's clock.
-// super is core 0's 2MB L1 TLB, whose size sets the default
+// superEntries is the size of the 2MB L1 TLB, which sets the default
 // speculation threshold.
-func newMember(cfg Config, nCores int, dl1, il1 core.L1Cache, super *tlb.TLB) (member, error) {
+func newMember(cfg Config, nCores int, dl1, il1 core.L1Cache, superEntries int) (member, error) {
 	mb := member{
 		cfg:      cfg,
 		cpus:     make([]cpu.Model, nCores),
@@ -83,9 +83,7 @@ func newMember(cfg Config, nCores int, dl1, il1 core.L1Cache, super *tlb.TLB) (m
 		}
 		mb.cpus[i] = cm
 	}
-	if super != nil {
-		mb.threshold = super.Config().Entries / 4
-	}
+	mb.threshold = superEntries / 4
 	if cfg.SpecFastThreshold > 0 {
 		mb.threshold = cfg.SpecFastThreshold
 	}
@@ -161,13 +159,6 @@ func (mb *member) fetchStall(tid, class, tlbExtra int, hit bool, miss coherence.
 		return
 	}
 	mb.cpus[tid].Stall(stall)
-}
-
-// stall charges raw cycles to core c of every member.
-func (m *Machine) stall(c, cycles int) {
-	for i := range m.members {
-		m.members[i].cpus[c].Stall(cycles)
-	}
 }
 
 // A TimingGroup is a set of cells whose configs differ only in the
@@ -321,8 +312,9 @@ func (g *TimingGroup) deliver(reps map[string]*Report) {
 
 // joinGroup joins the timing group ctx carries, if any, at the warmup
 // boundary. A member whose report is waiting takes it (handed); the
-// first member to arrive claims the pass and gains one timing member
-// per other cell (lead). Anyone else measures alone.
+// first member to arrive claims the pass, readies its back end and
+// gains one timing member per other cell (lead). Anyone else measures
+// alone. A member that takes its report constructs nothing.
 func (m *Machine) joinGroup(ctx context.Context) (lead *TimingGroup, handed bool, err error) {
 	g, _ := ctx.Value(timingCtxKey{}).(*TimingGroup)
 	if g == nil || m.cfg.Trace != nil || m.globalRef != m.cfg.WarmupRefs || m.handed != nil {
@@ -341,6 +333,9 @@ func (m *Machine) joinGroup(ctx context.Context) (lead *TimingGroup, handed bool
 	if !ok {
 		return nil, false, nil
 	}
+	if err := m.ensureBack(); err != nil {
+		return nil, false, err
+	}
 	for _, c := range others {
 		mb, err := m.memberFor(c)
 		if err != nil {
@@ -348,9 +343,9 @@ func (m *Machine) joinGroup(ctx context.Context) (lead *TimingGroup, handed bool
 			// measures; the pass goes on without it.
 			continue
 		}
-		m.members = append(m.members, mb)
+		m.be.members = append(m.be.members, mb)
 	}
-	if len(m.members) == 1 {
+	if len(m.be.members) == 1 {
 		return nil, false, nil
 	}
 	return g, false, nil
@@ -373,19 +368,19 @@ func (m *Machine) memberFor(c Config) (member, error) {
 			return member{}, err
 		}
 	}
-	return newMember(c, m.nCores, dl1, il1, m.hiers[0].L1Super())
+	return newMember(c, m.nCores, dl1, il1, superTLBEntries(c))
 }
 
 // handOver assembles every other member's report at the end of a
 // shared pass, delivers them to g and drops the members.
 func (m *Machine) handOver(g *TimingGroup) {
-	reps := make(map[string]*Report, len(m.members)-1)
-	for i := 1; i < len(m.members); i++ {
-		mb := &m.members[i]
-		k, _ := mb.cfg.CanonicalKey()
-		reps[k] = m.report(mb)
+	mbs := m.be.members
+	reps := make(map[string]*Report, len(mbs)-1)
+	for i := 1; i < len(mbs); i++ {
+		k, _ := mbs[i].cfg.CanonicalKey()
+		reps[k] = m.report(&mbs[i])
 	}
 	g.deliver(reps)
-	clear(m.members[1:])
-	m.members = m.members[:1]
+	clear(mbs[1:])
+	m.be.members = mbs[:1]
 }

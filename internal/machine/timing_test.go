@@ -197,3 +197,56 @@ func TestTimingGroupMismatch(t *testing.T) {
 		t.Error("configs differing only in FreqGHz have different timing keys")
 	}
 }
+
+// TestAnsweredCellConstructsNothing: Build constructs neither half, so
+// a cell a timing sibling's pass answers never allocates an OS, a TLB,
+// an L1 or an LLC; and a cell replaying a sibling's recording of its
+// front end builds only its back end, its OS half included.
+func TestAnsweredCellConstructsNothing(t *testing.T) {
+	ctx := context.Background()
+	lead := testConfig(t, KindSeesaw)
+	lead.WarmupRefs = 0
+	sib := lead
+	sib.FreqGHz = 4.0
+	g := NewTimingGroup(lead, sib)
+	if _, err := groupRun(ctx, lead, g); err != nil {
+		t.Fatal(err)
+	}
+	m := mustBuild(t, sib)
+	if m.fe != nil || m.be != nil {
+		t.Fatal("Build constructed a half")
+	}
+	if err := m.Warmup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Measure(WithTimingGroup(ctx, g)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.fe != nil || m.be != nil {
+		t.Error("an answered cell constructed a half of its machine")
+	}
+	if !bytes.Equal(reportJSON(t, r), coldJSON(t, sib)) {
+		t.Error("the answered report differs from a solo run")
+	}
+
+	s := NewStream()
+	other := lead
+	other.CacheKind = KindBaseline
+	if _, _, err := measureWith(ctx, lead, s); err != nil {
+		t.Fatal(err)
+	}
+	f, got, err := measureWith(ctx, other, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.fe != nil || f.be == nil {
+		t.Errorf("a replaying cell built its front end (%v) or no back end (%v)", f.fe != nil, f.be == nil)
+	}
+	if !bytes.Equal(got, coldJSON(t, other)) {
+		t.Error("the replayed report differs from a solo run")
+	}
+}

@@ -38,7 +38,10 @@ func TestZooConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, l1 := range m.l1s {
+				if err := m.ensureBack(); err != nil {
+					t.Fatal(err)
+				}
+				for i, l1 := range m.be.l1s {
 					if reflect.TypeOf(l1) != reflect.TypeOf(ref) {
 						t.Fatalf("core %d built a %T, design %q builds a %T", i, l1, name, ref)
 					}

@@ -14,16 +14,15 @@
 // Forked and resumed reports are byte-identical to cold sim.RunContext
 // runs, which stays the reference the tests compare against.
 //
-// Cells that draw the same measured-phase records, those with equal
-// machine.StreamKey (the warmup signature plus Refs), form a stream
-// group. A pool of two or more workers drains its queue group by group,
-// oldest first, and passes each group of two or more cells one
+// Cells that run the same front end (generator, OS, page tables, TLBs
+// and fault injector), those with equal machine.StreamKey, form a
+// stream group. A pool of two or more workers drains its queue group by
+// group, oldest first, and passes each group of two or more cells one
 // machine.Stream on the context it hands its RunFunc: the first member
-// to reach its measured phase records the stream from a clone of its
-// generator, every member replays it, and the pool drops it when the
-// group drains (Stats.StreamsRecorded, Stats.StreamReplays). A
-// one-worker pool runs each cell inline and generates live, as sim.Run
-// does.
+// to reach its measured phase records its front end once, every member
+// replays the recording into its own back end, and the pool drops it
+// when the group drains (Stats.StreamsRecorded, Stats.StreamReplays). A
+// one-worker pool runs each cell inline and live, as sim.Run does.
 //
 // Cells whose configs differ only in timing-only fields (the clock, the
 // PIPT serial TLB latency and the scheduler's speculation policy, see
@@ -163,12 +162,13 @@ type Stats struct {
 	// RungRefsSkipped is the total warmup references those resumes
 	// avoided re-simulating.
 	RungRefsSkipped uint64
-	// StreamsRecorded is the number of measured-phase streams recorded,
-	// at most one per stream group of two or more cells.
+	// StreamsRecorded is the number of front ends recorded to the end
+	// of their measured phase, at most one per stream group of two or
+	// more cells.
 	StreamsRecorded uint64
-	// StreamReplays is the number of cells whose measured phase read a
-	// recorded stream instead of generating its records, the recording
-	// cell included.
+	// StreamReplays is the number of cells whose back end replayed a
+	// recorded front end instead of running its own, the recording cell
+	// included.
 	StreamReplays uint64
 	// TimingPasses is the number of measured phases run for a timing
 	// group, at most one per group of two or more cells.

@@ -3,10 +3,13 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
 
+	"seesaw/internal/coherence"
+	"seesaw/internal/machine"
 	"seesaw/internal/sim"
 )
 
@@ -121,22 +124,26 @@ func TestStreamGroupCancel(t *testing.T) {
 	inner, _ := LadderRun(nil, 0)
 	var (
 		mu      sync.Mutex
-		started = map[int]bool{}
+		started = map[string]bool{}
 	)
 	p := NewWithRunContext(2, func(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
+		key, _ := cfg.CanonicalKey()
 		mu.Lock()
-		started[cfg.ContextSwitchEvery] = true
+		started[key] = true
 		mu.Unlock()
 		cancel() // the group's first cell cancels the pool as it starts
 		return inner(context.WithoutCancel(ctx), cfg)
 	}).WithContext(ctx)
 	release := holdWorkers(p)
-	// One group: the cells differ only in a measured-phase cadence, so
-	// each is distinct but all draw the same records.
+	// One group: the cells differ only in back-end fields (the design,
+	// the coherence mode, prefetch), so each is distinct but all run the
+	// same front end.
 	var cfgs []sim.Config
 	for i := 0; i < 8; i++ {
 		c := testConfig(t, "redis", 42)
-		c.ContextSwitchEvery = 1_000 + i
+		c.CacheKind = []sim.CacheKind{sim.KindBaseline, sim.KindSeesaw}[i%2]
+		c.CoherenceMode = []coherence.Mode{coherence.Directory, coherence.Snoopy}[i/2%2]
+		c.Prefetch = i >= 4
 		cfgs = append(cfgs, c)
 	}
 	futs := make([]*Future, len(cfgs))
@@ -171,5 +178,83 @@ func TestStreamGroupCancel(t *testing.T) {
 	}
 	if st := p.Stats(); st.StreamsRecorded != 1 || st.StreamReplays != uint64(ran) {
 		t.Errorf("streams recorded %d, replayed by %d cells; want 1 and %d", st.StreamsRecorded, st.StreamReplays, ran)
+	}
+}
+
+// TestFiguresShapedPoolMatchesSerial: a run function shaped like the
+// figures' cell function (Build, Warmup, Measure on the pool's context,
+// Report) on a two-worker pool, where cells share front-end recordings
+// and timing siblings take finished reports, returns exactly what a
+// one-worker pool of cold sim.RunContext cells returns, over a
+// figures-shaped grid: designs by clock by core, a fragmented-memory
+// point per design, and a serial-PIPT point with the reduced TLBs at two
+// clocks.
+func TestFiguresShapedPoolMatchesSerial(t *testing.T) {
+	run := func(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
+		m, err := machine.Build(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if err := m.Warmup(ctx); err != nil {
+			return nil, err
+		}
+		if err := m.Measure(ctx); err != nil {
+			return nil, err
+		}
+		return m.Report()
+	}
+	cell := func() sim.Config {
+		c := testConfig(t, "astar", 42)
+		c.Refs, c.MemBytes = 2_000, 64<<20
+		return c
+	}
+	var cfgs []sim.Config
+	for _, kind := range []sim.CacheKind{sim.KindBaseline, sim.KindSeesaw} {
+		for _, freq := range []float64{1.33, 4} {
+			for _, cpu := range []string{"ooo", "inorder"} {
+				c := cell()
+				c.CacheKind, c.FreqGHz, c.CPUKind = kind, freq, cpu
+				cfgs = append(cfgs, c)
+			}
+		}
+		c := cell()
+		c.CacheKind, c.L1Size, c.MemhogFraction, c.PromoteScanEvery = kind, 64<<10, 0.5, 500
+		cfgs = append(cfgs, c)
+	}
+	for _, freq := range []float64{1.33, 2.8} {
+		c := cell()
+		c.CacheKind, c.L1Size, c.L1Ways, c.SerialTLBCycles, c.SmallTLB, c.FreqGHz = sim.KindPIPT, 128<<10, 8, 2, true, freq
+		cfgs = append(cfgs, c)
+	}
+	submit := func(p *Pool) []*Future {
+		futs := make([]*Future, len(cfgs))
+		for i, c := range cfgs {
+			futs[i] = p.Submit(c)
+		}
+		return futs
+	}
+	p := NewWithRunContext(2, run)
+	release := holdWorkers(p)
+	futs := submit(p)
+	release()
+	cold := submit(NewWithRunContext(1, sim.RunContext))
+	for i, f := range futs {
+		got, err := f.Wait()
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		want, err := cold[i].Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(want)
+		if !bytes.Equal(g, w) {
+			t.Errorf("cell %d (%s %s %dKB %.2f GHz %s): pooled report differs from a cold run",
+				i, cfgs[i].Workload.Name, cfgs[i].CacheKind, cfgs[i].L1Size>>10, cfgs[i].FreqGHz, cfgs[i].CPUKind)
+		}
+	}
+	if st := p.Stats(); st.StreamsRecorded == 0 || st.TimingAnswered == 0 {
+		t.Errorf("streams recorded %d, timing answered %d: the grid shared nothing", st.StreamsRecorded, st.TimingAnswered)
 	}
 }

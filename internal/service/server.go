@@ -415,8 +415,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{Name: "seesaw_service_store_hits_total", Help: "cells answered by the content-addressed store", Value: float64(s.poolTotals.StoreHits)},
 		{Name: "seesaw_service_store_puts_total", Help: "reports persisted to the store", Value: float64(s.poolTotals.StorePuts)},
 		{Name: "seesaw_service_cell_failures_total", Help: "cells that exhausted retries", Value: float64(s.poolTotals.Failures)},
-		{Name: "seesaw_service_streams_recorded_total", Help: "measured-phase streams recorded", Value: float64(s.poolTotals.StreamsRecorded)},
-		{Name: "seesaw_service_stream_replays_total", Help: "cells whose measured phase replayed a recorded stream", Value: float64(s.poolTotals.StreamReplays)},
+		{Name: "seesaw_service_streams_recorded_total", Help: "front ends recorded", Value: float64(s.poolTotals.StreamsRecorded)},
+		{Name: "seesaw_service_stream_replays_total", Help: "cells whose back end replayed a recorded front end", Value: float64(s.poolTotals.StreamReplays)},
 		{Name: "seesaw_service_timing_passes_total", Help: "measured phases run for a timing group", Value: float64(s.poolTotals.TimingPasses)},
 		{Name: "seesaw_service_timing_answered_total", Help: "cells answered by a timing sibling's pass", Value: float64(s.poolTotals.TimingAnswered)},
 		{Name: "seesaw_service_remote_cells_running", Help: "POST /v1/cells/run cells executing now", Value: float64(s.cellsRunning)},

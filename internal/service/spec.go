@@ -309,8 +309,8 @@ type PoolStats struct {
 	Failures  uint64 `json:"failures"`
 	StoreHits uint64 `json:"store_hits"`
 	StorePuts uint64 `json:"store_puts"`
-	// StreamsRecorded and StreamReplays count measured-phase streams
-	// recorded and the cells that replayed one; TimingPasses and
+	// StreamsRecorded and StreamReplays count front-end recordings and
+	// the cells whose back end replayed one; TimingPasses and
 	// TimingAnswered count timing-group passes and the cells a sibling's
 	// pass answered (see runner.Stats).
 	StreamsRecorded uint64 `json:"streams_recorded"`

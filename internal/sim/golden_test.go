@@ -43,7 +43,9 @@ func goldenConfig(t *testing.T, kind CacheKind) Config {
 // TestGoldenReport locks down the default-seed seesaw-sim report for
 // every registered cache design, byte for byte, plus the lookup variants
 // the designs share code for: way-predicted baseline and SEESAW lookups
-// and SEESAW's 4way-8way insertion policy. A design registered without
+// and SEESAW's 4way-8way insertion policy. Two more pin the clock: SEESAW
+// at 4 GHz, and Fig 14's serial PIPT cell (128KB, 8 ways, a 2-cycle
+// serial TLB and the reduced TLBs) at 2.8 GHz. A design registered without
 // a golden fails here with the -update hint. A legitimate behaviour
 // change is recorded by re-running with -update and reviewing the diff.
 func TestGoldenReport(t *testing.T) {
@@ -60,6 +62,10 @@ func TestGoldenReport(t *testing.T) {
 		goldenCase{"baseline_waypredict", KindBaseline, func(c *Config) { c.WayPredict = true }},
 		goldenCase{"seesaw_waypredict", KindSeesaw, func(c *Config) { c.WayPredict = true }},
 		goldenCase{"seesaw_4way-8way", KindSeesaw, func(c *Config) { c.Policy = FourEightWay }},
+		goldenCase{"seesaw_4ghz", KindSeesaw, func(c *Config) { c.FreqGHz = 4 }},
+		goldenCase{"pipt_128k_2.8ghz", KindPIPT, func(c *Config) {
+			c.L1Size, c.L1Ways, c.SerialTLBCycles, c.SmallTLB, c.FreqGHz = 128<<10, 8, 2, true, 2.8
+		}},
 	)
 	for _, k := range cases {
 		t.Run(k.name, func(t *testing.T) {
