@@ -17,7 +17,7 @@ bench-vet:
 # The bench self-test runs every benchmark workload small, in both
 # modes. It is the only test that drives figures-all's cell function,
 # which builds and measures machines itself, on a pool that hands it a
-# context carrying a recorded stream.
+# context carrying a front-end group.
 bench-test:
 	$(GO) -C bench test ./...
 
@@ -69,14 +69,22 @@ chaos:
 
 # The figures gate regenerates every figure and table on three
 # workloads twice and requires byte-identical stdout: once on two
-# workers, where cells share front-end recordings and timing passes, and
-# once on one, where every cell runs alone and live.
+# workers, where each front-end group's pass answers its other cells,
+# and once on one, where every cell runs alone and live. It then does
+# the same for one warmed olio sweep, a batch of one large front-end
+# group (a back end per design and geometry, each with three clock
+# siblings) plus a PIPT group, whose pass lends back ends to the idle
+# worker.
 figures-cmp:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/seesaw-figures" ./cmd/seesaw-figures && \
+	$(GO) build -o "$$tmp/seesaw-sweep" ./cmd/seesaw-sweep && \
 	"$$tmp/seesaw-figures" -all -workloads redis,olio,nutch -parallel 2 > "$$tmp/shared.txt" && \
 	"$$tmp/seesaw-figures" -all -workloads redis,olio,nutch -parallel 1 > "$$tmp/live.txt" && \
-	cmp "$$tmp/shared.txt" "$$tmp/live.txt"
+	cmp "$$tmp/shared.txt" "$$tmp/live.txt" && \
+	"$$tmp/seesaw-sweep" -workloads olio -freqs 1.33,2.8,4 -warmup 20000 -parallel 2 > "$$tmp/sweep-shared.txt" && \
+	"$$tmp/seesaw-sweep" -workloads olio -freqs 1.33,2.8,4 -warmup 20000 -parallel 1 > "$$tmp/sweep-live.txt" && \
+	cmp "$$tmp/sweep-shared.txt" "$$tmp/sweep-live.txt"
 
 # The import gate keeps cmd/ on the simulator's stable surfaces (sim,
 # machine, runner, service, ...) instead of reaching into subsystem

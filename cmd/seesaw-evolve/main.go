@@ -59,7 +59,7 @@ func main() {
 		storeDir    = flag.String("store", "", "content-addressed result store `dir`: dedups evaluations across generations and runs, and holds the search checkpoint")
 		rungEvery   = flag.Int("rung-every", 0, "persist an intermediate snapshot rung every N warmup references while climbing the store's ladder (0 = only the warmup-boundary rung; requires -store)")
 		clusterURL  = flag.String("cluster", "", "evaluate on the seesaw-served daemon at `URL` instead of locally")
-		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per cell (0 = unbounded)")
+		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per cell (0 = unbounded); a cell that runs its group's pass gets one budget per cell it runs for")
 		retries     = flag.Int("retries", 0, "re-execution attempts for panicking or timed-out cells")
 
 		jsonOut = flag.Bool("json", false, "emit the full result as JSON instead of the front table")

@@ -40,7 +40,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "cells run concurrently per job (0 = GOMAXPROCS)")
 		jobs        = flag.Int("jobs", 1, "jobs executed concurrently")
 		maxCells    = flag.Int("max-cells", 256, "largest accepted batch per job")
-		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per cell, e.g. 5m (0 = unbounded)")
+		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per cell, e.g. 5m (0 = unbounded); a cell that runs its group's pass gets one budget per cell it runs for")
 		retries     = flag.Int("retries", 0, "re-execution attempts for panicking or timed-out cells")
 		drainGrace  = flag.Duration("drain-grace", 10*time.Minute, "how long shutdown waits for in-flight jobs")
 		rungEvery   = flag.Int("rung-every", 0, "persist an intermediate snapshot rung every N warmup references while climbing the store's snapshot ladder (0 = only the warmup-boundary rung; needs -store)")

@@ -175,7 +175,7 @@ func main() {
 		faultSeed  = flag.Int64("fault-seed", 0, "fault injector seed (0 = derive per cell from -seed)")
 		check      = flag.Bool("check", false, "run the online invariant checker in every cell")
 
-		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per cell, e.g. 5m (0 = unbounded)")
+		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per cell, e.g. 5m (0 = unbounded); a cell that runs its group's pass gets one budget per cell it runs for")
 		retries     = flag.Int("retries", 0, "re-execution attempts for panicking or timed-out cells")
 
 		promOut  = flag.String("prom", "", "write a Prometheus text-format snapshot of the sweep's merged counters to `file` (- for stdout)")

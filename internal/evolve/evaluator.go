@@ -38,6 +38,6 @@ func (e PoolEvaluator) Submit(cfg sim.Config) Future { return e.Pool.Submit(cfg)
 func (e PoolEvaluator) Flush() {}
 
 // Sources implements Evaluator with the pool's DeterministicSources:
-// its stream counts follow worker timing, and the generation log must
-// stay byte-identical for a given seed.
+// its group-pass counts follow worker timing, and the generation log
+// must stay byte-identical for a given seed.
 func (e PoolEvaluator) Sources() string { return e.Pool.Stats().DeterministicSources() }

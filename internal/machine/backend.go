@@ -35,9 +35,8 @@ type backEnd struct {
 	cohSys *coherence.System
 	acct   *energy.Account
 	// members are the timing members the measured phase retires into:
-	// members[0] is this machine's own config; a machine running a
-	// TimingGroup's pass holds one more per other cell until it hands
-	// their reports over.
+	// members[0] is the back end's own config, and a back end of a
+	// Group's pass holds one more per other cell of its back-end key.
 	members []member
 	// speculates marks whether the design has a fast/slow latency split
 	// the scheduler may speculate on at all (Design.Speculates).

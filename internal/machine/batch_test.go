@@ -209,75 +209,79 @@ func TestMeasuredStepAllocFree(t *testing.T) {
 }
 
 // TestMeasuredEpochAllocFree: with every hook disabled, one whole
-// 4096-reference measured epoch through the reference loop — its fill
-// and its execution — allocates nothing, whether both halves run live,
-// the machine records its front end into a stream and replays it into
-// its back end, or its back end alone replays another machine's
-// recording, and whether the machine retires into its own timing member
-// alone or into three, running a timing group's pass.
+// 4096-reference measured epoch allocates nothing, whether both halves
+// run live, the front end records it for a group's pass, a back end
+// replays a finished recording, a second back end replays the same
+// recording after the first, or the back end retires into three timing
+// members, running a live pass.
 func TestMeasuredEpochAllocFree(t *testing.T) {
 	ctx := context.Background()
-	for _, name := range []string{"generated", "replayed", "replaying", "three-members"} {
+	for _, name := range []string{"generated", "replayed", "replaying", "second-back-end", "three-members"} {
 		t.Run(name, func(t *testing.T) {
 			cfg := allocFreeConfig(t)
 			m := mustBuild(t, cfg)
 			if err := m.Warmup(ctx); err != nil {
 				t.Fatal(err)
 			}
+			// epoch runs the next measured epoch, starting on an epoch
+			// boundary.
+			epoch := func() error { return m.run(ctx, m.Ref()+epochRefs) }
 			switch name {
 			case "replayed":
-				// Recording allocates the stream once, at the boundary.
-				if err := m.useStream(WithStream(ctx, NewStream())); err != nil || m.stream == nil || m.rec == nil {
-					t.Fatalf("attaching a stream: %v", err)
+				// The recording is allocated once, at the boundary.
+				w := &recorder{r: newRecording(cfg)}
+				if err := m.ensureFront(w); err != nil {
+					t.Fatal(err)
 				}
-				// Recording an epoch of the front end allocates nothing
-				// either; run records the rest before replaying.
-				for i := 0; i < 5; i++ {
-					if err := m.recordEpoch(); err != nil {
+				epoch = func() error {
+					if _, err := m.frontEpoch(m.fe.at, epochRefs); err != nil {
+						return err
+					}
+					return w.err
+				}
+			case "replaying", "second-back-end":
+				rec, err := m.record(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				newBack := func() *backEnd {
+					be, err := newGroupBackEnd([]Config{m.cfg}, m.nCores)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return be
+				}
+				if name == "second-back-end" {
+					if err := rec.replayAll(newBack(), m.schedule, ctx.Err); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if avg := testing.AllocsPerRun(5, func() {
-					if err := m.recordEpoch(); err != nil {
-						t.Fatal(err)
-					}
-				}); avg != 0 {
-					t.Errorf("recording a measured epoch allocates %.1f objects with hooks disabled, want 0", avg)
-				}
-			case "replaying":
-				// Another machine records the whole phase first.
-				s := NewStream()
-				r := mustBuild(t, cfg)
-				if err := r.Warmup(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if err := r.Measure(WithStream(ctx, s)); err != nil {
-					t.Fatal(err)
-				}
-				if err := m.useStream(WithStream(ctx, s)); err != nil || m.stream != s || m.rec != nil {
-					t.Fatalf("attaching a recorded stream: %v", err)
+				be, g, k := newBack(), rec.start, 0
+				epoch = func() error {
+					k = rec.replay(be, m.schedule, k, g, epochRefs)
+					g += epochRefs
+					return nil
 				}
 			case "three-members":
-				// Joining builds the other members once, at the boundary.
-				g := NewTimingGroup(clocks(cfg)...)
-				if lead, _, err := m.joinGroup(WithTimingGroup(ctx, g)); err != nil || lead == nil || len(m.be.members) != 3 {
-					t.Fatalf("joining a timing group: %v", err)
+				// The members are built once, at the boundary.
+				be, err := newGroupBackEnd(clocks(m.cfg), m.nCores)
+				if err != nil || len(be.members) != 3 {
+					t.Fatalf("building a three-member back end: %v", err)
+				}
+				m.be = be
+			}
+			// Warm the measured-phase state over five epochs.
+			for i := 0; i < 5; i++ {
+				if err := epoch(); err != nil {
+					t.Fatal(err)
 				}
 			}
-			// Warm the measured-phase state over five epochs; the cursor
-			// stays on an epoch boundary.
-			if err := m.run(ctx, m.Config().WarmupRefs+5*epochRefs); err != nil {
-				t.Fatal(err)
-			}
 			if avg := testing.AllocsPerRun(5, func() {
-				if err := m.run(ctx, m.Ref()+epochRefs); err != nil {
+				if err := epoch(); err != nil {
 					t.Fatal(err)
 				}
 			}); avg != 0 {
 				t.Errorf("a %s measured epoch allocates %.1f objects with hooks disabled, want 0", name, avg)
-			}
-			if name == "replaying" && m.fe.hiers != nil {
-				t.Error("a machine replaying another's recording built its own TLBs")
 			}
 		})
 	}

@@ -28,8 +28,8 @@ import (
 // access and instruction fetch with their translations, then the OS
 // events the reference raised, in the order the front end produces them.
 // A machine running live hands them straight to its own back end; a
-// Stream's recorder packs them so every back end of a front-end group
-// replays one recording (stream.go).
+// Group's pass records them so that every back end of the group replays
+// one recording (recording.go).
 
 // frontEnd is a machine's front end.
 type frontEnd struct {
@@ -57,8 +57,7 @@ type frontEnd struct {
 	inj   *faults.Injector
 	mrec  *metrics.Recorder
 	out   sink
-	// at is the next reference the measured phase runs: the front end
-	// of a recorder runs ahead of its back end.
+	// at is the next reference the measured phase runs.
 	at int
 	// x, itr and co hold the reference being handed to the sink: its
 	// data translation, its fetch translation and a co-runner record.
@@ -96,17 +95,6 @@ type sink interface {
 	promote(oldFrames []addr.PAddr)
 	flushTFT(c int)
 }
-
-// discard is the sink of a front end catching up with references its
-// back end already took from a recording.
-type discard struct{}
-
-func (discard) ref(int, *trace.Record, *xlat)            {}
-func (discard) fetch(int, addr.VAddr, bool, *tlb.Result) {}
-func (discard) coRef(int, *trace.Record, *xlat)          {}
-func (discard) invlpg(uint16, addr.VAddr)                {}
-func (discard) promote([]addr.PAddr)                     {}
-func (discard) flushTFT(int)                             {}
 
 // buildOS constructs the OS half for cfg at reference 0: physical
 // memory and its fragmentation, the OS memory manager, the measured

@@ -14,9 +14,9 @@ import (
 // Hooks bundles the optional cross-cutting observers wired into a
 // machine: the metrics recorder, the invariant checker, and the fault
 // injector. The machine builds each one its config asks for when it
-// starts the measured phase live (the injector also when it records a
-// Stream); every emit site is nil-safe or nil-checked, so an unhooked
-// machine pays one branch per site.
+// starts the measured phase live (the injector also when it records its
+// front end for a Group's pass); every emit site is nil-safe or
+// nil-checked, so an unhooked machine pays one branch per site.
 type Hooks struct {
 	// Metrics mirrors counters and events into the observability layer
 	// (nil unless Config.Metrics).
@@ -39,10 +39,8 @@ type Hooks struct {
 // Snapshot.Resume and Snapshot.Fork continue from it (snapshot.go).
 //
 // Each half is constructed when a phase first needs it: the warmup
-// phase needs only the OS half; a live measured phase needs both; a
-// measured phase replayed from another machine's recording (stream.go)
-// needs only the back end; and a machine a TimingGroup's pass answers
-// (timing.go) needs neither.
+// phase needs only the OS half, a live measured phase needs both, and a
+// machine a Group's pass answers (group.go) needs neither.
 type Machine struct {
 	cfg Config
 
@@ -65,15 +63,8 @@ type Machine struct {
 	// epoch holds the records of the epoch being executed (never
 	// copied; sized lazily on first use).
 	epoch epochBuf
-	// stream, once Measure attached one at the warmup boundary, supplies
-	// the measured phase's translated references and OS events; rec is
-	// set while this machine is the one recording it, and evAt is the
-	// machine's cursor into the recording's events (stream.go).
-	stream *Stream
-	rec    *recorder
-	evAt   int
-	// handed is the report a TimingGroup's pass left this machine,
-	// which then measures nothing.
+	// handed is the report a Group's pass built for this machine, which
+	// then measures nothing.
 	handed *Report
 
 	// globalRef is the next reference index to execute; references
@@ -329,8 +320,7 @@ func (m *Machine) frontEpoch(g, n int) (int, error) {
 }
 
 // runEpoch runs the n-reference epoch at the cursor. A warmup epoch
-// runs the OS half alone. A measured epoch replays the attached
-// recording when there is one; otherwise it runs live, the two halves
+// runs the OS half alone. A measured epoch runs live, the two halves
 // interleaved reference by reference in schedule order: coherence
 // couples the cores (LLC recency, directory state, snoops and
 // back-invalidations land on every miss), so execution order is what
@@ -349,14 +339,6 @@ func (m *Machine) runEpoch(n int) error {
 		}
 		return nil
 	}
-	if m.stream != nil {
-		if m.replayEpoch(n) {
-			return nil
-		}
-		if err := m.leaveStream(); err != nil {
-			return err
-		}
-	}
 	if err := m.ensureLive(); err != nil {
 		return err
 	}
@@ -370,18 +352,11 @@ func (m *Machine) runEpoch(n int) error {
 // next multiple of 4096 references, end or the warmup boundary,
 // whichever is nearest, and ctx is polled before each one, so a
 // canceled cell unwinds within one epoch and leaves no drawn record
-// unexecuted. A machine recording a Stream first records it to the end,
-// an epoch per poll.
+// unexecuted.
 func (m *Machine) run(ctx context.Context, end int) error {
 	for m.globalRef < end {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		if m.rec != nil {
-			if err := m.recordEpoch(); err != nil {
-				return err
-			}
-			continue
 		}
 		n := min(epochRefs-m.globalRef%epochRefs, end-m.globalRef)
 		if w := m.cfg.WarmupRefs; m.globalRef < w {
@@ -404,30 +379,23 @@ func (m *Machine) Warmup(ctx context.Context) error {
 // starting at the warmup boundary. When ctx is canceled the loop stops
 // at the next poll point and returns ctx's error — this is how the
 // runner's per-cell timeout and the service's per-job cancellation
-// reclaim a stuck or abandoned cell. When ctx carries a Stream (see
-// WithStream) and the machine sits at its boundary, the measured phase
-// replays the stream's recording of the front end into this machine's
-// back end, recording it first if nobody has. When ctx carries a
-// TimingGroup (see WithTimingGroup) and the machine sits at its
-// boundary, the first member to arrive runs the phase for the whole
-// group and hands over the others' reports, and a later member whose
-// report is waiting takes it instead of measuring.
+// reclaim a stuck or abandoned cell. When ctx carries a Group (see
+// WithGroup) and the machine sits at its boundary, a member whose report
+// the group's pass built takes it and measures nothing, and the first
+// member to arrive runs the pass for the whole group (group.go).
 func (m *Machine) Measure(ctx context.Context) error {
-	g, handed, err := m.joinGroup(ctx)
-	if err != nil || handed {
-		return err
+	end := m.cfg.WarmupRefs + m.cfg.Refs
+	if g, _ := ctx.Value(groupCtxKey{}).(*Group); g != nil && m.globalRef == m.cfg.WarmupRefs {
+		rep, backs, err := g.join(m.cfg)
+		switch {
+		case err != nil:
+			return err
+		case rep != nil:
+			m.handed, m.globalRef = rep, end
+			return nil
+		case backs != nil:
+			return m.runPass(ctx, g, backs)
+		}
 	}
-	// A recording this machine leaves unfinished, however Measure
-	// returns, is abandoned, so its followers go on live.
-	defer m.abandonRecording()
-	if err := m.useStream(ctx); err != nil {
-		return err
-	}
-	if err := m.run(ctx, m.cfg.WarmupRefs+m.cfg.Refs); err != nil {
-		return err
-	}
-	if g != nil {
-		m.handOver(g)
-	}
-	return nil
+	return m.run(ctx, end)
 }

@@ -145,8 +145,8 @@ func (r *Report) WriteText(w io.Writer) error {
 // Report assembles the Report from the machine's component statistics.
 // It is normally called once, after Measure; calling it mid-run yields
 // a consistent snapshot of the statistics so far, and calling it again
-// yields the same report. A machine that took its report from a
-// TimingGroup's pass returns that report.
+// yields the same report. A machine that took its report from a Group's
+// pass returns that report.
 func (m *Machine) Report() (*Report, error) {
 	if m.handed != nil {
 		return m.handed, nil
@@ -154,31 +154,18 @@ func (m *Machine) Report() (*Report, error) {
 	if err := m.ensureBack(); err != nil {
 		return nil, err
 	}
-	if m.stream == nil {
-		if err := m.ensureOS(); err != nil {
-			return nil, err
-		}
+	if err := m.ensureOS(); err != nil {
+		return nil, err
 	}
-	return m.report(&m.be.members[0]), nil
+	return m.be.report(&m.be.members[0], m.fe.stats()), nil
 }
 
-// frontStats reads the front end's statistics: the recording's for a
-// machine that replayed one, its own front end's otherwise.
-func (m *Machine) frontStats() frontStats {
-	if m.stream != nil {
-		m.stream.mu.Lock()
-		defer m.stream.mu.Unlock()
-		return m.stream.stats
-	}
-	return m.fe.stats()
-}
-
-// report assembles member mb's report from the shared functional
-// statistics and mb's own CPU models and clock. It finishes its own
-// copy of the energy account, so neither the machine's account nor an
-// earlier report's changes.
-func (m *Machine) report(mb *member) *Report {
-	cfg, be, fs := mb.cfg, m.be, m.frontStats()
+// report assembles member mb's report from the back end's functional
+// statistics, the front end's statistics fs, and mb's own CPU models and
+// clock. It finishes its own copy of the energy account, so neither the
+// back end's account nor an earlier report's changes.
+func (be *backEnd) report(mb *member, fs frontStats) *Report {
+	cfg := mb.cfg
 	acct := *be.acct
 	r := &Report{
 		SchemaVersion: SchemaVersion,
@@ -289,10 +276,10 @@ func (m *Machine) report(mb *member) *Report {
 		st := *fs.faults
 		r.Faults = &st
 	}
-	if m.Hooks.Checker != nil {
-		r.Check = m.Hooks.Checker.Report()
+	if be.chk != nil {
+		r.Check = be.chk.Report()
 	}
-	r.Metrics = m.Hooks.Metrics.Finish()
+	r.Metrics = be.mrec.Finish()
 	return r
 }
 

@@ -133,7 +133,7 @@ func (s *Snapshot) Resume() *Machine {
 // never touches microarchitectural state, the fork is bit-identical to
 // a cold run of cfg that executed the same warmup itself. Like Build,
 // Fork constructs nothing: the OS half is copied when a phase first
-// needs it, which a cell replaying another's recording never does.
+// needs it, which a cell a Group's pass answers never does.
 //
 // The snapshot must sit exactly at the warmup boundary and cfg's
 // WarmupSignature must equal the snapshot's; otherwise Fork fails. Fork

@@ -15,23 +15,15 @@
 // runs, which stays the reference the tests compare against.
 //
 // Cells that run the same front end (generator, OS, page tables, TLBs
-// and fault injector), those with equal machine.StreamKey, form a
-// stream group. A pool of two or more workers drains its queue group by
-// group, oldest first, and passes each group of two or more cells one
-// machine.Stream on the context it hands its RunFunc: the first member
-// to reach its measured phase records its front end once, every member
-// replays the recording into its own back end, and the pool drops it
-// when the group drains (Stats.StreamsRecorded, Stats.StreamReplays). A
+// and fault injector), those with equal machine.GroupKey, form a
+// front-end group. A pool of two or more workers drains its queue a
+// whole group at a time, oldest first: a worker answers the group's
+// store hits, then runs the rest back to back, two or more of them
+// under one machine.Group on the context it hands its RunFunc. The first
+// to reach its measured phase runs the group's one pass, which hands
+// back ends to idle worker slots, and every later cell takes its
+// finished report (Stats.GroupPasses, Stats.GroupAnswered). A
 // one-worker pool runs each cell inline and live, as sim.Run does.
-//
-// Cells whose configs differ only in timing-only fields (the clock, the
-// PIPT serial TLB latency and the scheduler's speculation policy, see
-// machine.TimingKey) run the same functional simulation. When a worker
-// takes a cell, it also takes the cell's queued timing siblings and runs
-// them back to back under one machine.TimingGroup on their context: the
-// first to reach its measured phase simulates it once for all of them
-// and hands each later sibling its finished report
-// (Stats.TimingPasses, Stats.TimingAnswered).
 //
 // The pool also carries a keyed result cache: two submissions of an
 // identical cell share one execution. The evaluation re-runs the same
@@ -162,31 +154,23 @@ type Stats struct {
 	// RungRefsSkipped is the total warmup references those resumes
 	// avoided re-simulating.
 	RungRefsSkipped uint64
-	// StreamsRecorded is the number of front ends recorded to the end
-	// of their measured phase, at most one per stream group of two or
-	// more cells.
-	StreamsRecorded uint64
-	// StreamReplays is the number of cells whose back end replayed a
-	// recorded front end instead of running its own, the recording cell
-	// included.
-	StreamReplays uint64
-	// TimingPasses is the number of measured phases run for a timing
-	// group, at most one per group of two or more cells.
-	TimingPasses uint64
-	// TimingAnswered is the number of cells whose report a timing
-	// sibling's pass assembled, so they measured nothing themselves.
-	TimingAnswered uint64
+	// GroupPasses is the number of measured-phase passes run to the end
+	// for a front-end group, at most one per group of two or more cells.
+	GroupPasses uint64
+	// GroupAnswered is the number of cells that took a report a group's
+	// pass built instead of measuring, the cell that ran it excluded.
+	GroupAnswered uint64
 }
 
 // Sources summarizes where the pool's answers came from, for one-line
-// logs: the DeterministicSources counts plus how many measured-phase
-// streams were recorded and how many fresh cells replayed one, and how
-// many timing-group passes ran and how many cells they answered. Which
-// cells share a stream or a pass depends on worker timing, so those
-// four counts can differ between runs of the same cells.
+// logs: the DeterministicSources counts plus how many group passes ran
+// and how many cells they answered. Which cells share a pass depends on
+// worker timing (a group starts once a worker takes it, whether or not
+// its siblings are queued yet), so those two counts can differ between
+// runs of the same cells.
 func (s Stats) Sources() string {
-	return fmt.Sprintf("%s; streams recorded %d, replayed by %d cells; timing passes %d, answered %d cells",
-		s.DeterministicSources(), s.StreamsRecorded, s.StreamReplays, s.TimingPasses, s.TimingAnswered)
+	return fmt.Sprintf("%s; group passes %d, answered %d cells",
+		s.DeterministicSources(), s.GroupPasses, s.GroupAnswered)
 }
 
 // DeterministicSources is the part of Sources that the cells alone
@@ -204,12 +188,9 @@ func (s Stats) DeterministicSources() string {
 // executions. The zero Pool is not usable; construct with New. A pool
 // with one worker executes cells inline at submission time, restoring
 // the exact serial execution order of the pre-pool harness. A larger
-// pool queues cells by stream group (see the package doc). A worker
-// takes a cell together with its queued timing siblings. A group gets a
-// stream only if another cell is still queued when a worker takes its
-// first, and it leaves the queue with its last queued cell, so only
-// about Workers streams are live; a later cell with the same key starts
-// a new group.
+// pool queues cells by front-end group (see the package doc), and a
+// worker takes a whole group off the queue, so a later cell with the
+// same key starts a new group.
 type Pool struct {
 	workers int
 	run     RunFunc
@@ -227,10 +208,11 @@ type Pool struct {
 	// metrics exactly once, deterministically.
 	order []*Future
 	// queue holds the groups with queued cells, oldest first; open
-	// indexes its stream groups by key. busy counts the worker
-	// goroutines draining the queue; each exits when the queue empties.
+	// indexes its front-end groups by key. busy counts the worker slots
+	// in use: goroutines draining the queue, each of which exits when
+	// the queue empties, and slots lent to a group's pass (lend).
 	queue []*group
-	open  map[machine.StreamKey]*group
+	open  map[machine.GroupKey]*group
 	busy  int
 	// progress, when set, gets a live one-line status update as cells
 	// complete; completed counts them.
@@ -238,29 +220,21 @@ type Pool struct {
 	completed uint64
 }
 
-// group is one stream group of queued cells. A group without a key
-// holds one trace cell or Go task and never shares a stream.
+// group is one front-end group of queued jobs. A group without a key
+// holds one trace, metrics or checker cell, or one Go task, and shares
+// nothing.
 type group struct {
-	key   machine.StreamKey
+	key   machine.GroupKey
 	keyed bool
 	jobs  []job
-	// stream is set when the group's first cell starts with another
-	// queued behind it; running counts members still executing.
-	stream  *machine.Stream
-	running int
 }
 
-// job is one queued execution: run computes the result, reading the
-// group's stream and its timing group (nil for none), and done
-// publishes it. The pool settles its counters between the two, so a
-// caller that has awaited every future reads final Stats. tkey is a
-// simulation cell's machine.TimingKey and cfg its config; tkey is empty
-// for trace cells and Go tasks, which share no pass.
+// job is one queued execution: a simulation cell, its future and its
+// config, or a Go task, which computes and publishes its own result.
 type job struct {
-	run  func(*machine.Stream, *machine.TimingGroup)
-	done func()
-	tkey string
+	f    *Future
 	cfg  sim.Config
+	task func()
 }
 
 // New returns a pool with the given worker count; workers <= 0 selects
@@ -284,7 +258,7 @@ func NewWithRunContext(workers int, run RunFunc) *Pool {
 		run:     run,
 		ctx:     context.Background(),
 		cells:   make(map[string]*Future),
-		open:    make(map[machine.StreamKey]*group),
+		open:    make(map[machine.GroupKey]*group),
 	}
 }
 
@@ -301,8 +275,9 @@ func (p *Pool) WithContext(ctx context.Context) *Pool {
 // WithStore attaches a read-through result store: a cell found in the
 // store is returned without executing (Stats.StoreHits), and every
 // freshly computed report is written back (Stats.StorePuts). Store
-// lookups happen on the worker, off the Submit path, so submission stays
-// non-blocking. Configure before the first Submit.
+// lookups happen on the worker as it takes the cell's group, off the
+// Submit path, so submission stays non-blocking and a stored cell never
+// joins its group's pass. Configure before the first Submit.
 func (p *Pool) WithStore(st ResultStore) *Pool {
 	p.store = st
 	return p
@@ -319,7 +294,12 @@ func (p *Pool) WithLadderStats(ls *LadderStats) *Pool {
 }
 
 // WithTimeout bounds each cell execution attempt to d of wall-clock
-// time; zero (the default) means unbounded. Configure before the first
+// time per cell it runs; zero (the default) means unbounded. A group's
+// pass does the work of every cell after it in the group, so an attempt
+// of the i-th of a front-end group's n fresh cells that starts before
+// any cell has claimed the pass gets (n-i)·d: the first runs the pass,
+// and the cells it answers return at once. Every other attempt gets d,
+// since it measures only its own cell. Configure before the first
 // Submit.
 func (p *Pool) WithTimeout(d time.Duration) *Pool {
 	p.timeout = d
@@ -408,42 +388,38 @@ func (p *Pool) Submit(cfg sim.Config) *Future {
 	}
 	p.order = append(p.order, f)
 	p.mu.Unlock()
-	sk, keyed := cfg.StreamKey()
-	j := newJob(f, func(s *machine.Stream, tg *machine.TimingGroup) (*sim.Report, error) {
-		rep, err := p.guarded(cfg, s, tg)
-		p.noteDone()
-		return rep, err
-	})
-	if tk, ok := cfg.TimingKey(); ok {
-		j.tkey, j.cfg = tk, cfg
-	}
-	enqueue(p, sk, keyed, j)
+	gk, keyed := cfg.GroupKey()
+	enqueue(p, gk, keyed, job{f: f, cfg: cfg})
 	return f
 }
 
-// guarded runs one cell under the pool's store read-through, recovery,
-// timeout, retry, and cancellation policy, converting panics and
-// overruns into a typed CellError on the future instead of killing the
-// process. The cell's stream and timing group, when it has them, ride
-// on the context its RunFunc gets.
-func (p *Pool) guarded(cfg sim.Config, s *machine.Stream, tg *machine.TimingGroup) (*sim.Report, error) {
+// fromStore answers j from the attached store, if it holds the cell and
+// the pool is live, so the cell never joins its group's pass.
+func (p *Pool) fromStore(j job) bool {
+	if p.store == nil || p.ctx.Err() != nil {
+		return false
+	}
+	rep, ok := p.store.Get(j.cfg)
+	if !ok {
+		return false
+	}
+	p.mu.Lock()
+	p.stats.StoreHits++
+	p.mu.Unlock()
+	j.f.val = rep
+	p.noteDone()
+	close(j.f.done)
+	return true
+}
+
+// guarded runs one cell under ctx (the pool's context, carrying the
+// cell's group if it has one) with the pool's recovery, timeout, retry
+// and cancellation policy, each attempt bounded by the budget the budget
+// function returns as it starts, converting panics and overruns into a
+// typed CellError on the future instead of killing the process.
+func (p *Pool) guarded(ctx context.Context, cfg sim.Config, budget func() time.Duration) (*sim.Report, error) {
 	if err := p.ctx.Err(); err != nil {
 		return nil, err
-	}
-	ctx := p.ctx
-	if s != nil {
-		ctx = machine.WithStream(ctx, s)
-	}
-	if tg != nil {
-		ctx = machine.WithTimingGroup(ctx, tg)
-	}
-	if p.store != nil {
-		if rep, ok := p.store.Get(cfg); ok {
-			p.mu.Lock()
-			p.stats.StoreHits++
-			p.mu.Unlock()
-			return rep, nil
-		}
 	}
 	var last error
 	for attempt := 1; attempt <= p.retries+1; attempt++ {
@@ -455,7 +431,7 @@ func (p *Pool) guarded(cfg sim.Config, s *machine.Stream, tg *machine.TimingGrou
 		p.mu.Lock()
 		p.stats.Runs++
 		p.mu.Unlock()
-		rep, err := p.runOnce(ctx, cfg)
+		rep, err := p.runOnce(ctx, cfg, budget())
 		if err == nil {
 			if p.store != nil {
 				if perr := p.store.Put(cfg, rep); perr == nil {
@@ -486,19 +462,18 @@ func (p *Pool) guarded(cfg sim.Config, s *machine.Stream, tg *machine.TimingGrou
 	return nil, last
 }
 
-// runOnce executes a single attempt under ctx (the pool's context,
-// carrying the cell's stream and timing group if it has them), applying
-// the wall-clock budget. The budget is enforced by context: the attempt
+// runOnce executes a single attempt under ctx, applying the wall-clock
+// budget (zero for none). The budget is enforced by context: the attempt
 // goroutine runs the cell under a deadline that sim.RunContext polls, so
 // an overrunning cell unwinds and frees its goroutine and simulation
 // state shortly after the timeout fires instead of leaking until
 // process exit (the pre-context behaviour, pinned by
 // TestTimeoutDoesNotLeak).
-func (p *Pool) runOnce(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
-	if p.timeout <= 0 {
+func (p *Pool) runOnce(ctx context.Context, cfg sim.Config, budget time.Duration) (*sim.Report, error) {
+	if budget <= 0 {
 		return p.runRecover(ctx, cfg)
 	}
-	ctx, cancel := context.WithTimeout(ctx, p.timeout)
+	ctx, cancel := context.WithTimeout(ctx, budget)
 	type outcome struct {
 		rep *sim.Report
 		err error
@@ -513,7 +488,7 @@ func (p *Pool) runOnce(ctx context.Context, cfg sim.Config) (*sim.Report, error)
 		cancel()
 		if errors.Is(o.err, context.DeadlineExceeded) {
 			// The cell noticed its own deadline before we did.
-			return nil, &CellError{Desc: Describe(cfg), Timeout: p.timeout}
+			return nil, &CellError{Desc: Describe(cfg), Timeout: budget}
 		}
 		return o.rep, o.err
 	case <-ctx.Done():
@@ -523,7 +498,7 @@ func (p *Pool) runOnce(ctx context.Context, cfg sim.Config) (*sim.Report, error)
 		if err := p.ctx.Err(); err != nil {
 			return nil, err // pool canceled, not a per-cell timeout
 		}
-		return nil, &CellError{Desc: Describe(cfg), Timeout: p.timeout}
+		return nil, &CellError{Desc: Describe(cfg), Timeout: budget}
 	}
 }
 
@@ -555,25 +530,19 @@ func (p *Pool) Pair(cfg sim.Config) (base, see *Future) {
 // queues as a group of its own.
 func Go[T any](p *Pool, fn func() (T, error)) *Task[T] {
 	t := &Task[T]{done: make(chan struct{})}
-	enqueue(p, machine.StreamKey{}, false, newJob(t, func(*machine.Stream, *machine.TimingGroup) (T, error) { return fn() }))
+	enqueue(p, machine.GroupKey{}, false, job{task: func() {
+		t.val, t.err = fn()
+		close(t.done)
+	}})
 	return t
 }
 
-// newJob returns the job that completes t with fn's result.
-func newJob[T any](t *Task[T], fn func(*machine.Stream, *machine.TimingGroup) (T, error)) job {
-	return job{
-		run:  func(s *machine.Stream, tg *machine.TimingGroup) { t.val, t.err = fn(s, tg) },
-		done: func() { close(t.done) },
-	}
-}
-
-// enqueue queues j in the stream group of key when keyed. With one
+// enqueue queues j in the front-end group of key when keyed. With one
 // worker it runs inline, so submission order is execution order and no
-// stream or pass is shared.
-func enqueue(p *Pool, key machine.StreamKey, keyed bool, j job) {
+// pass is shared.
+func enqueue(p *Pool, key machine.GroupKey, keyed bool, j job) {
 	if p.workers == 1 {
-		j.run(nil, nil)
-		j.done()
+		p.runGroup([]job{j})
 		return
 	}
 	p.mu.Lock()
@@ -596,78 +565,90 @@ func enqueue(p *Pool, key machine.StreamKey, keyed bool, j job) {
 	}
 }
 
-// work drains the queue, oldest group first, and exits when it is
-// empty. It takes the oldest group's first cell together with that
-// cell's queued timing siblings (group.take) and runs them back to back,
-// under one timing group when there are two or more, whose counts fold
-// into Stats after the last of them. The stream group gets its stream
-// if a cell is still queued behind them; it leaves the queue with its
-// last queued cell, and its stream's counts fold into Stats when its
-// last member finishes.
+// work drains the queue a whole group at a time, oldest first, and gives
+// up its slot when the queue is empty.
 func (p *Pool) work() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for len(p.queue) > 0 {
 		g := p.queue[0]
-		batch := g.take()
-		if g.keyed && g.stream == nil && len(g.jobs) > 0 {
-			g.stream = machine.NewStream()
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
+		if g.keyed {
+			delete(p.open, g.key)
 		}
-		if len(g.jobs) == 0 {
-			p.queue[0] = nil
-			p.queue = p.queue[1:]
-			if g.keyed {
-				delete(p.open, g.key)
-			}
-		}
-		g.running += len(batch)
-		s := g.stream
-		var tg *machine.TimingGroup
-		if len(batch) > 1 {
-			cfgs := make([]sim.Config, len(batch))
-			for i, j := range batch {
-				cfgs[i] = j.cfg
-			}
-			tg = machine.NewTimingGroup(cfgs...)
-		}
-		for i, j := range batch {
-			p.mu.Unlock()
-			j.run(s, tg)
-			p.mu.Lock()
-			if tg != nil && i == len(batch)-1 {
-				passes, answered := tg.Counts()
-				p.stats.TimingPasses += uint64(passes)
-				p.stats.TimingAnswered += uint64(answered)
-			}
-			if g.running--; g.running == 0 && len(g.jobs) == 0 && s != nil {
-				recorded, replays := s.Counts()
-				if recorded {
-					p.stats.StreamsRecorded++
-				}
-				p.stats.StreamReplays += uint64(replays)
-			}
-			j.done()
-		}
+		p.mu.Unlock()
+		p.runGroup(g.jobs)
+		p.mu.Lock()
 	}
 	p.busy--
+	p.mu.Unlock()
 }
 
-// take removes the group's first queued cell and, for a simulation
-// cell, every queued cell with its timing key, in queue order.
-func (g *group) take() []job {
-	first := g.jobs[0]
-	batch := []job{first}
-	rest := g.jobs[:0]
-	for _, j := range g.jobs[1:] {
-		if first.tkey != "" && j.tkey == first.tkey {
-			batch = append(batch, j)
-		} else {
-			rest = append(rest, j)
+// lend runs fn on an idle worker slot, if the pool has one (busy <
+// workers), and reports whether it did: a group's pass hands back ends
+// to replay to idle slots this way. The slot counts against the worker
+// bound until fn returns; then, if cells were queued meanwhile, it goes
+// on as a worker.
+func (p *Pool) lend(fn func()) bool {
+	p.mu.Lock()
+	idle := p.busy < p.workers
+	if idle {
+		p.busy++
+	}
+	p.mu.Unlock()
+	if idle {
+		go func() {
+			fn()
+			p.work()
+		}()
+	}
+	return idle
+}
+
+// runGroup runs one front-end group's jobs back to back: store hits
+// first, then the rest, which share one machine.Group when there are two
+// or more. An attempt of job i of the n that run gets n-i cell budgets
+// while the group's pass is unclaimed, and one after (see WithTimeout).
+// The group's sharing counts fold into Stats before its last future
+// resolves, so a caller that has awaited every future reads final Stats.
+func (p *Pool) runGroup(jobs []job) {
+	cells := jobs[:0]
+	for _, j := range jobs {
+		switch {
+		case j.task != nil:
+			j.task()
+		case !p.fromStore(j):
+			cells = append(cells, j)
 		}
 	}
-	clear(g.jobs[len(rest):])
-	g.jobs = rest
-	return batch
+	ctx := p.ctx
+	var grp *machine.Group
+	if len(cells) > 1 {
+		cfgs := make([]sim.Config, len(cells))
+		for i, j := range cells {
+			cfgs[i] = j.cfg
+		}
+		grp = machine.NewGroup(p.lend, cfgs...)
+		ctx = machine.WithGroup(ctx, grp)
+	}
+	for i, j := range cells {
+		budget := func() time.Duration {
+			if grp != nil && !grp.Claimed() {
+				return p.timeout * time.Duration(len(cells)-i)
+			}
+			return p.timeout
+		}
+		j.f.val, j.f.err = p.guarded(ctx, j.cfg, budget)
+		p.noteDone()
+		if grp != nil && i == len(cells)-1 {
+			passes, answered := grp.Counts()
+			p.mu.Lock()
+			p.stats.GroupPasses += uint64(passes)
+			p.stats.GroupAnswered += uint64(answered)
+			p.mu.Unlock()
+		}
+		close(j.f.done)
+	}
 }
 
 // MergedSeries awaits every distinct executed cell in submission order

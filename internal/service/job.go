@@ -212,8 +212,7 @@ func wireStats(p *runner.Pool) PoolStats {
 		Submitted: st.Submitted, Runs: st.Runs, CacheHits: st.CacheHits,
 		Retries: st.Retries, Failures: st.Failures,
 		StoreHits: st.StoreHits, StorePuts: st.StorePuts,
-		StreamsRecorded: st.StreamsRecorded, StreamReplays: st.StreamReplays,
-		TimingPasses: st.TimingPasses, TimingAnswered: st.TimingAnswered,
+		GroupPasses: st.GroupPasses, GroupAnswered: st.GroupAnswered,
 	}
 }
 
@@ -226,8 +225,6 @@ func (p *PoolStats) add(q PoolStats) {
 	p.Failures += q.Failures
 	p.StoreHits += q.StoreHits
 	p.StorePuts += q.StorePuts
-	p.StreamsRecorded += q.StreamsRecorded
-	p.StreamReplays += q.StreamReplays
-	p.TimingPasses += q.TimingPasses
-	p.TimingAnswered += q.TimingAnswered
+	p.GroupPasses += q.GroupPasses
+	p.GroupAnswered += q.GroupAnswered
 }

@@ -202,9 +202,9 @@ func (s *Server) runJob(j *Job) {
 	final := s.endLocked(j)
 	s.mu.Unlock()
 	st := j.poolStats()
-	s.cfg.Logger.Printf("service: job %s %s (cells=%d runs=%d store_hits=%d cache_hits=%d failures=%d streams=%d stream_replays=%d timing_passes=%d timing_answered=%d)",
+	s.cfg.Logger.Printf("service: job %s %s (cells=%d runs=%d store_hits=%d cache_hits=%d failures=%d group_passes=%d group_answered=%d)",
 		j.ID, final, len(j.cfgs), st.Runs, st.StoreHits, st.CacheHits, st.Failures,
-		st.StreamsRecorded, st.StreamReplays, st.TimingPasses, st.TimingAnswered)
+		st.GroupPasses, st.GroupAnswered)
 }
 
 // endLocked is the one place a job ends, once every cell has settled.
@@ -415,10 +415,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{Name: "seesaw_service_store_hits_total", Help: "cells answered by the content-addressed store", Value: float64(s.poolTotals.StoreHits)},
 		{Name: "seesaw_service_store_puts_total", Help: "reports persisted to the store", Value: float64(s.poolTotals.StorePuts)},
 		{Name: "seesaw_service_cell_failures_total", Help: "cells that exhausted retries", Value: float64(s.poolTotals.Failures)},
-		{Name: "seesaw_service_streams_recorded_total", Help: "front ends recorded", Value: float64(s.poolTotals.StreamsRecorded)},
-		{Name: "seesaw_service_stream_replays_total", Help: "cells whose back end replayed a recorded front end", Value: float64(s.poolTotals.StreamReplays)},
-		{Name: "seesaw_service_timing_passes_total", Help: "measured phases run for a timing group", Value: float64(s.poolTotals.TimingPasses)},
-		{Name: "seesaw_service_timing_answered_total", Help: "cells answered by a timing sibling's pass", Value: float64(s.poolTotals.TimingAnswered)},
+		{Name: "seesaw_service_group_passes_total", Help: "measured-phase passes run for a front-end group", Value: float64(s.poolTotals.GroupPasses)},
+		{Name: "seesaw_service_group_answered_total", Help: "cells answered by a group's pass", Value: float64(s.poolTotals.GroupAnswered)},
 		{Name: "seesaw_service_remote_cells_running", Help: "POST /v1/cells/run cells executing now", Value: float64(s.cellsRunning)},
 		{Name: "seesaw_service_remote_cells_total", Help: "POST /v1/cells/run cells executed", Value: float64(s.cellTotals.Runs)},
 		{Name: "seesaw_service_remote_store_hits_total", Help: "POST /v1/cells/run cells answered by the store", Value: float64(s.cellTotals.StoreHits)},

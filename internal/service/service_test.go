@@ -631,10 +631,10 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestJobReportsSharing: a job whose cells share a measured-phase
-// stream and timing-group passes reports both pairs of counters in its
-// status, in /metrics and in its "done" log line. The six cells are
-// two designs at three clocks: one stream key, two timing keys.
+// TestJobReportsSharing: a job whose cells share group passes reports
+// the two sharing counters in its status, in /metrics and in its "done"
+// log line. The six cells are two designs at three clocks: one front-end
+// group.
 func TestJobReportsSharing(t *testing.T) {
 	logs := &lockedBuffer{}
 	s := New(Config{QueueDepth: 2, Workers: 2, Logger: log.New(logs, "", 0)})
@@ -655,14 +655,11 @@ func TestJobReportsSharing(t *testing.T) {
 	if fin.State != StateDone || p.Runs != 6 {
 		t.Fatalf("job %s with %d runs, want done with 6", fin.State, p.Runs)
 	}
-	// Workers take each cell with its queued timing siblings; whatever
-	// the interleaving, both designs' siblings queue behind the first
-	// two cells the workers take, so at least one pass answers a cell.
-	if p.TimingPasses == 0 || p.TimingAnswered < p.TimingPasses || p.TimingAnswered > 4 {
-		t.Errorf("timing passes %d, answered %d: want at least one pass, each answering 1-2 cells", p.TimingPasses, p.TimingAnswered)
-	}
-	if p.StreamsRecorded > 1 || p.StreamReplays+p.TimingAnswered > 6 {
-		t.Errorf("streams recorded %d, replayed by %d: want at most one stream, replayed only by cells that measured", p.StreamsRecorded, p.StreamReplays)
+	// A worker takes a whole group; whatever the interleaving, the cells
+	// submitted while both workers run a group queue as one, so at least
+	// one pass answers a cell, and each pass's own cell is not answered.
+	if p.GroupPasses == 0 || p.GroupAnswered < p.GroupPasses || p.GroupPasses+p.GroupAnswered > 6 {
+		t.Errorf("group passes %d, answered %d: want at least one pass, each answering a cell", p.GroupPasses, p.GroupAnswered)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -671,18 +668,15 @@ func TestJobReportsSharing(t *testing.T) {
 	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		fmt.Sprintf("seesaw_service_streams_recorded_total %d\n", p.StreamsRecorded),
-		fmt.Sprintf("seesaw_service_stream_replays_total %d\n", p.StreamReplays),
-		fmt.Sprintf("seesaw_service_timing_passes_total %d\n", p.TimingPasses),
-		fmt.Sprintf("seesaw_service_timing_answered_total %d\n", p.TimingAnswered),
+		fmt.Sprintf("seesaw_service_group_passes_total %d\n", p.GroupPasses),
+		fmt.Sprintf("seesaw_service_group_answered_total %d\n", p.GroupAnswered),
 	} {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("metrics missing %q", strings.TrimSpace(want))
 		}
 	}
 	s.Close() // waits for the dispatcher, which logs the job's end
-	want := fmt.Sprintf("streams=%d stream_replays=%d timing_passes=%d timing_answered=%d)",
-		p.StreamsRecorded, p.StreamReplays, p.TimingPasses, p.TimingAnswered)
+	want := fmt.Sprintf("group_passes=%d group_answered=%d)", p.GroupPasses, p.GroupAnswered)
 	if !strings.Contains(logs.String(), want) {
 		t.Errorf("job log lacks %q:\n%s", want, logs.String())
 	}

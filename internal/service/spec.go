@@ -309,14 +309,10 @@ type PoolStats struct {
 	Failures  uint64 `json:"failures"`
 	StoreHits uint64 `json:"store_hits"`
 	StorePuts uint64 `json:"store_puts"`
-	// StreamsRecorded and StreamReplays count front-end recordings and
-	// the cells whose back end replayed one; TimingPasses and
-	// TimingAnswered count timing-group passes and the cells a sibling's
-	// pass answered (see runner.Stats).
-	StreamsRecorded uint64 `json:"streams_recorded"`
-	StreamReplays   uint64 `json:"stream_replays"`
-	TimingPasses    uint64 `json:"timing_passes"`
-	TimingAnswered  uint64 `json:"timing_answered"`
+	// GroupPasses counts front-end groups' passes and GroupAnswered the
+	// cells that took a report a pass built (see runner.Stats).
+	GroupPasses   uint64 `json:"group_passes"`
+	GroupAnswered uint64 `json:"group_answered"`
 }
 
 // JobStatus is the GET /v1/jobs/{id} body.
