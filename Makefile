@@ -70,11 +70,16 @@ chaos:
 # The figures gate regenerates every figure and table on three
 # workloads twice and requires byte-identical stdout: once on two
 # workers, where each front-end group's pass answers its other cells,
-# and once on one, where every cell runs alone and live. It then does
-# the same for one warmed olio sweep, a batch of one large front-end
-# group (a back end per design and geometry, each with three clock
-# siblings) plus a PIPT group, whose pass lends back ends to the idle
-# worker.
+# and once on one, where every cell runs alone and live. A change that
+# moves both modes alike would pass that comparison, so the two-worker
+# stdout must also hash to FIGURES_SHA256, the pinned digest of the
+# tables; a change that means to alter a table updates the digest with
+# it. The gate then does the same comparison for one warmed olio sweep,
+# a batch of one large front-end group (a back end per design and
+# geometry, each with three clock siblings) plus a PIPT group, whose
+# pass lends back ends to the idle worker.
+FIGURES_SHA256 = 5f55347769234a0954bd8cf99bfe87e435df37ccbfe1f1f830a0b8871a7beb49
+
 figures-cmp:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/seesaw-figures" ./cmd/seesaw-figures && \
@@ -82,6 +87,7 @@ figures-cmp:
 	"$$tmp/seesaw-figures" -all -workloads redis,olio,nutch -parallel 2 > "$$tmp/shared.txt" && \
 	"$$tmp/seesaw-figures" -all -workloads redis,olio,nutch -parallel 1 > "$$tmp/live.txt" && \
 	cmp "$$tmp/shared.txt" "$$tmp/live.txt" && \
+	echo "$(FIGURES_SHA256)  $$tmp/shared.txt" | sha256sum -c --quiet && \
 	"$$tmp/seesaw-sweep" -workloads olio -freqs 1.33,2.8,4 -warmup 20000 -parallel 2 > "$$tmp/sweep-shared.txt" && \
 	"$$tmp/seesaw-sweep" -workloads olio -freqs 1.33,2.8,4 -warmup 20000 -parallel 1 > "$$tmp/sweep-live.txt" && \
 	cmp "$$tmp/sweep-shared.txt" "$$tmp/sweep-live.txt"

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"seesaw/internal/addr"
+	"seesaw/internal/cache"
 	"seesaw/internal/core"
 	"seesaw/internal/osmm"
 	"seesaw/internal/physmem"
@@ -40,11 +41,10 @@ func main() {
 		l1.InvalidatePage(va)
 		fmt.Printf("  invlpg(%#x): TFT entry invalidated\n", uint64(va))
 	}
+	var sweep cache.FrameSweep
 	mgr.OnPromote = func(asid uint16, va addr.VAddr, old []addr.PAddr, newPA addr.PAddr) {
-		swept := 0
-		for _, f := range old {
-			swept += len(l1.EvictRange(f, f+4096))
-		}
+		sweep.Reset(old)
+		swept := len(l1.EvictFrames(&sweep))
 		fmt.Printf("  promote(%#x): swept %d stale lines from the old frames\n", uint64(va), swept)
 	}
 

@@ -12,7 +12,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"seesaw/internal/addr"
 	"seesaw/internal/metrics"
@@ -88,7 +90,7 @@ type Victim struct {
 	Tag   uint64
 	State State
 	Way   int
-	// PA is the victim's physical line address; EvictRange fills it in
+	// PA is the victim's physical line address; EvictFrames fills it in
 	// (Insert leaves it zero — the caller reconstructs it from the set).
 	PA addr.PAddr
 }
@@ -100,7 +102,7 @@ type Stats struct {
 	Inserts    uint64
 	Evictions  uint64
 	Writebacks uint64 // evictions of dirty lines
-	Sweeps     uint64 // lines evicted by range sweeps
+	Sweeps     uint64 // lines evicted by promotion sweeps
 }
 
 // Cache is the storage array. Tags, states, recency, and SRRIP
@@ -308,12 +310,53 @@ func (c *Cache) Invalidate(set int, tag uint64) (State, bool) {
 	return Invalid, false
 }
 
-// EvictRange evicts every line whose physical line address lies in
-// [lo, hi), returning the victims with their reconstructed addresses in
-// Victim.PA. This implements the cache sweep SEESAW performs when base
-// pages are promoted to a superpage (Section IV-C2).
-func (c *Cache) EvictRange(lo, hi addr.PAddr) []Victim {
-	var victims []Victim
+// A FrameSweep evicts the lines of a list of 4KB frames, the frames a
+// promoted region leaves behind (the sweep SEESAW performs when base
+// pages are promoted to a superpage, Section IV-C2). Reset loads the
+// frames once; EvictFrames then sweeps each cache in one pass over its
+// array. The sweep keeps its buffers from one promotion to the next, so
+// a warm sweep allocates nothing.
+type FrameSweep struct {
+	// frames holds the listed frame numbers in ascending order, each
+	// once, with the position at which the list first names it.
+	frames []sweptFrame
+	// One pass's victims in array order, each with its frame's
+	// position, and the victims in frame-list order.
+	scan    []sweptLine
+	victims []Victim
+}
+
+type sweptFrame struct {
+	frame uint64 // physical address >> 12
+	pos   int
+}
+
+type sweptLine struct {
+	pos int
+	v   Victim
+}
+
+// Reset loads the frames to sweep: 4KB-aligned frame addresses, in the
+// order their lines are to leave. A frame listed more than once leaves
+// at its first listing.
+func (s *FrameSweep) Reset(frames []addr.PAddr) {
+	s.frames = s.frames[:0]
+	for i, f := range frames {
+		s.frames = append(s.frames, sweptFrame{uint64(f) >> 12, i})
+	}
+	slices.SortFunc(s.frames, func(a, b sweptFrame) int {
+		return cmp.Or(cmp.Compare(a.frame, b.frame), cmp.Compare(a.pos, b.pos))
+	})
+	s.frames = slices.CompactFunc(s.frames, func(a, b sweptFrame) bool { return a.frame == b.frame })
+}
+
+// EvictFrames evicts every line of the sweep's frames and returns the
+// victims with their reconstructed addresses in Victim.PA. They come in
+// the order sweeping each frame's 4KB range in turn would give: by the
+// frame's position in the list, then by set and way. The result is the
+// sweep's buffer, valid until its next use.
+func (c *Cache) EvictFrames(s *FrameSweep) []Victim {
+	s.scan, s.victims = s.scan[:0], s.victims[:0]
 	nsets := c.geom.Sets()
 	for set := 0; set < nsets; set++ {
 		base := set * c.ways
@@ -323,23 +366,23 @@ func (c *Cache) EvictRange(lo, hi addr.PAddr) []Victim {
 				continue
 			}
 			pa := c.geom.LineFromSetTag(set, c.tags[base+w])
-			if pa >= lo && pa < hi {
-				victims = append(victims, Victim{
-					Valid: true,
-					Tag:   c.tags[base+w],
-					State: st,
-					Way:   w,
-					PA:    pa,
-				})
-				if st.Dirty() {
-					c.Stats.Writebacks++
-				}
-				c.Stats.Sweeps++
-				c.clearWay(base + w)
+			i, ok := slices.BinarySearchFunc(s.frames, uint64(pa)>>12, func(e sweptFrame, f uint64) int { return cmp.Compare(e.frame, f) })
+			if !ok {
+				continue
 			}
+			s.scan = append(s.scan, sweptLine{s.frames[i].pos, Victim{Valid: true, Tag: c.tags[base+w], State: st, Way: w, PA: pa}})
+			if st.Dirty() {
+				c.Stats.Writebacks++
+			}
+			c.Stats.Sweeps++
+			c.clearWay(base + w)
 		}
 	}
-	return victims
+	slices.SortStableFunc(s.scan, func(a, b sweptLine) int { return cmp.Compare(a.pos, b.pos) })
+	for _, l := range s.scan {
+		s.victims = append(s.victims, l.v)
+	}
+	return s.victims
 }
 
 // ValidLines returns the number of valid lines (for occupancy checks).

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"seesaw/internal/addr"
@@ -160,7 +161,9 @@ func TestFindLineAndEvictRange(t *testing.T) {
 	if _, _, ok := c.FindLine(base + 128); !ok {
 		t.Error("FindLine missed a resident line")
 	}
-	victims := c.EvictRange(base, base+4096)
+	var sweep FrameSweep
+	sweep.Reset([]addr.PAddr{base})
+	victims := c.EvictFrames(&sweep)
 	if len(victims) != 64 {
 		t.Errorf("sweep evicted %d lines, want 64", len(victims))
 	}
@@ -182,9 +185,87 @@ func TestEvictRangeSparesOutsiders(t *testing.T) {
 	out := addr.PAddr(0x200000)
 	c.Insert(g.SetIndexP(in), AnyPartition, g.TagP(in), Shared)
 	c.Insert(g.SetIndexP(out), AnyPartition, g.TagP(out), Shared)
-	c.EvictRange(0x1000, 0x2000)
+	var sweep FrameSweep
+	sweep.Reset([]addr.PAddr{0x1000})
+	c.EvictFrames(&sweep)
+	if _, _, ok := c.FindLine(in); ok {
+		t.Error("sweep spared a line inside the frame")
+	}
 	if _, _, ok := c.FindLine(out); !ok {
 		t.Error("sweep evicted a line outside the range")
+	}
+}
+
+// evictRange is the per-range sweep EvictFrames replaces, kept as its
+// reference: every line whose physical line address lies in [lo, hi)
+// leaves, by set and then way.
+func evictRange(c *Cache, lo, hi addr.PAddr) []Victim {
+	var victims []Victim
+	for set := 0; set < c.geom.Sets(); set++ {
+		base := set * c.ways
+		for w := 0; w < c.ways; w++ {
+			st := State(c.states[base+w])
+			if st == Invalid {
+				continue
+			}
+			pa := c.geom.LineFromSetTag(set, c.tags[base+w])
+			if pa >= lo && pa < hi {
+				victims = append(victims, Victim{Valid: true, Tag: c.tags[base+w], State: st, Way: w, PA: pa})
+				if st.Dirty() {
+					c.Stats.Writebacks++
+				}
+				c.Stats.Sweeps++
+				c.clearWay(base + w)
+			}
+		}
+	}
+	return victims
+}
+
+// TestEvictFramesMatchesPerFrameRanges: one pass of EvictFrames leaves
+// exactly what sweeping each frame's 4KB range in list order leaves:
+// the same victims in the same order, the same statistics and the same
+// surviving lines. Lists repeat frames, name frames the cache holds no
+// line of, and one sweep's buffers serve every round and geometry.
+func TestEvictFramesMatchesPerFrameRanges(t *testing.T) {
+	var sweep FrameSweep
+	rng := rand.New(rand.NewSource(5))
+	states := []State{Shared, Exclusive, Owned, Modified}
+	for _, g := range []addr.CacheGeometry{
+		geom32K(),                             // 64 sets: a frame spans every set
+		addr.MustCacheGeometry(16<<10, 32, 1), // 8 sets: a frame fills each set 8 times over
+		addr.MustCacheGeometry(256<<10, 4, 1), // 1024 sets: a frame spans a sixteenth
+		addr.MustCacheGeometry(32<<10, 8, 8),  // one way per partition
+	} {
+		for round := 0; round < 20; round++ {
+			ref, got := New(g), New(g)
+			// Lines of 48 frames; the sweep draws from 64.
+			for i := 0; i < 3*g.Sets()*g.Ways; i++ {
+				pa := addr.PAddr(0x4000_0000 + rng.Intn(48<<12)).LineBase()
+				st := states[rng.Intn(len(states))]
+				for _, c := range []*Cache{ref, got} {
+					if _, hit := c.Access(g.SetIndexP(pa), AnyPartition, g.TagP(pa)); !hit {
+						c.Insert(g.SetIndexP(pa), AnyPartition, g.TagP(pa), st)
+					}
+				}
+			}
+			frames := make([]addr.PAddr, rng.Intn(80))
+			for i := range frames {
+				frames[i] = addr.PAddr(0x4000_0000 + rng.Intn(64)<<12)
+			}
+			var want []Victim
+			for _, f := range frames {
+				want = append(want, evictRange(ref, f, f+4096)...)
+			}
+			sweep.Reset(frames)
+			victims := got.EvictFrames(&sweep)
+			if !slices.Equal(victims, want) {
+				t.Fatalf("%v round %d: sweep gave %d victims %v, per-frame ranges %d %v", g, round, len(victims), victims, len(want), want)
+			}
+			if got.Stats != ref.Stats || !slices.Equal(got.tags, ref.tags) || !slices.Equal(got.states, ref.states) {
+				t.Fatalf("%v round %d: stats %+v, want %+v, or the surviving lines differ", g, round, got.Stats, ref.Stats)
+			}
+		}
 	}
 }
 

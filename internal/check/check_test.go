@@ -242,7 +242,9 @@ func TestAfterPromoteFlagsSurvivingLines(t *testing.T) {
 		t.Fatalf("surviving line of promoted frame not flagged; report %+v", rep)
 	}
 	// After a real sweep the same audit passes.
-	r.l1s[0].EvictRange(frame, frame+4096)
+	var sweep cache.FrameSweep
+	sweep.Reset([]addr.PAddr{frame})
+	r.l1s[0].EvictFrames(&sweep)
 	r.chk = New(r.chk.w)
 	r.chk.AfterPromote(10, []addr.PAddr{frame})
 	if rep := r.chk.Report(); rep.Violations != 0 {

@@ -105,8 +105,9 @@ type L1Cache interface {
 	// UpgradeToModified marks a resident line Modified (store hit after
 	// coherence permission is granted). It is a no-op if absent.
 	UpgradeToModified(pa addr.PAddr)
-	// EvictRange sweeps all lines in [lo,hi) (superpage promotion).
-	EvictRange(lo, hi addr.PAddr) []cache.Victim
+	// EvictFrames sweeps out every line of the sweep's 4KB frames
+	// (superpage promotion).
+	EvictFrames(s *cache.FrameSweep) []cache.Victim
 	// FastCycles and SlowCycles expose the two possible hit latencies;
 	// for designs without a fast path they are equal. The OoO
 	// scheduler's speculation logic needs both.

@@ -321,7 +321,9 @@ func TestPromotionSweep(t *testing.T) {
 	for _, pa := range oldPAs {
 		s.Fill(pa, addr.Page4K, true, false)
 	}
-	victims := s.EvictRange(0x0, 0x10000)
+	var sweep cache.FrameSweep
+	sweep.Reset(oldPAs)
+	victims := s.EvictFrames(&sweep)
 	if len(victims) != len(oldPAs) {
 		t.Errorf("sweep evicted %d lines, want %d", len(victims), len(oldPAs))
 	}

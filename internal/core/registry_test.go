@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"seesaw/internal/addr"
+	"seesaw/internal/cache"
 )
 
 // TestRegistryEnumeration pins the zoo's canonical order and the lookup
@@ -56,11 +57,13 @@ func TestRegistryDescriptorsBuild(t *testing.T) {
 				t.Errorf("snoop missed a resident line: %+v", p)
 			}
 
-			if v := l.EvictRange(0, 1<<30); len(v) != 1 || v[0].PA != 0x1000 {
-				t.Errorf("EvictRange swept %+v, want the one filled line", v)
+			var sweep cache.FrameSweep
+			sweep.Reset([]addr.PAddr{0x1000})
+			if v := l.EvictFrames(&sweep); len(v) != 1 || v[0].PA != 0x1000 {
+				t.Errorf("EvictFrames swept %+v, want the one filled line", v)
 			}
 			if r := l.Access(0x1000, 0x1000, addr.Page4K, false); r.Hit {
-				t.Error("line survived EvictRange")
+				t.Error("line survived EvictFrames")
 			}
 
 			if d.AreaBytes != nil && d.AreaBytes(cfg32K(1.33)) == 0 {

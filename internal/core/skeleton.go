@@ -12,7 +12,7 @@ import (
 type SharedStats struct {
 	// CoherenceProbes counts Snoop lookups.
 	CoherenceProbes uint64
-	// PromotionSweeps counts EvictRange sweeps from page promotions;
+	// PromotionSweeps counts EvictFrames sweeps from page promotions;
 	// SweptLines the lines they evicted.
 	PromotionSweeps uint64
 	SweptLines      uint64
@@ -252,11 +252,11 @@ func (k *skeleton) UpgradeToModified(pa addr.PAddr) {
 	}
 }
 
-// EvictRange implements L1Cache: the promotion sweep (Section IV-C2),
+// EvictFrames implements L1Cache: the promotion sweep (Section IV-C2),
 // done under cover of the OS's 150-200 cycle TLB invalidation
 // instruction.
-func (k *skeleton) EvictRange(lo, hi addr.PAddr) []cache.Victim {
-	victims := k.c.EvictRange(lo, hi)
+func (k *skeleton) EvictFrames(s *cache.FrameSweep) []cache.Victim {
+	victims := k.c.EvictFrames(s)
 	k.Shared.PromotionSweeps++
 	k.Shared.SweptLines += uint64(len(victims))
 	return victims

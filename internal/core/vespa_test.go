@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"seesaw/internal/addr"
+	"seesaw/internal/cache"
 )
 
 func mustNewVespa(t *testing.T, cfg Config) *Vespa {
@@ -142,7 +143,13 @@ func TestVespaFillVictimsAndSweeps(t *testing.T) {
 	v.UpgradeToModified(0x2000)
 	v.UpgradeToModified(0xdead_0000) // absent line: no-op
 
-	victims := v.EvictRange(0, 1<<30)
+	frames := []addr.PAddr{0x2000}
+	for i := uint64(0); i < 16; i++ {
+		frames = append(frames, addr.PAddr(0x1000+i<<15))
+	}
+	var sweep cache.FrameSweep
+	sweep.Reset(frames)
+	victims := v.EvictFrames(&sweep)
 	if len(victims) == 0 {
 		t.Fatal("promotion sweep evicted nothing")
 	}
@@ -150,6 +157,6 @@ func TestVespaFillVictimsAndSweeps(t *testing.T) {
 		t.Errorf("sweep stats = %+v, want 1 sweep / %d lines", v.Shared, len(victims))
 	}
 	if v.Access(0x2000, 0x2000, addr.Page4K, false).Hit {
-		t.Error("line survived EvictRange")
+		t.Error("line survived EvictFrames")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"seesaw/internal/addr"
-	"seesaw/internal/cache"
 	"seesaw/internal/osmm"
 	"seesaw/internal/physmem"
 	"seesaw/internal/runner"
@@ -65,45 +64,86 @@ func Fig2a(o Options) (*stats.Table, error) {
 // one set at the given associativity.
 func fig2aFits(size uint64, ways int) bool { return uint64(ways)*addr.LineSize <= size }
 
-// cacheOnlyMPKI draws one workload's stream once and replays it against
-// a bare cache model of every Fig 2a geometry (identity translation, no
+// cacheOnlyMPKI draws one workload's stream once and measures it against
+// a bare LRU cache of every Fig 2a geometry (identity translation, no
 // timing) — the methodology of the paper's trace-driven motivation
-// study. mpki[si][wi] is the MPKI of fig2Sizes[si] at sram.Assocs[wi];
+// study. Caches with the same set count map every line to the same set,
+// and an LRU cache of W ways holds exactly the W most recently used
+// lines of each set (LRU inclusion), so one stack-distance pass per set
+// count gives every associativity at once (Mattson et al., 1970).
+// mpki[si][wi] is the MPKI of fig2Sizes[si] at sram.Assocs[wi];
 // geometries that do not fit stay zero.
 func cacheOnlyMPKI(p workload.Profile, seed int64, refs int) ([][]float64, error) {
 	g := workload.NewGenerator(p, seed)
 	g.BindDefault()
 	// Only the line addresses and the instruction count matter, so the
-	// stream is kept as physical addresses, not trace records.
-	pas := make([]addr.PAddr, refs)
+	// stream is kept as line numbers, not trace records.
+	lines := make([]uint64, refs)
 	var instrs uint64
-	for i := range pas {
+	for i := range lines {
 		rec := g.Next(i % p.Threads)
 		instrs += uint64(rec.Gap) + 1
-		pas[i] = addr.PAddr(rec.VA)
+		lines[i] = uint64(rec.VA) >> addr.LineBits
+	}
+	// depth[sets] is the most ways any geometry with that set count has.
+	depth := map[int]int{}
+	for _, size := range fig2Sizes {
+		for _, ways := range sram.Assocs {
+			if fig2aFits(size, ways) {
+				sets := int(size/addr.LineSize) / ways
+				depth[sets] = max(depth[sets], ways)
+			}
+		}
+	}
+	hits := map[int][]uint64{}
+	for sets, d := range depth {
+		hits[sets] = lruHits(lines, sets, d)
 	}
 	mpki := make([][]float64, len(fig2Sizes))
 	for si, size := range fig2Sizes {
 		mpki[si] = make([]float64, len(sram.Assocs))
 		for wi, ways := range sram.Assocs {
-			if !fig2aFits(size, ways) {
+			if !fig2aFits(size, ways) || instrs == 0 {
 				continue
 			}
-			geom, err := addr.NewCacheGeometry(size, ways, 1)
-			if err != nil {
-				return nil, err
+			misses := uint64(refs)
+			for _, h := range hits[int(size/addr.LineSize)/ways][:ways] {
+				misses -= h
 			}
-			c := cache.New(geom)
-			for _, pa := range pas {
-				set, tag := geom.SetIndexP(pa), geom.TagP(pa)
-				if _, hit := c.Access(set, cache.AnyPartition, tag); !hit {
-					c.Insert(set, cache.AnyPartition, tag, cache.Shared)
-				}
-			}
-			mpki[si][wi] = c.MPKI(instrs)
+			mpki[si][wi] = float64(misses) / float64(instrs) * 1000
 		}
 	}
 	return mpki, nil
+}
+
+// lruHits replays lines against one LRU recency stack per set of a
+// sets-set cache (sets a power of two), each stack depth lines deep.
+// hits[d] counts the accesses that found their line d lines from the
+// top of its set's stack, so a W-way LRU cache of that set count, W <=
+// depth, hits exactly sum(hits[:W]) of them.
+func lruHits(lines []uint64, sets, depth int) []uint64 {
+	hits := make([]uint64, depth)
+	// stacks holds each set's stack, most recent first, as line+1; 0
+	// marks a slot not yet filled.
+	stacks := make([]uint64, sets*depth)
+	mask := uint64(sets - 1)
+	for _, l := range lines {
+		s := stacks[int(l&mask)*depth:][:depth]
+		key := l + 1
+		d := 0
+		for d < depth && s[d] != key && s[d] != 0 {
+			d++
+		}
+		switch {
+		case d == depth:
+			d--
+		case s[d] == key:
+			hits[d]++
+		}
+		copy(s[1:d+1], s[:d])
+		s[0] = key
+	}
+	return hits
 }
 
 // Fig2b reproduces "Cache Access Latency" versus associativity from the
@@ -155,11 +195,14 @@ func Fig3(o Options) (*stats.Table, error) {
 		return nil, err
 	}
 	hogs := []float64{0, 0.40, 0.60, 0.80}
+	// Tasks go in one memhog level at a time, so the tasks running next
+	// to each other share one fragmentation image.
 	tasks := make([][]*runner.Task[float64], len(profiles))
-	for pi, p := range profiles {
+	for pi := range profiles {
 		tasks[pi] = make([]*runner.Task[float64], len(hogs))
-		for hi, hog := range hogs {
-			p, hog := p, hog
+	}
+	for hi, hog := range hogs {
+		for pi, p := range profiles {
 			tasks[pi][hi] = runner.Go(o.Pool, func() (float64, error) {
 				return coverageUnderFragmentation(p, o.Seed, hog)
 			})
@@ -189,17 +232,12 @@ func Fig3(o Options) (*stats.Table, error) {
 func coverageUnderFragmentation(p workload.Profile, seed int64, hog float64) (float64, error) {
 	// 1GB of physical memory: big enough that even the 96MB-footprint
 	// workloads fit beside memhog(80%), as on the paper's 32GB testbed.
-	buddy, err := physmem.New(1 << 30)
+	buddy, h, src, err := physmem.Fragmented(seed, 1<<30, hog)
 	if err != nil {
 		return 0, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	mgr := osmm.NewManager(buddy, rng, true)
-	if hog > 0 {
-		h, err := physmem.Run(buddy, rng, hog, 0.97)
-		if err != nil {
-			return 0, err
-		}
+	mgr := osmm.NewManager(buddy, rand.New(src), true)
+	if h != nil {
 		mgr.Compactor = h // memhog pages are movable
 	}
 	proc, err := mgr.NewProcess(1)

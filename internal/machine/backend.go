@@ -33,7 +33,9 @@ type backEnd struct {
 	// sits at index nCores+i.
 	cohAll []core.L1Cache
 	cohSys *coherence.System
-	acct   *energy.Account
+	// sweep holds a promotion's old frames while they leave every L1.
+	sweep cache.FrameSweep
+	acct  *energy.Account
 	// members are the timing members the measured phase retires into:
 	// members[0] is the back end's own config, and a back end of a
 	// Group's pass holds one more per other cell of its back-end key.
@@ -333,11 +335,10 @@ func (be *backEnd) invlpg(asid uint16, vaBase addr.VAddr) {
 
 // promote sweeps a promoted region's old frames out of every L1.
 func (be *backEnd) promote(oldFrames []addr.PAddr) {
+	be.sweep.Reset(oldFrames)
 	for p, l1 := range be.cohAll {
-		for _, f := range oldFrames {
-			for _, v := range l1.EvictRange(f, f+4096) {
-				be.cohSys.Evicted(p, v.PA, v.State.Dirty())
-			}
+		for _, v := range l1.EvictFrames(&be.sweep) {
+			be.cohSys.Evicted(p, v.PA, v.State.Dirty())
 		}
 	}
 	if be.chk != nil {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"seesaw/internal/addr"
+	"seesaw/internal/cache"
 	"seesaw/internal/trace"
 	"seesaw/internal/workload"
 )
@@ -208,15 +210,33 @@ func TestMeasuredStepAllocFree(t *testing.T) {
 	}
 }
 
+// heldFrames returns up to n distinct 4KB frames c holds lines of.
+func heldFrames(c *cache.Cache, n int) []addr.PAddr {
+	g := c.Geometry()
+	var frames []addr.PAddr
+	seen := map[addr.PAddr]bool{}
+	for set := 0; set < g.Sets(); set++ {
+		for w := 0; w < g.Ways && len(frames) < n; w++ {
+			f := g.LineFromSetTag(set, c.TagOf(set, w)).PageBase(addr.Page4K)
+			if c.StateOf(set, w) != cache.Invalid && !seen[f] {
+				seen[f] = true
+				frames = append(frames, f)
+			}
+		}
+	}
+	return frames
+}
+
 // TestMeasuredEpochAllocFree: with every hook disabled, one whole
 // 4096-reference measured epoch allocates nothing, whether both halves
 // run live, the front end records it for a group's pass, a back end
 // replays a finished recording, a second back end replays the same
-// recording after the first, or the back end retires into three timing
-// members, running a live pass.
+// recording after the first, the back end retires into three timing
+// members, running a live pass, or the epoch ends in a promotion that
+// sweeps 512 frames out of every L1.
 func TestMeasuredEpochAllocFree(t *testing.T) {
 	ctx := context.Background()
-	for _, name := range []string{"generated", "replayed", "replaying", "second-back-end", "three-members"} {
+	for _, name := range []string{"generated", "replayed", "replaying", "second-back-end", "three-members", "promotion"} {
 		t.Run(name, func(t *testing.T) {
 			cfg := allocFreeConfig(t)
 			m := mustBuild(t, cfg)
@@ -269,6 +289,21 @@ func TestMeasuredEpochAllocFree(t *testing.T) {
 					t.Fatalf("building a three-member back end: %v", err)
 				}
 				m.be = be
+			case "promotion":
+				// The frames are those the first epoch leaves lines
+				// of in core 0's L1; the workload refills them between
+				// sweeps.
+				var frames []addr.PAddr
+				epoch = func() error {
+					if err := m.run(ctx, m.Ref()+epochRefs); err != nil {
+						return err
+					}
+					if frames == nil {
+						frames = heldFrames(m.be.l1s[0].Storage(), 512)
+					}
+					m.be.promote(frames)
+					return nil
+				}
 			}
 			// Warm the measured-phase state over five epochs.
 			for i := 0; i < 5; i++ {
@@ -282,6 +317,9 @@ func TestMeasuredEpochAllocFree(t *testing.T) {
 				}
 			}); avg != 0 {
 				t.Errorf("a %s measured epoch allocates %.1f objects with hooks disabled, want 0", name, avg)
+			}
+			if name == "promotion" && m.be.l1s[0].Storage().Stats.Sweeps == 0 {
+				t.Error("the promotions swept no line")
 			}
 		})
 	}

@@ -103,20 +103,17 @@ type sink interface {
 // distinguishes a warmed machine from a cold one.
 func buildOS(cfg Config, nCores int) (*frontEnd, error) {
 	fe := &frontEnd{cfg: cfg, nCores: nCores}
-	fe.rng, fe.rngSrc = xrand.New(cfg.Seed)
 
-	// Physical memory, fragmentation, OS.
-	buddy, err := physmem.New(cfg.MemBytes)
+	// Physical memory, fragmentation, OS. The RNG continues from where
+	// memhog left it.
+	buddy, hog, src, err := physmem.Fragmented(cfg.Seed, cfg.MemBytes, cfg.MemhogFraction)
 	if err != nil {
 		return nil, err
 	}
+	fe.rng, fe.rngSrc = rand.New(src), src
 	fe.buddy = buddy
 	fe.mgr = osmm.NewManager(buddy, fe.rng, !cfg.THPOff)
-	if cfg.MemhogFraction > 0 {
-		hog, err := physmem.Run(buddy, fe.rng, cfg.MemhogFraction, 0.97)
-		if err != nil {
-			return nil, err
-		}
+	if hog != nil {
 		// memhog's pages are movable anonymous memory: the OS can
 		// migrate them when compacting for superpage allocations.
 		fe.hog = hog
