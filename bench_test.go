@@ -124,7 +124,7 @@ func benchRunner(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts()
-		opts.Parallel = workers
+		opts.Pool = runner.New(workers)
 		tb, err := experiments.Run("fig7", opts)
 		if err != nil {
 			b.Fatal(err)

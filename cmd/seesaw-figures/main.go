@@ -8,13 +8,20 @@
 //	seesaw-figures -all -refs 50000
 //	seesaw-figures -exp fig12 -workloads redis,olio
 //	seesaw-figures -all -parallel 8
+//
+// Every requested experiment is planned on one shared pool before any
+// is rendered: all of their cells are submitted first, so cells of
+// different experiments that share a front end can share its pass, and
+// the tables then print in the requested order. A plan error, such as
+// an unknown experiment or workload, therefore fails the command before
+// any table prints. Only tables go to stdout; the pool's summary goes
+// to stderr.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"seesaw/internal/cliutil"
 	"seesaw/internal/experiments"
@@ -87,9 +94,17 @@ func main() {
 		prof.Stop()
 		os.Exit(2)
 	}
-	for _, id := range ids {
-		start := time.Now()
-		tb, err := experiments.Run(id, opts)
+	planned := make([]*experiments.Planned, len(ids))
+	for i, id := range ids {
+		var err error
+		if planned[i], err = experiments.Plan(id, opts); err != nil {
+			fmt.Fprintf(os.Stderr, "seesaw-figures: %s: %v\n", id, err)
+			prof.Stop()
+			os.Exit(1)
+		}
+	}
+	for i, id := range ids {
+		tb, err := planned[i].Render()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seesaw-figures: %s: %v\n", id, err)
 			prof.Stop()
@@ -100,9 +115,6 @@ func main() {
 		} else {
 			tb.WriteTo(os.Stdout)
 			fmt.Println()
-			// Timing goes to stderr, so stdout holds only the
-			// deterministic tables.
-			fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", id, time.Since(start).Seconds())
 		}
 	}
 	if st := opts.Pool.Stats(); st.CacheHits > 0 && !*csv {

@@ -5,224 +5,175 @@ import (
 
 	"seesaw/internal/coherence"
 	"seesaw/internal/core"
-	"seesaw/internal/runner"
 	"seesaw/internal/sim"
 	"seesaw/internal/stats"
-	"seesaw/internal/workload"
 )
 
 // ablationWorkloads is the default subset for the design-choice studies.
 var ablationWorkloads = []string{"redis", "nutch", "olio", "mcf", "cann"}
 
-func ablationNames(o Options) []string {
-	if len(o.Workloads) != len(workload.Names()) {
-		return o.Workloads
+// ablationInsertionPolicy compares the paper's 4way insertion policy
+// with the 4way-8way alternative (Section IV-B1): hit rates should
+// differ by about a point, while 4way keeps coherence probes
+// partition-filtered.
+func ablationInsertionPolicy(o Options, c *cells) (render, error) {
+	profiles, err := subset(o, ablationWorkloads)
+	if err != nil {
+		return nil, err
 	}
-	return ablationWorkloads
-}
-
-// AblationInsertionPolicy compares the paper's 4way insertion policy with
-// the 4way-8way alternative (Section IV-B1): hit rates should differ by
-// about a point, while 4way keeps coherence probes partition-filtered.
-func AblationInsertionPolicy(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	names := ablationNames(o)
 	policies := []core.InsertionPolicy{core.FourWay, core.FourEightWay}
-	cells := make([][]*runner.Future, len(names))
-	for ni, name := range names {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cells[ni] = make([]*runner.Future, len(policies))
-		for pi, policy := range policies {
+	for _, p := range profiles {
+		for _, policy := range policies {
 			cfg := baseConfig(o, p, sim.KindSeesaw, 64<<10, 1.33, "ooo")
-			cfg.CacheKind = sim.KindSeesaw
 			cfg.Policy = policy
-			cells[ni][pi] = o.Pool.Submit(cfg)
+			c.submit(cfg)
 		}
 	}
-	t := stats.NewTable("Ablation: 4way vs 4way-8way insertion (64KB, 1.33GHz, OoO)",
-		"workload", "policy", "L1 hit %", "coh. probe energy (nJ)", "total energy (nJ)")
-	for ni, name := range names {
-		for pi, policy := range policies {
-			r, err := cells[ni][pi].Wait()
-			if err != nil {
-				return nil, err
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Ablation: 4way vs 4way-8way insertion (64KB, 1.33GHz, OoO)",
+			"workload", "policy", "L1 hit %", "coh. probe energy (nJ)", "total energy (nJ)")
+		for _, p := range profiles {
+			for _, policy := range policies {
+				rep := r.next()
+				t.AddRow(p.Name, policy.String(),
+					fmt.Sprintf("%.2f", 100*stats.Ratio(rep.L1Hits, rep.L1Hits+rep.L1Misses)),
+					fmt.Sprintf("%.1f", rep.EnergyCoherenceNJ),
+					fmt.Sprintf("%.0f", rep.EnergyTotalNJ))
 			}
-			t.AddRow(name, policy.String(),
-				fmt.Sprintf("%.2f", 100*stats.Ratio(r.L1Hits, r.L1Hits+r.L1Misses)),
-				fmt.Sprintf("%.1f", r.EnergyCoherenceNJ),
-				fmt.Sprintf("%.0f", r.EnergyTotalNJ))
 		}
-	}
-	t.AddNote("expected: ~1%% hit-rate cost for 4way, repaid by halved coherence probe energy (paper Section IV-B1)")
-	return t, nil
+		t.AddNote("expected: ~1%% hit-rate cost for 4way, repaid by halved coherence probe energy (paper Section IV-B1)")
+		return t, nil
+	}, nil
 }
 
-// AblationSchedulerPolicy compares the three scheduler speculation
+// ablationSchedulerPolicy compares the three scheduler speculation
 // policies of Section IV-B3 under heavy fragmentation, where superpages
 // are scarce and always-fast speculation squashes constantly.
-func AblationSchedulerPolicy(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	names := ablationNames(o)
+func ablationSchedulerPolicy(o Options, c *cells) (render, error) {
+	profiles, err := subset(o, ablationWorkloads)
+	if err != nil {
+		return nil, err
+	}
 	type policy struct{ fast, slow bool }
 	policies := []policy{{true, false}, {false, false}, {false, true}}
-	cells := make([][]*runner.Future, len(names))
-	for ni, name := range names {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cells[ni] = make([]*runner.Future, len(policies))
-		for pi, pol := range policies {
+	for _, p := range profiles {
+		for _, pol := range policies {
 			cfg := baseConfig(o, p, sim.KindSeesaw, 64<<10, 1.33, "ooo")
-			cfg.CacheKind = sim.KindSeesaw
 			cfg.MemhogFraction = 0.85
 			cfg.SchedulerAlwaysFast = pol.fast
 			cfg.SchedulerAlwaysSlow = pol.slow
-			cells[ni][pi] = o.Pool.Submit(cfg)
+			c.submit(cfg)
 		}
 	}
-	t := stats.NewTable("Ablation: scheduler speculation policy (64KB, 1.33GHz, OoO, memhog 90%)",
-		"workload", "always-fast (cycles)", "counter-gated (cycles)", "always-slow (cycles)")
-	for ni, name := range names {
-		var cycles [3]uint64
-		for pi := range policies {
-			r, err := cells[ni][pi].Wait()
-			if err != nil {
-				return nil, err
-			}
-			cycles[pi] = r.Cycles
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Ablation: scheduler speculation policy (64KB, 1.33GHz, OoO, memhog 90%)",
+			"workload", "always-fast (cycles)", "counter-gated (cycles)", "always-slow (cycles)")
+		for _, p := range profiles {
+			fast, gated, slow := r.next(), r.next(), r.next()
+			t.AddRowValues(p.Name, fast.Cycles, gated.Cycles, slow.Cycles)
 		}
-		t.AddRowValues(name, cycles[0], cycles[1], cycles[2])
-	}
-	t.AddNote("expected: counter-gated <= always-fast under scarce superpages (paper Section IV-B3)")
-	return t, nil
+		t.AddNote("expected: counter-gated <= always-fast under scarce superpages (paper Section IV-B3)")
+		return t, nil
+	}, nil
 }
 
-// AblationTFTAssociativity compares the paper's direct-mapped TFT with a
+// ablationTFTAssociativity compares the paper's direct-mapped TFT with a
 // 2-way variant at equal capacity.
-func AblationTFTAssociativity(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	names := ablationNames(o)
+func ablationTFTAssociativity(o Options, c *cells) (render, error) {
+	profiles, err := subset(o, ablationWorkloads)
+	if err != nil {
+		return nil, err
+	}
 	assocs := []int{1, 2}
-	cells := make([][]*runner.Future, len(names))
-	for ni, name := range names {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cells[ni] = make([]*runner.Future, len(assocs))
-		for ai, assoc := range assocs {
+	for _, p := range profiles {
+		for _, assoc := range assocs {
 			cfg := baseConfig(o, p, sim.KindSeesaw, 64<<10, 1.33, "ooo")
-			cfg.CacheKind = sim.KindSeesaw
 			cfg.TFT.Entries = 16
 			cfg.TFT.Assoc = assoc
-			cells[ni][ai] = o.Pool.Submit(cfg)
+			c.submit(cfg)
 		}
 	}
-	t := stats.NewTable("Ablation: TFT associativity (16 entries, 64KB L1, 1.33GHz)",
-		"workload", "organization", "TFT hit %", "superpage accesses missed %")
-	for ni, name := range names {
-		for ai, assoc := range assocs {
-			r, err := cells[ni][ai].Wait()
-			if err != nil {
-				return nil, err
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Ablation: TFT associativity (16 entries, 64KB L1, 1.33GHz)",
+			"workload", "organization", "TFT hit %", "superpage accesses missed %")
+		for _, p := range profiles {
+			for _, assoc := range assocs {
+				rep := r.next()
+				org := "direct-mapped"
+				if assoc == 2 {
+					org = "2-way"
+				}
+				t.AddRow(p.Name, org,
+					fmt.Sprintf("%.2f", 100*rep.TFT.HitRate),
+					fmt.Sprintf("%.2f", rep.TFT.SuperMissedPct))
 			}
-			org := "direct-mapped"
-			if assoc == 2 {
-				org = "2-way"
-			}
-			t.AddRow(name, org,
-				fmt.Sprintf("%.2f", 100*r.TFT.HitRate),
-				fmt.Sprintf("%.2f", r.TFT.SuperMissedPct))
 		}
-	}
-	t.AddNote("the paper found direct-mapped 'performs sufficiently well' (Section IV-A2)")
-	return t, nil
+		t.AddNote("the paper found direct-mapped 'performs sufficiently well' (Section IV-A2)")
+		return t, nil
+	}, nil
 }
 
-// Ablation1GPages exercises the paper's "generalizes readily to 1GB
+// ablation1GPages exercises the paper's "generalizes readily to 1GB
 // superpages" claim: the heap is backed by explicit 1GB pages instead of
-// transparent 2MB pages. The fast path still applies (the partition index
-// is a page-offset bit for 1GB pages too) and the TLB walks less.
-func Ablation1GPages(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	names := ablationNames(o)
-	modes := []bool{false, true}
-	cells := make([][]*runner.Future, len(names))
-	for ni, name := range names {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cells[ni] = make([]*runner.Future, len(modes))
-		for mi, oneG := range modes {
-			cfg := baseConfig(o, p, sim.KindSeesaw, 64<<10, 1.33, "ooo")
-			cfg.CacheKind = sim.KindSeesaw
-			if oneG {
-				cfg.Heap1G = true
-				cfg.MemBytes = 4 << 30
-			}
-			cells[ni][mi] = o.Pool.Submit(cfg)
-		}
+// transparent 2MB pages. The fast path still applies (the partition
+// index is a page-offset bit for 1GB pages too) and the TLB walks less.
+func ablation1GPages(o Options, c *cells) (render, error) {
+	profiles, err := subset(o, ablationWorkloads)
+	if err != nil {
+		return nil, err
 	}
-	t := stats.NewTable("Ablation: 2MB vs 1GB superpage backing (SEESAW, 64KB, 1.33GHz, OoO)",
-		"workload", "heap pages", "cycles", "fast-path hits", "TLB walks", "energy (nJ)")
-	for ni, name := range names {
-		for mi, oneG := range modes {
-			r, err := cells[ni][mi].Wait()
-			if err != nil {
-				return nil, err
-			}
-			kind := "2MB"
-			if oneG {
-				kind = "1GB"
-			}
-			t.AddRowValues(name, kind, r.Cycles, r.TFT.FastHits, r.TLB.Walks,
-				fmt.Sprintf("%.0f", r.EnergyTotalNJ))
-		}
+	for _, p := range profiles {
+		cfg := baseConfig(o, p, sim.KindSeesaw, 64<<10, 1.33, "ooo")
+		c.submit(cfg)
+		cfg.Heap1G = true
+		cfg.MemBytes = 4 << 30
+		c.submit(cfg)
 	}
-	t.AddNote("expected: 1GB backing performs at least as well, with fewer page walks")
-	return t, nil
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Ablation: 2MB vs 1GB superpage backing (SEESAW, 64KB, 1.33GHz, OoO)",
+			"workload", "heap pages", "cycles", "fast-path hits", "TLB walks", "energy (nJ)")
+		for _, p := range profiles {
+			for _, kind := range []string{"2MB", "1GB"} {
+				rep := r.next()
+				t.AddRowValues(p.Name, kind, rep.Cycles, rep.TFT.FastHits, rep.TLB.Walks,
+					fmt.Sprintf("%.0f", rep.EnergyTotalNJ))
+			}
+		}
+		t.AddNote("expected: 1GB backing performs at least as well, with fewer page walks")
+		return t, nil
+	}, nil
 }
 
-// AblationSnoopy compares directory and snoopy coherence: snoopy
+// ablationSnoopy compares directory and snoopy coherence: snoopy
 // broadcasts make SEESAW's partition-filtered probes save more energy
 // (paper: an additional 2-5% for multithreaded workloads).
-func AblationSnoopy(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	names := []string{"cann", "tunk", "g500", "nutch"}
+func ablationSnoopy(o Options, c *cells) (render, error) {
+	profiles, err := profilesFor([]string{"cann", "tunk", "g500", "nutch"})
+	if err != nil {
+		return nil, err
+	}
 	modes := []coherence.Mode{coherence.Directory, coherence.Snoopy}
-	cells := make([][]pair, len(names))
-	for ni, name := range names {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cells[ni] = make([]pair, len(modes))
-		for mi, mode := range modes {
+	for _, p := range profiles {
+		for _, mode := range modes {
 			cfg := baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo")
 			cfg.CoherenceMode = mode
-			cells[ni][mi] = submitPair(o, cfg)
+			c.pair(cfg)
 		}
 	}
-	t := stats.NewTable("Ablation: directory vs snoopy coherence (64KB, 1.33GHz, OoO)",
-		"workload", "protocol", "probes", "saved (nJ)", "SEESAW coherence-energy saving %")
-	for ni, name := range names {
-		for mi, mode := range modes {
-			base, see, err := cells[ni][mi].wait()
-			if err != nil {
-				return nil, err
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Ablation: directory vs snoopy coherence (64KB, 1.33GHz, OoO)",
+			"workload", "protocol", "probes", "saved (nJ)", "SEESAW coherence-energy saving %")
+		for _, p := range profiles {
+			for _, mode := range modes {
+				base, see := r.pair()
+				saving := stats.PctImprovement(base.EnergyCoherenceNJ, see.EnergyCoherenceNJ)
+				t.AddRow(p.Name, mode.String(),
+					fmt.Sprintf("%d", base.Coh.ProbesSent),
+					fmt.Sprintf("%.1f", base.EnergyCoherenceNJ-see.EnergyCoherenceNJ),
+					fmt.Sprintf("%.2f", saving))
 			}
-			saving := stats.PctImprovement(base.EnergyCoherenceNJ, see.EnergyCoherenceNJ)
-			t.AddRow(name, mode.String(),
-				fmt.Sprintf("%d", base.Coh.ProbesSent),
-				fmt.Sprintf("%.1f", base.EnergyCoherenceNJ-see.EnergyCoherenceNJ),
-				fmt.Sprintf("%.2f", saving))
 		}
-	}
-	t.AddNote("expected: snoopy sends far more probes, so partition filtering saves more (paper Section VI-B)")
-	return t, nil
+		t.AddNote("expected: snoopy sends far more probes, so partition filtering saves more (paper Section VI-B)")
+		return t, nil
+	}, nil
 }

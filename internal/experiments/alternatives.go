@@ -3,154 +3,109 @@ package experiments
 import (
 	"fmt"
 
-	"seesaw/internal/runner"
+	"seesaw/internal/cache"
 	"seesaw/internal/sim"
 	"seesaw/internal/stats"
-	"seesaw/internal/workload"
 )
 
-// Fig14 reproduces the design-alternative comparison at 128KB: SEESAW
-// versus the best of a sweep of serial PIPT designs with lower
-// associativity (which shrink the effective TLB benefit by serializing
-// translation), at the three frequencies.
-func Fig14(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	profiles, err := profilesFor(o)
+// ablationPartitionCount sweeps SEESAW's ways-per-partition design
+// choice (Section IV-B4: "The number of ways in each partition is a
+// design choice depending upon the cache's latency-energy profile"): a
+// 64KB 16-way cache split into 2, 4, or 8 partitions.
+func ablationPartitionCount(o Options, c *cells) (render, error) {
+	profiles, err := subset(o, ablationWorkloads)
 	if err != nil {
 		return nil, err
 	}
-	piptWays := []int{2, 4, 8}
-	// Submit everything: per frequency, the PIPT alternatives (each
-	// against the shared 128KB baseline cell, deduped by the pool) and
-	// the SEESAW pairs.
-	type altCell struct{ base, alt *runner.Future }
-	alts := make([][][]altCell, len(perfFreqs)) // [freq][ways][workload]
-	pairs := make([][]pair, len(perfFreqs))     // [freq][workload]
-	for fi, f := range perfFreqs {
-		alts[fi] = make([][]altCell, len(piptWays))
-		for wi, ways := range piptWays {
-			alts[fi][wi] = make([]altCell, len(profiles))
-			for pi, p := range profiles {
-				cfg := baseConfig(o, p, sim.KindBaseline, 128<<10, f, "ooo")
-				base := o.Pool.Submit(cfg) // baseline VIPT reference
-				cfg.CacheKind = sim.KindPIPT
-				cfg.L1Ways = ways
-				// Serial translation sits on the load-to-use path: even
-				// a shrunken TLB costs two cycles before indexing, and
-				// its lower reach puts L2-TLB/walk latency on the
-				// critical path far more often.
-				cfg.SerialTLBCycles = 2
-				cfg.SmallTLB = true
-				alts[fi][wi][pi] = altCell{base: base, alt: o.Pool.Submit(cfg)}
-			}
-		}
-		pairs[fi] = make([]pair, len(profiles))
-		for pi, p := range profiles {
-			pairs[fi][pi] = submitPair(o, baseConfig(o, p, sim.KindBaseline, 128<<10, f, "ooo"))
+	parts := []int{2, 4, 8}
+	for _, p := range profiles {
+		cfg := baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo")
+		c.submit(cfg)
+		cfg.CacheKind = sim.KindSeesaw
+		for _, part := range parts {
+			cfg.Partitions = part
+			c.submit(cfg)
 		}
 	}
-	t := stats.NewTable("Fig 14: SEESAW vs PIPT alternatives, 128KB L1",
-		"freq", "metric", "others (best PIPT)", "SEESAW")
-	for fi, f := range perfFreqs {
-		var seePerf, seeEn stats.Summary
-		bestPerf, bestEn := -1e9, -1e9
-		for wi := range piptWays {
-			var pp, pe stats.Summary
-			for pi := range profiles {
-				base, err := alts[fi][wi][pi].base.Wait()
-				if err != nil {
-					return nil, err
-				}
-				alt, err := alts[fi][wi][pi].alt.Wait()
-				if err != nil {
-					return nil, err
-				}
-				pp.Add(runtimeImprovement(base, alt))
-				pe.Add(energyImprovement(base, alt))
-			}
-			if pp.Mean() > bestPerf {
-				bestPerf = pp.Mean()
-			}
-			if pe.Mean() > bestEn {
-				bestEn = pe.Mean()
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Ablation: SEESAW partition count (64KB 16-way, 1.33GHz, OoO)",
+			"workload", "partitions", "ways/partition", "perf % vs baseline", "energy % vs baseline")
+		for _, p := range profiles {
+			base := r.next()
+			for _, part := range parts {
+				see := r.next()
+				t.AddRow(p.Name,
+					fmt.Sprintf("%d", part),
+					fmt.Sprintf("%d", 16/part),
+					fmt.Sprintf("%.2f", runtimeImprovement(base, see)),
+					fmt.Sprintf("%.2f", energyImprovement(base, see)))
 			}
 		}
-		for pi := range profiles {
-			base, see, err := pairs[fi][pi].wait()
-			if err != nil {
-				return nil, err
-			}
-			seePerf.Add(runtimeImprovement(base, see))
-			seeEn.Add(energyImprovement(base, see))
-		}
-		t.AddRow(fmt.Sprintf("%.2fGHz", f), "performance %",
-			fmt.Sprintf("%.2f", bestPerf), fmt.Sprintf("%.2f", seePerf.Mean()))
-		t.AddRow(fmt.Sprintf("%.2fGHz", f), "energy %",
-			fmt.Sprintf("%.2f", bestEn), fmt.Sprintf("%.2f", seeEn.Mean()))
-	}
-	t.AddNote("improvements are vs the 128KB baseline VIPT; expected shape: SEESAW >= best alternative (paper Fig 14)")
-	return t, nil
+		t.AddNote("the paper settles on 4-way (16KB) partitions; narrower partitions probe less but lose local associativity")
+		return t, nil
+	}, nil
 }
 
-// Fig15 reproduces the way-prediction comparison on 64KB caches at
-// 1.33GHz: an MRU way predictor alone (WP), SEESAW, and the combination,
-// all relative to baseline VIPT.
-func Fig15(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	names := o.Workloads
-	if len(names) == len(workload.Names()) {
-		names = workload.CloudNames // the paper's Fig 15 subset
+// ablationReplacement compares LRU (the paper's policy) with SRRIP for
+// both designs: SEESAW's partition-local victim selection must compose
+// with either policy.
+func ablationReplacement(o Options, c *cells) (render, error) {
+	profiles, err := subset(o, ablationWorkloads)
+	if err != nil {
+		return nil, err
 	}
-	type wpCells struct{ base, wp, see, both *runner.Future }
-	cells := make([]wpCells, len(names))
-	for ni, name := range names {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
+	repls := []cache.Replacement{cache.LRU, cache.SRRIP}
+	for _, p := range profiles {
+		for _, repl := range repls {
+			cfg := baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo")
+			cfg.Replacement = repl
+			c.pair(cfg)
 		}
+	}
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Ablation: L1 replacement policy (64KB, 1.33GHz, OoO)",
+			"workload", "policy", "baseline hit %", "SEESAW hit %", "SEESAW perf %")
+		for _, p := range profiles {
+			for _, repl := range repls {
+				base, see := r.pair()
+				t.AddRow(p.Name, repl.String(),
+					fmt.Sprintf("%.2f", 100*stats.Ratio(base.L1Hits, base.L1Hits+base.L1Misses)),
+					fmt.Sprintf("%.2f", 100*stats.Ratio(see.L1Hits, see.L1Hits+see.L1Misses)),
+					fmt.Sprintf("%.2f", runtimeImprovement(base, see)))
+			}
+		}
+		t.AddNote("expected: SEESAW's improvement is replacement-agnostic; SRRIP helps scan-heavy workloads")
+		return t, nil
+	}, nil
+}
+
+// ablationPrefetch checks that SEESAW's benefits survive a next-line L1
+// prefetcher (which raises hit rates and shifts traffic off the miss
+// path).
+func ablationPrefetch(o Options, c *cells) (render, error) {
+	profiles, err := subset(o, ablationWorkloads)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range profiles {
 		cfg := baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo")
-		wpCfg := cfg
-		wpCfg.WayPredict = true
-		seeCfg := cfg
-		seeCfg.CacheKind = sim.KindSeesaw
-		bothCfg := seeCfg
-		bothCfg.WayPredict = true
-		cells[ni] = wpCells{
-			base: o.Pool.Submit(cfg),
-			wp:   o.Pool.Submit(wpCfg),
-			see:  o.Pool.Submit(seeCfg),
-			both: o.Pool.Submit(bothCfg),
-		}
+		c.pair(cfg)
+		cfg.Prefetch = true
+		c.pair(cfg)
 	}
-	t := stats.NewTable("Fig 15: WP vs SEESAW vs WP+SEESAW (64KB, 1.33GHz, OoO; % vs baseline VIPT)",
-		"workload", "metric", "WP", "SEESAW", "WP+SEESAW", "WP accuracy")
-	for ni, name := range names {
-		base, err := cells[ni].base.Wait()
-		if err != nil {
-			return nil, err
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Ablation: next-line L1 prefetcher (64KB, 1.33GHz, OoO)",
+			"workload", "prefetch", "baseline hit %", "SEESAW perf %", "SEESAW energy %")
+		for _, p := range profiles {
+			for _, on := range []string{"off", "on"} {
+				base, see := r.pair()
+				t.AddRow(p.Name, on,
+					fmt.Sprintf("%.2f", 100*stats.Ratio(base.L1Hits, base.L1Hits+base.L1Misses)),
+					fmt.Sprintf("%.2f", runtimeImprovement(base, see)),
+					fmt.Sprintf("%.2f", energyImprovement(base, see)))
+			}
 		}
-		wp, err := cells[ni].wp.Wait()
-		if err != nil {
-			return nil, err
-		}
-		see, err := cells[ni].see.Wait()
-		if err != nil {
-			return nil, err
-		}
-		both, err := cells[ni].both.Wait()
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name, "perf %",
-			fmt.Sprintf("%.2f", runtimeImprovement(base, wp)),
-			fmt.Sprintf("%.2f", runtimeImprovement(base, see)),
-			fmt.Sprintf("%.2f", runtimeImprovement(base, both)),
-			fmt.Sprintf("%.2f", wp.WPAccuracy))
-		t.AddRow(name, "energy %",
-			fmt.Sprintf("%.2f", energyImprovement(base, wp)),
-			fmt.Sprintf("%.2f", energyImprovement(base, see)),
-			fmt.Sprintf("%.2f", energyImprovement(base, both)), "")
-	}
-	t.AddNote("expected shape: WP alone can degrade performance (negative perf on low-accuracy workloads); WP+SEESAW saves the most energy (paper Fig 15)")
-	return t, nil
+		t.AddNote("expected: prefetching raises hit rates for both designs; SEESAW's improvement persists")
+		return t, nil
+	}, nil
 }

@@ -3,171 +3,150 @@ package experiments
 import (
 	"fmt"
 
-	"seesaw/internal/runner"
 	"seesaw/internal/sim"
 	"seesaw/internal/stats"
 	"seesaw/internal/workload"
 )
 
-// Fig11 reproduces the split of SEESAW's L1 energy savings between
+// fig11 reproduces the split of SEESAW's L1 energy savings between
 // CPU-side lookups and coherence lookups, per workload, on the
 // out-of-order system with 64KB L1s at 1.33GHz.
-func Fig11(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	profiles, err := profilesFor(o)
+func fig11(o Options, c *cells) (render, error) {
+	profiles, err := profilesFor(o.Workloads)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]pair, len(profiles))
-	for pi, p := range profiles {
-		cells[pi] = submitPair(o, baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo"))
+	for _, p := range profiles {
+		c.pair(baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo"))
 	}
-	t := stats.NewTable("Fig 11: % of L1 energy savings from CPU-side vs coherence lookups (64KB, OoO, 1.33GHz)",
-		"workload", "CPU-side %", "coherence %")
-	for pi, p := range profiles {
-		base, see, err := cells[pi].wait()
-		if err != nil {
-			return nil, err
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Fig 11: % of L1 energy savings from CPU-side vs coherence lookups (64KB, OoO, 1.33GHz)",
+			"workload", "CPU-side %", "coherence %")
+		for _, p := range profiles {
+			base, see := r.pair()
+			cpuSave := base.EnergyCPUSideNJ - see.EnergyCPUSideNJ
+			cohSave := base.EnergyCoherenceNJ - see.EnergyCoherenceNJ
+			total := cpuSave + cohSave
+			if total <= 0 {
+				t.AddRow(p.Name, "-", "-")
+				continue
+			}
+			t.AddRow(p.Name,
+				fmt.Sprintf("%.1f", 100*cpuSave/total),
+				fmt.Sprintf("%.1f", 100*cohSave/total))
 		}
-		cpuSave := base.EnergyCPUSideNJ - see.EnergyCPUSideNJ
-		cohSave := base.EnergyCoherenceNJ - see.EnergyCoherenceNJ
-		total := cpuSave + cohSave
-		if total <= 0 {
-			t.AddRow(p.Name, "-", "-")
-			continue
-		}
-		t.AddRow(p.Name,
-			fmt.Sprintf("%.1f", 100*cpuSave/total),
-			fmt.Sprintf("%.1f", 100*cohSave/total))
-	}
-	t.AddNote("expected shape: every workload has a coherence slice; multithreaded workloads (cann, tunk) approach a third (paper Fig 11)")
-	return t, nil
+		t.AddNote("expected shape: every workload has a coherence slice; multithreaded workloads (cann, tunk) approach a third (paper Fig 11)")
+		return t, nil
+	}, nil
 }
 
-// Fig12 reproduces the fragmentation sensitivity study: performance and
+// fig12 reproduces the fragmentation sensitivity study: performance and
 // energy improvements for the cloud workloads with memhog holding 0%,
 // 30%, and 60% of memory (64KB L1s at 1.33GHz).
-func Fig12(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	names := o.Workloads
-	if len(names) == len(workload.Names()) {
-		names = workload.CloudNames // the paper's Fig 12 subset
-	}
-	hogs := []float64{0, 0.30, 0.60}
-	cells := make([][]pair, len(names))
-	for ni, name := range names {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cells[ni] = make([]pair, len(hogs))
-		for hi, hog := range hogs {
-			cfg := baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo")
-			cfg.MemhogFraction = hog
-			cells[ni][hi] = submitPair(o, cfg)
-		}
-	}
-	t := stats.NewTable("Fig 12: % improvement vs memory fragmentation (64KB, 1.33GHz, OoO)",
-		"workload", "memhog", "perf %", "energy %", "coverage %")
-	for ni, name := range names {
-		for hi, hog := range hogs {
-			base, see, err := cells[ni][hi].wait()
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(name,
-				fmt.Sprintf("mh%.0f", hog*100),
-				fmt.Sprintf("%.2f", runtimeImprovement(base, see)),
-				fmt.Sprintf("%.2f", energyImprovement(base, see)),
-				fmt.Sprintf("%.1f", see.SuperpageCoverage*100))
-		}
-	}
-	t.AddNote("expected shape: benefits shrink with fragmentation but stay positive (paper: 4-6%% at memhog 60%%)")
-	return t, nil
-}
-
-// EnergyBreakdown decomposes the memory-hierarchy energy per workload for
-// baseline and SEESAW (64KB, 1.33GHz, OoO) — the accounting behind Fig
-// 10, useful for seeing which component each workload's savings come from
-// and why miss-heavy workloads save less.
-func EnergyBreakdown(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	profiles, err := profilesFor(o)
+func fig12(o Options, c *cells) (render, error) {
+	profiles, err := subset(o, workload.CloudNames) // the paper's Fig 12 subset
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]pair, len(profiles))
-	for pi, p := range profiles {
-		cells[pi] = submitPair(o, baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo"))
-	}
-	t := stats.NewTable("Energy breakdown (nJ; 64KB, 1.33GHz, OoO)",
-		"workload", "design", "L1 CPU-side", "L1 coherence", "TLBs+TFT", "walks", "LLC", "DRAM", "leakage", "total")
-	for pi, p := range profiles {
-		base, see, err := cells[pi].wait()
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range []*sim.Report{base, see} {
-			a := r.Energy
-			t.AddRow(p.Name, r.Design,
-				fmt.Sprintf("%.0f", a.L1CPUSideNJ),
-				fmt.Sprintf("%.0f", a.L1CoherenceNJ),
-				fmt.Sprintf("%.0f", a.TLBNJ+a.TFTNJ),
-				fmt.Sprintf("%.0f", a.WalkNJ),
-				fmt.Sprintf("%.0f", a.LLCNJ),
-				fmt.Sprintf("%.0f", a.DRAMNJ),
-				fmt.Sprintf("%.0f", a.LeakageNJ(r.RuntimeSec)),
-				fmt.Sprintf("%.0f", r.EnergyTotalNJ))
+	hogs := []float64{0, 0.30, 0.60}
+	for _, p := range profiles {
+		for _, hog := range hogs {
+			cfg := baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo")
+			cfg.MemhogFraction = hog
+			c.pair(cfg)
 		}
 	}
-	t.AddNote("SEESAW cuts the L1 columns and (via shorter runtime) leakage; LLC/DRAM columns explain why miss-heavy workloads save a smaller share")
-	return t, nil
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Fig 12: % improvement vs memory fragmentation (64KB, 1.33GHz, OoO)",
+			"workload", "memhog", "perf %", "energy %", "coverage %")
+		for _, p := range profiles {
+			for _, hog := range hogs {
+				base, see := r.pair()
+				t.AddRow(p.Name,
+					fmt.Sprintf("mh%.0f", hog*100),
+					fmt.Sprintf("%.2f", runtimeImprovement(base, see)),
+					fmt.Sprintf("%.2f", energyImprovement(base, see)),
+					fmt.Sprintf("%.1f", see.SuperpageCoverage*100))
+			}
+		}
+		t.AddNote("expected shape: benefits shrink with fragmentation but stay positive (paper: 4-6%% at memhog 60%%)")
+		return t, nil
+	}, nil
 }
 
-// Fig13 reproduces the TFT sizing study: the percentage of superpage
+// energyBreakdown decomposes the memory-hierarchy energy per workload
+// for baseline and SEESAW (64KB, 1.33GHz, OoO) — the accounting behind
+// Fig 10, useful for seeing which component each workload's savings
+// come from and why miss-heavy workloads save less.
+func energyBreakdown(o Options, c *cells) (render, error) {
+	profiles, err := profilesFor(o.Workloads)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range profiles {
+		c.pair(baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo"))
+	}
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Energy breakdown (nJ; 64KB, 1.33GHz, OoO)",
+			"workload", "design", "L1 CPU-side", "L1 coherence", "TLBs+TFT", "walks", "LLC", "DRAM", "leakage", "total")
+		for _, p := range profiles {
+			base, see := r.pair()
+			for _, rep := range []*sim.Report{base, see} {
+				a := rep.Energy
+				t.AddRow(p.Name, rep.Design,
+					fmt.Sprintf("%.0f", a.L1CPUSideNJ),
+					fmt.Sprintf("%.0f", a.L1CoherenceNJ),
+					fmt.Sprintf("%.0f", a.TLBNJ+a.TFTNJ),
+					fmt.Sprintf("%.0f", a.WalkNJ),
+					fmt.Sprintf("%.0f", a.LLCNJ),
+					fmt.Sprintf("%.0f", a.DRAMNJ),
+					fmt.Sprintf("%.0f", a.LeakageNJ(rep.RuntimeSec)),
+					fmt.Sprintf("%.0f", rep.EnergyTotalNJ))
+			}
+		}
+		t.AddNote("SEESAW cuts the L1 columns and (via shorter runtime) leakage; LLC/DRAM columns explain why miss-heavy workloads save a smaller share")
+		return t, nil
+	}, nil
+}
+
+// fig13 reproduces the TFT sizing study: the percentage of superpage
 // accesses the TFT fails to identify, for 12/16/20-entry TFTs and
 // 32/64/128KB caches, split into accesses that hit and miss in the L1.
-func Fig13(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	profiles, err := profilesFor(o)
+func fig13(o Options, c *cells) (render, error) {
+	profiles, err := profilesFor(o.Workloads)
 	if err != nil {
 		return nil, err
 	}
 	entrySet := []int{12, 16, 20}
-	cells := make([][][]*runner.Future, len(entrySet))
-	for ei, entries := range entrySet {
-		cells[ei] = make([][]*runner.Future, len(perfSizes))
-		for si, size := range perfSizes {
-			cells[ei][si] = make([]*runner.Future, len(profiles))
-			for pi, p := range profiles {
+	for _, entries := range entrySet {
+		for _, size := range perfSizes {
+			for _, p := range profiles {
 				cfg := baseConfig(o, p, sim.KindSeesaw, size, 1.33, "ooo")
-				cfg.CacheKind = sim.KindSeesaw
 				cfg.TFT.Entries = entries
 				cfg.TFT.Assoc = 1
-				cells[ei][si][pi] = o.Pool.Submit(cfg)
+				c.submit(cfg)
 			}
 		}
 	}
-	t := stats.NewTable("Fig 13: % of superpage accesses missed by the TFT",
-		"TFT entries", "L1 size", "missed, L1 hits (avg [min..max])", "missed, L1 misses (avg [min..max])")
-	for ei, entries := range entrySet {
-		for si, size := range perfSizes {
-			var hitSide, missSide stats.Summary
-			for pi := range profiles {
-				r, err := cells[ei][si][pi].Wait()
-				if err != nil {
-					return nil, err
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Fig 13: % of superpage accesses missed by the TFT",
+			"TFT entries", "L1 size", "missed, L1 hits (avg [min..max])", "missed, L1 misses (avg [min..max])")
+		for _, entries := range entrySet {
+			for _, size := range perfSizes {
+				var hitSide, missSide stats.Summary
+				for range profiles {
+					rep := r.next()
+					hitSide.Add(rep.TFT.SuperMissedL1HitPct)
+					missSide.Add(rep.TFT.SuperMissedL1MissPct)
 				}
-				hitSide.Add(r.TFT.SuperMissedL1HitPct)
-				missSide.Add(r.TFT.SuperMissedL1MissPct)
+				t.AddRow(
+					fmt.Sprintf("%d", entries),
+					fmt.Sprintf("%dKB", size>>10),
+					fmt.Sprintf("%.2f [%.2f..%.2f]", hitSide.Mean(), hitSide.Min(), hitSide.Max()),
+					fmt.Sprintf("%.2f [%.2f..%.2f]", missSide.Mean(), missSide.Min(), missSide.Max()))
 			}
-			t.AddRow(
-				fmt.Sprintf("%d", entries),
-				fmt.Sprintf("%dKB", size>>10),
-				fmt.Sprintf("%.2f [%.2f..%.2f]", hitSide.Mean(), hitSide.Min(), hitSide.Max()),
-				fmt.Sprintf("%.2f [%.2f..%.2f]", missSide.Mean(), missSide.Min(), missSide.Max()))
 		}
-	}
-	t.AddNote("expected shape: 16 entries keep misses under ~10%%; most TFT misses are also L1 misses (paper Fig 13)")
-	return t, nil
+		t.AddNote("expected shape: 16 entries keep misses under ~10%%; most TFT misses are also L1 misses (paper Fig 13)")
+		return t, nil
+	}, nil
 }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 
 	"seesaw/internal/evolve"
-	"seesaw/internal/runner"
 	"seesaw/internal/sim"
 	"seesaw/internal/stats"
-	"seesaw/internal/workload"
 )
 
 // evolveBestFrags is the fragmentation sweep the found design is
@@ -16,127 +14,98 @@ import (
 // fragmented regime the search itself optimized for.
 var evolveBestFrags = []float64{0, 0.3, 0.6}
 
-// EvolveBest runs a small fixed-budget evolutionary search (the
+// evolveBest runs a small fixed-budget evolutionary search (the
 // internal/evolve machinery behind cmd/seesaw-evolve) on the fragmented
 // scenario, then re-evaluates the best-found design against the paper
 // default across a fragmentation sweep. Rows are fragmentation levels;
 // columns compare the two designs' speedup over baseline VIPT (geomean
 // across workloads) and translation MPKI. The search is seeded from
 // Options.Seed, so the table is reproducible like every other figure.
-func EvolveBest(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	names := o.Workloads
-	if len(names) == len(workload.Names()) {
-		// The full 16-workload search is seesaw-evolve territory; the
-		// figure-sized run scores genomes on the two paper anchors.
-		names = []string{"redis", "mcf"}
-	}
-
-	searchFrag := evolveBestFrags[len(evolveBestFrags)-1]
-	search, err := evolve.New(evolve.Options{
-		Seed:        o.Seed,
-		Population:  8,
-		Generations: 4,
-		Scenario: evolve.Scenario{
-			Workloads:  names,
-			Frag:       searchFrag,
-			Seed:       o.Seed,
-			Refs:       o.Refs,
-			WarmupRefs: o.WarmupRefs,
-		},
-	}, evolve.PoolEvaluator{Pool: o.Pool})
+// The sweep's cells depend on what the search finds, so the render runs
+// the search and plans and awaits the sweep itself.
+func evolveBest(o Options, _ *cells) (render, error) {
+	// The full 16-workload search is seesaw-evolve territory; the
+	// figure-sized run scores genomes on the two paper anchors.
+	profiles, err := subset(o, []string{"redis", "mcf"})
 	if err != nil {
 		return nil, err
 	}
-	res, err := search.Run(context.Background())
-	if err != nil {
-		return nil, err
+	names := make([]string, len(profiles))
+	for i, p := range profiles {
+		names[i] = p.Name
 	}
-	best, def := res.Best.Genome, res.Default.Genome
-
-	// Re-evaluate both designs across the fragmentation sweep on the
-	// same pool: the search's own frag-0.6 cells are cache hits. Cells
-	// use the scenario's config shape (sim defaults for the machine), so
-	// they dedup against the search's cells exactly.
-	profiles := make([]workload.Profile, len(names))
-	for i, name := range names {
-		if profiles[i], err = workload.ByName(name); err != nil {
-			return nil, err
-		}
-	}
-	scenario := func(p workload.Profile, frag float64) sim.Config {
-		return sim.Config{
-			Workload:       p,
-			Seed:           o.Seed,
-			Refs:           o.Refs,
-			WarmupRefs:     o.WarmupRefs,
-			MemhogFraction: frag,
-		}
-	}
-	type cells struct{ base, def, best []*runner.Future }
-	sweep := make([]cells, len(evolveBestFrags))
-	for fi, frag := range evolveBestFrags {
-		var c cells
-		for _, p := range profiles {
-			cfg := scenario(p, frag)
-			baseCfg := cfg
-			baseCfg.CacheKind = sim.KindBaseline
-			c.base = append(c.base, o.Pool.Submit(baseCfg))
-			c.def = append(c.def, o.Pool.Submit(def.Apply(cfg)))
-			c.best = append(c.best, o.Pool.Submit(best.Apply(cfg)))
-		}
-		sweep[fi] = c
-	}
-
-	t := stats.NewTable(
-		fmt.Sprintf("Autotuned SEESAW vs paper default under fragmentation (best %s, search seed %d)", best.Key(), o.Seed),
-		"memhog frac", "default speedup", "best speedup", "default MPKI", "best MPKI")
-	for fi, frag := range evolveBestFrags {
-		baseReps, err := waitAll(sweep[fi].base)
+	return func(*reports) (*stats.Table, error) {
+		searchFrag := evolveBestFrags[len(evolveBestFrags)-1]
+		search, err := evolve.New(evolve.Options{
+			Seed:        o.Seed,
+			Population:  8,
+			Generations: 4,
+			Scenario: evolve.Scenario{
+				Workloads:  names,
+				Frag:       searchFrag,
+				Seed:       o.Seed,
+				Refs:       o.Refs,
+				WarmupRefs: o.WarmupRefs,
+			},
+		}, evolve.PoolEvaluator{Pool: o.Pool})
 		if err != nil {
 			return nil, err
 		}
-		defObj, err := designPoint(sweep[fi].def, baseReps)
+		res, err := search.Run(context.Background())
 		if err != nil {
 			return nil, err
 		}
-		bestObj, err := designPoint(sweep[fi].best, baseReps)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%.2f", frag),
-			fmt.Sprintf("%.4f", defObj.Speedup), fmt.Sprintf("%.4f", bestObj.Speedup),
-			fmt.Sprintf("%.3f", defObj.MPKI), fmt.Sprintf("%.3f", bestObj.MPKI))
-	}
-	t.AddNote(fmt.Sprintf("search: %d genomes over %d generations on %v at memhog %.2f; paper default %s",
-		res.Evaluations, res.Generations, names, searchFrag, def.Key()))
-	if res.BestDominatesDefault {
-		t.AddNote("the found design strictly Pareto-dominates the paper default on the search scenario")
-	}
-	t.AddNote("expected: the autotuned design holds or beats the default as fragmentation rises — the regime it was searched under")
-	return t, nil
-}
+		best, def := res.Best.Genome, res.Default.Genome
 
-// waitAll reduces a slice of futures in submission order.
-func waitAll(fs []*runner.Future) ([]*sim.Report, error) {
-	reps := make([]*sim.Report, len(fs))
-	for i, f := range fs {
-		r, err := f.Wait()
+		// Re-evaluate both designs across the fragmentation sweep on
+		// the same pool: the search's own frag-0.6 cells are cache
+		// hits. Cells use the scenario's config shape (sim defaults for
+		// the machine), so they dedup against the search's cells
+		// exactly.
+		c := cells{pool: o.Pool}
+		for _, frag := range evolveBestFrags {
+			for _, p := range profiles {
+				cfg := sim.Config{Workload: p, Seed: o.Seed, Refs: o.Refs, WarmupRefs: o.WarmupRefs, MemhogFraction: frag}
+				baseCfg := cfg
+				baseCfg.CacheKind = sim.KindBaseline
+				c.submit(baseCfg)
+				c.submit(def.Apply(cfg))
+				c.submit(best.Apply(cfg))
+			}
+		}
+		r, err := c.wait()
 		if err != nil {
 			return nil, err
 		}
-		reps[i] = r
-	}
-	return reps, nil
-}
 
-// designPoint folds one design's sweep cells into the search's
-// objective space (geomean speedup over baseline, mean translation
-// MPKI).
-func designPoint(fs []*runner.Future, base []*sim.Report) (evolve.Objectives, error) {
-	reps, err := waitAll(fs)
-	if err != nil {
-		return evolve.Objectives{}, err
-	}
-	return evolve.Reduce(reps, base)
+		t := stats.NewTable(
+			fmt.Sprintf("Autotuned SEESAW vs paper default under fragmentation (best %s, search seed %d)", best.Key(), o.Seed),
+			"memhog frac", "default speedup", "best speedup", "default MPKI", "best MPKI")
+		for _, frag := range evolveBestFrags {
+			var base, defReps, bestReps []*sim.Report
+			for range profiles {
+				base = append(base, r.next())
+				defReps = append(defReps, r.next())
+				bestReps = append(bestReps, r.next())
+			}
+			defObj, err := evolve.Reduce(defReps, base)
+			if err != nil {
+				return nil, err
+			}
+			bestObj, err := evolve.Reduce(bestReps, base)
+			if err != nil {
+				return nil, err
+			}
+			t.AddRow(fmt.Sprintf("%.2f", frag),
+				fmt.Sprintf("%.4f", defObj.Speedup), fmt.Sprintf("%.4f", bestObj.Speedup),
+				fmt.Sprintf("%.3f", defObj.MPKI), fmt.Sprintf("%.3f", bestObj.MPKI))
+		}
+		t.AddNote(fmt.Sprintf("search: %d genomes over %d generations on %v at memhog %.2f; paper default %s",
+			res.Evaluations, res.Generations, names, searchFrag, def.Key()))
+		if res.BestDominatesDefault {
+			t.AddNote("the found design strictly Pareto-dominates the paper default on the search scenario")
+		}
+		t.AddNote("expected: the autotuned design holds or beats the default as fragmentation rises — the regime it was searched under")
+		return t, nil
+	}, nil
 }

@@ -1,14 +1,20 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation as printable row/series tables. Each function is
-// self-contained: it builds the systems it needs through internal/sim and
-// returns a stats.Table whose rows mirror what the paper plots. The
-// cmd/seesaw-figures tool and the repository's benchmark harness both
-// drive this package; EXPERIMENTS.md records paper-vs-measured values.
+// evaluation as printable row/series tables. Each experiment is a plan
+// and a render. The plan submits the experiment's simulation cells to a
+// runner.Pool without waiting for any of them; the render builds a
+// stats.Table whose rows mirror what the paper plots from the cells'
+// reports, which one driver (Planned.Render) awaits in submission order
+// and hands it in that order. The cmd/seesaw-figures tool and the
+// repository's benchmark harness both drive this package;
+// EXPERIMENTS.md records paper-vs-measured values.
 //
-// Generators fan their independent simulation cells out onto a
-// runner.Pool (Options.Pool / Options.Parallel) and reduce the futures
-// in submission order, so the printed tables are byte-identical for a
-// given seed whether the cells ran serially or concurrently.
+// Run plans one experiment and renders it. seesaw-figures plans every
+// requested experiment on one pool before rendering any, so all of
+// their cells are queued before the first is awaited, and cells of
+// different experiments that share a front end can share its pass. A
+// cell's report depends on its config alone and renders read reports in
+// submission order, so the printed tables are byte-identical for a
+// given seed however the pool scheduled the cells.
 package experiments
 
 import (
@@ -41,14 +47,11 @@ type Options struct {
 	// signature fork from one warmed machine, so the warmup is paid once
 	// per workload, not per cell.
 	WarmupRefs int
-	// Parallel bounds concurrent simulation cells when Pool is nil:
-	// 0 selects runtime.GOMAXPROCS(0), 1 restores serial execution.
-	Parallel int
 	// Pool runs the experiment's cells. Sharing one pool across
 	// experiments (as cmd/seesaw-figures does) also shares its result
 	// cache, so every figure comparing against the same baseline cell
-	// reuses one run. When nil, a fresh pool with Parallel workers is
-	// created per experiment.
+	// reuses one run. When nil, each plan gets a fresh runner.New(0)
+	// pool.
 	Pool *runner.Pool
 }
 
@@ -63,15 +66,15 @@ func (o Options) withDefaults() Options {
 		o.Workloads = workload.Names()
 	}
 	if o.Pool == nil {
-		o.Pool = runner.New(o.Parallel)
+		o.Pool = runner.New(0)
 	}
 	return o
 }
 
-// profilesFor resolves the option's workload names.
-func profilesFor(o Options) ([]workload.Profile, error) {
-	ps := make([]workload.Profile, 0, len(o.Workloads))
-	for _, n := range o.Workloads {
+// profilesFor resolves workload names.
+func profilesFor(names []string) ([]workload.Profile, error) {
+	ps := make([]workload.Profile, 0, len(names))
+	for _, n := range names {
 		p, err := workload.ByName(n)
 		if err != nil {
 			return nil, err
@@ -79,6 +82,16 @@ func profilesFor(o Options) ([]workload.Profile, error) {
 		ps = append(ps, p)
 	}
 	return ps, nil
+}
+
+// subset resolves the workloads of a study that runs on a paper subset:
+// def when the options name every workload, the options' own list
+// otherwise.
+func subset(o Options, def []string) ([]workload.Profile, error) {
+	if len(o.Workloads) == len(workload.Names()) {
+		return profilesFor(def)
+	}
+	return profilesFor(o.Workloads)
 }
 
 // baseConfig is the shared simulation skeleton.
@@ -100,30 +113,54 @@ func baseConfig(o Options, p workload.Profile, kind sim.CacheKind, size uint64, 
 	}
 }
 
-// pair is a submitted baseline+SEESAW comparison awaiting reduction.
-// Generators submit every cell first, then reduce pairs in submission
-// order, so rows come out byte-identical to a serial run while the
-// pool's workers execute cells concurrently.
-type pair struct {
-	base, see *runner.Future
+// cells collects the simulation cells a plan submits, in submission
+// order.
+type cells struct {
+	pool *runner.Pool
+	fs   []*runner.Future
 }
 
-// submitPair schedules baseline VIPT and SEESAW on identical inputs.
-func submitPair(o Options, cfg sim.Config) pair {
-	b, s := o.Pool.Pair(cfg)
-	return pair{base: b, see: s}
+// submit queues one cell.
+func (c *cells) submit(cfg sim.Config) { c.fs = append(c.fs, c.pool.Submit(cfg)) }
+
+// pair queues the baseline-VIPT and SEESAW variants of cfg, in that
+// order: the comparison every figure makes. Baseline cells dedupe
+// across every figure that compares against them.
+func (c *cells) pair(cfg sim.Config) {
+	cfg.CacheKind = sim.KindBaseline
+	c.submit(cfg)
+	cfg.CacheKind = sim.KindSeesaw
+	c.submit(cfg)
 }
 
-// wait blocks for both sides of the comparison.
-func (pr pair) wait() (base, see *sim.Report, err error) {
-	if base, err = pr.base.Wait(); err != nil {
-		return nil, nil, err
+// wait awaits every cell in submission order and returns their reports,
+// or the first error in that order.
+func (c *cells) wait() (reports, error) {
+	reps := make(reports, len(c.fs))
+	for i, f := range c.fs {
+		r, err := f.Wait()
+		if err != nil {
+			return nil, err
+		}
+		reps[i] = r
 	}
-	if see, err = pr.see.Wait(); err != nil {
-		return nil, nil, err
-	}
-	return base, see, nil
+	return reps, nil
 }
+
+// reports hands a render its experiment's reports in the order its plan
+// submitted the cells.
+type reports []*sim.Report
+
+// next returns the next report.
+func (r *reports) next() *sim.Report {
+	rep := (*r)[0]
+	*r = (*r)[1:]
+	return rep
+}
+
+// pair returns the next two reports: the baseline and SEESAW cells a
+// plan's pair submitted.
+func (r *reports) pair() (base, see *sim.Report) { return r.next(), r.next() }
 
 // runtimeImprovement returns the percent runtime improvement of see over
 // base (positive = SEESAW faster).
@@ -136,44 +173,56 @@ func energyImprovement(base, see *sim.Report) float64 {
 	return stats.PctImprovement(base.EnergyTotalNJ, see.EnergyTotalNJ)
 }
 
-// Generator produces one experiment table.
-type Generator func(Options) (*stats.Table, error)
+// A plan submits one experiment's cells to o.Pool (defaults applied)
+// through c without waiting for any, and returns the experiment's
+// render. It fails only on options it cannot plan, such as an unknown
+// workload.
+type plan func(o Options, c *cells) (render, error)
 
-// registry maps experiment ids to generators.
-var registry = map[string]Generator{
-	"fig2a":  Fig2a,
-	"fig2b":  noOpt(Fig2b),
-	"fig2c":  noOpt(Fig2c),
-	"fig3":   Fig3,
-	"table1": noOpt(TableI),
-	"table2": noOpt(TableII),
-	"table3": noOpt(TableIII),
-	"fig7":   Fig7,
-	"fig8":   Fig8,
-	"fig9":   Fig9,
-	"fig10":  Fig10,
-	"fig11":  Fig11,
-	"fig12":  Fig12,
-	"fig13":  Fig13,
-	"fig14":  Fig14,
-	"fig15":  Fig15,
+// A render builds an experiment's table from its cells' reports, which
+// it takes from r in submission order. It fails only on work of its
+// own: the pool tasks Fig 2a and Fig 3 await, evolve-best's search, or
+// a table computed without cells.
+type render func(r *reports) (*stats.Table, error)
 
-	"energy-breakdown":     EnergyBreakdown,
-	"vespa-vs-seesaw":      VespaVsSeesaw,
-	"evolve-best":          EvolveBest,
-	"ext-icache":           ExtICache,
-	"ablation-1g":          Ablation1GPages,
-	"ablation-partition":   AblationPartitionCount,
-	"ablation-prefetch":    AblationPrefetch,
-	"ablation-replacement": AblationReplacement,
-	"ablation-insertion":   AblationInsertionPolicy,
-	"ablation-scheduler":   AblationSchedulerPolicy,
-	"ablation-tft-assoc":   AblationTFTAssociativity,
-	"ablation-snoopy":      AblationSnoopy,
+// static is the plan of a table computed without simulation cells.
+func static(table func() (*stats.Table, error)) plan {
+	return func(Options, *cells) (render, error) {
+		return func(*reports) (*stats.Table, error) { return table() }, nil
+	}
 }
 
-func noOpt(f func() (*stats.Table, error)) Generator {
-	return func(Options) (*stats.Table, error) { return f() }
+// registry maps experiment ids to plans.
+var registry = map[string]plan{
+	"fig2a":  fig2a,
+	"fig2b":  static(Fig2b),
+	"fig2c":  static(Fig2c),
+	"fig3":   fig3,
+	"table1": static(TableI),
+	"table2": static(TableII),
+	"table3": static(TableIII),
+	"fig7":   fig7,
+	"fig8":   fig8,
+	"fig9":   fig9,
+	"fig10":  fig10,
+	"fig11":  fig11,
+	"fig12":  fig12,
+	"fig13":  fig13,
+	"fig14":  fig14,
+	"fig15":  fig15,
+
+	"energy-breakdown":     energyBreakdown,
+	"vespa-vs-seesaw":      vespaVsSeesaw,
+	"evolve-best":          evolveBest,
+	"ext-icache":           extICache,
+	"ablation-1g":          ablation1GPages,
+	"ablation-partition":   ablationPartitionCount,
+	"ablation-prefetch":    ablationPrefetch,
+	"ablation-replacement": ablationReplacement,
+	"ablation-insertion":   ablationInsertionPolicy,
+	"ablation-scheduler":   ablationSchedulerPolicy,
+	"ablation-tft-assoc":   ablationTFTAssociativity,
+	"ablation-snoopy":      ablationSnoopy,
 }
 
 // IDs returns the registered experiment ids, sorted.
@@ -186,11 +235,53 @@ func IDs() []string {
 	return ids
 }
 
-// Run executes one experiment by id.
-func Run(id string, o Options) (*stats.Table, error) {
-	g, ok := registry[id]
+// Planned is one planned experiment: its cells are on the pool, and
+// Render builds its table once they have run.
+type Planned struct {
+	id     string
+	cells  cells
+	render render
+}
+
+// Plan submits experiment id's cells to o.Pool (a fresh pool when nil)
+// and returns without waiting for any of them. Planning several
+// experiments on one pool before rendering any queues all of their
+// cells before the first is awaited.
+func Plan(id string, o Options) (*Planned, error) {
+	pl, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	return g(o)
+	o = o.withDefaults()
+	e := &Planned{id: id, cells: cells{pool: o.Pool}}
+	r, err := pl(o, &e.cells)
+	if err != nil {
+		return nil, err
+	}
+	e.render = r
+	return e, nil
+}
+
+// Render awaits the experiment's cells in submission order and builds
+// its table from their reports. The first failed cell, in submission
+// order, fails the experiment.
+func (e *Planned) Render() (*stats.Table, error) {
+	reps, err := e.cells.wait()
+	if err != nil {
+		return nil, err
+	}
+	t, err := e.render(&reps)
+	if err == nil && len(reps) != 0 {
+		return nil, fmt.Errorf("experiments: %s rendered %d of its %d cells", e.id, len(e.cells.fs)-len(reps), len(e.cells.fs))
+	}
+	return t, err
+}
+
+// Run plans one experiment by id and renders it.
+func Run(id string, o Options) (*stats.Table, error) {
+	e, err := Plan(id, o)
+	if err != nil {
+		return nil, err
+	}
+	return e.Render()
 }

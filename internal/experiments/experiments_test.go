@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"seesaw/internal/runner"
 	"seesaw/internal/sim"
@@ -141,7 +145,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Pool == nil {
 		t.Error("withDefaults must provide a pool")
 	}
-	if _, err := profilesFor(Options{Workloads: []string{"nope"}}); err == nil {
+	if _, err := profilesFor([]string{"nope"}); err == nil {
 		t.Error("unknown workload must error")
 	}
 }
@@ -198,9 +202,9 @@ func TestParallelMatchesSerialTables(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			render := func(parallel int) string {
+			render := func(workers int) string {
 				o := tinyOpts()
-				o.Parallel = parallel
+				o.Pool = runner.New(workers)
 				tb, err := Run(id, o)
 				if err != nil {
 					t.Fatal(err)
@@ -239,5 +243,98 @@ func TestSharedPoolDedupesAcrossFigures(t *testing.T) {
 	// entirely from cache.
 	if st.Runs != st.Submitted/2 {
 		t.Errorf("expected full dedup of the second figure: %+v", st)
+	}
+}
+
+// TestPlansDoNotWait: a plan submits its cells and returns without
+// awaiting any. On a two-worker pool whose cells block until released,
+// planning every experiment returns while no cell has finished; once
+// the cells are released, every render returns its table. A plan that
+// awaits a cell fails the test at the deadline instead of hanging it.
+func TestPlansDoNotWait(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweep in -short mode")
+	}
+	release := make(chan struct{})
+	var finished atomic.Int64
+	o := tinyOpts()
+	o.Pool = runner.NewWithRunContext(2, func(ctx context.Context, cfg sim.Config) (*sim.Report, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		defer finished.Add(1)
+		return sim.RunContext(ctx, cfg)
+	})
+	done := make(chan error, 1)
+	var planned []*Planned
+	go func() {
+		for _, id := range IDs() {
+			p, err := Plan(id, o)
+			if err != nil {
+				done <- fmt.Errorf("%s: %w", id, err)
+				return
+			}
+			planned = append(planned, p)
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			close(release)
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		close(release)
+		t.Fatal("planning every experiment did not return: a plan awaits a cell")
+	}
+	if n := finished.Load(); n != 0 {
+		t.Errorf("%d cells finished before any was released", n)
+	}
+	close(release)
+	for i, p := range planned {
+		tb, err := p.Render()
+		if err != nil {
+			t.Fatalf("%s: %v", IDs()[i], err)
+		}
+		if len(tb.Rows) == 0 {
+			t.Errorf("%s: empty table", IDs()[i])
+		}
+	}
+}
+
+// TestPlannedBatchMatchesRun: planning every experiment on one pool and
+// rendering them in id order, as seesaw-figures does, gives tables
+// byte-identical to Run of each experiment on a fresh pool.
+func TestPlannedBatchMatchesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment sweep in -short mode")
+	}
+	o := tinyOpts()
+	o.Pool = runner.New(2)
+	var planned []*Planned
+	for _, id := range IDs() {
+		p, err := Plan(id, o)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		planned = append(planned, p)
+	}
+	for i, id := range IDs() {
+		got, err := planned[i].Render()
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		fresh := tinyOpts()
+		fresh.Pool = runner.New(2)
+		want, err := Run(id, fresh)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: batch table differs from Run:\n--- batch ---\n%s\n--- run ---\n%s", id, got, want)
+		}
 	}
 }

@@ -3,76 +3,49 @@ package experiments
 import (
 	"fmt"
 
-	"seesaw/internal/runner"
 	"seesaw/internal/sim"
 	"seesaw/internal/stats"
 	"seesaw/internal/workload"
 )
 
-// ExtICache evaluates the paper's proposed instruction-side application
+// extICache evaluates the paper's proposed instruction-side application
 // of SEESAW ("it is also possible to apply it to the instruction cache
 // ... valuable with the advent of cloud workloads that use considerably
 // larger instruction-side footprints"): both L1I and L1D use the SEESAW
 // design, with the text segment mapped by 2MB pages, against a baseline
 // VIPT I+D system.
-func ExtICache(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	names := o.Workloads
-	if len(names) == len(workload.Names()) {
-		names = workload.CloudNames
+func extICache(o Options, c *cells) (render, error) {
+	profiles, err := subset(o, workload.CloudNames)
+	if err != nil {
+		return nil, err
 	}
-	type icCells struct{ baseI, seeI, baseD, seeD *runner.Future }
-	cells := make([]icCells, len(names))
-	for ni, name := range names {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		submit := func(kind sim.CacheKind, icache bool) *runner.Future {
-			cfg := baseConfig(o, p, kind, 64<<10, 1.33, "ooo")
-			cfg.CacheKind = kind
+	for _, p := range profiles {
+		for _, icache := range []bool{true, false} {
+			cfg := baseConfig(o, p, sim.KindBaseline, 64<<10, 1.33, "ooo")
 			cfg.ICache = icache
 			cfg.TextHuge = true
-			return o.Pool.Submit(cfg)
-		}
-		cells[ni] = icCells{
-			baseI: submit(sim.KindBaseline, true),
-			seeI:  submit(sim.KindSeesaw, true),
-			baseD: submit(sim.KindBaseline, false),
-			seeD:  submit(sim.KindSeesaw, false),
+			c.pair(cfg)
 		}
 	}
-	t := stats.NewTable("Extension: SEESAW on the instruction cache (32KB L1I + 64KB L1D, 1.33GHz, OoO)",
-		"workload", "L1I MPKI", "perf % (D only)", "perf % (I+D)", "energy % (I+D)")
-	for ni, name := range names {
-		baseI, err := cells[ni].baseI.Wait()
-		if err != nil {
-			return nil, err
+	return func(r *reports) (*stats.Table, error) {
+		t := stats.NewTable("Extension: SEESAW on the instruction cache (32KB L1I + 64KB L1D, 1.33GHz, OoO)",
+			"workload", "L1I MPKI", "perf % (D only)", "perf % (I+D)", "energy % (I+D)")
+		for _, p := range profiles {
+			baseI, seeI := r.pair()
+			baseD, seeD := r.pair()
+			impD := runtimeImprovement(baseD, seeD)
+			impI := runtimeImprovement(baseI, seeI)
+			var l1iMPKI float64
+			if baseI.Instructions > 0 {
+				l1iMPKI = float64(baseI.L1IMisses) / float64(baseI.Instructions) * 1000
+			}
+			t.AddRow(p.Name,
+				fmt.Sprintf("%.1f", l1iMPKI),
+				fmt.Sprintf("%.2f", impD),
+				fmt.Sprintf("%.2f", impI),
+				fmt.Sprintf("%.2f", energyImprovement(baseI, seeI)))
 		}
-		seeI, err := cells[ni].seeI.Wait()
-		if err != nil {
-			return nil, err
-		}
-		baseD, err := cells[ni].baseD.Wait()
-		if err != nil {
-			return nil, err
-		}
-		seeD, err := cells[ni].seeD.Wait()
-		if err != nil {
-			return nil, err
-		}
-		impD := runtimeImprovement(baseD, seeD)
-		impI := runtimeImprovement(baseI, seeI)
-		var l1iMPKI float64
-		if baseI.Instructions > 0 {
-			l1iMPKI = float64(baseI.L1IMisses) / float64(baseI.Instructions) * 1000
-		}
-		t.AddRow(name,
-			fmt.Sprintf("%.1f", l1iMPKI),
-			fmt.Sprintf("%.2f", impD),
-			fmt.Sprintf("%.2f", impI),
-			fmt.Sprintf("%.2f", energyImprovement(baseI, seeI)))
-	}
-	t.AddNote("expected: applying SEESAW to the I-cache adds benefit on instruction-footprint-heavy cloud workloads")
-	return t, nil
+		t.AddNote("expected: applying SEESAW to the I-cache adds benefit on instruction-footprint-heavy cloud workloads")
+		return t, nil
+	}, nil
 }

@@ -16,12 +16,11 @@ import (
 // fig2Sizes are the cache sizes of the paper's Fig 2 sweeps.
 var fig2Sizes = []uint64{16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
 
-// Fig2a reproduces "Avg. Miss-per-kilo-instructions (MPKI)" versus
+// fig2a reproduces "Avg. Miss-per-kilo-instructions (MPKI)" versus
 // associativity for 16KB-256KB caches: raising associativity beyond ~4
 // barely moves the average MPKI, while capacity does.
-func Fig2a(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	profiles, err := profilesFor(o)
+func fig2a(o Options, _ *cells) (render, error) {
+	profiles, err := profilesFor(o.Workloads)
 	if err != nil {
 		return nil, err
 	}
@@ -33,31 +32,34 @@ func Fig2a(o Options) (*stats.Table, error) {
 			return cacheOnlyMPKI(p, o.Seed, o.Refs)
 		})
 	}
-	mpki := make([][][]float64, len(profiles))
-	for pi, task := range tasks {
-		if mpki[pi], err = task.Wait(); err != nil {
-			return nil, err
-		}
-	}
-	t := stats.NewTable("Fig 2a: average MPKI vs associativity",
-		"size", "DM", "2-way", "4-way", "8-way", "16-way", "32-way")
-	for si, size := range fig2Sizes {
-		row := []string{fmt.Sprintf("%dKB", size>>10)}
-		for wi, ways := range sram.Assocs {
-			if !fig2aFits(size, ways) {
-				row = append(row, "-")
-				continue
+	return func(*reports) (*stats.Table, error) {
+		mpki := make([][][]float64, len(profiles))
+		for pi, task := range tasks {
+			var err error
+			if mpki[pi], err = task.Wait(); err != nil {
+				return nil, err
 			}
-			var sum stats.Summary
-			for pi := range profiles {
-				sum.Add(mpki[pi][si][wi])
-			}
-			row = append(row, fmt.Sprintf("%.1f", sum.Mean()))
 		}
-		t.AddRow(row...)
-	}
-	t.AddNote("expected shape: MPKI flat beyond 4 ways, dropping with capacity (paper Fig 2a)")
-	return t, nil
+		t := stats.NewTable("Fig 2a: average MPKI vs associativity",
+			"size", "DM", "2-way", "4-way", "8-way", "16-way", "32-way")
+		for si, size := range fig2Sizes {
+			row := []string{fmt.Sprintf("%dKB", size>>10)}
+			for wi, ways := range sram.Assocs {
+				if !fig2aFits(size, ways) {
+					row = append(row, "-")
+					continue
+				}
+				var sum stats.Summary
+				for pi := range profiles {
+					sum.Add(mpki[pi][si][wi])
+				}
+				row = append(row, fmt.Sprintf("%.1f", sum.Mean()))
+			}
+			t.AddRow(row...)
+		}
+		t.AddNote("expected shape: MPKI flat beyond 4 ways, dropping with capacity (paper Fig 2a)")
+		return t, nil
+	}, nil
 }
 
 // fig2aFits reports whether a Fig 2a cache of size bytes has at least
@@ -185,44 +187,42 @@ func Fig2c() (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig3 reproduces the superpage-prevalence study: the fraction of each
+// fig3 reproduces the superpage-prevalence study: the fraction of each
 // workload's footprint backed by 2MB pages as memhog fragments 0%, 40%,
 // 60%, and 80% of physical memory.
-func Fig3(o Options) (*stats.Table, error) {
-	o = o.withDefaults()
-	profiles, err := profilesFor(o)
+func fig3(o Options, _ *cells) (render, error) {
+	profiles, err := profilesFor(o.Workloads)
 	if err != nil {
 		return nil, err
 	}
 	hogs := []float64{0, 0.40, 0.60, 0.80}
 	// Tasks go in one memhog level at a time, so the tasks running next
 	// to each other share one fragmentation image.
-	tasks := make([][]*runner.Task[float64], len(profiles))
-	for pi := range profiles {
-		tasks[pi] = make([]*runner.Task[float64], len(hogs))
-	}
-	for hi, hog := range hogs {
-		for pi, p := range profiles {
-			tasks[pi][hi] = runner.Go(o.Pool, func() (float64, error) {
+	tasks := make([]*runner.Task[float64], 0, len(hogs)*len(profiles))
+	for _, hog := range hogs {
+		for _, p := range profiles {
+			tasks = append(tasks, runner.Go(o.Pool, func() (float64, error) {
 				return coverageUnderFragmentation(p, o.Seed, hog)
-			})
+			}))
 		}
 	}
-	t := stats.NewTable("Fig 3: % of footprint in 2MB superpages vs memhog",
-		"workload", "memhog(0%)", "memhog(40%)", "memhog(60%)", "memhog(80%)")
-	for pi, p := range profiles {
-		row := []string{p.Name}
-		for hi := range hogs {
-			cov, err := tasks[pi][hi].Wait()
-			if err != nil {
-				return nil, err
+	return func(*reports) (*stats.Table, error) {
+		t := stats.NewTable("Fig 3: % of footprint in 2MB superpages vs memhog",
+			"workload", "memhog(0%)", "memhog(40%)", "memhog(60%)", "memhog(80%)")
+		for pi, p := range profiles {
+			row := []string{p.Name}
+			for hi := range hogs {
+				cov, err := tasks[hi*len(profiles)+pi].Wait()
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, fmt.Sprintf("%.1f", cov*100))
 			}
-			row = append(row, fmt.Sprintf("%.1f", cov*100))
+			t.AddRow(row...)
 		}
-		t.AddRow(row...)
-	}
-	t.AddNote("expected shape: 65%%+ coverage through memhog(40-60%%), collapsing at 80%% (paper Fig 3)")
-	return t, nil
+		t.AddNote("expected shape: 65%%+ coverage through memhog(40-60%%), collapsing at 80%% (paper Fig 3)")
+		return t, nil
+	}, nil
 }
 
 // coverageUnderFragmentation maps one workload's footprint on fragmented

@@ -26,11 +26,12 @@
 // one-worker pool runs each cell inline and live, as sim.Run does.
 //
 // The pool also carries a keyed result cache: two submissions of an
-// identical cell share one execution. The evaluation re-runs the same
-// baseline-VIPT cell once per figure that compares against it; with one
-// pool shared across figures (as cmd/seesaw-figures does) each distinct
-// cell runs exactly once. Cached reports are shared between callers and
-// must be treated as immutable.
+// identical cell share one execution. Most figures compare against the
+// same baseline-VIPT cells; cmd/seesaw-figures plans every figure on one
+// pool before awaiting any cell, so each distinct cell runs exactly once
+// and one front-end group's pass can answer cells of several figures.
+// Cached reports are shared between callers and must be treated as
+// immutable.
 package runner
 
 import (
@@ -511,17 +512,6 @@ func (p *Pool) runRecover(ctx context.Context, cfg sim.Config) (rep *sim.Report,
 		}
 	}()
 	return p.run(ctx, cfg)
-}
-
-// Pair submits the baseline-VIPT and SEESAW variants of one config —
-// the comparison shape every figure uses. Baseline futures dedupe across
-// every figure that compares against the same baseline cell.
-func (p *Pool) Pair(cfg sim.Config) (base, see *Future) {
-	b := cfg
-	b.CacheKind = sim.KindBaseline
-	s := cfg
-	s.CacheKind = sim.KindSeesaw
-	return p.Submit(b), p.Submit(s)
 }
 
 // Go schedules an arbitrary cell (a cache-only replay, a coverage

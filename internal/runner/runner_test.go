@@ -101,30 +101,6 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 	}
 }
 
-// TestPairSharesBaseline: a figure's Pair and another figure's direct
-// submission of the same baseline cell share one execution.
-func TestPairSharesBaseline(t *testing.T) {
-	p := New(2)
-	cfg := testConfig(t, "mcf", 42)
-	b1, s1 := p.Pair(cfg)
-	base := cfg
-	base.CacheKind = sim.KindBaseline
-	b2 := p.Submit(base)
-	for _, f := range []*Future{b1, s1, b2} {
-		if _, err := f.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r1, _ := b1.Wait()
-	r2, _ := b2.Wait()
-	if r1 != r2 {
-		t.Error("baseline cell must dedupe across figures")
-	}
-	if st := p.Stats(); st.Runs != 2 || st.CacheHits != 1 {
-		t.Errorf("stats = %+v, want 2 runs / 1 hit", st)
-	}
-}
-
 // TestTraceCellsNotCached: configs replaying an explicit trace bypass
 // the cache (the trace contents are not part of the key).
 func TestTraceCellsNotCached(t *testing.T) {
