@@ -74,20 +74,28 @@ chaos:
 # moves both modes alike would pass that comparison, so the two-worker
 # stdout must also hash to FIGURES_SHA256, the pinned digest of the
 # tables; a change that means to alter a table updates the digest with
-# it. The gate then does the same comparison for one warmed olio sweep,
-# a batch of one large front-end group (a back end per design and
-# geometry, each with three clock siblings) plus a PIPT group, whose
-# pass lends back ends to the idle worker.
+# it. A change that stops groups from sharing keeps every table, so the
+# last stderr line of the two-worker run, the pool's sharing summary,
+# must equal FIGURES_SOURCES: the pool groups a whole batch before any
+# cell runs, so the line is the same on every run. The gate then does
+# the same comparison for one warmed olio sweep, a batch of one large
+# front-end group (a back end per design and geometry, each with three
+# clock siblings) plus a PIPT group, whose pass lends back ends to the
+# idle worker.
 FIGURES_SHA256 = 5f55347769234a0954bd8cf99bfe87e435df37ccbfe1f1f830a0b8871a7beb49
+FIGURES_SOURCES = seesaw-figures: 586 cells submitted to 2 workers: store 0, cached 248, fresh 338 (rung resumes 0, 0 warmup refs skipped); group passes 45, answered 245 cells
 
 figures-cmp:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o "$$tmp/seesaw-figures" ./cmd/seesaw-figures && \
 	$(GO) build -o "$$tmp/seesaw-sweep" ./cmd/seesaw-sweep && \
-	"$$tmp/seesaw-figures" -all -workloads redis,olio,nutch -parallel 2 > "$$tmp/shared.txt" && \
+	{ "$$tmp/seesaw-figures" -all -workloads redis,olio,nutch -parallel 2 > "$$tmp/shared.txt" 2> "$$tmp/shared.err" || \
+		{ cat "$$tmp/shared.err" >&2; exit 1; }; } && \
 	"$$tmp/seesaw-figures" -all -workloads redis,olio,nutch -parallel 1 > "$$tmp/live.txt" && \
 	cmp "$$tmp/shared.txt" "$$tmp/live.txt" && \
 	echo "$(FIGURES_SHA256)  $$tmp/shared.txt" | sha256sum -c --quiet && \
+	{ test "$$(tail -n 1 "$$tmp/shared.err")" = "$(FIGURES_SOURCES)" || \
+		{ echo "figures-cmp: sharing summary differs from FIGURES_SOURCES:"; tail -n 1 "$$tmp/shared.err"; exit 1; }; } && \
 	"$$tmp/seesaw-sweep" -workloads olio -freqs 1.33,2.8,4 -warmup 20000 -parallel 2 > "$$tmp/sweep-shared.txt" && \
 	"$$tmp/seesaw-sweep" -workloads olio -freqs 1.33,2.8,4 -warmup 20000 -parallel 1 > "$$tmp/sweep-live.txt" && \
 	cmp "$$tmp/sweep-shared.txt" "$$tmp/sweep-live.txt"

@@ -111,7 +111,7 @@ func (o sweepOptions) newPool() *runner.Pool {
 	p := o.pool
 	if p == nil {
 		if o.ladder != nil {
-			p = runner.NewWithRunContext(o.parallel, o.ladder)
+			p = runner.NewWithRunContext(o.parallel, o.ladder).WithLadderStats(o.ladderStats)
 		} else {
 			p = runner.New(o.parallel)
 		}
@@ -239,9 +239,10 @@ func main() {
 		// from o.
 		o.ladder, o.ladderStats = runner.LadderRun(st, *rungEvery)
 	}
-	if *promOut != "" || *progress || *storeDir != "" {
-		// These features need the pool held after the sweep (snapshot,
-		// progress teardown, store-hit report), so build it up front.
+	if *clusterURL == "" {
+		// The sweep's closing lines (sharing summary, progress teardown,
+		// store and ladder reports, -prom snapshot) read the pool after
+		// the sweep, so build it up front.
 		o.pool = o.newPool()
 		if *progress {
 			o.pool.WithProgress(os.Stderr)
@@ -316,15 +317,16 @@ func main() {
 }
 
 // finishSweep terminates the live progress line, reports how much of the
-// sweep the result store answered, and writes the -prom snapshot from the
-// pool's merged per-cell counters.
+// sweep the result store answered and where the pool's answers came
+// from, and writes the -prom snapshot from the pool's merged per-cell
+// counters.
 func finishSweep(o sweepOptions, promOut string) {
 	if o.pool == nil {
 		return
 	}
 	o.pool.FinishProgress()
+	st := o.pool.Stats()
 	if o.store != nil {
-		st := o.pool.Stats()
 		fmt.Fprintf(os.Stderr, "seesaw-sweep: store: %d cell(s) reused, %d computed and persisted\n",
 			st.StoreHits, st.StorePuts)
 	}
@@ -333,6 +335,8 @@ func finishSweep(o sweepOptions, promOut string) {
 		fmt.Fprintf(os.Stderr, "seesaw-sweep: ladder: %d warmup(s), %d resumed from rungs, %d refs skipped, %d refs executed, %d rung(s) persisted, %d dropped\n",
 			c.Warmups, c.RungHits, c.ResumedRefs, c.RunRefs, c.RungPuts, c.RungDrops)
 	}
+	fmt.Fprintf(os.Stderr, "seesaw-sweep: %d cells submitted to %d workers: %s\n",
+		st.Submitted, o.pool.Workers(), st.Sources())
 	if promOut == "" {
 		return
 	}

@@ -12,14 +12,14 @@ type Future interface {
 	Wait() (*sim.Report, error)
 }
 
-// Evaluator is where the search's cells go. Submit must not block;
-// Flush is the generation barrier — after it, every Wait on a
-// previously returned future completes. Sources renders the one-line
+// Evaluator is where the search's cells go. Submit must not block; the
+// cells submitted since the last Wait form one batch, which the next
+// Wait starts, so a generation's cells share what they can and a batch
+// nobody waits on never runs. Sources renders the one-line
 // evaluation-source summary (store hits vs fresh runs vs ladder
-// resumes) the generation log carries.
+// resumes, and the group passes) the generation log carries.
 type Evaluator interface {
 	Submit(cfg sim.Config) Future
-	Flush()
 	Sources() string
 }
 
@@ -33,11 +33,6 @@ type PoolEvaluator struct {
 // Submit implements Evaluator.
 func (e PoolEvaluator) Submit(cfg sim.Config) Future { return e.Pool.Submit(cfg) }
 
-// Flush implements Evaluator; pool cells run eagerly, so the waits
-// themselves are the barrier.
-func (e PoolEvaluator) Flush() {}
-
-// Sources implements Evaluator with the pool's DeterministicSources:
-// its group-pass counts follow worker timing, and the generation log
-// must stay byte-identical for a given seed.
-func (e PoolEvaluator) Sources() string { return e.Pool.Stats().DeterministicSources() }
+// Sources implements Evaluator with the pool's Sources, which is the
+// same on every run of a seed.
+func (e PoolEvaluator) Sources() string { return e.Pool.Stats().Sources() }

@@ -241,7 +241,6 @@ func (s *Search) evalBaselines(ctx context.Context) error {
 		cfg.CacheKind = sim.KindBaseline
 		futs = append(futs, s.ev.Submit(cfg))
 	}
-	s.ev.Flush()
 	for i, f := range futs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -283,7 +282,6 @@ func (s *Search) evalPopulation(ctx context.Context) (int, error) {
 		}
 		work = append(work, p)
 	}
-	s.ev.Flush()
 	for _, p := range work {
 		if err := ctx.Err(); err != nil {
 			return 0, err

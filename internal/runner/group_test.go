@@ -13,19 +13,6 @@ import (
 	"seesaw/internal/sim"
 )
 
-// holdWorkers occupies both workers of a two-worker pool with tasks
-// that block until the returned release is called. They are the oldest
-// groups, so the workers take them first, and every cell submitted
-// before release waits in the queue: the groups are complete before any
-// cell starts.
-func holdWorkers(p *Pool) (release func()) {
-	gate := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		Go(p, func() (struct{}, error) { <-gate; return struct{}{}, nil })
-	}
-	return func() { close(gate) }
-}
-
 // reportBytes renders a report as text.
 func reportBytes(t *testing.T, r *sim.Report) []byte {
 	t.Helper()
@@ -36,14 +23,10 @@ func reportBytes(t *testing.T, r *sim.Report) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamGroupsMatchCold: a two-worker pool over three front-end
-// groups of three designs each, submitted interleaved, plus a singleton,
-// returns the reports serial cold runs compute. Each group runs one
-// pass, which records its front end and answers the group's two other
-// cells; the singleton measures live and shares nothing, as does every
-// cell of a one-worker pool. The first group is warmed, so its pass
-// forks a LadderRun master.
-func TestStreamGroupsMatchCold(t *testing.T) {
+// streamGrid is three front-end groups of three designs each,
+// interleaved, plus a singleton after the second design. The first
+// group is warmed, so its pass forks a LadderRun master.
+func streamGrid(t *testing.T) []sim.Config {
 	kinds := []sim.CacheKind{sim.KindBaseline, sim.KindSeesaw, sim.KindVespa}
 	groups := make([][]sim.Config, 3)
 	for k, kind := range kinds {
@@ -71,6 +54,16 @@ func TestStreamGroupsMatchCold(t *testing.T) {
 			cfgs = append(cfgs, single)
 		}
 	}
+	return cfgs
+}
+
+// TestStreamGroupsMatchCold: a two-worker pool over the stream grid
+// returns the reports serial cold runs compute. Each group runs one
+// pass, which records its front end and answers the group's two other
+// cells; the singleton measures live and shares nothing, as does every
+// cell of a one-worker pool.
+func TestStreamGroupsMatchCold(t *testing.T) {
+	cfgs := streamGrid(t)
 	submit := func(p *Pool) []*Future {
 		futs := make([]*Future, len(cfgs))
 		for i, c := range cfgs {
@@ -79,9 +72,7 @@ func TestStreamGroupsMatchCold(t *testing.T) {
 		return futs
 	}
 	p := New(2)
-	release := holdWorkers(p)
 	futs := submit(p)
-	release()
 	// A one-worker pool of plain sim.RunContext runs each cell inline,
 	// cold and generating live.
 	serial := NewWithRunContext(1, sim.RunContext)
@@ -112,6 +103,28 @@ func TestStreamGroupsMatchCold(t *testing.T) {
 	}
 }
 
+// TestOneBatchOneStats: the stream grid, submitted as one batch to each
+// of 20 fresh two-worker pools, reads the same sharing counts on every
+// pool, since the batch forms its groups before any cell runs.
+func TestOneBatchOneStats(t *testing.T) {
+	cfgs := streamGrid(t)
+	for n := 0; n < 20; n++ {
+		p := New(2)
+		futs := make([]*Future, len(cfgs))
+		for i, c := range cfgs {
+			futs[i] = p.Submit(c)
+		}
+		for i, f := range futs {
+			if _, err := f.Wait(); err != nil {
+				t.Fatalf("pool %d, cell %d: %v", n, i, err)
+			}
+		}
+		if st := p.Stats(); st.GroupPasses != 3 || st.GroupAnswered != 6 {
+			t.Fatalf("pool %d: group passes %d, answered %d cells; want 3 and 6", n, st.GroupPasses, st.GroupAnswered)
+		}
+	}
+}
+
 // TestStreamGroupCancel: canceling the pool while a group drains fails
 // the group's cells that have not started with the cancellation, while
 // every cell that started keeps a report equal to a cold run. The first
@@ -134,7 +147,6 @@ func TestStreamGroupCancel(t *testing.T) {
 		cancel() // the group's first cell cancels the pool as it starts
 		return inner(context.WithoutCancel(ctx), cfg)
 	}).WithContext(ctx)
-	release := holdWorkers(p)
 	// One group: the cells differ only in back-end fields (the design,
 	// the coherence mode, prefetch), so each is distinct but all run the
 	// same front end.
@@ -150,7 +162,6 @@ func TestStreamGroupCancel(t *testing.T) {
 	for i, c := range cfgs {
 		futs[i] = p.Submit(c)
 	}
-	release()
 	ran, failed := 0, 0
 	for i, f := range futs {
 		rep, err := f.Wait()
@@ -234,9 +245,7 @@ func TestFiguresShapedPoolMatchesSerial(t *testing.T) {
 		return futs
 	}
 	p := NewWithRunContext(2, run)
-	release := holdWorkers(p)
 	futs := submit(p)
-	release()
 	cold := submit(NewWithRunContext(1, sim.RunContext))
 	for i, f := range futs {
 		got, err := f.Wait()

@@ -98,6 +98,7 @@ func TestPoolContextCancel(t *testing.T) {
 		return nil, ctx.Err()
 	}).WithContext(ctx).WithRetries(3)
 	fut := pool.Submit(sim.Config{Workload: workload.Profile{Name: "w"}, Seed: 1})
+	go fut.Wait() // the first Wait starts the cell's batch
 	<-started
 	cancel()
 	_, err := fut.Wait()

@@ -14,16 +14,22 @@
 // Forked and resumed reports are byte-identical to cold sim.RunContext
 // runs, which stays the reference the tests compare against.
 //
-// Cells that run the same front end (generator, OS, page tables, TLBs
-// and fault injector), those with equal machine.GroupKey, form a
-// front-end group. A pool of two or more workers drains its queue a
-// whole group at a time, oldest first: a worker answers the group's
-// store hits, then runs the rest back to back, two or more of them
-// under one machine.Group on the context it hands its RunFunc. The first
-// to reach its measured phase runs the group's one pass, which hands
-// back ends to idle worker slots, and every later cell takes its
-// finished report (Stats.GroupPasses, Stats.GroupAnswered). A
-// one-worker pool runs each cell inline and live, as sim.Run does.
+// A pool of two or more workers runs cells in batches. Submit and Go
+// add to the pool's open batch and return at once; nothing runs until
+// the next Wait on any of the pool's tasks (MergedSeries waits too),
+// which starts the whole batch, and later submissions open the next
+// one. A batch nobody waits on never runs. Cells that run the same
+// front end (generator, OS, page tables, TLBs and fault injector),
+// those with equal machine.GroupKey, form a front-end group, and a
+// batch starts as its groups, queued in submission order. A worker
+// takes a whole group: it answers the group's store hits, then runs the
+// rest back to back, two or more of them under one machine.Group on
+// the context it hands its RunFunc. The first runs the group's one
+// pass, which hands back ends to idle worker slots, and every later
+// cell takes its finished report (Stats.GroupPasses,
+// Stats.GroupAnswered). Each group holds every cell of its key in the
+// batch, so those counts are a function of the batch. A one-worker
+// pool runs each cell inline at Submit and live, as sim.Run does.
 //
 // The pool also carries a keyed result cache: two submissions of an
 // identical cell share one execution. Most figures compare against the
@@ -116,12 +122,15 @@ func Describe(cfg sim.Config) string {
 // workers interleave the executions.
 type Task[T any] struct {
 	done chan struct{}
+	p    *Pool
 	val  T
 	err  error
 }
 
-// Wait blocks until the cell finishes and returns its result.
+// Wait starts the pool's open batch, if it has one, then blocks until
+// the task finishes and returns its result.
 func (t *Task[T]) Wait() (T, error) {
+	t.p.start()
 	<-t.done
 	return t.val, t.err
 }
@@ -164,34 +173,25 @@ type Stats struct {
 }
 
 // Sources summarizes where the pool's answers came from, for one-line
-// logs: the DeterministicSources counts plus how many group passes ran
-// and how many cells they answered. Which cells share a pass depends on
-// worker timing (a group starts once a worker takes it, whether or not
-// its siblings are queued yet), so those two counts can differ between
-// runs of the same cells.
+// logs: cells served by the disk store, by the in-memory duplicate
+// cache and by fresh execution, how many fresh warmups ladder rungs
+// shortened, and how many group passes ran and how many cells they
+// answered. Groups form when a batch starts, so for the same batches
+// and store, and no cell timing out, the line is the same on every run;
+// the evolutionary search's generation log carries it and stays
+// byte-identical for a seed.
 func (s Stats) Sources() string {
-	return fmt.Sprintf("%s; group passes %d, answered %d cells",
-		s.DeterministicSources(), s.GroupPasses, s.GroupAnswered)
-}
-
-// DeterministicSources is the part of Sources that the cells alone
-// determine: cells served by the disk store, by the in-memory duplicate
-// cache, and by fresh execution, plus how many of the fresh warmups
-// were shortened by ladder rungs. The evolutionary search logs one of
-// these per generation, so dedup effectiveness is visible and the log
-// stays byte-identical for a seed.
-func (s Stats) DeterministicSources() string {
-	return fmt.Sprintf("store %d, cached %d, fresh %d (rung resumes %d, %d warmup refs skipped)",
-		s.StoreHits, s.CacheHits, s.Runs, s.RungResumes, s.RungRefsSkipped)
+	return fmt.Sprintf("store %d, cached %d, fresh %d (rung resumes %d, %d warmup refs skipped); group passes %d, answered %d cells",
+		s.StoreHits, s.CacheHits, s.Runs, s.RungResumes, s.RungRefsSkipped, s.GroupPasses, s.GroupAnswered)
 }
 
 // Pool schedules independent cells onto at most Workers concurrent
 // executions. The zero Pool is not usable; construct with New. A pool
 // with one worker executes cells inline at submission time, restoring
 // the exact serial execution order of the pre-pool harness. A larger
-// pool queues cells by front-end group (see the package doc), and a
-// worker takes a whole group off the queue, so a later cell with the
-// same key starts a new group.
+// pool collects cells in a batch until the next Wait on one of its
+// tasks, then queues the batch by front-end group (see the package
+// doc), and a worker takes a whole group off the queue.
 type Pool struct {
 	workers int
 	run     RunFunc
@@ -208,26 +208,18 @@ type Pool struct {
 	// excluded) in submission order, so MergedSeries reduces each cell's
 	// metrics exactly once, deterministically.
 	order []*Future
-	// queue holds the groups with queued cells, oldest first; open
-	// indexes its front-end groups by key. busy counts the worker slots
-	// in use: goroutines draining the queue, each of which exits when
-	// the queue empties, and slots lent to a group's pass (lend).
-	queue []*group
-	open  map[machine.GroupKey]*group
+	// batch is the open batch: the jobs submitted since the last Wait.
+	// queue holds the started batches' groups no worker has taken,
+	// oldest first. busy counts the worker slots in use: goroutines
+	// draining the queue, each of which exits when the queue empties,
+	// and slots lent to a group's pass (lend).
+	batch []job
+	queue [][]job
 	busy  int
 	// progress, when set, gets a live one-line status update as cells
 	// complete; completed counts them.
 	progress  io.Writer
 	completed uint64
-}
-
-// group is one front-end group of queued jobs. A group without a key
-// holds one trace, metrics or checker cell, or one Go task, and shares
-// nothing.
-type group struct {
-	key   machine.GroupKey
-	keyed bool
-	jobs  []job
 }
 
 // job is one queued execution: a simulation cell, its future and its
@@ -259,15 +251,15 @@ func NewWithRunContext(workers int, run RunFunc) *Pool {
 		run:     run,
 		ctx:     context.Background(),
 		cells:   make(map[string]*Future),
-		open:    make(map[machine.GroupKey]*group),
 	}
 }
 
 // WithContext attaches a cancellation scope to every cell: when ctx is
-// canceled, queued cells fail immediately with ctx's error and running
-// cells unwind at sim.RunContext's next poll point. This is how the
-// service layer cancels one job's whole fan-out without touching other
-// jobs. Configure before the first Submit.
+// canceled, cells that have not begun fail with ctx's error as their
+// batch reaches them, and running cells unwind at sim.RunContext's next
+// poll point. This is how the service layer cancels one job's whole
+// fan-out without touching other jobs. Configure before the first
+// Submit.
 func (p *Pool) WithContext(ctx context.Context) *Pool {
 	p.ctx = ctx
 	return p
@@ -366,12 +358,13 @@ func (p *Pool) Stats() Stats {
 	return st
 }
 
-// Submit schedules one simulation and returns its future immediately.
-// Identical configs share a single execution and report; identity is
-// sim.Config.CanonicalKey, the same key the disk store addresses by, so
-// the two caches never disagree about which cells are "the same". A
-// config carrying a replay trace is never cached (the trace slice is not
-// part of the key).
+// Submit schedules one simulation and returns its future: on a
+// one-worker pool once the cell has run, on a larger one at once, the
+// cell added to the open batch. Identical configs share a single
+// execution and report; identity is sim.Config.CanonicalKey, the same
+// key the disk store addresses by, so the two caches never disagree
+// about which cells are "the same". A config carrying a replay trace is
+// never cached (the trace slice is not part of the key).
 func (p *Pool) Submit(cfg sim.Config) *Future {
 	key, cacheable := cfg.CanonicalKey()
 	p.mu.Lock()
@@ -383,14 +376,19 @@ func (p *Pool) Submit(cfg sim.Config) *Future {
 			return f
 		}
 	}
-	f := &Future{done: make(chan struct{})}
+	f := &Future{done: make(chan struct{}), p: p}
 	if cacheable {
 		p.cells[key] = f
 	}
 	p.order = append(p.order, f)
+	j := job{f: f, cfg: cfg}
+	if p.workers > 1 {
+		p.batch = append(p.batch, j)
+	}
 	p.mu.Unlock()
-	gk, keyed := cfg.GroupKey()
-	enqueue(p, gk, keyed, job{f: f, cfg: cfg})
+	if p.workers == 1 {
+		p.runGroup([]job{j})
+	}
 	return f
 }
 
@@ -515,42 +513,50 @@ func (p *Pool) runRecover(ctx context.Context, cfg sim.Config) (rep *sim.Report,
 }
 
 // Go schedules an arbitrary cell (a cache-only replay, a coverage
-// computation) on the same workers as the simulation cells. Tasks share
-// the pool's concurrency bound but not its result cache, and each
-// queues as a group of its own.
+// computation) on the same workers as the simulation cells, in the same
+// batches. Tasks share the pool's concurrency bound but not its result
+// cache, and each forms a group of its own.
 func Go[T any](p *Pool, fn func() (T, error)) *Task[T] {
-	t := &Task[T]{done: make(chan struct{})}
-	enqueue(p, machine.GroupKey{}, false, job{task: func() {
+	t := &Task[T]{done: make(chan struct{}), p: p}
+	j := job{task: func() {
 		t.val, t.err = fn()
 		close(t.done)
-	}})
+	}}
+	if p.workers == 1 {
+		j.task()
+		return t
+	}
+	p.mu.Lock()
+	p.batch = append(p.batch, j)
+	p.mu.Unlock()
 	return t
 }
 
-// enqueue queues j in the front-end group of key when keyed. With one
-// worker it runs inline, so submission order is execution order and no
-// pass is shared.
-func enqueue(p *Pool, key machine.GroupKey, keyed bool, j job) {
-	if p.workers == 1 {
-		p.runGroup([]job{j})
-		return
-	}
+// start queues the open batch and starts a worker for each queued
+// group up to the worker bound. The batch's cells with equal
+// machine.GroupKey form one group, queued where the first of them was
+// submitted; a cell without a key (a trace replay) and a Go task each
+// form a group of their own. Later submissions open the next batch.
+func (p *Pool) start() {
 	p.mu.Lock()
-	g := p.open[key]
-	if !keyed || g == nil {
-		g = &group{key: key, keyed: keyed}
-		if keyed {
-			p.open[key] = g
+	at := make(map[machine.GroupKey]int)
+	for _, j := range p.batch {
+		if j.task == nil {
+			if key, ok := j.cfg.GroupKey(); ok {
+				if i, ok := at[key]; ok {
+					p.queue[i] = append(p.queue[i], j)
+					continue
+				}
+				at[key] = len(p.queue)
+			}
 		}
-		p.queue = append(p.queue, g)
+		p.queue = append(p.queue, []job{j})
 	}
-	g.jobs = append(g.jobs, j)
-	start := p.busy < p.workers
-	if start {
-		p.busy++
-	}
+	p.batch = nil
+	n := min(p.workers-p.busy, len(p.queue))
+	p.busy += n
 	p.mu.Unlock()
-	if start {
+	for range n {
 		go p.work()
 	}
 }
@@ -563,11 +569,8 @@ func (p *Pool) work() {
 		g := p.queue[0]
 		p.queue[0] = nil
 		p.queue = p.queue[1:]
-		if g.keyed {
-			delete(p.open, g.key)
-		}
 		p.mu.Unlock()
-		p.runGroup(g.jobs)
+		p.runGroup(g)
 		p.mu.Lock()
 	}
 	p.busy--
@@ -577,7 +580,7 @@ func (p *Pool) work() {
 // lend runs fn on an idle worker slot, if the pool has one (busy <
 // workers), and reports whether it did: a group's pass hands back ends
 // to replay to idle slots this way. The slot counts against the worker
-// bound until fn returns; then, if cells were queued meanwhile, it goes
+// bound until fn returns; then, if groups were queued meanwhile, it goes
 // on as a worker.
 func (p *Pool) lend(fn func()) bool {
 	p.mu.Lock()

@@ -1,8 +1,12 @@
 package runner
 
 import (
+	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"seesaw/internal/sim"
 	"seesaw/internal/trace"
@@ -143,6 +147,57 @@ func TestGoTasks(t *testing.T) {
 		if v != i*i {
 			t.Errorf("task %d = %d, want %d", i, v, i*i)
 		}
+	}
+}
+
+// TestBatchStartsAtFirstWait: a two-worker pool runs nothing, cells or
+// Go tasks, until a Wait, which runs every task of the batch; a task
+// submitted after it opens the next batch, which waits for a Wait of
+// its own.
+func TestBatchStartsAtFirstWait(t *testing.T) {
+	var runs atomic.Int32
+	p := NewWithRunContext(2, func(_ context.Context, cfg sim.Config) (*sim.Report, error) {
+		runs.Add(1)
+		return &sim.Report{Cycles: uint64(cfg.Seed)}, nil
+	})
+	var futs []*Future
+	for seed := int64(1); seed <= 5; seed++ {
+		futs = append(futs, p.Submit(testConfig(t, "redis", seed)))
+	}
+	task := Go(p, func() (int, error) { runs.Add(1); return 0, nil })
+	idle := func(want int32) {
+		t.Helper()
+		for i := 0; i < 10; i++ {
+			runtime.Gosched()
+			time.Sleep(time.Millisecond)
+		}
+		if n := runs.Load(); n != want {
+			t.Fatalf("%d tasks ran before their batch's first Wait, want %d", n, want)
+		}
+	}
+	idle(0)
+	if rep, err := futs[2].Wait(); err != nil || rep.Cycles != 3 {
+		t.Fatalf("cell 2 returned %v, %v", rep, err)
+	}
+	for i, f := range futs {
+		select {
+		case <-f.done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("cell %d of the batch has not run", i)
+		}
+	}
+	select {
+	case <-task.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the batch's Go task has not run")
+	}
+	next := p.Submit(testConfig(t, "redis", 6))
+	idle(6)
+	if rep, err := next.Wait(); err != nil || rep.Cycles != 6 {
+		t.Fatalf("the next batch's cell returned %v, %v", rep, err)
+	}
+	if n := runs.Load(); n != 7 {
+		t.Errorf("%d tasks ran, want 7", n)
 	}
 }
 

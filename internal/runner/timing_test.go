@@ -65,12 +65,10 @@ func TestTimingGroupsMatchCold(t *testing.T) {
 	cfgs := timingCells(t)
 	serial := NewWithRunContext(1, sim.RunContext)
 	p := NewWithRunContext(2, cellShaped)
-	release := holdWorkers(p)
 	futs := make([]*Future, len(cfgs))
 	for i, c := range cfgs {
 		futs[i] = p.Submit(c)
 	}
-	release()
 	for i, f := range futs {
 		got, err := f.Wait()
 		if err != nil {
@@ -151,12 +149,10 @@ func TestPoolTimingLeaderFails(t *testing.T) {
 				}
 				return m.Report()
 			}).WithContext(ctx).WithTimeout(tc.timeout)
-			release := holdWorkers(p)
 			futs := make([]*Future, len(cfgs))
 			for i, c := range cfgs {
 				futs[i] = p.Submit(c)
 			}
-			release()
 			_, err := futs[0].Wait()
 			var ce *CellError
 			switch {
@@ -213,9 +209,7 @@ func TestPassBudgetCoversGroup(t *testing.T) {
 		}
 		return cellShaped(ctx, cfg)
 	}).WithTimeout(budget)
-	release := holdWorkers(p)
 	futs := []*Future{p.Submit(cfgs[0]), p.Submit(cfgs[1])}
-	release()
 	for i, f := range futs {
 		rep, err := f.Wait()
 		if err != nil {
@@ -257,12 +251,10 @@ func TestLiveSiblingGetsOneBudget(t *testing.T) {
 		}
 		return m.Report()
 	}).WithTimeout(budget).WithRetries(1)
-	release := holdWorkers(p)
 	futs := make([]*Future, len(cfgs))
 	for i, c := range cfgs {
 		futs[i] = p.Submit(c)
 	}
-	release()
 	for i, f := range futs {
 		_, err := f.Wait()
 		var ce *CellError
@@ -293,12 +285,10 @@ func TestInvalidCellFailsAlone(t *testing.T) {
 		t.Fatal("the 48KB SEESAW cell validates")
 	}
 	p := NewWithRunContext(2, cellShaped)
-	release := holdWorkers(p)
 	futs := make([]*Future, len(cfgs))
 	for i, c := range cfgs {
 		futs[i] = p.Submit(c)
 	}
-	release()
 	for i, f := range futs {
 		rep, err := f.Wait()
 		if i == 1 {
@@ -342,12 +332,10 @@ func TestStoreHitsSkipPass(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewWithRunContext(2, cellShaped).WithStore(st)
-	release := holdWorkers(p)
 	futs := make([]*Future, len(cfgs))
 	for i, c := range cfgs {
 		futs[i] = p.Submit(c)
 	}
-	release()
 	for i, f := range futs {
 		rep, err := f.Wait()
 		if err != nil {
@@ -364,14 +352,15 @@ func TestStoreHitsSkipPass(t *testing.T) {
 }
 
 // TestLendCountsAgainstWorkers: a slot lent to a pass counts against the
-// worker bound, so a cell submitted while every slot is taken waits;
-// returning the slot starts a worker that runs it, while the task
-// holding the other slot still blocks.
+// worker bound, so a cell whose batch starts while every slot is taken
+// waits in the queue; returning the slot starts a worker that runs it,
+// while the task holding the other slot still blocks.
 func TestLendCountsAgainstWorkers(t *testing.T) {
 	p := NewWithRunContext(2, cellShaped)
 	started, hold := make(chan struct{}), make(chan struct{})
 	defer close(hold)
-	Go(p, func() (struct{}, error) { close(started); <-hold; return struct{}{}, nil })
+	task := Go(p, func() (struct{}, error) { close(started); <-hold; return struct{}{}, nil })
+	go task.Wait() // the first Wait starts the task's batch
 	<-started
 	back := make(chan struct{})
 	if !p.lend(func() { <-back }) {
@@ -381,6 +370,7 @@ func TestLendCountsAgainstWorkers(t *testing.T) {
 		t.Fatal("the pool lent a slot past its worker bound")
 	}
 	f := p.Submit(shortConfig(t, "redis", 42))
+	p.start() // as a Wait would, without blocking
 	p.mu.Lock()
 	busy, queued := p.busy, len(p.queue)
 	p.mu.Unlock()

@@ -17,19 +17,20 @@ const batchChunk = 256
 const batchPoll = 250 * time.Millisecond
 
 // A Batch collects cells as a caller registers them and ships them to a
-// seesaw-served daemon as jobs of at most batchChunk cells. Callers that
+// seesaw-served daemon as jobs of at most batchChunk cells. Nothing
+// ships until a Wait on one of its cells, which ships every cell
+// registered since the last shipment, so a cell nobody waits on never
+// ships, and one Batch serves any number of shipments. Callers that
 // submit everything and then reduce in submission order — a sweep's
-// grid, one evolve generation — thus reach the daemon as a handful of
+// grid, each evolve generation — thus reach the daemon as a handful of
 // large jobs instead of hundreds of one-cell jobs filling its queue.
-// A Batch ships once; register later cells on a new Batch.
 type Batch struct {
 	cl    *Client
 	label string
 
-	mu      sync.Mutex
-	specs   []CellSpec
-	cells   []*Cell
-	flushed bool
+	mu    sync.Mutex
+	specs []CellSpec // the cells not shipped yet
+	cells []*Cell
 }
 
 // NewBatch starts an empty batch whose jobs go through cl under label.
@@ -44,11 +45,11 @@ type Cell struct {
 	err error
 }
 
-// Wait ships the cell's batch if it has not been shipped yet, then
-// returns this cell's report or error.
+// Wait ships the cells registered since the batch's last shipment, if
+// any, then returns this cell's report or error.
 func (c *Cell) Wait() (*sim.Report, error) {
 	if c.b != nil {
-		c.b.Flush()
+		c.b.ship()
 	}
 	return c.rep, c.err
 }
@@ -71,18 +72,15 @@ func (b *Batch) Submit(cfg sim.Config) *Cell {
 	return c
 }
 
-// Flush ships the registered cells and fills every handle; it is a
-// no-op after the first call. Every chunk's job is submitted before any
-// is awaited, so the whole batch is in flight at once. A job-level
-// failure (submission refused, wait interrupted) fails only that
-// chunk's cells.
-func (b *Batch) Flush() {
+// ship ships the cells registered since the last shipment and fills
+// their handles. Every chunk's job is submitted before any is awaited,
+// so the whole shipment is in flight at once. A job-level failure
+// (submission refused, wait interrupted) fails only that chunk's cells.
+func (b *Batch) ship() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.flushed {
-		return
-	}
-	b.flushed = true
+	specs, cells := b.specs, b.cells
+	b.specs, b.cells = nil, nil
 	ctx := context.Background()
 	type shipped struct {
 		start, end int
@@ -90,9 +88,9 @@ func (b *Batch) Flush() {
 		err        error
 	}
 	var jobs []shipped
-	for start := 0; start < len(b.specs); start += batchChunk {
-		end := min(start+batchChunk, len(b.specs))
-		st, err := b.cl.Submit(ctx, JobRequest{Label: b.label, Cells: b.specs[start:end]})
+	for start := 0; start < len(specs); start += batchChunk {
+		end := min(start+batchChunk, len(specs))
+		st, err := b.cl.Submit(ctx, JobRequest{Label: b.label, Cells: specs[start:end]})
 		jobs = append(jobs, shipped{start: start, end: end, id: st.ID, err: err})
 	}
 	for _, j := range jobs {
@@ -100,7 +98,7 @@ func (b *Batch) Flush() {
 		if err == nil {
 			st, err = b.cl.Wait(ctx, j.id, batchPoll)
 		}
-		chunk := b.cells[j.start:j.end]
+		chunk := cells[j.start:j.end]
 		if err != nil {
 			for _, c := range chunk {
 				c.err = err

@@ -96,6 +96,48 @@ func TestBatchOrderAcrossChunks(t *testing.T) {
 	}
 }
 
+// TestBatchReusedAfterShipment: cells registered after a shipment ship
+// as a second job at the next Wait and return their reports.
+func TestBatchReusedAfterShipment(t *testing.T) {
+	var mu sync.Mutex
+	posts := 0
+	cl := batchDaemon(t, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+				mu.Lock()
+				posts++
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	jobs := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return posts
+	}
+	b := NewBatch(cl, "reused")
+	check := func(c *Cell, seed int64) {
+		t.Helper()
+		rep, err := c.Wait()
+		if err != nil || rep == nil || rep.Cycles != uint64(seed) {
+			t.Fatalf("cell %d returned %v, %v", seed, rep, err)
+		}
+	}
+	first := []*Cell{b.Submit(seedCell(t, 1)), b.Submit(seedCell(t, 2))}
+	check(first[1], 2)
+	check(first[0], 1)
+	second := []*Cell{b.Submit(seedCell(t, 3)), b.Submit(seedCell(t, 4))}
+	if n := jobs(); n != 1 {
+		t.Fatalf("%d jobs before the second shipment's first Wait, want 1", n)
+	}
+	check(second[0], 3)
+	check(second[1], 4)
+	if n := jobs(); n != 2 {
+		t.Errorf("two shipments went out as %d jobs, want 2", n)
+	}
+}
+
 // TestBatchWireRejectFailsOneCell: a config the wire format cannot
 // carry fails its own handle at once; its neighbours still run.
 func TestBatchWireRejectFailsOneCell(t *testing.T) {

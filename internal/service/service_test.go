@@ -655,11 +655,10 @@ func TestJobReportsSharing(t *testing.T) {
 	if fin.State != StateDone || p.Runs != 6 {
 		t.Fatalf("job %s with %d runs, want done with 6", fin.State, p.Runs)
 	}
-	// A worker takes a whole group; whatever the interleaving, the cells
-	// submitted while both workers run a group queue as one, so at least
-	// one pass answers a cell, and each pass's own cell is not answered.
-	if p.GroupPasses == 0 || p.GroupAnswered < p.GroupPasses || p.GroupPasses+p.GroupAnswered > 6 {
-		t.Errorf("group passes %d, answered %d: want at least one pass, each answering a cell", p.GroupPasses, p.GroupAnswered)
+	// The job's cells start as one batch, so its six cells, which share
+	// one front end, form one group: one pass answers the five others.
+	if p.GroupPasses != 1 || p.GroupAnswered != 5 {
+		t.Errorf("group passes %d, answered %d: want 1 pass answering 5 cells", p.GroupPasses, p.GroupAnswered)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
