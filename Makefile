@@ -127,20 +127,22 @@ evolve-smoke:
 # Short fuzz passes over the snapshot decoder (arbitrary bytes must
 # yield typed errors, never panics, and any accepted snapshot must sit
 # at or below its warmup boundary and run; seeded with a boundary rung
-# and a mid-warmup rung) and the restored buddy allocator (arbitrary
-# free blocks must be rejected or yield a consistent allocator).
-# Minimizing an input is capped at 2000 runs. A rerun of a snapshot
-# seed can report coverage its first run did not (the encoder sorts map
-# keys gathered in random order; gob, flate and fmt fill caches on
-# first use), so the fuzzer queues the seed for minimization, and does
-# so again each time, since a duplicate of a corpus entry never joins
-# the coverage it is compared against. No deletion from a 9 KB snapshot
+# and a mid-warmup rung), the restored buddy allocator (arbitrary free
+# blocks must be rejected or yield a consistent allocator) and the
+# restored page table (arbitrary radix states must be rejected or walk,
+# count, clone and re-encode consistently). Minimizing an input is
+# capped at 2000 runs. A rerun of a snapshot seed can report coverage
+# its first run did not (gob, flate and fmt fill caches on first use),
+# so the fuzzer queues the seed for minimization, and does so again
+# each time, since a duplicate of a corpus entry never joins the
+# coverage it is compared against. No deletion from a 6 KB snapshot
 # keeps its declared length and checksum, so without the cap the
 # minimizer tries every deletable range until its default 60 s limit,
 # past the 10 s budget.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotCodec -fuzztime=10s -fuzzminimizetime=2000x ./internal/machine/
 	$(GO) test -run='^$$' -fuzz=FuzzBuddyState -fuzztime=10s ./internal/physmem/
+	$(GO) test -run='^$$' -fuzz=FuzzTableState -fuzztime=10s ./internal/pagetable/
 
 # The zoo gate sweeps every registered cache design through the real
 # service stack: seesaw-served boots on a random port, one cell per

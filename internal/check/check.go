@@ -40,7 +40,6 @@ import (
 // Violation kinds.
 const (
 	KindTranslationStale  = "translation-stale"
-	KindChunkDisagree     = "osmm-pagetable-disagree"
 	KindTFTStaleHit       = "tft-stale-hit"
 	KindPartitionMismatch = "partition-probe-mismatch"
 	KindDuplicateLine     = "duplicate-line"
@@ -57,10 +56,10 @@ const (
 // kind in this slice is its KindCode — the Arg stamped on EvViolation
 // event records.
 var Kinds = []string{
-	KindTranslationStale, KindChunkDisagree, KindTFTStaleHit,
-	KindPartitionMismatch, KindDuplicateLine, KindStaleSharer,
-	KindMultiOwner, KindExclusiveShared, KindSweptSurvived,
-	KindTLBSurvived, KindTFTSurvived, KindNotInLLC,
+	KindTranslationStale, KindTFTStaleHit, KindPartitionMismatch,
+	KindDuplicateLine, KindStaleSharer, KindMultiOwner,
+	KindExclusiveShared, KindSweptSurvived, KindTLBSurvived,
+	KindTFTSurvived, KindNotInLLC,
 }
 
 // KindCode returns the stable index of a violation kind (len(Kinds) for
@@ -201,13 +200,6 @@ func (c *Checker) AfterAccess(a Access) {
 			c.Record(Violation{Kind: KindTranslationStale, Ref: a.Ref, Core: a.Core, VA: a.VA, PA: a.TR.PA,
 				Detail: fmt.Sprintf("TLB says pa=%#x size=%v, page table says pa=%#x size=%v",
 					uint64(a.TR.PA), a.TR.Size, uint64(pa), size)})
-		}
-		// OS bookkeeping must agree with the page table on superpage
-		// backing (1GB chunks count as super on both sides).
-		if proc.ChunkIsSuper(a.VA) != size.IsSuper() {
-			c.Record(Violation{Kind: KindChunkDisagree, Ref: a.Ref, Core: a.Core, VA: a.VA, PA: pa,
-				Detail: fmt.Sprintf("osmm ChunkIsSuper=%v but page table size=%v",
-					proc.ChunkIsSuper(a.VA), size)})
 		}
 		// A TFT hit on a base-mapped region is the IV-C2 stale-entry
 		// hazard: the fast path probed one partition of a cache whose

@@ -26,17 +26,23 @@ import (
 // every snapshot key and prunes entries whose header disagrees, so old
 // rungs are recomputed rather than mis-resumed.
 //
-// Version 5 carries only the OS half, with the cursor at or below the
-// warmup boundary; version 4 also carried every cache, TLB, directory,
-// CPU and hook state, none of which warmup ever changes. Since version
-// 4 no pre-generated records travel (version 3's BatchCur/BatchNext):
-// a machine never draws records past its reference cursor.
+// Version 6 encodes each address space as its page table, next VA and
+// no-huge regions; version 5 also carried the memory manager's
+// per-chunk records (each base page's frame), its explicit 1GB
+// mappings and its mapped and superpage byte counts, all of which the
+// page table holds, and the table's per-size counts, which its decoder
+// now recounts. Since version 5 only the OS half travels, with the
+// cursor at or below the warmup boundary; version 4 also carried every
+// cache, TLB, directory, CPU and hook state, none of which warmup ever
+// changes. Since version 4 no pre-generated records travel (version
+// 3's BatchCur/BatchNext): a machine never draws records past its
+// reference cursor.
 // Since version 3, physical memory is encoded as the buddy's free
 // blocks and the memhog's pinned frames only; version 2 also carried
 // the buddy's heap arrays and the hog's frame index. Since version 2,
 // Config travels as-is, CacheKind as its registry name; version 1
 // stored CacheKind as an int enum. Older versions no longer decode.
-const SnapshotSchemaVersion = 5
+const SnapshotSchemaVersion = 6
 
 // snapMagic opens every encoded snapshot. The leading byte is
 // deliberately non-ASCII so a snapshot is never mistaken for text.

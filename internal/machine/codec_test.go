@@ -242,6 +242,11 @@ func TestCodecErrors(t *testing.T) {
 			d[8], d[9] = 0, 1
 			return d
 		}(), ErrSnapshotSchema},
+		{"retired version 5", func() []byte {
+			d := append([]byte(nil), data...)
+			d[8], d[9] = 0, 5
+			return d
+		}(), ErrSnapshotSchema},
 		{"unregistered design", func() []byte {
 			bad := snap.Resume()
 			bad.cfg.CacheKind = "no-such-design"

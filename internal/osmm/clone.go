@@ -2,32 +2,15 @@ package osmm
 
 import (
 	"math/rand"
+	"slices"
 
-	"seesaw/internal/addr"
 	"seesaw/internal/physmem"
 )
 
 // Clone returns an independent deep copy of one address space: the page
-// table, the per-chunk backing records, and the explicit 1GB mappings.
+// table and the no-huge regions.
 func (p *Process) Clone() *Process {
-	c := &Process{
-		ASID:        p.ASID,
-		PT:          p.PT.Clone(),
-		nextVA:      p.nextVA,
-		chunks:      make(map[addr.VAddr]*chunk, len(p.chunks)),
-		chunks1G:    make(map[addr.VAddr]addr.PAddr, len(p.chunks1G)),
-		mappedBytes: p.mappedBytes,
-		superBytes:  p.superBytes,
-	}
-	for va, ch := range p.chunks {
-		cc := *ch
-		cc.frames = append([]addr.PAddr(nil), ch.frames...)
-		c.chunks[va] = &cc
-	}
-	for va, pa := range p.chunks1G {
-		c.chunks1G[va] = pa
-	}
-	return c
+	return &Process{ASID: p.ASID, PT: p.PT.Clone(), nextVA: p.nextVA, noHuge: slices.Clone(p.noHuge)}
 }
 
 // Clone returns an independent deep copy of the manager and every
@@ -38,16 +21,9 @@ func (p *Process) Clone() *Process {
 // the original machine's TLBs and caches, and the owner of the clone
 // must rewire its own.
 func (m *Manager) Clone(buddy *physmem.Buddy, rng *rand.Rand, comp Compactor) *Manager {
-	c := &Manager{
-		Buddy:     buddy,
-		rng:       rng,
-		THP:       m.THP,
-		Compactor: comp,
-		procs:     make(map[uint16]*Process, len(m.procs)),
-		Stats:     m.Stats,
-	}
-	for asid, p := range m.procs {
-		c.procs[asid] = p.Clone()
+	c := &Manager{Buddy: buddy, rng: rng, THP: m.THP, Compactor: comp, Stats: m.Stats}
+	for _, p := range m.procs {
+		c.procs = append(c.procs, p.Clone())
 	}
 	return c
 }

@@ -2,42 +2,22 @@ package osmm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"seesaw/internal/addr"
 	"seesaw/internal/pagetable"
 )
 
-// ChunkState is one 2MB chunk's backing record, keyed by its VA.
-type ChunkState struct {
-	VA     addr.VAddr
-	Super  bool
-	NoHuge bool
-	PA     addr.PAddr
-	Frames []addr.PAddr
-	Pages  int
-}
-
-// Chunk1GState is one explicit 1GB mapping.
-type Chunk1GState struct {
-	VA addr.VAddr
-	PA addr.PAddr
-}
-
-// ProcessState is one address space's serializable state. Chunks are
-// sorted by VA for deterministic encoding.
+// ProcessState is one address space's serializable state.
 type ProcessState struct {
-	ASID        uint16
-	PT          pagetable.TableState
-	NextVA      addr.VAddr
-	Chunks      []ChunkState
-	Chunks1G    []Chunk1GState
-	MappedBytes uint64
-	SuperBytes  uint64
+	ASID   uint16
+	PT     pagetable.TableState
+	NextVA addr.VAddr
+	NoHuge []Range
 }
 
 // ManagerState is the OS memory manager's serializable state: every
-// process (sorted by ASID) plus the event counters. The buddy, RNG,
+// process, in creation order, plus the event counters. The buddy, RNG,
 // compactor, and the OnInvlpg/OnPromote hooks are wiring, restored by
 // the owner.
 type ManagerState struct {
@@ -45,85 +25,37 @@ type ManagerState struct {
 	Stats Stats
 }
 
-func (p *Process) state() ProcessState {
-	s := ProcessState{
-		ASID:        p.ASID,
-		PT:          p.PT.State(),
-		NextVA:      p.nextVA,
-		MappedBytes: p.mappedBytes,
-		SuperBytes:  p.superBytes,
-	}
-	s.Chunks = make([]ChunkState, 0, len(p.chunks))
-	for va, ch := range p.chunks {
-		s.Chunks = append(s.Chunks, ChunkState{
-			VA: va, Super: ch.super, NoHuge: ch.noHuge, PA: ch.pa,
-			Frames: append([]addr.PAddr(nil), ch.frames...), Pages: ch.pages,
-		})
-	}
-	sort.Slice(s.Chunks, func(i, j int) bool { return s.Chunks[i].VA < s.Chunks[j].VA })
-	s.Chunks1G = make([]Chunk1GState, 0, len(p.chunks1G))
-	for va, pa := range p.chunks1G {
-		s.Chunks1G = append(s.Chunks1G, Chunk1GState{VA: va, PA: pa})
-	}
-	sort.Slice(s.Chunks1G, func(i, j int) bool { return s.Chunks1G[i].VA < s.Chunks1G[j].VA })
-	return s
-}
-
-// setState restores the address space in place. The *Process and its
-// *pagetable.Table identities are preserved, so page walkers and the
-// machine's process pointer observe the restored space without
-// rewiring.
-func (p *Process) setState(s ProcessState) error {
-	if s.ASID != p.ASID {
-		return fmt.Errorf("osmm: state for ASID %d applied to process %d", s.ASID, p.ASID)
-	}
-	if err := p.PT.SetState(s.PT); err != nil {
-		return err
-	}
-	p.nextVA = s.NextVA
-	p.chunks = make(map[addr.VAddr]*chunk, len(s.Chunks))
-	for _, cs := range s.Chunks {
-		p.chunks[cs.VA] = &chunk{
-			super: cs.Super, noHuge: cs.NoHuge, pa: cs.PA,
-			frames: append([]addr.PAddr(nil), cs.Frames...), pages: cs.Pages,
-		}
-	}
-	p.chunks1G = make(map[addr.VAddr]addr.PAddr, len(s.Chunks1G))
-	for _, cs := range s.Chunks1G {
-		p.chunks1G[cs.VA] = cs.PA
-	}
-	p.mappedBytes = s.MappedBytes
-	p.superBytes = s.SuperBytes
-	return nil
-}
-
 // State captures the manager and every process it manages.
 func (m *Manager) State() ManagerState {
 	s := ManagerState{Stats: m.Stats}
-	s.Procs = make([]ProcessState, 0, len(m.procs))
 	for _, p := range m.procs {
-		s.Procs = append(s.Procs, p.state())
+		s.Procs = append(s.Procs, ProcessState{
+			ASID: p.ASID, PT: p.PT.State(), NextVA: p.nextVA, NoHuge: slices.Clone(p.noHuge),
+		})
 	}
-	sort.Slice(s.Procs, func(i, j int) bool { return s.Procs[i].ASID < s.Procs[j].ASID })
 	return s
 }
 
 // SetState restores the manager in place. Every process in the state
 // must already exist on the receiver (the machine is rebuilt from the
 // same config before state is applied, so the address spaces match);
-// each is mutated in place to preserve pointer identity.
+// each is mutated in place, its *Process and *pagetable.Table identities
+// preserved, so page walkers and the machine's process pointer observe
+// the restored space without rewiring.
 func (m *Manager) SetState(s ManagerState) error {
 	if len(s.Procs) != len(m.procs) {
 		return fmt.Errorf("osmm: state has %d processes, manager has %d", len(s.Procs), len(m.procs))
 	}
 	for _, ps := range s.Procs {
-		p, ok := m.procs[ps.ASID]
-		if !ok {
+		p := m.Process(ps.ASID)
+		if p == nil {
 			return fmt.Errorf("osmm: state names unknown ASID %d", ps.ASID)
 		}
-		if err := p.setState(ps); err != nil {
+		if err := p.PT.SetState(ps.PT); err != nil {
 			return err
 		}
+		p.nextVA = ps.NextVA
+		p.noHuge = slices.Clone(ps.NoHuge)
 	}
 	m.Stats = s.Stats
 	return nil

@@ -86,6 +86,13 @@ func TestManagerStateRoundTrip(t *testing.T) {
 	if got, want := rp.MappedBytes(), p.MappedBytes(); got != want {
 		t.Errorf("restored mapped bytes %d, want %d", got, want)
 	}
+	// The no-huge region mapped after the 8MB one stays unpromotable.
+	if err := m2.Promote(rp, base+8<<20); err == nil {
+		t.Error("restored manager promoted a region mapped with superpages disallowed")
+	}
+	if err := m2.Promote(rp, base); err != nil {
+		t.Errorf("restored manager cannot promote the splintered chunk: %v", err)
+	}
 }
 
 // TestManagerStateRejections: process-set mismatches and corrupt nested
@@ -135,5 +142,8 @@ func TestManagerClone(t *testing.T) {
 	c.Munmap(cp, base, 2<<20)
 	if _, _, ok := p.PT.Translate(base); !ok {
 		t.Error("unmapping on the clone unmapped the original")
+	}
+	if err := c.Promote(cp, base+8<<20); err == nil {
+		t.Error("clone promoted a region mapped with superpages disallowed")
 	}
 }

@@ -12,34 +12,25 @@ package osmm
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"seesaw/internal/addr"
 	"seesaw/internal/pagetable"
 	"seesaw/internal/physmem"
 )
 
-// chunk records how one 2MB-aligned VA chunk is backed.
-type chunk struct {
-	super  bool
-	noHuge bool         // region was mapped with superpages disallowed
-	pa     addr.PAddr   // 2MB block base when super
-	frames []addr.PAddr // 4KB frame per page when !super
-	pages  int          // mapped 4KB pages in this chunk (tail chunks may be partial)
-}
-
-// Process is one simulated address space.
+// Process is one simulated address space. Its page table is the only
+// record of what is mapped and how; the process adds only what the
+// table cannot hold.
 type Process struct {
 	ASID uint16
 	PT   *pagetable.Table
 
-	nextVA   addr.VAddr
-	chunks   map[addr.VAddr]*chunk     // keyed by 2MB-aligned VA
-	chunks1G map[addr.VAddr]addr.PAddr // explicit 1GB mappings, keyed by 1GB-aligned VA
-
-	mappedBytes uint64
-	superBytes  uint64
+	nextVA addr.VAddr
+	noHuge []Range // regions mapped with superpages disallowed
 }
+
+// Range is the VA interval [Lo, Hi).
+type Range struct{ Lo, Hi addr.VAddr }
 
 // Stats counts manager events.
 type Stats struct {
@@ -77,7 +68,7 @@ type Manager struct {
 	// memory tightens, the kernel increasingly gives up.
 	Compactor Compactor
 
-	procs map[uint16]*Process
+	procs []*Process // in creation order
 	Stats Stats
 
 	// OnInvlpg fires when the OS invalidates a page's translations
@@ -92,7 +83,7 @@ type Manager struct {
 
 // NewManager creates a manager over the given physical memory.
 func NewManager(buddy *physmem.Buddy, rng *rand.Rand, thp bool) *Manager {
-	return &Manager{Buddy: buddy, rng: rng, THP: thp, procs: make(map[uint16]*Process)}
+	return &Manager{Buddy: buddy, rng: rng, THP: thp}
 }
 
 // alloc2M tries a 2MB allocation, falling back to compaction when
@@ -132,22 +123,27 @@ func (m *Manager) alloc2M() (addr.PAddr, bool) {
 // NewProcess creates an address space. VA allocation starts at a
 // canonical user-space base.
 func (m *Manager) NewProcess(asid uint16) (*Process, error) {
-	if _, ok := m.procs[asid]; ok {
+	if m.Process(asid) != nil {
 		return nil, fmt.Errorf("osmm: ASID %d already exists", asid)
 	}
 	p := &Process{
-		ASID:     asid,
-		PT:       pagetable.New(),
-		nextVA:   0x5555_5540_0000, // 2MB-aligned, x86-64 mmap-ish base
-		chunks:   make(map[addr.VAddr]*chunk),
-		chunks1G: make(map[addr.VAddr]addr.PAddr),
+		ASID:   asid,
+		PT:     pagetable.New(),
+		nextVA: 0x5555_5540_0000, // 2MB-aligned, x86-64 mmap-ish base
 	}
-	m.procs[asid] = p
+	m.procs = append(m.procs, p)
 	return p, nil
 }
 
 // Process returns the process for an ASID, or nil.
-func (m *Manager) Process(asid uint16) *Process { return m.procs[asid] }
+func (m *Manager) Process(asid uint16) *Process {
+	for _, p := range m.procs {
+		if p.ASID == asid {
+			return p
+		}
+	}
+	return nil
+}
 
 // Mmap maps length bytes of anonymous memory (rounded up to 4KB) and
 // returns the base VA. With THP enabled, each fully covered 2MB-aligned
@@ -172,64 +168,59 @@ func (m *Manager) MmapHuge(p *Process, length uint64, allowHuge bool) (addr.VAdd
 	// so chunks never straddle regions.
 	p.nextVA += addr.VAddr((pages*4096 + (2<<20 - 1)) &^ uint64(2<<20-1))
 
-	var mappedChunks []addr.VAddr
-	unwind := func() {
-		for _, cva := range mappedChunks {
-			m.unmapChunk(p, cva)
-		}
-	}
 	for off := uint64(0); off < pages*4096; off += 2 << 20 {
 		cva := base + addr.VAddr(off)
-		chunkPages := int((pages*4096 - off + 4095) / 4096)
-		if chunkPages > 512 {
-			chunkPages = 512
-		}
-		full := chunkPages == 512
-		if m.THP && allowHuge && full {
-			if pa, ok := m.alloc2M(); ok {
-				if err := p.PT.Map(cva, pa.PPN(addr.Page2M), addr.Page2M); err != nil {
-					unwind()
-					return 0, err
-				}
-				p.chunks[cva] = &chunk{super: true, pa: pa, pages: 512}
-				p.mappedBytes += 2 << 20
-				p.superBytes += 2 << 20
-				m.Stats.SuperAllocs++
-				mappedChunks = append(mappedChunks, cva)
-				continue
+		if err := m.mapChunk(p, cva, int(min(512, pages-off/4096)), allowHuge); err != nil {
+			// Unwind: the failed chunk's pages, then every chunk before it.
+			m.unmapChunk(p, cva)
+			for v := base; v < cva; v += 2 << 20 {
+				m.unmapChunk(p, v)
 			}
+			return 0, err
 		}
-		// Base-page fallback.
-		c := &chunk{frames: make([]addr.PAddr, 0, chunkPages), pages: chunkPages, noHuge: !allowHuge}
-		for i := 0; i < chunkPages; i++ {
-			fpa, ok := m.Buddy.Alloc(addr.Page4K)
-			if !ok {
-				// Out of memory: free this chunk's frames then unwind.
-				for _, fp := range c.frames {
-					m.Buddy.Free(fp, addr.Page4K)
-				}
-				unwind()
-				return 0, fmt.Errorf("osmm: out of physical memory at %d bytes", off)
-			}
-			va := cva + addr.VAddr(i*4096)
-			if err := p.PT.Map(va, fpa.PPN(addr.Page4K), addr.Page4K); err != nil {
-				m.Buddy.Free(fpa, addr.Page4K)
-				for _, fp := range c.frames {
-					m.Buddy.Free(fp, addr.Page4K)
-				}
-				unwind()
-				return 0, err
-			}
-			c.frames = append(c.frames, fpa)
-		}
-		p.chunks[cva] = c
-		p.mappedBytes += uint64(chunkPages) * 4096
-		if full {
-			m.Stats.BaseAllocs++
-		}
-		mappedChunks = append(mappedChunks, cva)
+	}
+	if !allowHuge {
+		p.noHuge = append(p.noHuge, Range{base, p.nextVA})
 	}
 	return base, nil
+}
+
+// mapChunk backs the first pages 4KB pages of the 2MB chunk at cva: with
+// a 2MB superpage when THP and allowHuge permit, the chunk is whole and
+// a 2MB block can be had, else with base pages.
+func (m *Manager) mapChunk(p *Process, cva addr.VAddr, pages int, allowHuge bool) error {
+	if m.THP && allowHuge && pages == 512 {
+		if pa, ok := m.alloc2M(); ok {
+			if err := m.mapFrame(p, cva, pa, addr.Page2M); err != nil {
+				return err
+			}
+			m.Stats.SuperAllocs++
+			return nil
+		}
+	}
+	for i := 0; i < pages; i++ {
+		pa, ok := m.Buddy.Alloc(addr.Page4K)
+		if !ok {
+			return fmt.Errorf("osmm: out of physical memory at %#x", uint64(cva)+uint64(i*4096))
+		}
+		if err := m.mapFrame(p, cva+addr.VAddr(i*4096), pa, addr.Page4K); err != nil {
+			return err
+		}
+	}
+	if pages == 512 {
+		m.Stats.BaseAllocs++
+	}
+	return nil
+}
+
+// mapFrame maps the page of the given size at va to the frame at pa,
+// returning the frame to the buddy if the page table refuses it.
+func (m *Manager) mapFrame(p *Process, va addr.VAddr, pa addr.PAddr, size addr.PageSize) error {
+	if err := p.PT.Map(va, pa.PPN(size), size); err != nil {
+		m.Buddy.Free(pa, size)
+		return err
+	}
+	return nil
 }
 
 // Mmap1G maps length bytes (rounded up to 1GB) backed entirely by 1GB
@@ -245,84 +236,78 @@ func (m *Manager) Mmap1G(p *Process, length uint64) (addr.VAddr, error) {
 	// 1GB pages need 1GB-aligned virtual addresses.
 	base := addr.VAddr((uint64(p.nextVA) + (1<<30 - 1)) &^ uint64(1<<30-1))
 	p.nextVA = base + addr.VAddr(nChunks<<30)
-	var mapped []addr.VAddr
 	for i := uint64(0); i < nChunks; i++ {
 		va := base + addr.VAddr(i<<30)
 		pa, ok := m.Buddy.Alloc(addr.Page1G)
+		var err error
 		if !ok {
-			for _, v := range mapped {
-				m.unmap1G(p, v)
-			}
-			return 0, fmt.Errorf("osmm: no contiguous 1GB block for chunk %d", i)
+			err = fmt.Errorf("osmm: no contiguous 1GB block for chunk %d", i)
+		} else {
+			err = m.mapFrame(p, va, pa, addr.Page1G)
 		}
-		if err := p.PT.Map(va, pa.PPN(addr.Page1G), addr.Page1G); err != nil {
-			m.Buddy.Free(pa, addr.Page1G)
-			for _, v := range mapped {
+		if err != nil {
+			for v := base; v < va; v += 1 << 30 {
 				m.unmap1G(p, v)
 			}
 			return 0, err
 		}
-		p.chunks1G[va] = pa
-		p.mappedBytes += 1 << 30
-		p.superBytes += 1 << 30
-		mapped = append(mapped, va)
 	}
 	return base, nil
 }
 
-// unmap1G releases one 1GB mapping.
-func (m *Manager) unmap1G(p *Process, va addr.VAddr) {
-	pa, ok := p.chunks1G[va]
-	if !ok {
-		return
+// freePage unmaps the page of the given size that starts at va and
+// frees its frame, reporting whether there was one.
+func (m *Manager) freePage(p *Process, va addr.VAddr, size addr.PageSize) bool {
+	pa, s, ok := p.PT.Translate(va)
+	if !ok || s != size {
+		return false
 	}
-	p.PT.Unmap(va, addr.Page1G)
-	m.Buddy.Free(pa, addr.Page1G)
-	p.mappedBytes -= 1 << 30
-	p.superBytes -= 1 << 30
-	delete(p.chunks1G, va)
+	p.PT.Unmap(va, size)
+	m.Buddy.Free(pa, size)
+	return true
+}
+
+// invlpg fires OnInvlpg for the region at va, when wired.
+func (m *Manager) invlpg(p *Process, va addr.VAddr) {
 	if m.OnInvlpg != nil {
 		m.OnInvlpg(p.ASID, va)
 	}
 }
 
-// unmapChunk releases one chunk's mappings and physical memory.
-func (m *Manager) unmapChunk(p *Process, cva addr.VAddr) {
-	c, ok := p.chunks[cva]
-	if !ok {
-		return
+// unmap1G releases the 1GB mapping at va, reporting whether there was one.
+func (m *Manager) unmap1G(p *Process, va addr.VAddr) bool {
+	if !m.freePage(p, va, addr.Page1G) {
+		return false
 	}
-	if c.super {
-		p.PT.Unmap(cva, addr.Page2M)
-		m.Buddy.Free(c.pa, addr.Page2M)
-		p.superBytes -= 2 << 20
-		p.mappedBytes -= 2 << 20
-	} else {
-		for i, fpa := range c.frames {
-			p.PT.Unmap(cva+addr.VAddr(i*4096), addr.Page4K)
-			m.Buddy.Free(fpa, addr.Page4K)
-		}
-		p.mappedBytes -= uint64(len(c.frames)) * 4096
+	m.invlpg(p, va)
+	return true
+}
+
+// unmapChunk releases the 2MB chunk at cva — its superpage or its base
+// pages, in page order — reporting whether it held any.
+func (m *Manager) unmapChunk(p *Process, cva addr.VAddr) bool {
+	size, pages := p.PT.Region(cva)
+	if pages == 0 || size == addr.Page1G {
+		return false
 	}
-	delete(p.chunks, cva)
-	if m.OnInvlpg != nil {
-		m.OnInvlpg(p.ASID, cva)
+	for va := cva; va < cva+2<<20; va += addr.VAddr(size.Bytes()) {
+		m.freePage(p, va, size)
 	}
+	m.invlpg(p, cva)
+	return true
 }
 
 // Munmap unmaps every chunk overlapping [base, base+length), including
 // explicit 1GB mappings.
 func (m *Manager) Munmap(p *Process, base addr.VAddr, length uint64) {
-	start := base.PageBase(addr.Page2M)
-	for cva := start; cva < base+addr.VAddr(length); cva += 2 << 20 {
-		if _, ok := p.chunks[cva]; ok {
-			m.unmapChunk(p, cva)
+	end := base + addr.VAddr(length)
+	for cva := base.PageBase(addr.Page2M); cva < end; cva += 2 << 20 {
+		if m.unmapChunk(p, cva) {
 			m.Stats.UnmappedBytes += 2 << 20
 		}
 	}
-	for gva := base.PageBase(addr.Page1G); gva < base+addr.VAddr(length); gva += 1 << 30 {
-		if _, ok := p.chunks1G[gva]; ok {
-			m.unmap1G(p, gva)
+	for gva := base.PageBase(addr.Page1G); gva < end; gva += 1 << 30 {
+		if m.unmap1G(p, gva) {
 			m.Stats.UnmappedBytes += 1 << 30
 		}
 	}
@@ -330,89 +315,68 @@ func (m *Manager) Munmap(p *Process, base addr.VAddr, length uint64) {
 
 // Splinter breaks the superpage backing va into base pages (e.g. for
 // finer-grained protection), preserving translations, and fires OnInvlpg.
+// The 2MB buddy block is then owned as 512 base pages: on unmap the
+// frames are freed individually at order 0 and the buddy coalesces them
+// back into the original 2MB block.
 func (m *Manager) Splinter(p *Process, va addr.VAddr) error {
-	cva := va.PageBase(addr.Page2M)
-	c, ok := p.chunks[cva]
-	if !ok || !c.super {
+	cva, err := p.PT.Splinter(va)
+	if err != nil {
 		return fmt.Errorf("osmm: %#x is not superpage-backed", uint64(va))
 	}
-	if _, err := p.PT.Splinter(cva); err != nil {
-		return err
-	}
-	// Physical memory stays where it is; bookkeeping switches to frames.
-	c.super = false
-	c.frames = make([]addr.PAddr, 512)
-	for i := range c.frames {
-		c.frames[i] = c.pa + addr.PAddr(i*4096)
-	}
-	// The 2MB buddy block is now owned as 512 base pages: on unmap the
-	// frames are freed individually at order 0 and the buddy coalesces
-	// them back into the original 2MB block.
-	p.superBytes -= 2 << 20
 	m.Stats.Splinters++
-	if m.OnInvlpg != nil {
-		m.OnInvlpg(p.ASID, cva)
-	}
+	m.invlpg(p, cva)
 	return nil
 }
 
 // Promote attempts khugepaged-style promotion of the fully base-mapped
 // 2MB region at va: it allocates a fresh 2MB block (fails under
 // fragmentation), rewrites the page table, frees the old scattered
-// frames, and fires OnPromote (cache sweep) and OnInvlpg.
+// frames, and fires OnPromote (cache sweep) and OnInvlpg. Every check
+// comes before the allocation, which draws from the RNG and may compact.
 func (m *Manager) Promote(p *Process, va addr.VAddr) error {
 	cva := va.PageBase(addr.Page2M)
-	c, ok := p.chunks[cva]
-	if !ok || c.super {
+	switch size, pages := p.PT.Region(cva); {
+	case size != addr.Page4K || pages == 0:
 		return fmt.Errorf("osmm: %#x is not base-page-backed", uint64(va))
-	}
-	if c.noHuge {
+	case p.noHugeAt(cva):
 		return fmt.Errorf("osmm: %#x was mapped with superpages disallowed", uint64(va))
-	}
-	if c.pages != 512 {
-		return fmt.Errorf("osmm: %#x is a partial chunk (%d pages)", uint64(va), c.pages)
+	case pages != 512:
+		return fmt.Errorf("osmm: %#x is a partial chunk (%d pages)", uint64(va), pages)
 	}
 	newPA, allocOK := m.alloc2M()
 	if !allocOK {
 		m.Stats.PromoteFails++
 		return fmt.Errorf("osmm: no contiguous 2MB block for promotion")
 	}
+	oldFrames := make([]addr.PAddr, 512)
+	for i := range oldFrames {
+		oldFrames[i], _, _ = p.PT.Translate(cva + addr.VAddr(i*4096))
+	}
 	if _, err := p.PT.Promote(cva, newPA.PPN(addr.Page2M)); err != nil {
 		m.Buddy.Free(newPA, addr.Page2M)
 		return err
 	}
-	oldFrames := c.frames
 	for _, fpa := range oldFrames {
 		m.Buddy.Free(fpa, addr.Page4K)
 	}
-	c.super = true
-	c.pa = newPA
-	c.frames = nil
-	p.superBytes += 2 << 20
 	m.Stats.Promotions++
-	if m.OnInvlpg != nil {
-		m.OnInvlpg(p.ASID, cva)
-	}
+	m.invlpg(p, cva)
 	if m.OnPromote != nil {
 		m.OnPromote(p.ASID, cva, oldFrames, newPA)
 	}
 	return nil
 }
 
-// PromoteScan walks up to maxChunks base-mapped full chunks of p and
-// attempts promotion, returning how many succeeded. This is the
-// khugepaged background pass.
+// PromoteScan walks up to maxChunks base-mapped full chunks of p, in
+// address order, and attempts promotion, returning how many succeeded.
+// This is the khugepaged background pass.
 func (m *Manager) PromoteScan(p *Process, maxChunks int) int {
-	// Scan candidates in address order: the chunk map's random iteration
-	// order must not decide which chunks get promoted when maxChunks caps
-	// the pass, or runs stop being reproducible.
-	cvas := make([]addr.VAddr, 0, len(p.chunks))
-	for cva, c := range p.chunks {
-		if !c.super && !c.noHuge && c.pages == 512 {
+	var cvas []addr.VAddr
+	p.PT.Regions(func(cva addr.VAddr, size addr.PageSize, pages int) {
+		if size == addr.Page4K && pages == 512 && !p.noHugeAt(cva) {
 			cvas = append(cvas, cva)
 		}
-	}
-	sort.Slice(cvas, func(i, j int) bool { return cvas[i] < cvas[j] })
+	})
 	promoted := 0
 	for _, cva := range cvas {
 		if promoted >= maxChunks {
@@ -425,53 +389,63 @@ func (m *Manager) PromoteScan(p *Process, maxChunks int) int {
 	return promoted
 }
 
+// noHugeAt reports whether va lies in a region mapped with superpages
+// disallowed.
+func (p *Process) noHugeAt(va addr.VAddr) bool {
+	for _, r := range p.noHuge {
+		if r.Lo <= va && va < r.Hi {
+			return true
+		}
+	}
+	return false
+}
+
 // SuperpageCoverage returns the fraction of p's mapped bytes backed by
-// 2MB superpages — the paper's Fig 3 metric.
+// superpages — the paper's Fig 3 metric.
 func (p *Process) SuperpageCoverage() float64 {
-	if p.mappedBytes == 0 {
+	if p.MappedBytes() == 0 {
 		return 0
 	}
-	return float64(p.superBytes) / float64(p.mappedBytes)
+	return float64(p.SuperBytes()) / float64(p.MappedBytes())
 }
 
 // MappedBytes returns the total mapped footprint.
-func (p *Process) MappedBytes() uint64 { return p.mappedBytes }
+func (p *Process) MappedBytes() uint64 { return p.PT.Count(addr.Page4K)<<12 + p.SuperBytes() }
 
 // SuperBytes returns the superpage-backed footprint.
-func (p *Process) SuperBytes() uint64 { return p.superBytes }
+func (p *Process) SuperBytes() uint64 {
+	return p.PT.Count(addr.Page2M)<<21 + p.PT.Count(addr.Page1G)<<30
+}
+
+// chunkVAs returns the base VAs of the 2MB chunks mapped at a page size
+// keep accepts, in ascending address order.
+func (p *Process) chunkVAs(keep func(addr.PageSize) bool) []addr.VAddr {
+	var out []addr.VAddr
+	p.PT.Regions(func(cva addr.VAddr, size addr.PageSize, _ int) {
+		if keep(size) {
+			out = append(out, cva)
+		}
+	})
+	return out
+}
 
 // SuperChunkVAs returns the base VAs of the chunks currently backed by
 // 2MB superpages, in ascending address order — the deterministic
 // candidate list fault injection splinters from (explicit 1GB mappings
 // are not splinterable and are excluded).
 func (p *Process) SuperChunkVAs() []addr.VAddr {
-	var out []addr.VAddr
-	for cva, c := range p.chunks {
-		if c.super {
-			out = append(out, cva)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return p.chunkVAs(func(s addr.PageSize) bool { return s == addr.Page2M })
 }
 
 // ChunkVAs returns the base VAs of every mapped 2MB chunk in ascending
-// address order (shootdown-burst targeting).
+// address order (shootdown-burst targeting); 1GB mappings are excluded.
 func (p *Process) ChunkVAs() []addr.VAddr {
-	out := make([]addr.VAddr, 0, len(p.chunks))
-	for cva := range p.chunks {
-		out = append(out, cva)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return p.chunkVAs(func(s addr.PageSize) bool { return s != addr.Page1G })
 }
 
 // ChunkIsSuper reports whether the chunk containing va is superpage-
 // backed — by a 2MB page or an explicit 1GB page.
 func (p *Process) ChunkIsSuper(va addr.VAddr) bool {
-	if _, ok := p.chunks1G[va.PageBase(addr.Page1G)]; ok {
-		return true
-	}
-	c, ok := p.chunks[va.PageBase(addr.Page2M)]
-	return ok && c.super
+	size, pages := p.PT.Region(va)
+	return pages > 0 && size.IsSuper()
 }

@@ -277,6 +277,31 @@ func TestMmapOutOfMemory(t *testing.T) {
 	if m.Buddy.FreeBytes() != 8<<20 {
 		t.Errorf("leaked memory: free = %d", m.Buddy.FreeBytes())
 	}
+
+	// A no-huge region that runs out of memory partway through a chunk of
+	// base pages must leave none of that chunk's pages mapped either.
+	for i := 0; i < 100; i++ {
+		if _, ok := m.Buddy.Alloc(addr.Page4K); !ok {
+			t.Fatal("pinning a frame failed")
+		}
+	}
+	base := p.nextVA
+	if _, err := m.MmapHuge(p, 16<<20, false); err == nil {
+		t.Fatal("no-huge mmap larger than free memory must fail")
+	}
+	for va := base; va < base+16<<20; va += 4096 {
+		if pa, _, ok := p.PT.Translate(va); ok {
+			t.Fatalf("%#x still translates to %#x after the failed mmap", uint64(va), uint64(pa))
+		}
+	}
+	for s := addr.Page4K; s < addr.NumPageSizes; s++ {
+		if n := p.PT.Count(s); n != 0 {
+			t.Errorf("%d %v mappings left after the failed mmap", n, s)
+		}
+	}
+	if free := m.Buddy.FreeBytes(); free != 8<<20-100*4096 {
+		t.Errorf("leaked memory: free = %d, want %d", free, 8<<20-100*4096)
+	}
 }
 
 func TestTwoProcessesIsolated(t *testing.T) {

@@ -1,14 +1,9 @@
 package pagetable
 
-import (
-	"fmt"
-	"sort"
+import "fmt"
 
-	"seesaw/internal/addr"
-)
-
-// NodeState is one radix node flattened for serialization: child and
-// leaf indices sorted ascending so encoding is deterministic.
+// NodeState is one radix node flattened for serialization: its child
+// and leaf slots, each in ascending index order.
 type NodeState struct {
 	ChildIdx []uint16
 	Children []NodeState
@@ -16,85 +11,88 @@ type NodeState struct {
 	Leaves   []Entry
 }
 
-// TableState is a page table's serializable state.
+// TableState is a page table's serializable state. The per-size counts
+// are not part of it: SetState recounts them from the leaves.
 type TableState struct {
-	Root   NodeState
-	Counts [addr.NumPageSizes]uint64
+	Root NodeState
 }
 
-func (n *node) state() NodeState {
-	s := NodeState{}
-	s.ChildIdx = make([]uint16, 0, len(n.children))
-	for i := range n.children {
-		s.ChildIdx = append(s.ChildIdx, i)
-	}
-	sort.Slice(s.ChildIdx, func(a, b int) bool { return s.ChildIdx[a] < s.ChildIdx[b] })
-	s.Children = make([]NodeState, len(s.ChildIdx))
-	for k, i := range s.ChildIdx {
-		s.Children[k] = n.children[i].state()
-	}
-	s.LeafIdx = make([]uint16, 0, len(n.leaves))
-	for i := range n.leaves {
-		s.LeafIdx = append(s.LeafIdx, i)
-	}
-	sort.Slice(s.LeafIdx, func(a, b int) bool { return s.LeafIdx[a] < s.LeafIdx[b] })
-	s.Leaves = make([]Entry, len(s.LeafIdx))
-	for k, i := range s.LeafIdx {
-		s.Leaves[k] = *n.leaves[i]
+func (t *Table) state(n slot, level int) NodeState {
+	var s NodeState
+	for i, sl := range &t.nodes[n].slots {
+		switch {
+		case sl&leaf != 0:
+			s.LeafIdx = append(s.LeafIdx, uint16(i))
+			s.Leaves = append(s.Leaves, Entry{PPN: uint64(sl &^ leaf), Size: sizeAt(level)})
+		case sl != 0:
+			s.ChildIdx = append(s.ChildIdx, uint16(i))
+			s.Children = append(s.Children, t.state(sl, level-1))
+		}
 	}
 	return s
 }
 
-// nodeFromState rebuilds a radix node, tracking depth so corrupt input
-// cannot recurse unboundedly (a well-formed table is at most 4 deep).
-func nodeFromState(s NodeState, depth int) (*node, error) {
-	if depth > LevelPML4 {
-		return nil, fmt.Errorf("pagetable: radix deeper than %d levels", LevelPML4)
+// decode adds the node s describes at level to t and returns its index.
+// It accepts only what State emits: indices ascending below 512, no slot
+// both a leaf and a child, each leaf of its level's size and inside
+// physical memory, no empty node below the root, and no level below the
+// PT, which also bounds the recursion on corrupt input.
+func (t *Table) decode(s NodeState, level int) (slot, error) {
+	if level < LevelPT {
+		return 0, fmt.Errorf("pagetable: radix deeper than %d levels", LevelPML4)
 	}
 	if len(s.ChildIdx) != len(s.Children) {
-		return nil, fmt.Errorf("pagetable: %d child indices for %d children", len(s.ChildIdx), len(s.Children))
+		return 0, fmt.Errorf("pagetable: %d child indices for %d children", len(s.ChildIdx), len(s.Children))
 	}
 	if len(s.LeafIdx) != len(s.Leaves) {
-		return nil, fmt.Errorf("pagetable: %d leaf indices for %d leaves", len(s.LeafIdx), len(s.Leaves))
+		return 0, fmt.Errorf("pagetable: %d leaf indices for %d leaves", len(s.LeafIdx), len(s.Leaves))
 	}
-	n := newNode()
-	for k, i := range s.ChildIdx {
-		if i >= 512 {
-			return nil, fmt.Errorf("pagetable: radix index %d out of range", i)
-		}
-		child, err := nodeFromState(s.Children[k], depth+1)
-		if err != nil {
-			return nil, err
-		}
-		n.children[i] = child
-	}
+	n := t.alloc()
 	for k, i := range s.LeafIdx {
-		if i >= 512 {
-			return nil, fmt.Errorf("pagetable: radix index %d out of range", i)
-		}
 		e := s.Leaves[k]
-		if e.Size >= addr.NumPageSizes {
-			return nil, fmt.Errorf("pagetable: leaf with invalid page size %d", e.Size)
+		switch {
+		case i >= fanout || k > 0 && i <= s.LeafIdx[k-1]:
+			return 0, fmt.Errorf("pagetable: leaf index %d out of range or order", i)
+		case level > LevelPDPT || e.Size != sizeAt(level):
+			return 0, fmt.Errorf("pagetable: leaf of page size %d at level %d", e.Size, level)
+		case !frameOK(e.PPN, e.Size):
+			return 0, fmt.Errorf("pagetable: %v frame %#x outside physical memory", e.Size, e.PPN)
 		}
-		n.leaves[i] = &e
+		t.set(n, i, leaf|slot(e.PPN))
+		t.counts[e.Size]++
+	}
+	for k, i := range s.ChildIdx {
+		switch {
+		case i >= fanout || k > 0 && i <= s.ChildIdx[k-1]:
+			return 0, fmt.Errorf("pagetable: child index %d out of range or order", i)
+		case t.nodes[n].slots[i] != 0:
+			return 0, fmt.Errorf("pagetable: slot %d holds both a leaf and a child", i)
+		}
+		child, err := t.decode(s.Children[k], level-1)
+		if err != nil {
+			return 0, err
+		}
+		t.set(n, i, child)
+	}
+	if n != 0 && t.nodes[n].used == 0 {
+		return 0, fmt.Errorf("pagetable: empty radix node at level %d", level)
 	}
 	return n, nil
 }
 
 // State captures the table for serialization.
 func (t *Table) State() TableState {
-	return TableState{Root: t.root.state(), Counts: t.counts}
+	return TableState{Root: t.state(0, LevelPML4)}
 }
 
 // SetState replaces the table's contents in place: the *Table identity
 // is preserved, so page walkers pointing at it observe the restored
-// mappings without rewiring.
+// mappings without rewiring. A rejected state leaves the table as it was.
 func (t *Table) SetState(s TableState) error {
-	root, err := nodeFromState(s.Root, 1)
-	if err != nil {
+	var fresh Table
+	if _, err := fresh.decode(s.Root, LevelPML4); err != nil {
 		return err
 	}
-	t.root = root
-	t.counts = s.Counts
+	*t = fresh
 	return nil
 }

@@ -19,25 +19,34 @@ const (
 	LevelPT   = 1
 )
 
+// fanout is the number of slots in a radix node.
+const fanout = 512
+
 // Entry is a leaf translation.
 type Entry struct {
 	PPN  uint64        // physical page number, in units of Size
 	Size addr.PageSize // mapping granularity
 }
 
-// node is one 512-entry radix table, sparsely stored.
+// A slot is empty (0), a leaf (the leaf bit over its PPN; the page size
+// follows from the node's level) or a child (the child's node index,
+// never 0, since the root is nobody's child).
+type slot uint64
+
+const leaf slot = 1 << 63
+
+// node is one 512-slot radix table.
 type node struct {
-	children map[uint16]*node  // interior pointers
-	leaves   map[uint16]*Entry // leaf translations at this level
+	slots [fanout]slot
+	used  uint16 // non-empty slots
 }
 
-func newNode() *node {
-	return &node{children: make(map[uint16]*node), leaves: make(map[uint16]*Entry)}
-}
-
-// Table is one address space's page table.
+// Table is one address space's page table. Its radix nodes live in one
+// slice with the root at index 0; nodes that Unmap or Promote empty go
+// on a free list, all-zero, for reuse before the slice grows.
 type Table struct {
-	root *node
+	nodes []node
+	free  []slot
 
 	// counts[size] tracks live mappings per page size.
 	counts [addr.NumPageSizes]uint64
@@ -45,22 +54,20 @@ type Table struct {
 
 // New creates an empty page table.
 func New() *Table {
-	return &Table{root: newNode()}
+	return &Table{nodes: make([]node, 1)}
 }
 
 // levelFor returns the radix level at which a page size's leaf lives:
 // 4KB leaves live in the PT, 2MB in the PD, 1GB in the PDPT.
 func levelFor(s addr.PageSize) int {
-	switch s {
-	case addr.Page4K:
-		return LevelPT
-	case addr.Page2M:
-		return LevelPD
-	case addr.Page1G:
-		return LevelPDPT
+	if s < 0 || s >= addr.NumPageSizes {
+		panic(fmt.Sprintf("pagetable: invalid page size %v", s))
 	}
-	panic(fmt.Sprintf("pagetable: invalid page size %v", s))
+	return LevelPT + int(s)
 }
+
+// sizeAt is the page size of a leaf at level (levelFor's inverse).
+func sizeAt(level int) addr.PageSize { return addr.PageSize(level - LevelPT) }
 
 // index extracts the 9-bit radix index for a VA at a level
 // (level 4 -> bits 47:39 ... level 1 -> bits 20:12).
@@ -68,32 +75,72 @@ func index(v addr.VAddr, level int) uint16 {
 	return uint16(v.Bits(12+9*uint(level-1), 9))
 }
 
+// frameOK reports whether a frame of the given size at ppn lies inside
+// the 64-bit physical address space (so its 4KB frames do too).
+func frameOK(ppn uint64, size addr.PageSize) bool {
+	return ppn>>(64-size.OffsetBits()) == 0
+}
+
+// alloc returns the index of an empty node, reusing a pruned one first.
+func (t *Table) alloc() slot {
+	if k := len(t.free); k > 0 {
+		n := t.free[k-1]
+		t.free = t.free[:k-1]
+		return n
+	}
+	t.nodes = append(t.nodes, node{})
+	return slot(len(t.nodes) - 1)
+}
+
+// set fills empty slot i of node n.
+func (t *Table) set(n slot, i uint16, s slot) {
+	t.nodes[n].slots[i] = s
+	t.nodes[n].used++
+}
+
+// find descends va's path from the root toward level, stopping early at
+// an empty slot or a leaf, and returns the level it stopped at, the node
+// there and the index of va's slot in it.
+func (t *Table) find(va addr.VAddr, level int) (l int, n slot, i uint16) {
+	for l = LevelPML4; ; l-- {
+		i = index(va, l)
+		s := t.nodes[n].slots[i]
+		if l == level || s == 0 || s&leaf != 0 {
+			return l, n, i
+		}
+		n = s
+	}
+}
+
 // Map installs a translation from the page containing va to ppn with the
 // given size. It fails if any part of the range is already mapped (at this
 // or another granularity along the walked path).
 func (t *Table) Map(va addr.VAddr, ppn uint64, size addr.PageSize) error {
 	leafLevel := levelFor(size)
-	n := t.root
+	if !frameOK(ppn, size) {
+		return fmt.Errorf("pagetable: %v frame %#x outside physical memory", size, ppn)
+	}
+	n := slot(0)
 	for level := LevelPML4; level > leafLevel; level-- {
 		i := index(va, level)
-		if _, isLeaf := n.leaves[i]; isLeaf {
+		s := t.nodes[n].slots[i]
+		if s&leaf != 0 {
 			return fmt.Errorf("pagetable: %#x already covered by a larger mapping", uint64(va))
 		}
-		child, ok := n.children[i]
-		if !ok {
-			child = newNode()
-			n.children[i] = child
+		if s == 0 {
+			s = t.alloc()
+			t.set(n, i, s)
 		}
-		n = child
+		n = s
 	}
 	i := index(va, leafLevel)
-	if _, ok := n.leaves[i]; ok {
+	switch s := t.nodes[n].slots[i]; {
+	case s&leaf != 0:
 		return fmt.Errorf("pagetable: %#x already mapped at %v", uint64(va), size)
-	}
-	if _, ok := n.children[i]; ok {
+	case s != 0:
 		return fmt.Errorf("pagetable: %#x has smaller mappings below a would-be %v leaf", uint64(va), size)
 	}
-	n.leaves[i] = &Entry{PPN: ppn, Size: size}
+	t.set(n, i, leaf|slot(ppn))
 	t.counts[size]++
 	return nil
 }
@@ -103,20 +150,11 @@ func (t *Table) Map(va addr.VAddr, ppn uint64, size addr.PageSize) error {
 // latency. ok is false for unmapped addresses; levels then reports how far
 // the walk got before faulting.
 func (t *Table) Walk(va addr.VAddr) (e Entry, levels int, ok bool) {
-	n := t.root
-	for level := LevelPML4; level >= LevelPT; level-- {
-		levels++
-		i := index(va, level)
-		if leaf, isLeaf := n.leaves[i]; isLeaf {
-			return *leaf, levels, true
-		}
-		child, hasChild := n.children[i]
-		if !hasChild {
-			return Entry{}, levels, false
-		}
-		n = child
+	l, n, i := t.find(va, LevelPT)
+	if s := t.nodes[n].slots[i]; s&leaf != 0 {
+		return Entry{PPN: uint64(s &^ leaf), Size: sizeAt(l)}, LevelPML4 + 1 - l, true
 	}
-	return Entry{}, levels, false
+	return Entry{}, LevelPML4 + 1 - l, false
 }
 
 // Translate is Walk without the cost accounting: it returns the physical
@@ -134,37 +172,30 @@ func (t *Table) Translate(va addr.VAddr) (addr.PAddr, addr.PageSize, bool) {
 // remapped at a larger granularity.
 func (t *Table) Unmap(va addr.VAddr, size addr.PageSize) error {
 	leafLevel := levelFor(size)
-	// Remember the path so empty interior nodes can be pruned.
-	type step struct {
-		n *node
-		i uint16
-	}
-	var path []step
-	n := t.root
+	var path [LevelPML4 + 1]slot // path[level] is the node at level
+	n := slot(0)
 	for level := LevelPML4; level > leafLevel; level-- {
-		i := index(va, level)
-		child, ok := n.children[i]
-		if !ok {
+		path[level] = n
+		s := t.nodes[n].slots[index(va, level)]
+		if s == 0 || s&leaf != 0 {
 			return fmt.Errorf("pagetable: %#x not mapped", uint64(va))
 		}
-		path = append(path, step{n, i})
-		n = child
+		n = s
 	}
 	i := index(va, leafLevel)
-	leaf, ok := n.leaves[i]
-	if !ok || leaf.Size != size {
+	if t.nodes[n].slots[i]&leaf == 0 {
 		return fmt.Errorf("pagetable: %#x not mapped at %v", uint64(va), size)
 	}
-	delete(n.leaves, i)
 	t.counts[size]--
-	for k := len(path) - 1; k >= 0; k-- {
-		child := path[k].n.children[path[k].i]
-		if len(child.leaves) > 0 || len(child.children) > 0 {
-			break
+	for level := leafLevel; ; level++ {
+		t.nodes[n].slots[i] = 0
+		t.nodes[n].used--
+		if level == LevelPML4 || t.nodes[n].used > 0 {
+			return nil
 		}
-		delete(path[k].n.children, path[k].i)
+		t.free = append(t.free, n)
+		n, i = path[level+1], index(va, level+1)
 	}
-	return nil
 }
 
 // Splinter replaces the 2MB mapping covering va with 512 4KB mappings that
@@ -174,20 +205,19 @@ func (t *Table) Unmap(va addr.VAddr, size addr.PageSize) error {
 // propagate that to TLBs and the TFT.
 func (t *Table) Splinter(va addr.VAddr) (addr.VAddr, error) {
 	base := va.PageBase(addr.Page2M)
-	e, _, ok := t.Walk(base)
-	if !ok || e.Size != addr.Page2M {
+	l, pd, i := t.find(base, LevelPD)
+	if l != LevelPD || t.nodes[pd].slots[i]&leaf == 0 {
 		return 0, fmt.Errorf("pagetable: %#x is not a 2MB mapping", uint64(va))
 	}
-	if err := t.Unmap(base, addr.Page2M); err != nil {
-		return 0, err
+	ppn := uint64(t.nodes[pd].slots[i]&^leaf) << (addr.Page2M.OffsetBits() - addr.Page4K.OffsetBits())
+	pt := t.alloc()
+	for k := range t.nodes[pt].slots {
+		t.nodes[pt].slots[k] = leaf | slot(ppn+uint64(k))
 	}
-	basePPN4K := e.PPN << (addr.Page2M.OffsetBits() - addr.Page4K.OffsetBits())
-	for i := uint64(0); i < 512; i++ {
-		sub := base + addr.VAddr(i*4096)
-		if err := t.Map(sub, basePPN4K+i, addr.Page4K); err != nil {
-			return 0, fmt.Errorf("pagetable: splinter remap: %w", err)
-		}
-	}
+	t.nodes[pt].used = fanout
+	t.nodes[pd].slots[i] = pt
+	t.counts[addr.Page2M]--
+	t.counts[addr.Page4K] += fanout
 	return base, nil
 }
 
@@ -197,22 +227,57 @@ func (t *Table) Splinter(va addr.VAddr) (addr.VAddr, error) {
 // mapped. It returns the base VA of the promoted region.
 func (t *Table) Promote(va addr.VAddr, newPPN2M uint64) (addr.VAddr, error) {
 	base := va.PageBase(addr.Page2M)
-	// Verify full population first so we fail without mutating.
-	for i := uint64(0); i < 512; i++ {
-		e, _, ok := t.Walk(base + addr.VAddr(i*4096))
-		if !ok || e.Size != addr.Page4K {
-			return 0, fmt.Errorf("pagetable: region %#x not fully 4KB-mapped at +%d pages", uint64(base), i)
-		}
+	l, pd, i := t.find(base, LevelPD)
+	pt := t.nodes[pd].slots[i]
+	if l != LevelPD || pt == 0 || pt&leaf != 0 || t.nodes[pt].used != fanout {
+		return 0, fmt.Errorf("pagetable: region %#x not fully 4KB-mapped", uint64(base))
 	}
-	for i := uint64(0); i < 512; i++ {
-		if err := t.Unmap(base+addr.VAddr(i*4096), addr.Page4K); err != nil {
-			return 0, err
-		}
+	if !frameOK(newPPN2M, addr.Page2M) {
+		return 0, fmt.Errorf("pagetable: 2MB frame %#x outside physical memory", newPPN2M)
 	}
-	if err := t.Map(base, newPPN2M, addr.Page2M); err != nil {
-		return 0, err
-	}
+	t.nodes[pt] = node{}
+	t.free = append(t.free, pt)
+	t.nodes[pd].slots[i] = leaf | slot(newPPN2M)
+	t.counts[addr.Page4K] -= fanout
+	t.counts[addr.Page2M]++
 	return base, nil
+}
+
+// Region reports how the 2MB region containing va is mapped: by a
+// superpage (its size, and pages 1), by pages 4KB leaves, or not at all
+// (pages 0).
+func (t *Table) Region(va addr.VAddr) (size addr.PageSize, pages int) {
+	l, n, i := t.find(va, LevelPD)
+	switch s := t.nodes[n].slots[i]; {
+	case s == 0:
+		return addr.Page4K, 0
+	case s&leaf != 0:
+		return sizeAt(l), 1
+	default:
+		return addr.Page4K, int(t.nodes[s].used)
+	}
+}
+
+// Regions calls f in ascending address order for every 1GB leaf and
+// every 2MB region a 2MB leaf or 4KB leaves map, with the arguments
+// Region would return for it. f must not change the table.
+func (t *Table) Regions(f func(base addr.VAddr, size addr.PageSize, pages int)) {
+	t.regions(0, LevelPML4, 0, f)
+}
+
+func (t *Table) regions(n slot, level int, base addr.VAddr, f func(addr.VAddr, addr.PageSize, int)) {
+	for i, s := range &t.nodes[n].slots {
+		va := base | addr.VAddr(i)<<(12+9*(level-1))
+		switch {
+		case s == 0:
+		case s&leaf != 0:
+			f(va, sizeAt(level), 1)
+		case level == LevelPD:
+			f(va, addr.Page4K, int(t.nodes[s].used))
+		default:
+			t.regions(s, level-1, va, f)
+		}
+	}
 }
 
 // Count returns the number of live mappings of the given size.
